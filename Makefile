@@ -122,11 +122,12 @@ report:
 	$(PYTHON) -m repro.cli report --output report.md
 
 api-docs:
-	$(PYTHON) tools/gen_api_docs.py
+	PYTHONPATH=src $(PYTHON) tools/gen_api_docs.py
 
 results:
 	$(PYTHON) examples/generate_all_results.py results/
 
 clean:
 	rm -rf results report.md .pytest_cache
+	rm -f benchmarks/BENCH_*_smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -19,7 +19,7 @@ Subpackages
     Discrete-event cluster hardware model: V100 nodes, NVLink /
     InfiniBand links, collective cost models.
 ``repro.raysim``
-    Ray-like runtime: tasks, actors, placement scheduler, Tune-like
+    Ray-like runtime: GPU placement, data-parallel SGD, Tune-like
     trial runner with grid/random/ASHA search.
 ``repro.perf``
     Calibrated performance model behind the Table I reproduction.

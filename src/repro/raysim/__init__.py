@@ -1,8 +1,7 @@
 """``repro.raysim`` -- a Ray-like runtime.
 
-Stands in for Ray 1.4.1: object store + remote tasks + actors
-(:mod:`~repro.raysim.remote`, :mod:`~repro.raysim.actor`), a cluster
-resource registry with pack/spread GPU placement
+Stands in for the two parts of Ray 1.4.1 the paper uses (Ray SGD and
+Ray Tune): a cluster resource registry with pack/spread GPU placement
 (:mod:`~repro.raysim.cluster`), synchronous data-parallel SGD with exact
 ring all-reduce and optional sync-BatchNorm (:mod:`~repro.raysim.sgd`),
 a Tune-like trial runner with FIFO/ASHA scheduling
@@ -11,12 +10,7 @@ a Tune-like trial runner with FIFO/ASHA scheduling
 (:mod:`~repro.raysim.scheduler`).
 """
 
-from . import actor as _actor  # noqa: F401 -- attaches RaySession.actor
-from .actor import ActorClass, ActorHandle
 from .cluster import Allocation, InsufficientResources, NodeResources, RayCluster
-from .object_store import ObjectRef, ObjectStore, ObjectStoreError
-from .placement import STRATEGIES, PlacementGroup, create_placement_group
-from .remote import RaySession, RemoteFunction, TaskError
 from .scheduler import (
     PlacementResult,
     fifo_schedule,
@@ -42,14 +36,6 @@ from .tune import (
 )
 
 __all__ = [
-    "ObjectRef",
-    "ObjectStore",
-    "ObjectStoreError",
-    "RaySession",
-    "RemoteFunction",
-    "TaskError",
-    "ActorClass",
-    "ActorHandle",
     "RayCluster",
     "NodeResources",
     "Allocation",
@@ -78,7 +64,4 @@ __all__ = [
     "fifo_schedule",
     "lpt_schedule",
     "makespan_lower_bound",
-    "PlacementGroup",
-    "create_placement_group",
-    "STRATEGIES",
 ]

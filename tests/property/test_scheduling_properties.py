@@ -1,64 +1,12 @@
-"""Property-based tests on placement groups, hybrid makespans and
-failure injection."""
+"""Property-based tests on hybrid makespans and failure injection."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import marenostrum_cte
 from repro.cluster.failures import FailureModel, run_with_failures
-from repro.raysim import (
-    InsufficientResources,
-    RayCluster,
-    create_placement_group,
-    fifo_schedule,
-    makespan_lower_bound,
-)
+from repro.raysim import fifo_schedule, makespan_lower_bound
 
 SMALL = {"max_examples": 30, "deadline": None}
-
-
-class TestPlacementGroupProperties:
-    @settings(**SMALL)
-    @given(
-        num_nodes=st.integers(1, 6),
-        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=8),
-        strategy=st.sampled_from(["STRICT_PACK", "PACK", "SPREAD",
-                                  "STRICT_SPREAD"]),
-    )
-    def test_atomicity_and_accounting(self, num_nodes, sizes, strategy):
-        """Either all bundles are granted (and the free count drops by
-        exactly the request) or none are (free count unchanged)."""
-        cluster = RayCluster(marenostrum_cte(num_nodes))
-        bundles = [{"GPU": float(s)} for s in sizes]
-        total_requested = sum(sizes)
-        before = cluster.free_gpus()
-        try:
-            pg = create_placement_group(cluster, bundles, strategy)
-        except InsufficientResources:
-            assert cluster.free_gpus() == before
-            return
-        assert cluster.free_gpus() == before - total_requested
-        if strategy == "STRICT_PACK":
-            assert len(pg.nodes()) == 1
-        if strategy == "STRICT_SPREAD":
-            assert len(pg.nodes()) == len(bundles)
-        pg.remove()
-        assert cluster.free_gpus() == before
-
-    @settings(**SMALL)
-    @given(
-        num_nodes=st.integers(1, 5),
-        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
-    )
-    def test_no_node_oversubscribed(self, num_nodes, sizes):
-        cluster = RayCluster(marenostrum_cte(num_nodes))
-        bundles = [{"GPU": float(s)} for s in sizes]
-        try:
-            create_placement_group(cluster, bundles, "PACK")
-        except InsufficientResources:
-            return
-        for node in cluster.nodes:
-            assert node.free["GPU"] >= -1e-9
 
 
 class TestFailureProperties:

@@ -1,10 +1,8 @@
-"""Dataset.zip / enumerate tests, plus nested-ref task arguments."""
+"""Dataset.zip / enumerate tests."""
 
-import numpy as np
 import pytest
 
 from repro.data import Dataset
-from repro.raysim import RaySession
 
 
 class TestZip:
@@ -56,33 +54,3 @@ class TestEnumerate:
               .filter(lambda t: t[0] % 2 == 0)
               .map(lambda t: t[1]))
         assert ds.to_list() == [0, 2, 4]
-
-
-class TestNestedRefArguments:
-    def test_list_of_refs_resolved(self):
-        with RaySession() as s:
-            @s.remote
-            def total(values):
-                return sum(values)
-
-            refs = [s.put(i) for i in (1, 2, 3)]
-            assert s.get(total.remote(refs)) == 6
-
-    def test_dict_of_refs_resolved(self):
-        with RaySession() as s:
-            @s.remote
-            def pick(mapping, key):
-                return mapping[key]
-
-            arg = {"x": s.put(np.array([5.0])), "y": 2}
-            out = s.get(pick.remote(arg, "x"))
-            np.testing.assert_array_equal(out, [5.0])
-
-    def test_deep_nesting(self):
-        with RaySession() as s:
-            @s.remote
-            def inner_value(payload):
-                return payload["level1"][0]["leaf"]
-
-            payload = {"level1": [{"leaf": s.put("deep")}]}
-            assert s.get(inner_value.remote(payload)) == "deep"

@@ -13,7 +13,6 @@ from repro.data import (
     read_nifti,
     write_nifti,
 )
-from repro.raysim import ObjectStore
 
 
 class TestNiftiEdges:
@@ -130,22 +129,3 @@ class TestDatasetEdges:
         back = Dataset.from_list([b1, b2]).unbatch().to_list()
         assert len(back) == 4
         np.testing.assert_array_equal(back[3]["a"], items[3]["a"])
-
-
-class TestObjectStoreEdges:
-    def test_lru_touch_order(self):
-        store = ObjectStore(capacity_bytes=2100)
-        a = store.put(np.zeros(128))  # 1024
-        b = store.put(np.zeros(128))  # 1024
-        store.get(a)                  # a is now most recent
-        c = store.put(np.zeros(128))  # evicts b
-        assert store.contains(a)
-        assert not store.contains(b)
-        assert store.contains(c)
-
-    def test_delete_frees_bytes(self):
-        store = ObjectStore()
-        ref = store.put(np.zeros(128))
-        store.delete(ref)
-        assert store.bytes_used == 0
-        store.delete(ref)  # idempotent

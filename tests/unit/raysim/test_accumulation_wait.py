@@ -1,12 +1,10 @@
-"""Gradient accumulation and ray.wait analogue tests."""
-
-import time
+"""Gradient accumulation tests."""
 
 import numpy as np
 import pytest
 
 from repro.nn import SGD, Adam, SoftDiceLoss, UNet3D
-from repro.raysim import DataParallelTrainer, RaySession
+from repro.raysim import DataParallelTrainer
 
 
 def factory(seed=0):
@@ -72,58 +70,3 @@ class TestGradientAccumulation:
                 t.train_step_accumulated(x, y, accumulation_steps=3)
         finally:
             t.shutdown()
-
-
-class TestWait:
-    def test_eager_tasks_all_ready(self):
-        with RaySession() as s:
-            @s.remote
-            def f(i):
-                return i
-
-            refs = [f.remote(i) for i in range(4)]
-            ready, pending = s.wait(refs, num_returns=2)
-            assert len(ready) >= 2
-            assert len(ready) + len(pending) == 4
-
-    def test_threaded_wait_returns_fast_task_first(self):
-        with RaySession(num_workers=2) as s:
-            @s.remote
-            def slow():
-                time.sleep(0.5)
-                return "slow"
-
-            @s.remote
-            def fast():
-                return "fast"
-
-            r_slow = slow.remote()
-            r_fast = fast.remote()
-            ready, pending = s.wait([r_slow, r_fast], num_returns=1)
-            assert s.get(ready[0]) == "fast"
-            assert pending and pending[0].ref_id == r_slow.ref_id
-            # eventually both complete
-            ready2, pending2 = s.wait([r_slow, r_fast], num_returns=2)
-            assert not pending2
-
-    def test_failed_task_counts_as_ready(self):
-        with RaySession(num_workers=1) as s:
-            @s.remote
-            def boom():
-                raise RuntimeError("x")
-
-            ref = boom.remote()
-            ready, _ = s.wait([ref], num_returns=1)
-            assert ready
-
-    def test_validation(self):
-        with RaySession() as s:
-            @s.remote
-            def f():
-                return 1
-
-            refs = [f.remote()]
-            with pytest.raises(ValueError):
-                s.wait(refs, num_returns=0)
-            with pytest.raises(ValueError):
-                s.wait(refs, num_returns=2)

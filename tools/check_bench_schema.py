@@ -20,8 +20,9 @@ Exits non-zero with one line per violation, so ``make lint`` fails
 before a malformed or quarantine-violating record lands on the
 trajectory.
 
-Arguments may be directories (every ``BENCH_*.json`` inside is linted)
-or individual record files; the default is the repo's ``benchmarks/``.
+Arguments may be directories (every ``BENCH_*.json`` inside is linted,
+except the git-ignored ``*_smoke.json`` output of ``make smoke``) or
+individual record files; the default is the repo's ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def main(argv: list[str]) -> int:
         Path(__file__).resolve().parents[1] / "benchmarks"]
     files: list[Path] = []
     for target in targets:
-        files.extend(sorted(target.glob("BENCH_*.json"))
+        files.extend(sorted(p for p in target.glob("BENCH_*.json")
+                            if not p.name.endswith("_smoke.json"))
                      if target.is_dir() else [target])
     problems: list[str] = []
     for path in files:
