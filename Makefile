@@ -127,7 +127,12 @@ api-docs:
 results:
 	$(PYTHON) examples/generate_all_results.py results/
 
+# the git-ignored benchmark records: every smoke record plus
+# repro.perf.regression.UNTRACKED_RECORDS (both listed in .gitignore)
 clean:
 	rm -rf results report.md .pytest_cache
-	rm -f benchmarks/BENCH_*_smoke.json
+	rm -f benchmarks/BENCH_*_smoke.json benchmarks/BENCH_parallel.json \
+		benchmarks/BENCH_profiler_overhead.json \
+		benchmarks/BENCH_live_overhead.json \
+		benchmarks/BENCH_trace_overhead.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

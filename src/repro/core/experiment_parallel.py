@@ -19,6 +19,7 @@ Backends:
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,20 +54,25 @@ class ExperimentParallelSearchResult:
         return max(self.outcomes, key=lambda o: getattr(o, key))
 
 
-def _process_trainable_factory(settings: ExperimentSettings,
-                               handle, checkpoint_dir: str | None = None):
-    """Build the per-worker trainable for the process executor.
+def _search_trainable(settings: ExperimentSettings,
+                      pipeline: MISPipeline | None = None, handle=None,
+                      checkpoint_dir: str | Path | None = None,
+                      telemetry=None):
+    """Build the trial trainable both executors run.
 
-    Runs *inside* each worker, once, before the first task: attaches the
-    parent's shared-memory split arrays (zero-copy -- the worker maps
-    the parent's pages instead of re-decoding the records) and serves
-    every subsequent trial from an :class:`ArrayBackedPipeline` over
-    those views.  Module-level so the reference pickles under any
-    multiprocessing start method.
+    Serially it trains from the caller's ``pipeline``.  As the process
+    pool's ``trainable_factory`` it runs *inside* each worker, once,
+    before the first task: it attaches the parent's shared-memory split
+    arrays (``handle``; zero-copy -- the worker maps the parent's pages
+    instead of re-decoding the records) and serves every trial from an
+    :class:`ArrayBackedPipeline` over those views.  Module-level so the
+    reference pickles under any multiprocessing start method.  The
+    trainable ships its :class:`TrialOutcome` inside the final dict.
     """
-    # The pipeline keeps `attached` referenced: dropping it would let
-    # SharedMemory.__del__ unmap the segment under the live views.
-    pipeline = ArrayBackedPipeline(settings, handle.attach())
+    if handle is not None:
+        # The pipeline keeps `attached` referenced: dropping it would let
+        # SharedMemory.__del__ unmap the segment under the live views.
+        pipeline = ArrayBackedPipeline(settings, handle.attach())
     managers: dict[str, CheckpointManager] = {}
 
     def trainable(config: dict, reporter):
@@ -79,75 +85,13 @@ def _process_trainable_factory(settings: ExperimentSettings,
                 managers[trial_id] = manager
         outcome = train_trial(config, settings, pipeline,
                               num_replicas=1, reporter=reporter,
-                              checkpoint_manager=manager)
+                              checkpoint_manager=manager,
+                              telemetry=telemetry)
         return {"val_dice": outcome.val_dice,
                 "test_dice": outcome.test_dice,
                 "outcome": outcome}
 
     return trainable
-
-
-def _run_search_process(
-    space: HyperparameterSpace,
-    settings: ExperimentSettings,
-    pipeline: MISPipeline | None,
-    scheduler: TrialScheduler | None,
-    retry_policy: RetryPolicy | None,
-    checkpoint_dir: str | Path | None,
-    telemetry,
-    max_workers: int | None,
-    progress=None,
-) -> ExperimentParallelSearchResult:
-    """The process-pool backend of :func:`run_search_inprocess`."""
-    import time
-
-    from ..execpool import ProcessPoolTrialExecutor, SharedArrayStore
-
-    pipeline = pipeline or MISPipeline(settings, telemetry=telemetry)
-    t0 = time.perf_counter()
-    # Binarise once, decode once, publish once: workers attach.
-    store = SharedArrayStore(pipeline.split_arrays())
-    telemetry.metrics.gauge(
-        "execpool_shared_dataset_bytes",
-        "shared-memory bytes holding the binarised splits (one copy, "
-        "all workers)").set(store.nbytes)
-    pool = ProcessPoolTrialExecutor(
-        trainable_factory=_process_trainable_factory,
-        factory_kwargs={
-            "settings": settings,
-            "handle": store.handle,
-            "checkpoint_dir": (str(checkpoint_dir)
-                               if checkpoint_dir is not None else None),
-        },
-        max_workers=max_workers,
-        telemetry=telemetry,
-    )
-    try:
-        analysis = tune_run(
-            None,
-            search_alg=GridSearch(space.axes),
-            scheduler=scheduler,
-            metric="val_dice",
-            raise_on_error=retry_policy is None,
-            retry_policy=retry_policy,
-            telemetry=telemetry,
-            executor=pool,
-            progress=progress,
-        )
-    finally:
-        pool.shutdown()
-        store.close()
-        store.unlink()
-    # The worker ships each TrialOutcome inside the trial's final dict;
-    # lift it out so trial.final matches the serial path's shape.
-    outcomes: list[TrialOutcome] = []
-    for trial in analysis.trials:
-        if trial.final and "outcome" in trial.final:
-            outcomes.append(trial.final.pop("outcome"))
-    return ExperimentParallelSearchResult(
-        num_gpus=pool.max_workers, outcomes=outcomes, analysis=analysis,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
 
 
 def run_search_inprocess(
@@ -188,61 +132,66 @@ def run_search_inprocess(
     """
     import time
 
+    if executor not in ("serial", "process"):
+        raise ValueError(
+            f"executor must be 'serial' or 'process', got {executor!r}"
+        )
+    if executor == "process" and fault_injector is not None:
+        raise ValueError(
+            "fault_injector is in-parent state and is not supported "
+            "with executor='process'; use the serial executor"
+        )
     if telemetry is None:
         from ..telemetry import get_hub
 
         telemetry = get_hub()
-    if executor == "process":
-        if fault_injector is not None:
-            raise ValueError(
-                "fault_injector is in-parent state and is not supported "
-                "with executor='process'; use the serial executor"
-            )
-        return _run_search_process(
-            space, settings, pipeline, scheduler, retry_policy,
-            checkpoint_dir, telemetry, max_workers, progress=progress,
-        )
-    if executor != "serial":
-        raise ValueError(
-            f"executor must be 'serial' or 'process', got {executor!r}"
-        )
     pipeline = pipeline or MISPipeline(settings, telemetry=telemetry)
-    outcomes: list[TrialOutcome] = []
-    managers: dict[str, CheckpointManager] = {}
-
-    def trainable(config: dict, reporter):
-        manager = None
-        if checkpoint_dir is not None:
-            trial_id = getattr(reporter, "trial_id", "trial")
-            manager = managers.get(trial_id)
-            if manager is None:
-                manager = CheckpointManager(Path(checkpoint_dir) / trial_id)
-                managers[trial_id] = manager
-        outcome = train_trial(config, settings, pipeline,
-                              num_replicas=1, reporter=reporter,
-                              checkpoint_manager=manager,
-                              telemetry=telemetry)
-        outcomes.append(outcome)
-        return {"val_dice": outcome.val_dice, "test_dice": outcome.test_dice}
-
-    runnable = trainable if fault_injector is None \
-        else fault_injector.wrap(trainable)
     t0 = time.perf_counter()
-    analysis = tune_run(
-        runnable,
-        search_alg=GridSearch(space.axes),
-        scheduler=scheduler,
-        metric="val_dice",
-        raise_on_error=retry_policy is None and fault_injector is None,
-        retry_policy=retry_policy,
-        telemetry=telemetry,
-        progress=progress,
-    )
-    result = ExperimentParallelSearchResult(
-        num_gpus=1, outcomes=outcomes, analysis=analysis,
+    with ExitStack() as stack:
+        pool = trainable = None
+        if executor == "process":
+            from ..execpool import ProcessPoolTrialExecutor, SharedArrayStore
+
+            # Binarise once, decode once, publish once: workers attach.
+            store = stack.enter_context(
+                SharedArrayStore(pipeline.split_arrays()))
+            telemetry.metrics.gauge(
+                "execpool_shared_dataset_bytes",
+                "shared-memory bytes holding the binarised splits (one "
+                "copy, all workers)").set(store.nbytes)
+            pool = stack.enter_context(ProcessPoolTrialExecutor(
+                trainable_factory=_search_trainable,
+                factory_kwargs={"settings": settings,
+                                "handle": store.handle,
+                                "checkpoint_dir": checkpoint_dir},
+                max_workers=max_workers, telemetry=telemetry))
+        else:
+            trainable = _search_trainable(settings, pipeline,
+                                          checkpoint_dir=checkpoint_dir,
+                                          telemetry=telemetry)
+            if fault_injector is not None:
+                trainable = fault_injector.wrap(trainable)
+        analysis = tune_run(
+            trainable,
+            search_alg=GridSearch(space.axes),
+            scheduler=scheduler,
+            metric="val_dice",
+            raise_on_error=retry_policy is None and fault_injector is None,
+            retry_policy=retry_policy,
+            telemetry=telemetry,
+            executor=pool,
+            progress=progress,
+        )
+    # Lift each TrialOutcome out of the trial's final dict, so
+    # trial.final holds only the metrics.
+    outcomes: list[TrialOutcome] = [
+        trial.final.pop("outcome") for trial in analysis.trials
+        if trial.final and "outcome" in trial.final]
+    return ExperimentParallelSearchResult(
+        num_gpus=1 if pool is None else pool.max_workers,
+        outcomes=outcomes, analysis=analysis,
         elapsed_seconds=time.perf_counter() - t0,
     )
-    return result
 
 
 def simulate_search(

@@ -5,10 +5,12 @@ processes runs self-contained trials concurrently
 (:class:`ProcessPoolTrialExecutor`), fed zero-copy from shared-memory
 split arrays (:class:`SharedArrayStore` / :class:`SharedArrayHandle`)
 so each extra worker costs an attach, not a dataset copy.  Selected via
-``executor="process"`` in :func:`repro.raysim.tune.tune_run`,
+``executor="process"`` in
 :func:`repro.core.experiment_parallel.run_search_inprocess`,
 :meth:`repro.core.runner.DistMISRunner.run_inprocess`, and
-``distmis search --executor process --workers N``.
+``distmis search --executor process --workers N``;
+:func:`repro.raysim.tune.tune_run` takes a pre-built
+:class:`ProcessPoolTrialExecutor` as ``executor=``.
 """
 
 from .executor import (

@@ -44,8 +44,13 @@ past the decision.  Retries are driven from the parent: a crashed
 attempt is resubmitted under the shared
 :class:`repro.fault_tolerance.RetryPolicy`, carrying the last
 checkpoint handle streamed by the crashed attempt so the worker resumes
-instead of restarting (identical semantics to the serial path in
-:func:`repro.raysim.tune.tune_run`).
+instead of restarting.  The trial lifecycle itself -- trial ids,
+report recording and checkpoint capture, the retry rollback, finishing
+and the ``tune_*`` counters -- lives in one place,
+:class:`repro.raysim.tune.TrialLifecycle`, which the serial loop of
+:func:`repro.raysim.tune.tune_run` uses too; this module keeps only
+message dispatch, attempt stamps, dead-worker fail-over and the pool's
+gauges.
 
 Trainables run *in the worker*, so they must be reconstructable there:
 either a picklable ``(config, reporter) -> final`` callable, or a
@@ -56,7 +61,6 @@ at startup -- the hook used to attach shared-memory datasets
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import queue as queue_mod
@@ -496,36 +500,23 @@ def run_trials_parallel(
 ):
     """Drive a batch of configurations through a process pool.
 
-    The driver owns all trial state (the :class:`~repro.raysim.tune.Trial`
-    data model, the scheduler, retries); workers only execute.  Reports
-    stream back as-completed, so the scheduler sees results in arrival
-    order across concurrently running trials -- the asynchronous
-    semantics ASHA is designed for.  Returns the ``Trial`` list in
-    submission order.
+    The driver owns all trial state; workers only execute.  The trial
+    lifecycle (ids, report recording, retry rollback, finishing,
+    counters) is :class:`repro.raysim.tune.TrialLifecycle`, shared with
+    the serial loop of :func:`~repro.raysim.tune.tune_run`; this
+    function adds message dispatch, attempt stamps, dead-worker
+    fail-over and the pool's own gauges.  Reports stream back
+    as-completed, so the scheduler sees results in arrival order across
+    concurrently running trials -- the asynchronous semantics ASHA is
+    designed for.  Returns the ``Trial`` list in submission order.
     """
-    from ..raysim.tune import Trial, TrialScheduler, TrialStatus
+    from ..raysim.tune import Trial, TrialLifecycle, TrialScheduler, \
+        TrialStatus
+    from ..telemetry.spans import Span
 
-    if scheduler is None:
-        from ..raysim.tune import FIFOScheduler
-
-        scheduler = FIFOScheduler()
-    retry_policy = retry_policy or RetryPolicy(max_retries=0)
-    if telemetry is None:
-        from ..telemetry import get_hub
-
-        telemetry = get_hub()
-    m_trials = telemetry.metrics.counter(
-        "tune_trials_total", "trials finished by terminal status",
-        ("status",))
-    m_started = telemetry.metrics.counter(
-        "tune_trials_started_total", "trials handed to the trainable")
-    m_retries = telemetry.metrics.counter(
-        "tune_retries_total", "crashed trial attempts that were retried")
-    m_restores = telemetry.metrics.counter(
-        "tune_restores_total", "retries that resumed from a checkpoint")
-    m_decisions = telemetry.metrics.counter(
-        "scheduler_decisions_total",
-        "per-report scheduler continue/stop decisions", ("decision",))
+    life = TrialLifecycle(scheduler, search_alg, retry_policy, metric, mode,
+                          telemetry, progress)
+    telemetry = life.telemetry
     m_tasks = telemetry.metrics.counter(
         "execpool_tasks_total", "trial attempts finished per worker",
         ("worker",))
@@ -533,69 +524,47 @@ def run_trials_parallel(
         "execpool_task_seconds", "wall-clock per trial attempt in a worker")
     m_reports = telemetry.metrics.counter(
         "execpool_reports_total", "per-epoch reports streamed from workers")
-    m_nonfinite = telemetry.metrics.counter(
-        "trials_nonfinite_total",
-        "reports carrying a non-finite metric value (NaN/inf loss)")
     g_queued = telemetry.metrics.gauge(
         "tune_trials_pending", "trials submitted but not yet running")
     live = getattr(telemetry, "live", None)
 
-    trials: list[Trial] = []
     by_id: dict[str, Trial] = {}
-    last_checkpoint: dict[str, CheckpointHandle | None] = {}
-    started_at: dict[str, float] = {}
     attempt_t0: dict[str, float] = {}
     assignment: dict[str, int] = {}
-    attempt_of: dict[str, int] = {}  # current (latest-submitted) attempt
     in_flight: dict = {}  # trial_id -> open Span, for the live table
     pending: set[str] = set()
-    for i, config in enumerate(configs):
-        trial = Trial(trial_id=f"trial_{i:04d}", config=dict(config))
-        trials.append(trial)
+    for config in configs:
+        trial = life.new_trial(config)
         by_id[trial.trial_id] = trial
-        last_checkpoint[trial.trial_id] = None
         pending.add(trial.trial_id)
-        m_started.inc()
-        started_at[trial.trial_id] = time.perf_counter()
-        attempt_of[trial.trial_id] = 0
         executor.submit(trial.trial_id, config)
+
+    def current(tid: str, attempt: int) -> Trial | None:
+        """The trial a worker message is about, or None when the message
+        is stale: the trial finished, or this attempt was already failed
+        over (``Trial.retries`` is the latest-submitted attempt)."""
+        if tid in pending and attempt == by_id[tid].retries:
+            return by_id[tid]
+        return None
+
+    def end_attempt(tid: str) -> None:
+        if tid in attempt_t0:
+            m_task_seconds.observe(time.perf_counter() - attempt_t0.pop(tid))
 
     def resubmit(trial: Trial, failed_attempt: int) -> bool:
         """Apply the retry policy to a crashed attempt; True if the
         trial was requeued."""
-        if failed_attempt + 1 >= retry_policy.max_attempts:
-            return False
-        m_retries.inc()
-        delay = retry_policy.delay(failed_attempt + 1)
-        if delay > 0:
-            time.sleep(delay)
-        resume = None
-        handle = last_checkpoint[trial.trial_id]
-        if retry_policy.resume == "checkpoint" and handle is not None:
-            resume = handle
-            trial.restored_epoch = handle.epoch
-            keep = handle.epoch
-            trial.results = [
-                r for r in trial.results if r.get("epoch", keep + 1) <= keep
-            ]
-            scheduler.on_trial_retry(trial, keep_up_to=keep)
-            m_restores.inc()
-        else:
-            trial.restored_epoch = None
-            trial.results.clear()
-            scheduler.on_trial_retry(trial, keep_up_to=None)
-        trial.retries = failed_attempt + 1
-        attempt_of[trial.trial_id] = failed_attempt + 1
-        executor.submit(trial.trial_id, trial.config,
-                        attempt=failed_attempt + 1, resume_from=resume)
-        return True
+        retry, resume_from = life.prepare_retry(trial, failed_attempt)
+        if retry:
+            executor.submit(trial.trial_id, trial.config,
+                            attempt=trial.retries, resume_from=resume_from)
+        return retry
 
-    def finish(trial: Trial, stats: dict | None) -> None:
-        trial.runtime_s = time.perf_counter() - started_at[trial.trial_id]
+    def finish(trial: Trial, stats: dict | None, final=None) -> None:
         pending.discard(trial.trial_id)
         assignment.pop(trial.trial_id, None)
         in_flight.pop(trial.trial_id, None)
-        m_trials.labels(status=trial.status.value).inc()
+        life.finish(trial, final)
         worker_attr = {}
         if stats:
             worker = str(stats["worker_id"])
@@ -613,11 +582,6 @@ def run_trials_parallel(
             trial.trial_id, trial.runtime_s, category="trial",
             **worker_attr,
             **{k: str(v) for k, v in trial.config.items()})
-        scheduler.on_trial_complete(trial)
-        if search_alg is not None and metric is not None:
-            score = trial.best_metric(metric, mode)
-            if score is not None:
-                search_alg.observe(trial.config, score)
 
     first_error: str | None = None
 
@@ -639,13 +603,10 @@ def run_trials_parallel(
                 if owner != wid:
                     continue
                 trial = by_id[tid]
-                failed_attempt = attempt_of.get(tid, trial.retries)
                 trial.error = f"worker {wid} process died mid-trial"
                 assignment.pop(tid, None)
-                if tid in attempt_t0:
-                    m_task_seconds.observe(
-                        time.perf_counter() - attempt_t0.pop(tid))
-                if resubmit(trial, failed_attempt):
+                end_attempt(tid)
+                if resubmit(trial, trial.retries):
                     continue
                 trial.status = TrialStatus.ERROR
                 finish(trial, None)
@@ -695,7 +656,8 @@ def run_trials_parallel(
                 telemetry.live_tick(force=True)
             if raise_on_error:
                 raise TrialExecutionError("worker pool died with "
-                                          f"{len(trials)} trials pending")
+                                          f"{len(life.trials)} trials "
+                                          "pending")
             break
         last_msg_t = time.monotonic()
         kind = msg[0]
@@ -710,60 +672,35 @@ def run_trials_parallel(
             continue
         if kind == "retired":
             continue  # an autoscaler-driven drain, not a failure
+        # every remaining kind carries a trial id and an attempt stamp
         if kind == "started":
             _, tid, worker_id, attempt = msg
-            if tid not in pending or attempt != attempt_of.get(tid):
-                continue  # stale: this attempt was already failed over
-            trial = by_id[tid]
+        else:
+            _, tid, attempt, *payload = msg
+        trial = current(tid, attempt)
+        if trial is None:
+            continue
+        if kind == "started":
             trial.status = TrialStatus.RUNNING
             assignment[tid] = worker_id
             attempt_t0[tid] = time.perf_counter()
-            from ..telemetry.spans import Span
-
             in_flight[tid] = Span(name=tid, start=telemetry.tracer.now(),
                                   category="trial")
         elif kind == "report":
-            _, tid, attempt, metrics, checkpoint = msg
-            if tid not in pending or attempt != attempt_of.get(tid):
-                continue
-            trial = by_id[tid]
+            metrics, checkpoint = payload
             m_reports.inc()
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in metrics.values()):
-                m_nonfinite.inc()
-            trial.results.append(dict(metrics))
-            if checkpoint is not None:
-                epoch = metrics.get("epoch", len(trial.results) - 1)
-                last_checkpoint[tid] = CheckpointHandle(epoch=epoch,
-                                                        path=checkpoint)
-            decision = scheduler.on_result(trial, metrics)
-            m_decisions.labels(decision=decision).inc()
-            if decision == TrialScheduler.STOP:
+            if life.record(trial, metrics, checkpoint) == TrialScheduler.STOP:
                 executor.stop_trial(tid)
         elif kind == "done":
-            _, tid, attempt, final, stopped, stats = msg
-            if tid not in pending or attempt != attempt_of.get(tid):
-                continue
-            trial = by_id[tid]
-            if tid in attempt_t0:
-                m_task_seconds.observe(
-                    time.perf_counter() - attempt_t0.pop(tid))
-            trial.retries = attempt
+            final, stopped, stats = payload
+            end_attempt(tid)
             trial.status = (TrialStatus.STOPPED if stopped
                             else TrialStatus.TERMINATED)
             trial.error = None
-            if isinstance(final, dict):
-                trial.final = final
-            finish(trial, stats)
+            finish(trial, stats, final)
         elif kind == "error":
-            _, tid, attempt, message, stats = msg
-            if tid not in pending or attempt != attempt_of.get(tid):
-                continue
-            trial = by_id[tid]
-            if tid in attempt_t0:
-                m_task_seconds.observe(
-                    time.perf_counter() - attempt_t0.pop(tid))
-            trial.retries = attempt
+            message, stats = payload
+            end_attempt(tid)
             trial.error = message
             if resubmit(trial, attempt):
                 continue
@@ -773,12 +710,9 @@ def run_trials_parallel(
                 first_error = f"{tid}: {message}"
             if raise_on_error:
                 break
-        if progress is not None:
-            progress.update(trials, in_flight=in_flight,
-                            now=telemetry.tracer.now())
+        life.show_progress(in_flight)
     g_queued.set(0)
-    if progress is not None:
-        progress.finish(trials)
+    trials = life.close()
     if raise_on_error and first_error is not None:
         executor.cancel_pending()
         raise TrialExecutionError(first_error)

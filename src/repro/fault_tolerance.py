@@ -8,10 +8,12 @@ speaks:
 * :class:`RetryPolicy` -- how many times a crashed trial is re-run,
   with what backoff, and whether it resumes from its last checkpoint or
   restarts from scratch.  Accepted by :func:`repro.raysim.tune.tune_run`
-  (in-process execution) and
+  (in-process execution, serial or process pool) and
   :func:`repro.cluster.failures.run_with_failures` (the discrete-event
   simulator), so laptop-scale tests and paper-scale pricing share one
-  semantics.
+  semantics.  In-process, the policy is applied in one place,
+  :meth:`repro.raysim.tune.TrialLifecycle.prepare_retry`, for both the
+  serial loop and the process-pool driver.
 * :class:`CheckpointHandle` -- an opaque (epoch, path) pair a trainable
   publishes through its reporter (``reporter(epoch=..., checkpoint=...)``)
   and receives back as ``reporter.resume_from`` after a crash.

@@ -45,7 +45,8 @@ __all__ = [
     "bench_output_path", "is_smoke_env", "host_metadata",
     "load_bench_record", "validate_record", "metric_directions",
     "hosts_comparable", "compare_records", "append_trajectory",
-    "load_trajectory", "TRAJECTORY_JSONL",
+    "load_trajectory", "TRAJECTORY_JSONL", "UNTRACKED_RECORDS",
+    "committed_records",
 ]
 
 # Keys every benchmark summary must carry to join the trajectory.
@@ -80,6 +81,12 @@ MIN_HISTORY = 3
 
 TRAJECTORY_JSONL = "BENCH_trajectory.jsonl"
 
+# Full-run summaries that stay local (host-specific or re-measured on
+# demand); ``.gitignore`` keeps them and every smoke record off the
+# trajectory, and ``make clean`` deletes them.
+UNTRACKED_RECORDS = ("BENCH_parallel.json", "BENCH_profiler_overhead.json",
+                     "BENCH_live_overhead.json", "BENCH_trace_overhead.json")
+
 _LOWER_SUFFIXES = ("_seconds", "_s")
 _LOWER_TOKENS = ("overhead", "latency", "rss")
 _HIGHER_TOKENS = ("speedup", "throughput", "efficiency")
@@ -102,6 +109,18 @@ def bench_output_path(anchor, name: str, smoke: bool | None = None) -> Path:
     smoke = is_smoke_env() if smoke is None else smoke
     suffix = "_smoke" if smoke else ""
     return Path(anchor).with_name(f"BENCH_{name}{suffix}.json")
+
+
+def committed_records(bench_dir) -> list[Path]:
+    """The trajectory records in ``bench_dir``: every ``BENCH_*.json``
+    except the untracked ones (:data:`UNTRACKED_RECORDS`, ``*_smoke``).
+
+    Decided by name alone, so a stale local record never reaches the
+    schema gates and no ``git`` call is needed.
+    """
+    return sorted(p for p in Path(bench_dir).glob("BENCH_*.json")
+                  if p.name not in UNTRACKED_RECORDS
+                  and not p.name.endswith("_smoke.json"))
 
 
 def host_metadata() -> dict:

@@ -35,6 +35,7 @@ from .search import SearchAlgorithm
 __all__ = [
     "TrialStatus",
     "Trial",
+    "TrialLifecycle",
     "Reporter",
     "TrialScheduler",
     "FIFOScheduler",
@@ -250,6 +251,137 @@ class HyperbandScheduler(TrialScheduler):
         self.bracket_of(trial).on_trial_retry(trial, keep_up_to=keep_up_to)
 
 
+class TrialLifecycle:
+    """The trial lifecycle, written once for every execution loop.
+
+    :func:`tune_run`'s serial loop and the process-pool driver
+    :func:`repro.execpool.run_trials_parallel` keep only their own
+    control flow (when a trial runs, how its reports arrive); creating
+    trials, recording reports, preparing retries and finishing trials
+    happen here, so scheduler feedback, checkpoint capture, the
+    :class:`RetryPolicy` rollback and the ``tune_*`` counters mean the
+    same thing on both paths.
+    """
+
+    def __init__(self, scheduler: TrialScheduler | None = None,
+                 search_alg: SearchAlgorithm | None = None,
+                 retry_policy: RetryPolicy | None = None,
+                 metric: str | None = None, mode: str = "max",
+                 telemetry=None, progress=None):
+        if telemetry is None:
+            from ..telemetry import get_hub
+
+            telemetry = get_hub()
+        self.scheduler = scheduler or FIFOScheduler()
+        self.search_alg = search_alg
+        self.retry_policy = retry_policy or RetryPolicy()
+        self.metric, self.mode = metric, mode
+        self.telemetry = telemetry
+        self.progress = progress
+        self.trials: list[Trial] = []
+        # trial_id -> last checkpoint any attempt of the trial published
+        self._checkpoints: dict[str, CheckpointHandle] = {}
+        self._started_at: dict[str, float] = {}
+        metrics = telemetry.metrics
+        self._m_trials = metrics.counter(
+            "tune_trials_total", "trials finished by terminal status",
+            ("status",))
+        self._m_started = metrics.counter(
+            "tune_trials_started_total", "trials handed to the trainable")
+        self._m_retries = metrics.counter(
+            "tune_retries_total", "crashed trial attempts that were retried")
+        self._m_restores = metrics.counter(
+            "tune_restores_total", "retries that resumed from a checkpoint")
+        self._m_decisions = metrics.counter(
+            "scheduler_decisions_total",
+            "per-report scheduler continue/stop decisions", ("decision",))
+        self._m_nonfinite = metrics.counter(
+            "trials_nonfinite_total",
+            "reports carrying a non-finite metric value (NaN/inf loss)")
+
+    def new_trial(self, config: dict) -> Trial:
+        trial = Trial(trial_id=f"trial_{len(self.trials):04d}",
+                      config=dict(config))
+        self.trials.append(trial)
+        self._m_started.inc()
+        self._started_at[trial.trial_id] = time.perf_counter()
+        return trial
+
+    def last_checkpoint(self, trial: Trial) -> CheckpointHandle | None:
+        return self._checkpoints.get(trial.trial_id)
+
+    def record(self, trial: Trial, metrics: dict,
+               checkpoint: str | None = None) -> str:
+        """Record one report row; returns the scheduler's decision."""
+        trial.results.append(dict(metrics))
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in metrics.values()):
+            self._m_nonfinite.inc()
+        if checkpoint is not None:
+            epoch = metrics.get("epoch", len(trial.results) - 1)
+            self._checkpoints[trial.trial_id] = CheckpointHandle(
+                epoch=epoch, path=str(checkpoint))
+        decision = self.scheduler.on_result(trial, metrics)
+        self._m_decisions.labels(decision=decision).inc()
+        return decision
+
+    def prepare_retry(self, trial: Trial, failed_attempt: int
+                      ) -> tuple[bool, CheckpointHandle | None]:
+        """Apply the retry policy to a crashed attempt.
+
+        Returns ``(retry, resume_from)``: whether an attempt is left and,
+        if so, the checkpoint the next attempt resumes from (None: start
+        clean).  Rows after the checkpointed epoch are dropped and the
+        scheduler rolls back what the crashed attempt contributed.
+        """
+        attempt = failed_attempt + 1
+        if attempt >= self.retry_policy.max_attempts:
+            return False, None
+        self._m_retries.inc()
+        delay = self.retry_policy.delay(attempt)
+        if delay > 0:
+            time.sleep(delay)
+        trial.retries = attempt
+        handle = self._checkpoints.get(trial.trial_id)
+        if self.retry_policy.resume != "checkpoint" or handle is None:
+            trial.restored_epoch = None
+            trial.results.clear()
+            self.scheduler.on_trial_retry(trial, keep_up_to=None)
+            return True, None
+        # keep rows from checkpointed (durable) epochs; the resumed
+        # attempt re-reports everything after
+        keep = handle.epoch
+        trial.restored_epoch = keep
+        trial.results = [r for r in trial.results
+                         if r.get("epoch", keep + 1) <= keep]
+        self.scheduler.on_trial_retry(trial, keep_up_to=keep)
+        self._m_restores.inc()
+        return True, handle
+
+    def finish(self, trial: Trial, final=None) -> None:
+        """Close a trial whose terminal ``status`` is already set."""
+        trial.runtime_s = (time.perf_counter()
+                           - self._started_at.pop(trial.trial_id))
+        self._m_trials.labels(status=trial.status.value).inc()
+        if isinstance(final, dict):
+            trial.final = final
+        self.scheduler.on_trial_complete(trial)
+        if self.search_alg is not None and self.metric is not None:
+            score = trial.best_metric(self.metric, self.mode)
+            if score is not None:
+                self.search_alg.observe(trial.config, score)
+
+    def show_progress(self, in_flight=None) -> None:
+        if self.progress is not None:
+            self.progress.update(self.trials, in_flight=in_flight,
+                                 now=self.telemetry.tracer.now())
+
+    def close(self) -> list[Trial]:
+        if self.progress is not None:
+            self.progress.finish(self.trials)
+        return self.trials
+
+
 class Reporter:
     """The per-trial reporting callback handed to trainables.
 
@@ -260,45 +392,31 @@ class Reporter:
     metric), and on a resumed attempt reads :attr:`resume_from` -- the
     :class:`~repro.fault_tolerance.CheckpointHandle` of the last durable
     epoch -- to continue training instead of starting at epoch 0.
+    :attr:`attempt` is the 0-based attempt number, as on the process
+    pool's worker-side reporter.
     """
 
-    def __init__(self, trial: Trial, scheduler: TrialScheduler,
-                 telemetry=None,
+    def __init__(self, trial: Trial, lifecycle: TrialLifecycle,
+                 attempt: int = 0,
                  resume_from: CheckpointHandle | None = None):
         self._trial = trial
-        self._scheduler = scheduler
+        self._lifecycle = lifecycle
+        self.attempt = attempt
         self.stopped = False
         self.resume_from = resume_from
-        self.last_checkpoint = resume_from
-        if telemetry is None:
-            from ..telemetry import get_hub
-
-            telemetry = get_hub()
-        self._telemetry = telemetry
-        self._m_decisions = telemetry.metrics.counter(
-            "scheduler_decisions_total",
-            "per-report scheduler continue/stop decisions", ("decision",))
-        self._m_nonfinite = telemetry.metrics.counter(
-            "trials_nonfinite_total",
-            "reports carrying a non-finite metric value (NaN/inf loss)")
 
     @property
     def trial_id(self) -> str:
         return self._trial.trial_id
 
+    @property
+    def last_checkpoint(self) -> CheckpointHandle | None:
+        return self._lifecycle.last_checkpoint(self._trial)
+
     def __call__(self, **metrics) -> bool:
         checkpoint = metrics.pop("checkpoint", None)
-        self._trial.results.append(dict(metrics))
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in metrics.values()):
-            self._m_nonfinite.inc()
-        if checkpoint is not None:
-            epoch = metrics.get("epoch", len(self._trial.results) - 1)
-            self.last_checkpoint = CheckpointHandle(
-                epoch=epoch, path=str(checkpoint))
-        decision = self._scheduler.on_result(self._trial, metrics)
-        self._m_decisions.labels(decision=decision).inc()
-        self._telemetry.live_tick()  # serial-path monitor heartbeat
+        decision = self._lifecycle.record(self._trial, metrics, checkpoint)
+        self._lifecycle.telemetry.live_tick()  # serial-path heartbeat
         if decision == TrialScheduler.STOP:
             self.stopped = True
             return False
@@ -350,11 +468,9 @@ def tune_run(
     metric: str | None = None,
     mode: str = "max",
     raise_on_error: bool = False,
-    max_retries: int = 0,
     retry_policy: RetryPolicy | None = None,
     telemetry=None,
     executor=None,
-    max_workers: int | None = None,
     progress=None,
 ) -> ExperimentAnalysis:
     """Execute every configuration the search algorithm proposes.
@@ -363,21 +479,19 @@ def tune_run(
     metrics dict.  Adaptive search algorithms are fed each trial's best
     ``metric`` via :meth:`SearchAlgorithm.observe`.
 
-    Execution backend: by default (``executor=None`` / ``"serial"``)
-    trials run sequentially in this process.  ``executor="process"``
-    runs them on a pool of ``max_workers`` worker processes (true
-    multi-core experiment parallelism) -- the trainable must then be
-    picklable, the configuration stream is materialised up front (so
+    Execution backend: by default (``executor=None``) trials run
+    sequentially in this process.  Passing a
+    :class:`repro.execpool.ProcessPoolTrialExecutor` runs them on its
+    worker processes (true multi-core experiment parallelism) through
+    :func:`repro.execpool.run_trials_parallel`: *its* configured
+    trainable runs in the workers and the ``trainable`` argument is
+    ignored, the configuration stream is materialised up front (so
     adaptive search algorithms see observations only as trials finish,
     Ray Tune's concurrent semantics), and scheduler stops are
-    asynchronous.  A pre-built
-    :class:`repro.execpool.ProcessPoolTrialExecutor` may be passed
-    instead, in which case *its* configured trainable runs in the
-    workers and the ``trainable`` argument is ignored; the caller keeps
-    ownership and must shut it down.
+    asynchronous.  The caller keeps ownership of the pool and must shut
+    it down.  Both loops share one :class:`TrialLifecycle`.
 
-    Fault tolerance: a crashed attempt is re-run under ``retry_policy``
-    (``max_retries`` is shorthand for ``RetryPolicy(max_retries=n)``).
+    Fault tolerance: a crashed attempt is re-run under ``retry_policy``.
     With ``resume="checkpoint"`` (the default) the retry's reporter
     carries ``resume_from`` -- the last checkpoint handle the crashed
     attempt published -- so a :class:`CheckpointManager`-equipped
@@ -394,120 +508,51 @@ def tune_run(
     ``progress`` (a :class:`repro.telemetry.profiler.ProgressReporter`)
     renders a live trial table as results arrive.
     """
-    scheduler = scheduler or FIFOScheduler()
-    if retry_policy is None:
-        retry_policy = RetryPolicy(max_retries=max_retries)
-    if telemetry is None:
-        from ..telemetry import get_hub
-
-        telemetry = get_hub()
-    if executor is not None and executor != "serial":
+    if executor is not None:
         from ..execpool import ProcessPoolTrialExecutor, run_trials_parallel
 
-        owns_pool = False
-        if executor == "process":
-            executor = ProcessPoolTrialExecutor(
-                trainable, max_workers=max_workers, telemetry=telemetry)
-            owns_pool = True
-        elif not isinstance(executor, ProcessPoolTrialExecutor):
+        if not isinstance(executor, ProcessPoolTrialExecutor):
             raise ValueError(
-                f"executor must be 'serial', 'process', or a "
-                f"ProcessPoolTrialExecutor, got {executor!r}"
-            )
-        try:
-            parallel_trials = run_trials_parallel(
-                executor, list(search_alg.configurations()),
-                scheduler=scheduler, retry_policy=retry_policy,
-                metric=metric, mode=mode, raise_on_error=raise_on_error,
-                search_alg=search_alg, telemetry=telemetry,
-                progress=progress,
-            )
-        finally:
-            if owns_pool:
-                executor.shutdown()
-        return ExperimentAnalysis(parallel_trials)
-    m_trials = telemetry.metrics.counter(
-        "tune_trials_total", "trials finished by terminal status",
-        ("status",))
-    m_started = telemetry.metrics.counter(
-        "tune_trials_started_total", "trials handed to the trainable")
-    m_retries = telemetry.metrics.counter(
-        "tune_retries_total", "crashed trial attempts that were retried")
-    m_restores = telemetry.metrics.counter(
-        "tune_restores_total", "retries that resumed from a checkpoint")
-    trials: list[Trial] = []
+                f"executor must be None or a ProcessPoolTrialExecutor, "
+                f"got {executor!r}")
+        return ExperimentAnalysis(run_trials_parallel(
+            executor, list(search_alg.configurations()),
+            scheduler=scheduler, retry_policy=retry_policy,
+            metric=metric, mode=mode, raise_on_error=raise_on_error,
+            search_alg=search_alg, telemetry=telemetry, progress=progress,
+        ))
+    life = TrialLifecycle(scheduler, search_alg, retry_policy, metric, mode,
+                          telemetry, progress)
     # NB: configurations() must stay lazy -- adaptive algorithms (TPE)
     # propose each config from the observations fed back so far.
-    for i, config in enumerate(search_alg.configurations()):
-        m_started.inc()
-        trial = Trial(trial_id=f"trial_{i:04d}", config=dict(config))
-        trials.append(trial)
+    for config in search_alg.configurations():
+        trial = life.new_trial(config)
         trial.status = TrialStatus.RUNNING
-        t0 = time.perf_counter()
-        final = None
-        last_checkpoint: CheckpointHandle | None = None
-        with telemetry.tracer.span(trial.trial_id, category="trial",
-                                   **{k: str(v) for k, v in config.items()}):
-            for attempt in range(retry_policy.max_attempts):
-                trial.retries = attempt
-                resume_from = None
-                if attempt:
-                    m_retries.inc()
-                    delay = retry_policy.delay(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    if (retry_policy.resume == "checkpoint"
-                            and last_checkpoint is not None):
-                        resume_from = last_checkpoint
-                        trial.restored_epoch = last_checkpoint.epoch
-                        # keep rows from checkpointed (durable) epochs;
-                        # the resumed attempt re-reports everything after
-                        keep = last_checkpoint.epoch
-                        trial.results = [
-                            r for r in trial.results
-                            if r.get("epoch", keep + 1) <= keep
-                        ]
-                        scheduler.on_trial_retry(trial, keep_up_to=keep)
-                        m_restores.inc()
-                    else:
-                        trial.restored_epoch = None
-                        trial.results.clear()
-                        scheduler.on_trial_retry(trial, keep_up_to=None)
-                reporter = Reporter(trial, scheduler, telemetry=telemetry,
-                                    resume_from=resume_from)
+        final, attempt, resume_from = None, 0, None
+        with life.telemetry.tracer.span(
+                trial.trial_id, category="trial",
+                **{k: str(v) for k, v in config.items()}):
+            while True:
+                reporter = Reporter(trial, life, attempt, resume_from)
                 try:
                     final = trainable(dict(config), reporter)
                 except StopTrial:
                     trial.status = TrialStatus.STOPPED
-                    final = None
                     break
                 except Exception as exc:
                     if raise_on_error:
                         raise
                     trial.status = TrialStatus.ERROR
                     trial.error = f"{type(exc).__name__}: {exc}"
-                    final = None
-                    last_checkpoint = reporter.last_checkpoint
-                    continue  # retry if attempts remain
+                    retry, resume_from = life.prepare_retry(trial, attempt)
+                    if not retry:
+                        break
+                    attempt += 1
                 else:
-                    trial.status = (
-                        TrialStatus.STOPPED
-                        if reporter.stopped
-                        else TrialStatus.TERMINATED
-                    )
+                    trial.status = (TrialStatus.STOPPED if reporter.stopped
+                                    else TrialStatus.TERMINATED)
                     trial.error = None
                     break
-        trial.runtime_s = time.perf_counter() - t0
-        m_trials.labels(status=trial.status.value).inc()
-        if isinstance(final, dict):
-            trial.final = final
-        scheduler.on_trial_complete(trial)
-        if metric is not None:
-            score = trial.best_metric(metric, mode)
-            if score is not None:
-                search_alg.observe(config, score)
-        if progress is not None:
-            progress.update(trials, now=telemetry.tracer.now())
-    if progress is not None:
-        progress.finish(trials)
-    return ExperimentAnalysis(trials)
+        life.finish(trial, final)
+        life.show_progress()
+    return ExperimentAnalysis(life.close())

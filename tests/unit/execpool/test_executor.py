@@ -18,6 +18,7 @@ from repro.fault_tolerance import RetryPolicy
 from repro.raysim.search import GridSearch
 from repro.raysim.tune import FIFOScheduler, TrialScheduler, TrialStatus, \
     tune_run
+from repro.telemetry import TelemetryHub
 
 
 def quadratic_trainable(config, reporter):
@@ -43,6 +44,18 @@ def crash_then_succeed(config, reporter):
         raise RuntimeError("synthetic worker crash")
     reporter(epoch=0, score=1.0)
     return {"score": 1.0, "attempt": reporter.attempt}
+
+
+def checkpoint_then_crash(config, reporter):
+    """Publishes ``checkpoint=`` every epoch; attempt 0 crashes at epoch 2,
+    the retry resumes after the last checkpointed epoch."""
+    resume = reporter.resume_from
+    for epoch in range(0 if resume is None else resume.epoch + 1, 4):
+        if reporter.attempt == 0 and epoch == 2:
+            raise RuntimeError("synthetic crash at epoch 2")
+        reporter(epoch=epoch, score=config["x"] * epoch,
+                 checkpoint=f"ck_{epoch}")
+    return {"score": config["x"] * 3}
 
 
 def always_crash(config, reporter):
@@ -197,14 +210,31 @@ class TestPool:
         assert totals == [45.0, 46.0]
 
 
+def _serial_and_pooled(trainable, axes, **kw):
+    """The same search run by serial ``tune_run`` and on a 2-worker pool,
+    each path reporting into its own hub."""
+    hubs = (TelemetryHub(), TelemetryHub())
+    serial = tune_run(trainable, GridSearch(axes), telemetry=hubs[0], **kw)
+    with ProcessPoolTrialExecutor(trainable, max_workers=2,
+                                  telemetry=hubs[1]) as pool:
+        pooled = tune_run(None, GridSearch(axes), telemetry=hubs[1],
+                          executor=pool, **kw)
+    return (serial, pooled), hubs
+
+
+def _lifecycle_counters(hub) -> dict:
+    names = {"tune_trials_total", "tune_trials_started_total",
+             "tune_retries_total", "tune_restores_total",
+             "scheduler_decisions_total"}
+    return {(s["name"], tuple(sorted(s["labels"].items()))): s["value"]
+            for s in hub.metrics.samples() if s["name"] in names}
+
+
 class TestTuneRunIntegration:
     def test_process_executor_matches_serial(self):
-        axes = {"x": [0.0, 2.0, 3.0, 4.0]}
-        serial = tune_run(quadratic_trainable, GridSearch(axes),
-                          metric="score")
-        parallel = tune_run(quadratic_trainable, GridSearch(axes),
-                            metric="score", executor="process",
-                            max_workers=2)
+        (serial, parallel), _ = _serial_and_pooled(
+            quadratic_trainable, {"x": [0.0, 2.0, 3.0, 4.0]},
+            metric="score")
         for a, b in zip(serial.trials, parallel.trials):
             assert a.config == b.config
             assert a.final == b.final
@@ -212,7 +242,37 @@ class TestTuneRunIntegration:
         assert (serial.best_trial("score").config
                 == parallel.best_trial("score").config)
 
+    def test_serial_reporter_has_attempt(self):
+        """One reporter contract: a trainable that reads
+        ``reporter.attempt`` retries the same way on both paths."""
+        (serial, pooled), _ = _serial_and_pooled(
+            crash_then_succeed, {"crashes": [1]}, metric="score",
+            retry_policy=RetryPolicy(max_retries=1, resume="scratch"))
+        (trial,) = serial.trials
+        assert trial.error is None
+        assert trial.status is TrialStatus.TERMINATED
+        assert trial.final == {"score": 1.0, "attempt": 1}
+        (other,) = pooled.trials
+        assert (trial.status, trial.retries, trial.results, trial.final) \
+            == (other.status, other.retries, other.results, other.final)
+
+    def test_lifecycle_counters_match_serial(self):
+        (serial, pooled), hubs = _serial_and_pooled(
+            checkpoint_then_crash, {"x": [1.0, 2.0]}, metric="score",
+            retry_policy=RetryPolicy(max_retries=1))
+        for a, b in zip(serial.trials, pooled.trials):
+            assert a.restored_epoch == b.restored_epoch == 1
+            assert a.results == b.results
+            assert [r["epoch"] for r in a.results] == [0, 1, 2, 3]
+        counters = _lifecycle_counters(hubs[0])
+        assert counters == _lifecycle_counters(hubs[1])
+        assert counters[("tune_retries_total", ())] == 2
+        assert counters[("tune_restores_total", ())] == 2
+        assert counters[("tune_trials_total",
+                         (("status", "terminated"),))] == 2
+
     def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            tune_run(quadratic_trainable, GridSearch({"x": [0.0]}),
-                     metric="score", executor="threads")
+        for executor in ("threads", "process", "serial"):
+            with pytest.raises(ValueError):
+                tune_run(quadratic_trainable, GridSearch({"x": [0.0]}),
+                         metric="score", executor=executor)

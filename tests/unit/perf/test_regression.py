@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.perf.regression import (
+    UNTRACKED_RECORDS,
     BenchRecord,
     append_trajectory,
     bench_output_path,
+    committed_records,
     compare_records,
     host_metadata,
     hosts_comparable,
@@ -238,8 +240,7 @@ class TestCommittedBaselines:
         from pathlib import Path
 
         bench_dir = Path(__file__).resolve().parents[3] / "benchmarks"
-        files = sorted(p for p in bench_dir.glob("BENCH_*.json")
-                       if not p.name.endswith("_smoke.json"))
+        files = committed_records(bench_dir)
         assert files, "no committed benchmark baselines found"
         for path in files:
             rec = load_bench_record(path)   # raises on violation
@@ -255,8 +256,9 @@ class TestCommittedBaselines:
         assert report.ok and not report.regressions
 
     def test_schema_gate_skips_ignored_smoke_files(self, tmp_path):
-        """A stale ``make smoke`` output next to the baselines must not
-        fail the lint gate: only committed records are checked."""
+        """Stale ignored records next to the baselines (``make smoke``
+        output, a local full-size ``BENCH_parallel.json``) must not fail
+        the lint gate: only committed records are checked."""
         import importlib.util
         import shutil
         from pathlib import Path
@@ -268,4 +270,18 @@ class TestCommittedBaselines:
         spec.loader.exec_module(tool)
         shutil.copy(root / "benchmarks" / "BENCH_kernels.json", tmp_path)
         (tmp_path / "BENCH_x_smoke.json").write_text('{"smoke": false}')
+        (tmp_path / "BENCH_parallel.json").write_text('{"stale": ')
         assert tool.main(["check_bench_schema", str(tmp_path)]) == 0
+        assert [p.name for p in committed_records(tmp_path)] == [
+            "BENCH_kernels.json"]
+
+    def test_untracked_records_match_gitignore(self):
+        """The name rule the gates skip by is the one ``.gitignore``
+        applies to ``benchmarks/``."""
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[3]
+        ignored = {line.removeprefix("benchmarks/")
+                   for line in (root / ".gitignore").read_text().splitlines()
+                   if line.startswith("benchmarks/BENCH_")}
+        assert ignored == set(UNTRACKED_RECORDS) | {"BENCH_*_smoke.json"}

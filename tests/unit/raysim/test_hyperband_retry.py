@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.fault_tolerance import RetryPolicy
+from repro.fault_tolerance import RetryPolicy
 from repro.raysim import (
     GridSearch,
     HyperbandScheduler,
@@ -95,7 +97,8 @@ class TestRetries:
             reporter(score=1.0)
             return {"score": 1.0}
 
-        analysis = tune_run(trainable, GridSearch({"a": [1]}), max_retries=3)
+        analysis = tune_run(trainable, GridSearch({"a": [1]}),
+                            retry_policy=RetryPolicy(max_retries=3))
         trial = analysis.trials[0]
         assert trial.status is TrialStatus.TERMINATED
         assert trial.retries == 2
@@ -105,7 +108,8 @@ class TestRetries:
         def trainable(config, reporter):
             raise RuntimeError("hard failure")
 
-        analysis = tune_run(trainable, GridSearch({"a": [1]}), max_retries=2)
+        analysis = tune_run(trainable, GridSearch({"a": [1]}),
+                            retry_policy=RetryPolicy(max_retries=2))
         trial = analysis.trials[0]
         assert trial.status is TrialStatus.ERROR
         assert trial.retries == 2
@@ -122,7 +126,8 @@ class TestRetries:
             reporter(score=0.9)
             return None
 
-        analysis = tune_run(trainable, GridSearch({"a": [1]}), max_retries=1)
+        analysis = tune_run(trainable, GridSearch({"a": [1]}),
+                            retry_policy=RetryPolicy(max_retries=1))
         trial = analysis.trials[0]
         # only the successful attempt's rows remain
         assert [r["score"] for r in trial.results] == [

@@ -52,7 +52,8 @@ class TestFaultInjector:
             return None
 
         injector = FaultInjector(crash_epochs=(2,)).wrap(trainable)
-        analysis = tune_run(injector, GridSearch({"a": [1]}), max_retries=1)
+        analysis = tune_run(injector, GridSearch({"a": [1]}),
+                            retry_policy=RetryPolicy(max_retries=1))
         assert injector.faults_injected == 1
         assert analysis.trials[0].status is TrialStatus.TERMINATED
         # the crashed report never lands; the retry re-runs everything
@@ -77,7 +78,8 @@ class TestFaultInjector:
                 return None
 
             injector = FaultInjector(trainable, p_crash=0.3, seed=7)
-            tune_run(injector, GridSearch({"a": [1]}), max_retries=50)
+            tune_run(injector, GridSearch({"a": [1]}),
+                     retry_policy=RetryPolicy(max_retries=50))
             return injector.faults_injected
 
         assert run_once() == run_once()

@@ -20,9 +20,10 @@ Exits non-zero with one line per violation, so ``make lint`` fails
 before a malformed or quarantine-violating record lands on the
 trajectory.
 
-Arguments may be directories (every ``BENCH_*.json`` inside is linted,
-except the git-ignored ``*_smoke.json`` output of ``make smoke``) or
-individual record files; the default is the repo's ``benchmarks/``.
+Arguments may be directories (every committed ``BENCH_*.json`` inside
+is linted, see ``repro.perf.regression.committed_records``: git-ignored
+smoke and local full-run records are skipped) or individual record
+files; the default is the repo's ``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.perf.regression import validate_record  # noqa: E402
+from repro.perf.regression import (  # noqa: E402
+    committed_records,
+    validate_record,
+)
 
 
 def main(argv: list[str]) -> int:
@@ -41,9 +45,8 @@ def main(argv: list[str]) -> int:
         Path(__file__).resolve().parents[1] / "benchmarks"]
     files: list[Path] = []
     for target in targets:
-        files.extend(sorted(p for p in target.glob("BENCH_*.json")
-                            if not p.name.endswith("_smoke.json"))
-                     if target.is_dir() else [target])
+        files.extend(committed_records(target) if target.is_dir()
+                     else [target])
     problems: list[str] = []
     for path in files:
         try:
