@@ -66,6 +66,8 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli serve-bench \
 		--rps 25 --duration 2 --replicas 2 \
 		--volume 8 8 8 --base-filters 2 --depth 2 \
+		--large-every 5 --large-volume 16 16 16 --patch-size 8 8 8 \
+		--full-volume-max-voxels 512 \
 		--smoke --out /tmp/distmis_serve_smoke/BENCH_serving_smoke.json \
 		--telemetry /tmp/distmis_serve_smoke/run
 	$(PYTHON) tools/check_bench_schema.py \
@@ -82,6 +84,7 @@ serve-smoke:
 	assert rec['requests']['completed'] >= 50, rec['requests']; \
 	assert 0 < lat['p50'] <= lat['p95'] <= lat['p99'], lat; \
 	assert rec['throughput_rps'] > 0; \
+	assert rec['mixed_workload']['large']['count'] >= 1, rec['mixed_workload']; \
 	print(f'serve-smoke OK: {rec[\"requests\"][\"completed\"]} requests, ' \
 	      f'p99 {lat[\"p99\"] * 1e3:.1f} ms')"
 

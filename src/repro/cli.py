@@ -602,47 +602,19 @@ def cmd_serve_bench(args) -> int:
             full_volume_max_voxels=args.full_volume_max_voxels,
             patch_shape=tuple(args.patch_size),
             overlap=args.overlap, sw_batch_size=args.sw_batch_size,
-            scatter_gather=not args.no_scatter,
             shed_backlog=args.shed_backlog,
             compute_dtype=args.compute_dtype,
         )
         base.update(overrides)
         return ServeConfig(**base)
 
-    def bench_once(config):
-        with ModelServer(config, telemetry=hub) as server:
-            return run_serve_bench(
+    try:
+        with ModelServer(build_config(), telemetry=hub) as server:
+            record = run_serve_bench(
                 server, volumes, rps=args.rps, duration_s=args.duration,
                 smoke=smoke, priority_mix=priority_mix,
                 large_volumes=large_volumes,
                 large_every=args.large_every, seed=args.seed)
-
-    try:
-        record = bench_once(build_config())
-        if args.dispatch_compare:
-            # same offered load through legacy whole-request dispatch:
-            # the head-of-line-blocking baseline the scatter--gather
-            # small-request p99 win is measured against
-            whole = bench_once(build_config(scatter_gather=False))
-            if args.large_every:
-                scatter_p99 = (
-                    record["mixed_workload"]["small"]
-                    ["latency_seconds"]["p99"])
-                whole_p99 = (
-                    whole["mixed_workload"]["small"]
-                    ["latency_seconds"]["p99"])
-                record["mixed_workload"]["whole_request_small"] = (
-                    whole["mixed_workload"]["small"])
-                record["mixed_workload"]["small_p99_speedup"] = (
-                    whole_p99 / scatter_p99 if scatter_p99 > 0 else 0.0)
-            else:
-                scatter_p99 = record["latency_seconds"]["p99"]
-                whole_p99 = whole["latency_seconds"]["p99"]
-                record["dispatch_compare"] = {
-                    "whole_request": whole["latency_seconds"],
-                    "p99_speedup": (whole_p99 / scatter_p99
-                                    if scatter_p99 > 0 else 0.0),
-                }
         if args.dtype_compare and args.compute_dtype != "float32":
             # float32 serving mode (ROADMAP 1c): latency win plus the
             # identity cost versus the float64-served reference,
@@ -709,10 +681,7 @@ def cmd_serve_bench(args) -> int:
     mixed = record.get("mixed_workload")
     if mixed:
         print(f"  small p99 {mixed['small']['latency_seconds']['p99'] * 1e3:.1f} ms"
-              f"   large p99 {mixed['large']['latency_seconds']['p99'] * 1e3:.1f} ms"
-              + (f"   small-p99 speedup vs whole-request "
-                 f"{mixed['small_p99_speedup']:.1f}x"
-                 if "small_p99_speedup" in mixed else ""))
+              f"   large p99 {mixed['large']['latency_seconds']['p99'] * 1e3:.1f} ms")
     f32 = record.get("float32_mode")
     if f32:
         print(f"  float32 mode: p99 "
@@ -728,7 +697,6 @@ def cmd_serve_bench(args) -> int:
         config={"rps": args.rps, "duration": args.duration,
                 "replicas": args.replicas, "max_batch": args.max_batch,
                 "max_delay_ms": args.max_delay_ms,
-                "scatter_gather": not args.no_scatter,
                 "shed_backlog": args.shed_backlog,
                 "priority_mix": priority_mix or {},
                 "large_every": args.large_every},
@@ -975,14 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shed-backlog", type=int, default=0,
                    help="backlog at which low-priority admissions are "
                         "shed (0 = no shedding)")
-    p.add_argument("--no-scatter", action="store_true",
-                   help="whole-request dispatch for sliding-window "
-                        "volumes (legacy mode; default scatters them "
-                        "into patch-chunk tasks)")
-    p.add_argument("--dispatch-compare", action="store_true",
-                   help="also run the same load through whole-request "
-                        "dispatch and record the small-request p99 "
-                        "speedup of scatter-gather")
     p.add_argument("--dtype-compare", action="store_true",
                    help="also run the bench in float32 serving mode and "
                         "record the latency/identity trade-off row")

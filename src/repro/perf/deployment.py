@@ -33,8 +33,7 @@ from ..cluster.network import LinkSpec
 
 __all__ = ["GIB", "DatasetFootprint", "staging_time", "DeploymentPlan",
            "plan_deployment", "PAPER_DATASET_BYTES",
-           "ServingWorkload", "ServingCapacityPlan", "plan_serving_capacity",
-           "ScatterGatherWorkload"]
+           "ServingWorkload", "ServingCapacityPlan", "plan_serving_capacity"]
 
 #: One binary gibibyte -- the storage/read-bandwidth unit of this module.
 GIB = 2**30
@@ -181,67 +180,6 @@ class ServingCapacityPlan:
     def headroom(self) -> float:
         """capacity / demand (>= 1.0 by construction)."""
         return self.capacity_rps / self.target_rps
-
-
-@dataclass(frozen=True)
-class ScatterGatherWorkload:
-    """Head-of-line-blocking model for mixed large/small serving traffic.
-
-    A large sliding-window request is ``chunks_per_large`` model
-    invocations of ``chunk_s`` seconds each.  Dispatched **whole**, it
-    occupies a replica for its entire service time and a small request
-    arriving just behind it waits all of it.  **Scattered**, the large
-    request becomes independent chunk tasks of ``chunks_per_task``
-    chunks (the micro-batcher's ``max_batch``), and under weighted-fair
-    release a small request waits at most the chunk task already in
-    progress -- head-of-line blocking shrinks from the whole request to
-    one task.  :meth:`small_p99_speedup` is the resulting analytic
-    bound on the mixed-workload tail-latency win, the number the
-    measured ``mixed_workload`` point in ``BENCH_serving.json``
-    demonstrates empirically.
-    """
-
-    chunk_s: float                  # one patch-chunk invocation
-    chunks_per_large: int           # chunk tasks one large request scatters to
-    chunks_per_task: int = 1        # chunks coalesced per replica task
-    dispatch_overhead_s: float = 0.0  # per-task fixed cost
-
-    def __post_init__(self):
-        if self.chunk_s <= 0:
-            raise ValueError("chunk_s must be positive")
-        if self.chunks_per_large < 1:
-            raise ValueError("chunks_per_large must be >= 1")
-        if not 1 <= self.chunks_per_task <= self.chunks_per_large:
-            raise ValueError(
-                "chunks_per_task must be in [1, chunks_per_large]")
-        if self.dispatch_overhead_s < 0:
-            raise ValueError("dispatch_overhead_s must be >= 0")
-
-    def whole_request_seconds(self) -> float:
-        """Replica occupancy of one monolithic large request."""
-        return (self.dispatch_overhead_s
-                + self.chunks_per_large * self.chunk_s)
-
-    def chunk_task_seconds(self) -> float:
-        """Replica occupancy of one scattered chunk task."""
-        return (self.dispatch_overhead_s
-                + self.chunks_per_task * self.chunk_s)
-
-    def hol_blocking_s(self, scatter: bool) -> float:
-        """Worst-case wait of a small request that arrives just after a
-        large one started, under each dispatch mode."""
-        return (self.chunk_task_seconds() if scatter
-                else self.whole_request_seconds())
-
-    def small_p99_speedup(self, small_service_s: float) -> float:
-        """Analytic tail-latency ratio (whole-request / scatter--gather)
-        for a small request of ``small_service_s`` caught behind a
-        large one -- the bound the measured bench point should track."""
-        if small_service_s < 0:
-            raise ValueError("small_service_s must be >= 0")
-        scatter = self.hol_blocking_s(True) + small_service_s
-        whole = self.hol_blocking_s(False) + small_service_s
-        return whole / scatter
 
 
 def plan_serving_capacity(

@@ -9,7 +9,8 @@ replica crashes, and a telemetry-driven autoscaler.  ``distmis
 serve-bench`` load-tests the stack and records the serving latency
 trajectory (``BENCH_serving.json``).
 
-Large requests are served scatter--gather: the driver decomposes a
+Small requests ride whole-request full-volume tasks.  Large requests
+are always served scatter--gather: the driver decomposes a
 sliding-window request into patch-chunk tasks, the weighted-fair
 micro-batcher interleaves chunks across requests (so small requests
 are never stuck behind a large request's fan-out), and the driver

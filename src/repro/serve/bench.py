@@ -22,9 +22,9 @@ Two knobs build the overload scenarios of experiment E21:
   fair scheduler and (with ``ServeConfig.shed_backlog``) admission
   shedding;
 * ``large_volumes`` / ``large_every`` -- every Nth request sends a
-  large sliding-window volume into a stream of small ones, the
-  mixed-workload point where scatter--gather dispatch shows its
-  small-request p99 win over whole-request dispatch.
+  large sliding-window volume into a stream of small ones; its patch
+  chunks interleave with the small requests under the fair scheduler,
+  and the record splits latency into small and large classes.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ def run_serve_bench(server, volumes, rps: float, duration_s: float,
             "max_batch": int(cfg.max_batch),
             "max_delay_ms": float(cfg.max_delay_ms),
             "autoscale": bool(cfg.autoscale),
-            "scatter_gather": bool(cfg.scatter_gather),
             "shed_backlog": int(cfg.shed_backlog),
             "compute_dtype": cfg.compute_dtype or "float64",
             "priority_mix": dict(priority_mix or {}),

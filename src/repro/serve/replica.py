@@ -10,28 +10,28 @@ lifetime of the process.
 
 Bit-identity contract
 ---------------------
-Replicas answer through :func:`repro.core.inference.full_volume_inference`
-/ :func:`~repro.core.inference.sliding_window_inference`, whose inner
-loop forwards **one sample per ``model.predict`` call** (full volume)
-or **one patch chunk per call** (sliding window).  On this BLAS a
-batched matmul is *not* bitwise-identical to a differently-grouped
-equivalent, so regrouping requests or patches into other forward-pass
-shapes would make served predictions diverge from offline inference at
-the last ulp.  Keeping the offline grouping makes a served prediction
-bit-identical to a solo offline call on the same volume, whatever batch
-or chunk task the request happened to ride in -- micro-batching
-therefore amortises the *dispatch* cost (queue hand-off, volume
-pickling, Python call overhead), not the GEMM, which is exactly how the
-serving capacity model prices it
-(:class:`repro.perf.deployment.ServingWorkload`).
+A replica task is one of two types.  A full-volume task
+(``strategy="full_volume"``) answers whole requests through
+:func:`repro.core.inference.full_volume_inference`, whose inner loop
+forwards **one sample per ``model.predict`` call**.  A scatter--gather
+task (``strategy="sw_chunks"``) carries patch chunks from *several*
+sliding-window requests and runs **one ``model.predict`` per chunk**,
+each chunk being exactly one of offline
+:func:`~repro.core.inference.chunk_bounds`'s invocations; the per-chunk
+predictions ship back for **driver-side** stitching, so partial results
+can come from different replicas and still reassemble bit-identically
+to :func:`~repro.core.inference.sliding_window_inference`.
 
-Scatter--gather tasks (``strategy="sw_chunks"``) carry patch chunks
-from *several* requests: the replica runs one ``model.predict`` per
-chunk -- each chunk being exactly one of offline
-:func:`~repro.core.inference.chunk_bounds`'s invocations -- and ships
-the per-chunk predictions back for **driver-side** stitching, so
-partial results can come from different replicas and still reassemble
-bit-identically.
+On this BLAS a batched matmul is *not* bitwise-identical to a
+differently-grouped equivalent, so regrouping requests or patches into
+other forward-pass shapes would make served predictions diverge from
+offline inference at the last ulp.  Keeping the offline grouping makes
+a served prediction bit-identical to a solo offline call on the same
+volume, whatever task the request happened to ride in --
+micro-batching therefore amortises the *dispatch* cost (queue hand-off,
+volume pickling, Python call overhead), not the GEMM, which is exactly
+how the serving capacity model prices it
+(:class:`repro.perf.deployment.ServingWorkload`).
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ import time
 import numpy as np
 
 from ..core.checkpoint import load_checkpoint
-from ..core.inference import full_volume_inference, sliding_window_inference
+from ..core.inference import full_volume_inference
 from ..nn.kernels import consume_kernel_seconds
 
-__all__ = ["replica_factory", "STRATEGIES"]
-
-STRATEGIES = ("full_volume", "sliding_window", "sw_chunks")
+__all__ = ["replica_factory"]
 
 
 def replica_factory(checkpoint: str, model_builder, model_kwargs=None,
@@ -62,10 +60,9 @@ def replica_factory(checkpoint: str, model_builder, model_kwargs=None,
     serving precision.
 
     Returns the ``(config, reporter) -> dict`` trainable the pool runs
-    per task.  A task config is one micro-batch::
+    per task.  A task config is one full-volume micro-batch::
 
-        {"volumes": (N, C, D, H, W) array, "strategy": "full_volume",
-         "patch_shape": ..., "overlap": ..., "sw_batch_size": ...}
+        {"volumes": (N, C, D, H, W) array, "strategy": "full_volume"}
 
     or one scatter--gather chunk task::
 
@@ -128,24 +125,16 @@ def replica_factory(checkpoint: str, model_builder, model_kwargs=None,
 
 
 def _serve_volumes(model, config, strategy, hub, span_attrs) -> dict:
-    """Whole-volume task: stacked (N, C, D, H, W) batch, per-sample
-    (full volume) or per-chunk (sliding window) loop inside."""
+    """Full-volume task: stacked (N, C, D, H, W) batch, one
+    ``model.predict`` per sample inside."""
+    if strategy != "full_volume":
+        raise ValueError(f"unknown inference strategy {strategy!r}")
     volumes = np.asarray(config["volumes"])
     if volumes.ndim != 5:
         raise ValueError(
             f"expected a (N, C, D, H, W) batch, got {volumes.shape}")
     with hub.tracer.span("replica_compute", **span_attrs):
-        if strategy == "full_volume":
-            res = full_volume_inference(model, volumes)
-        elif strategy == "sliding_window":
-            res = sliding_window_inference(
-                model, volumes,
-                patch_shape=tuple(config["patch_shape"]),
-                overlap=float(config.get("overlap", 0.5)),
-                batch_size=int(config.get("sw_batch_size", 4)),
-            )
-        else:
-            raise ValueError(f"unknown inference strategy {strategy!r}")
+        res = full_volume_inference(model, volumes)
     return {
         "prediction": res.prediction,
         "seconds": res.seconds,

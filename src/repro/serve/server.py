@@ -5,7 +5,9 @@ worker processes from :class:`repro.execpool.executor.ProcessPoolTrialExecutor`)
 with an admission queue:
 
 * :meth:`ModelServer.submit` routes a volume to full-volume or
-  sliding-window inference by size.  Sliding-window requests are
+  sliding-window inference by size, and each route has one replica
+  task type.  A full-volume request is one whole-request work item
+  (``strategy="full_volume"``).  A sliding-window request is always
   **scattered**: decomposed into the exact per-chunk ``model.predict``
   invocations offline :func:`repro.core.inference.sliding_window_inference`
   would run (:func:`~repro.core.inference.sliding_window_spec` /
@@ -28,11 +30,12 @@ with an admission queue:
   from the caller's loop exactly like
   :meth:`repro.telemetry.live.LiveMonitor.tick` -- drains worker
   messages, fails dead replicas over (in-flight work is **retried, not
-  dropped**, at chunk-task granularity: a dead replica re-runs only
-  its chunks, not whole requests), releases due batches under dispatch
-  credits (``max_inflight_per_replica`` tasks per live replica, so the
-  backlog accumulates in the fair batcher rather than the replicas'
-  FIFO task queue), heals the pool to its target size, and applies
+  dropped**, at task granularity: a dead replica re-runs only its own
+  tasks, so a scattered request re-runs only the chunks it had there),
+  releases due batches under dispatch credits
+  (``max_inflight_per_replica`` tasks per live replica, so the backlog
+  accumulates in the fair batcher rather than the replicas' FIFO task
+  queue), heals the pool to its target size, and applies
   :class:`~repro.serve.autoscaler.Autoscaler` decisions -- shed
   admissions count as backlog pressure so shedding cannot starve the
   scale-up signal.
@@ -77,6 +80,11 @@ PRIORITIES = {"high": 4.0, "normal": 2.0, "low": 1.0}
 _COMPUTE_DTYPES = (None, "float32", "float64")
 
 
+def _chunk_item_id(request_id: str, chunk_index: int) -> str:
+    """Batcher work-item id of one scattered request's patch chunk."""
+    return f"{request_id}#c{chunk_index:04d}"
+
+
 @dataclass
 class ServeConfig:
     """Everything a replica pool needs to serve one checkpoint."""
@@ -99,10 +107,6 @@ class ServeConfig:
     heartbeat_s: float = 0.5
     start_method: str | None = None
     tracing: TracingConfig | None = None  # None -> TracingConfig()
-    # scatter--gather: decompose sliding-window requests into patch-chunk
-    # tasks balanced across replicas (False = legacy whole-request tasks,
-    # kept for the dispatch-mode comparison in BENCH_serving.json)
-    scatter_gather: bool = True
     # submit(priority=...) -> weighted-fair share; keys are the accepted
     # priorities (validated at admission)
     priority_weights: dict = field(
@@ -131,8 +135,11 @@ class ServeConfig:
             raise ValueError("max_delay_ms must be >= 0")
         if self.full_volume_max_voxels < 1:
             raise ValueError("full_volume_max_voxels must be >= 1")
-        if not 0.0 <= float(self.overlap) < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
+        if len(self.patch_shape) != 3:
+            raise ValueError(
+                f"patch_shape must have 3 dims, got {self.patch_shape!r}")
+        # raises on a patch dim < 1 or an overlap outside [0, 1)
+        sliding_window_spec(tuple(self.patch_shape), float(self.overlap))
         if self.sw_batch_size < 1:
             raise ValueError("sw_batch_size must be >= 1")
         if self.max_retries < 0:
@@ -227,7 +234,6 @@ class _Pending:
     ctx: object = None            # TraceContext
     released_mono: float | None = None  # first item left the batcher
     # -- scatter--gather state (sliding-window requests only) --------------
-    scattered: bool = False
     patches: np.ndarray | None = None     # (n_patches, C, *patch)
     offsets: list | None = None
     bounds: list | None = None            # chunk_bounds() ranges
@@ -394,7 +400,7 @@ class ModelServer:
         strategy = self.route(volume)
         weight = float(self.config.priority_weights[priority])
         now = time.monotonic()
-        if strategy == "sliding_window" and self.config.scatter_gather:
+        if strategy == "sliding_window":
             self._submit_scattered(request_id, volume, future, priority,
                                    weight, now)
         else:
@@ -425,10 +431,9 @@ class ModelServer:
         self._pending[request_id] = _Pending(
             volume=volume, key=key, future=future, arrival_mono=now,
             priority=priority, ctx=self.request_tracer.begin(request_id),
-            scattered=True, patches=patches, offsets=offsets,
-            bounds=bounds)
+            patches=patches, offsets=offsets, bounds=bounds)
         for ci in range(len(bounds)):
-            item_id = f"{request_id}#c{ci:04d}"
+            item_id = _chunk_item_id(request_id, ci)
             self._chunk_items[item_id] = (request_id, ci)
             self.batcher.add(item_id, key, now,
                              request_id=request_id, weight=weight)
@@ -522,10 +527,6 @@ class ModelServer:
             volumes = np.stack(
                 [self._pending[rid].volume for rid in request_ids])
             task = {"volumes": volumes, "strategy": key.strategy}
-            if key.strategy == "sliding_window":
-                task["patch_shape"] = tuple(self.config.patch_shape)
-                task["overlap"] = float(self.config.overlap)
-                task["sw_batch_size"] = int(self.config.sw_batch_size)
         # Trace-context propagation: the contexts ride the task dict
         # over the existing pickle path and are re-attached by the
         # replica's worker-side span.  Retries resubmit the same
@@ -565,7 +566,7 @@ class ModelServer:
         pending = self._pending.pop(rid, None)
         if pending is None:
             return
-        self._drop_chunk_items(rid)
+        self._drop_chunk_items(rid, pending)
         pending.future._error = reason
         self._c_requests.labels(status="failed").inc()
         if pending.ctx is not None:
@@ -577,20 +578,19 @@ class ModelServer:
                 started=pending.started_mono or batch.started_mono,
                 completed=time.monotonic(),
                 attempt=max(pending.attempt_max, batch.attempt),
-                strategy=("sliding_window" if pending.scattered
+                strategy=("sliding_window" if pending.bounds is not None
                           else batch.key.strategy),
                 batch_id=batch_id, batch_size=len(batch.items),
                 replica=batch.worker, error=reason,
                 priority=pending.priority,
                 chunk_spans=pending.chunk_spans or None)
 
-    def _drop_chunk_items(self, rid: str) -> None:
+    def _drop_chunk_items(self, rid: str, pending: _Pending) -> None:
         """Forget the scatter registry entries of a finished request --
         any of its items still in the batcher or in flight become
         orphans that _live_items filters out."""
-        for item in [i for i, (r, _) in self._chunk_items.items()
-                     if r == rid]:
-            del self._chunk_items[item]
+        for ci in range(len(pending.bounds or ())):
+            self._chunk_items.pop(_chunk_item_id(rid, ci), None)
 
     # -- the driver loop ----------------------------------------------------
     def step(self, now: float | None = None) -> int:
@@ -802,7 +802,7 @@ class ModelServer:
                 finished.append(rid)
         for rid in finished:
             pending = self._pending.pop(rid)
-            self._drop_chunk_items(rid)
+            self._drop_chunk_items(rid, pending)
             stitched = stitch_chunks(pending.chunk_results,
                                      pending.offsets,
                                      pending.volume.shape[1:])
@@ -857,9 +857,9 @@ class ModelServer:
     # -- failure and scale --------------------------------------------------
     def _fail_over_dead(self, now: float) -> None:
         """Retry (not drop) the in-flight tasks of replicas whose
-        process exited -- a dead replica re-runs only its own chunk
-        tasks, never whole requests -- then heal the pool back to the
-        target size."""
+        process exited -- a dead replica re-runs only its own tasks, so
+        a scattered request never re-runs chunks another replica
+        answered -- then heal the pool back to the target size."""
         live = getattr(self.telemetry, "live", None)
         for wid in self.executor.dead_workers():
             if wid in self._handled_dead:

@@ -132,15 +132,14 @@ class TestMicroBatching:
             assert [f.result().batch_size for f in futs] == [2, 2]
 
 
-# A deliberately slow request mix for the kill tests: 16^3 volumes routed
-# to sliding-window with overlap 0.75 take ~0.5 s *each* on this host, so
-# the window between the batch's "started" message and its completion is
-# seconds wide -- killing the replica inside it is not a race.  These
-# tests pin the legacy whole-request dispatch path (scatter_gather=False);
-# chunk-granular retry has its own kill test below.
-SLOW_KW = dict(full_volume_max_voxels=4 ** 3, patch_shape=(4, 4, 4),
-               overlap=0.75, max_delay_ms=0.0, scatter_gather=False)
-SLOW_SHAPE = (1, 16, 16, 16)
+# A deliberately slow request mix for the kill tests: one full-volume
+# predict of an 80^3 volume takes ~0.5 s with MODEL_KWARGS on a 2-vCPU
+# x86 host, so the window between a 2-volume batch's "started" message
+# and its completion is about a second wide -- killing the replica
+# inside it is not a race.  These tests pin the whole-request task
+# retry path; chunk-granular retry has its own kill test below.
+SLOW_KW = dict(full_volume_max_voxels=80 ** 3, max_delay_ms=0.0)
+SLOW_SHAPE = (1, 80, 80, 80)
 
 
 def kill_serving_replica(server):
@@ -177,13 +176,11 @@ class TestFailOver:
             # the pool healed back to its target size
             assert server.executor.worker_count() == 1
         assert all(r.attempt >= 1 for r in responses)
-        assert {r.strategy for r in responses} == {"sliding_window"}
-        model = make_model()
-        for vol, r in zip(vols, responses):
-            reference = sliding_window_inference(
-                model, vol[None], patch_shape=(4, 4, 4),
-                overlap=0.75).prediction
-            assert np.array_equal(reference[0], r.prediction)
+        assert {r.strategy for r in responses} == {"full_volume"}
+        reference = full_volume_inference(
+            make_model(), np.stack(vols)).prediction
+        for i, r in enumerate(responses):
+            assert np.array_equal(reference[i], r.prediction)
 
     def test_retry_budget_exhaustion_fails_requests(self, checkpoint):
         """max_retries=0: a killed replica's requests fail loudly
@@ -220,6 +217,8 @@ class TestScatterGather:
             server.drain(timeout_s=120)
             large_rs = [f.result() for f in large_futs]
             small_rs = [f.result() for f in small_futs]
+            # finished requests leave nothing in the scatter registry
+            assert not server._chunk_items
         model = make_model()
         for vol, r in zip(large, large_rs):
             assert r.strategy == "sliding_window"
@@ -250,7 +249,7 @@ class TestScatterGather:
                            full_volume_max_voxels=4 ** 3,
                            patch_shape=(4, 4, 4), overlap=0.75,
                            sw_batch_size=256)
-        (vol,) = volumes(1, shape=SLOW_SHAPE, seed=5)
+        (vol,) = volumes(1, shape=(1, 16, 16, 16), seed=5)
         with ModelServer(cfg) as server:
             fut = server.submit(vol)
             (pending,) = server._pending.values()

@@ -16,7 +16,6 @@ def make(**kw):
 class TestServeConfigValidation:
     def test_defaults_are_valid(self):
         cfg = make()
-        assert cfg.scatter_gather is True
         assert cfg.compute_dtype is None
         assert set(cfg.shed_priorities) <= set(cfg.priority_weights)
 
@@ -27,6 +26,8 @@ class TestServeConfigValidation:
         {"full_volume_max_voxels": 0},
         {"overlap": 1.0},
         {"overlap": -0.1},
+        {"patch_shape": (0, 16, 16)},
+        {"patch_shape": (16, 16)},
         {"sw_batch_size": 0},
         {"max_retries": -1},
         {"heartbeat_s": 0.0},
