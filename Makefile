@@ -2,13 +2,20 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels bench-compare examples report api-docs results clean
+.PHONY: install test test-gemm lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels bench-compare examples report api-docs results clean
 
 install:
 	PIP_NO_BUILD_ISOLATION=false pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# the nn and serve unit suites on the unfused gemm backend: the default
+# fused backend covers the rest, but sync-BN and the profiler hooks still
+# run every Conv3D+BatchNorm+ReLU stage on this sequential route
+test-gemm:
+	DISTMIS_KERNEL_BACKEND=gemm PYTHONPATH=src $(PYTHON) -m pytest \
+		tests/unit/nn tests/unit/serve -q
 
 # ruff when available, else the dependency-free fallback in tools/lint.py;
 # always gate the committed benchmark baselines on the trajectory schema

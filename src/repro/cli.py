@@ -107,9 +107,10 @@ def _add_scale_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel-backend", default=None,
                    choices=["gemm", "reference", "fused"],
-                   help="convolution compute backend (default: gemm, or "
+                   help="convolution compute backend (default: fused, or "
                         "DISTMIS_KERNEL_BACKEND; 'fused' adds tiled "
-                        "im2col and Conv+BN+ReLU fusion)")
+                        "im2col and Conv+BN+ReLU fusion, 'gemm' runs the "
+                        "unfused im2col path)")
     p.add_argument("--compute-dtype", default=None,
                    choices=["float64", "float32"],
                    help="parameter/activation dtype (default: float64 -- "

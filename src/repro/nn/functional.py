@@ -187,7 +187,9 @@ def conv3d_bn_relu_backward(
     the matching forward call populated (it is consumed here).  Pass
     ``need_dx=False`` for a network's first layer: the input carries no
     gradient and skipping ``dx`` saves the largest gather of the
-    backward pass (``dx`` comes back as ``None``).
+    backward pass (``dx`` comes back as ``None``).  ``UNet3D`` passes
+    it for its first block unless built with ``input_grad=True``, and
+    then returns ``None`` from ``backward`` on every backend.
     """
     s, p = _triple(stride), _triple(pad)
     backend = get_backend()

@@ -7,17 +7,19 @@ Every 3D convolution in the model dispatches through one active
   kernels, kept as the bit-for-bit ground truth every other backend is
   cross-validated against (gradcheck + allclose parity tests).
 * ``gemm`` -- im2col/col2im lowering to one contiguous BLAS GEMM per
-  convolution, with workspace-arena scratch reuse (the default).
-* ``fused`` -- the GEMM lowering tiled over output-depth chunks so the
-  patches matrix stays cache-resident, plus a fused
+  convolution, with workspace-arena scratch reuse.
+* ``fused`` (the default) -- the GEMM lowering tiled over output-depth
+  chunks so the patches matrix stays cache-resident, plus a fused
   Conv3D+BatchNorm+ReLU forward/backward (``supports_fusion``) and
   optional thread-pool execution of independent tiles
   (``DISTMIS_KERNEL_THREADS``).
 
 Selection, in priority order: :func:`set_backend` /
 :func:`use_backend` > the ``DISTMIS_KERNEL_BACKEND`` environment
-variable > the built-in default (``gemm``).  The CLI exposes the same
-choice as ``--kernel-backend``.
+variable > the built-in default (``fused``).  The CLI exposes the same
+choice as ``--kernel-backend``.  ``DISTMIS_KERNEL_BACKEND=gemm``
+restores the unfused path, where every Conv3D+BatchNorm+ReLU stage
+runs as the sequential conv/bn/act chain.
 
 The module also keeps the per-backend kernel-seconds ledger:
 :mod:`repro.nn.functional` stamps every dispatched call with two
@@ -46,7 +48,7 @@ __all__ = [
 ]
 
 ENV_VAR = "DISTMIS_KERNEL_BACKEND"
-DEFAULT_BACKEND = "gemm"
+DEFAULT_BACKEND = "fused"
 
 
 class KernelBackend:

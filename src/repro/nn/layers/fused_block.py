@@ -77,8 +77,11 @@ class FusedConvBNReLU3D(Module):
         #: Set False for a network's *first* layer (its input carries no
         #: gradient): the fused backward then skips the dx computation
         #: -- the largest gather of the layer's backward pass -- and
-        #: ``backward`` returns ``None``.  Advisory: the sequential
-        #: fall-back route still computes dx.
+        #: returns ``None``.  The sequential fall-back route still
+        #: computes and returns dx.  The network-level contract is
+        #: :class:`~repro.nn.unet3d.UNet3D`'s: its ``backward`` returns
+        #: ``dx`` only when built with ``input_grad=True``, on every
+        #: backend.
         self.input_grad = bool(input_grad)
         self._route: str | None = None
         self._x: np.ndarray | None = None

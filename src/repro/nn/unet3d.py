@@ -154,6 +154,12 @@ class UNet3D(Module):
     final_activation:
         ``"sigmoid"`` (paper's binary head) or ``"softmax"`` over the
         class channels, for the original 4-class problem.
+    input_grad:
+        Whether :meth:`backward` returns the gradient with respect to
+        the network input.  Training never needs it, so by default
+        ``backward`` returns ``None`` on every backend and norm, and the
+        fused kernel path skips the first block's input gradient.  Set
+        True to get ``dx`` (gradient checks, input-sensitivity probes).
     """
 
     def __init__(
@@ -169,6 +175,7 @@ class UNet3D(Module):
         norm: str | None = "__from_flag__",
         bottleneck_dropout: float = 0.0,
         dtype=None,
+        input_grad: bool = False,
     ):
         super().__init__()
         if depth < 2:
@@ -190,6 +197,7 @@ class UNet3D(Module):
         self.depth = int(depth)
         self.base_filters = int(base_filters)
         self.transpose_halves = bool(transpose_halves)
+        self.input_grad = bool(input_grad)
 
         filters = [base_filters * 2**s for s in range(depth)]
         self.filters = filters
@@ -200,7 +208,8 @@ class UNet3D(Module):
         self.pools: list[MaxPool3D] = []
         for s in range(depth):
             blk = ConvBlock(ci, filters[s], use_batchnorm, rng, norm=norm,
-                            dtype=self.dtype, input_grad=(s > 0))
+                            dtype=self.dtype,
+                            input_grad=(s > 0 or self.input_grad))
             setattr(self, f"enc{s}", blk)
             self.enc_blocks.append(blk)
             ci = filters[s]
@@ -282,7 +291,7 @@ class UNet3D(Module):
         x = self.head(x)
         return self.out_act(x)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         if self._skip_channels is None:
             raise RuntimeError("backward called before forward")
         dy = self.out_act.backward(dy)
@@ -308,7 +317,7 @@ class UNet3D(Module):
             dy = self.enc_blocks[s].backward(dy)
 
         self._skip_channels = None
-        return dy
+        return dy if self.input_grad else None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference forward pass (eval mode, mode restored afterwards)."""

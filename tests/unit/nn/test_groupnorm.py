@@ -73,7 +73,8 @@ class TestInstanceNorm:
 class TestUNetNormOption:
     @pytest.mark.parametrize("norm", ["batch", "instance", "group", None])
     def test_all_norms_build_and_train(self, norm):
-        net = UNet3D(1, 1, 2, 2, rng=np.random.default_rng(0), norm=norm)
+        net = UNet3D(1, 1, 2, 2, rng=np.random.default_rng(0), norm=norm,
+                     input_grad=True)
         x = rng.normal(size=(2, 1, 4, 4, 4))
         y = net(x)
         dx = net.backward(np.ones_like(y))

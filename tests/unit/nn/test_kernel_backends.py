@@ -77,8 +77,8 @@ class TestRegistry:
             with use_backend(name) as backend:
                 assert backend.supports_fusion == (name == "fused")
 
-    def test_default_backend_is_gemm(self):
-        assert registry.DEFAULT_BACKEND == "gemm"
+    def test_default_backend_is_fused(self):
+        assert registry.DEFAULT_BACKEND == "fused"
 
     def test_set_backend_returns_previous(self):
         before = get_backend()

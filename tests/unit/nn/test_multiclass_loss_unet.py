@@ -106,7 +106,8 @@ class TestSoftmaxUNet:
 
     def test_backward_through_softmax_head(self):
         net = UNet3D(1, 3, 2, 2, final_activation="softmax",
-                     use_batchnorm=False, rng=np.random.default_rng(0))
+                     use_batchnorm=False, rng=np.random.default_rng(0),
+                     input_grad=True)
         x = rng.normal(size=(1, 1, 4, 4, 4))
         y = net(x)
         dx = net.backward(rng.normal(size=y.shape))

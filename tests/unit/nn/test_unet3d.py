@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import PAPER_INPUT_SHAPE, PAPER_OUTPUT_SHAPE, UNet3D
+from repro.nn.kernels import use_backend
 
 rng = np.random.default_rng(3)
 
@@ -81,7 +82,7 @@ class TestArchitecture:
 
 class TestTraining:
     def test_backward_returns_input_gradient(self):
-        net = tiny()
+        net = tiny(input_grad=True)
         x = rng.normal(size=(1, 2, 8, 8, 8))
         y = net(x)
         dx = net.backward(np.ones_like(y))
@@ -110,7 +111,7 @@ class TestTraining:
         from repro.nn import check_module_gradients
 
         net = UNet3D(1, 1, 2, 2, use_batchnorm=False,
-                     rng=np.random.default_rng(0))
+                     rng=np.random.default_rng(0), input_grad=True)
         for name, p in net.named_parameters():
             if name.endswith(".w"):
                 p.value *= 20.0
@@ -167,7 +168,8 @@ class TestVariants:
 
     def test_bottleneck_dropout_variant(self):
         net = UNet3D(2, 1, 2, 2, bottleneck_dropout=0.5,
-                     use_batchnorm=False, rng=np.random.default_rng(0))
+                     use_batchnorm=False, rng=np.random.default_rng(0),
+                     input_grad=True)
         x = rng.normal(size=(2, 2, 8, 8, 8))
         y1 = net(x)
         y2 = net(x)
@@ -186,3 +188,59 @@ class TestVariants:
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.value, pb.value)
+
+
+def _backward_under(backend, norm, input_grad):
+    """One float64 train-mode forward/backward of a seeded tiny U-Net
+    under ``backend``; returns ``(backward's return value, net)``."""
+    net = UNet3D(2, 1, 2, 2, norm=norm, dtype="float64",
+                 rng=np.random.default_rng(7), input_grad=input_grad)
+    x = np.random.default_rng(8).normal(size=(2, 2, 8, 8, 8))
+    with use_backend(backend):
+        y = net(x)
+        dx = net.backward(np.random.default_rng(9).normal(size=y.shape))
+    return dx, net
+
+
+class TestInputGradContract:
+    """``UNet3D.backward`` returns ``dx`` only when built with
+    ``input_grad=True`` -- the same answer on every backend and norm,
+    although only the fused route actually skips the computation."""
+
+    @pytest.mark.parametrize("norm", ["batch", None])
+    @pytest.mark.parametrize("backend", ["reference", "gemm", "fused"])
+    def test_default_returns_none_and_trains_every_parameter(
+            self, backend, norm):
+        dx, net = _backward_under(backend, norm, input_grad=False)
+        assert dx is None
+        for name, p in net.named_parameters():
+            if p.trainable:
+                assert np.abs(p.grad).sum() > 0, f"{name} got no gradient"
+
+    @pytest.mark.parametrize("norm", ["batch", None])
+    @pytest.mark.parametrize("backend", ["reference", "gemm", "fused"])
+    def test_input_grad_true_returns_dx_matching_reference(
+            self, backend, norm):
+        dx, _ = _backward_under(backend, norm, input_grad=True)
+        ref, _ = _backward_under("reference", norm, input_grad=True)
+        assert dx.shape == (2, 2, 8, 8, 8)
+        np.testing.assert_allclose(dx, ref, rtol=1e-9, atol=1e-12)
+
+
+class TestBatchInvariance:
+    """Eval-mode forward of a batch equals the per-sample forwards bit
+    for bit under the default backend: the property served-equals-
+    offline inference rests on, whatever batch a request rides in."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_batched_forward_equals_per_sample(self, side, dtype):
+        net = UNet3D(4, 1, 4, 2, dtype=dtype, rng=np.random.default_rng(0))
+        data = np.random.default_rng(1)
+        net(data.normal(size=(2, 4, 8, 8, 8)))  # touch running stats
+        net.eval()
+        x = data.normal(size=(4, 4, side, side, side)).astype(dtype)
+        batched = net.forward(x)
+        single = np.concatenate([net.forward(x[i:i + 1]) for i in range(4)])
+        assert batched.dtype == np.dtype(dtype)
+        assert np.array_equal(batched, single)
