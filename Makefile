@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-gemm lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels bench-compare examples report api-docs results clean
+.PHONY: install test test-gemm lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels examples report api-docs results clean
 
 install:
 	PIP_NO_BUILD_ISOLATION=false pip install -e .
@@ -18,7 +18,7 @@ test-gemm:
 		tests/unit/nn tests/unit/serve -q
 
 # ruff when available, else the dependency-free fallback in tools/lint.py;
-# always gate the committed benchmark baselines on the trajectory schema
+# always gate the committed BENCH_*.json records on the record schema
 # and the Chrome-trace export contract (self-test exercises the real
 # merged-trace writer including the request-tracing spans)
 lint:
@@ -110,20 +110,6 @@ bench-parallel:
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_kernel_backends.py -q -s
-
-# regression gate over the committed trajectory baselines; the parallel
-# point only gates where a full-size BENCH_parallel.json exists (a full
-# bench-parallel run needs a multi-core host)
-bench-compare:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench compare \
-		benchmarks/BENCH_kernels.json
-	@if [ -f benchmarks/BENCH_parallel.json ]; then \
-		PYTHONPATH=src $(PYTHON) -m repro.cli bench compare \
-			benchmarks/BENCH_parallel.json; \
-	else \
-		echo "bench-compare: no BENCH_parallel.json trajectory point" \
-		     "(full-size bench-parallel needs a multi-core host); skipped"; \
-	fi
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done

@@ -55,7 +55,7 @@ DTYPES = ("float64", "float32")
 MIN_SPEEDUP = 2.0          # gemm over reference, float64
 MIN_FUSED_SPEEDUP = 1.5    # fused over gemm, float32 fast path
 # Smoke runs are quarantined onto BENCH_kernels_smoke.json so they can
-# never overwrite the committed trajectory point.
+# never overwrite the committed record.
 OUT = bench_output_path(__file__, "kernels", smoke=SMOKE)
 
 if SMOKE:
@@ -184,7 +184,7 @@ def test_backend_ladder_parity_and_speedup():
         "base_filters": BASE_FILTERS,
         "depth": DEPTH,
         "backends": rows,
-        # legacy flat fields, kept so the committed trajectory stays
+        # legacy flat fields, kept so the committed record stays
         # comparable across schema generations
         "reference_seconds": round(
             rows["reference"]["float64"]["step_seconds"] * STEPS, 4),

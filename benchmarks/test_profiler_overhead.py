@@ -38,7 +38,7 @@ from repro.telemetry import NULL_HUB, LiveMonitor, TelemetryHub
 SMOKE = is_smoke_env()
 REPEATS = 2 if SMOKE else 3
 MAX_OVERHEAD = 0.05
-# Smoke runs are quarantined onto *_smoke.json trajectory-safe names.
+# Smoke runs are quarantined onto *_smoke.json names.
 OUT = bench_output_path(__file__, "profiler_overhead", smoke=SMOKE)
 OUT_LIVE = bench_output_path(__file__, "live_overhead", smoke=SMOKE)
 OUT_TRACE = bench_output_path(__file__, "trace_overhead", smoke=SMOKE)

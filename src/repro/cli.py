@@ -21,9 +21,6 @@ surface:
 * ``distmis trace``    -- per-request phase waterfalls over a serve
   run's kept traces (``requests.jsonl``): queue_wait / batch_wait /
   dispatch / compute / stitch, naming the dominant phase;
-* ``distmis bench``    -- the benchmark-regression gate: ``compare`` a
-  fresh ``BENCH_*.json`` against the committed trajectory, ``record``
-  a full-size run onto the trajectory history;
 * ``distmis serve-bench`` -- load-test the micro-batched replica pool
   (:mod:`repro.serve`) at a fixed offered rate and write the serving
   latency record ``BENCH_serving.json`` (tail latency, throughput,
@@ -493,62 +490,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_bench_compare(args) -> int:
-    from pathlib import Path
-
-    from .perf.regression import (
-        compare_records,
-        load_bench_record,
-        load_trajectory,
-    )
-
-    candidate_path = Path(args.candidate)
-    bench_dir = Path(args.bench_dir)
-    baseline_path = Path(args.baseline) if args.baseline else \
-        bench_dir / candidate_path.name.replace("_smoke.json", ".json")
-    try:
-        candidate = load_bench_record(candidate_path)
-    except (OSError, ValueError) as exc:
-        print(f"candidate {candidate_path}: {exc}", file=sys.stderr)
-        return 1
-    if not baseline_path.exists():
-        print(f"no trajectory baseline at {baseline_path} -- commit a "
-              "full-size run first", file=sys.stderr)
-        return 1
-    try:
-        baseline = load_bench_record(baseline_path)
-    except ValueError as exc:
-        print(f"baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 1
-    history = load_trajectory(bench_dir, baseline.benchmark,
-                              host_key=baseline.host_key)
-    report = compare_records(baseline, candidate,
-                             rel_threshold=args.threshold,
-                             history=history, strict_host=args.strict_host)
-    print(report.describe())
-    if report.quarantined is not None:
-        # A smoke candidate never gates; a smoke *baseline* means the
-        # committed trajectory itself is corrupt -- that must fail.
-        return 0 if candidate.smoke else 1
-    return 0 if report.ok else 1
-
-
-def cmd_bench_record(args) -> int:
-    from pathlib import Path
-
-    from .perf.regression import append_trajectory, load_bench_record
-
-    try:
-        record = load_bench_record(args.candidate)
-        path = append_trajectory(record, Path(args.bench_dir))
-    except (OSError, ValueError) as exc:
-        print(f"{args.candidate}: {exc}", file=sys.stderr)
-        return 1
-    print(f"{record.benchmark}: {len(record.metrics)} metric(s) appended "
-          f"to {path}")
-    return 0
-
-
 def cmd_serve_bench(args) -> int:
     import tempfile
     from pathlib import Path
@@ -896,34 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render the N slowest kept requests")
     p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser("bench", help="benchmark-regression tracking")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-    c = bsub.add_parser("compare",
-                        help="gate a fresh BENCH_*.json against the "
-                             "committed trajectory")
-    c.add_argument("candidate", help="freshly written BENCH_*.json")
-    c.add_argument("--baseline", default=None,
-                   help="trajectory point to diff against (default: the "
-                        "committed file of the same name in --bench-dir)")
-    c.add_argument("--bench-dir", default="benchmarks",
-                   help="directory holding the committed trajectory")
-    c.add_argument("--threshold", type=float, default=0.15,
-                   help="relative regression band (widened per metric by "
-                        "the trajectory's measured noise)")
-    c.add_argument("--strict-host", action="store_true",
-                   help="gate even when host/BLAS metadata differ "
-                        "(default: cross-host comparisons are advisory)")
-    c.set_defaults(fn=cmd_bench_compare)
-    c = bsub.add_parser("record",
-                        help="append a full-size run to the trajectory "
-                             "history JSONL")
-    c.add_argument("candidate", help="BENCH_*.json to append")
-    c.add_argument("--bench-dir", default="benchmarks")
-    c.set_defaults(fn=cmd_bench_record)
-
     p = sub.add_parser("serve-bench",
                        help="load-test the micro-batched replica pool "
-                            "and record the serving latency trajectory")
+                            "and write the serving latency record")
     p.add_argument("--rps", type=float, default=20.0,
                    help="offered request rate (open loop)")
     p.add_argument("--duration", type=float, default=3.0,

@@ -4,8 +4,10 @@ Analytic cost accounting for 3D U-Net training at cluster scale
 (:mod:`~repro.perf.costs`), straggler order statistics
 (:mod:`~repro.perf.straggler`), search-level elapsed-time / speed-up
 tables (:mod:`~repro.perf.speedup`), the Table I calibration
-(:mod:`~repro.perf.calibration`) and the benchmark-regression tracker
-behind ``distmis bench compare`` (:mod:`~repro.perf.regression`).
+(:mod:`~repro.perf.calibration`) and the schema, naming and host
+metadata of the committed ``BENCH_*.json`` records
+(:mod:`~repro.perf.regression`); regressions are gated by ``perfbench/``
+against ``BENCHMARK.json``.
 """
 
 from .calibration import (
@@ -52,18 +54,9 @@ from .speedup import (
     paper_search_grid,
 )
 from .regression import (
-    BenchRecord,
-    CompareReport,
-    MetricDelta,
-    append_trajectory,
     bench_output_path,
-    compare_records,
     host_metadata,
-    hosts_comparable,
     is_smoke_env,
-    load_bench_record,
-    load_trajectory,
-    metric_directions,
     validate_record,
 )
 from .straggler import expected_max_factor, sample_max_factor
@@ -110,17 +103,8 @@ __all__ = [
     "TrialBreakdown",
     "epoch_breakdown",
     "simulate_trial_timeline",
-    "BenchRecord",
-    "CompareReport",
-    "MetricDelta",
-    "append_trajectory",
     "bench_output_path",
-    "compare_records",
     "host_metadata",
-    "hosts_comparable",
     "is_smoke_env",
-    "load_bench_record",
-    "load_trajectory",
-    "metric_directions",
     "validate_record",
 ]

@@ -1,64 +1,51 @@
-"""Benchmark-regression tracking over the committed ``BENCH_*.json``.
+"""Schema, naming and host metadata for the committed ``BENCH_*.json``.
 
-The benchmark suite (``benchmarks/test_*.py``) writes one
-machine-readable summary per benchmark -- timings, derived speedups and
-the host/BLAS metadata that make numbers comparable across machines.
-Committed summaries form the performance **trajectory** of the repo:
-each is an append-only baseline a fresh run can be diffed against, and
-``distmis bench compare`` is that diff as a CI gate.
+The benchmark suite (``benchmarks/test_*.py``) and ``distmis
+serve-bench`` write one machine-readable summary per benchmark --
+timings, derived speedups and the host/BLAS metadata that say where
+they were measured.  The committed summaries are schema-checked
+evidence for the experiments that cite them (``make lint`` runs
+``tools/check_bench_schema.py``); they are not a regression gate.
+Regressions are gated by ``perfbench/`` against ``BENCHMARK.json``,
+run as alternating parent/change pairs on one host.
 
-Three rules keep the gate honest:
+What is left here:
 
-* **Smoke quarantine** -- ``DISTMIS_BENCH_SMOKE=1`` runs write
-  ``BENCH_*_smoke.json`` (see :func:`bench_output_path`), so a smoke
-  run can never overwrite a trajectory file, and any record carrying
-  ``"smoke": true`` is rejected from comparisons outright: smoke-scale
-  numbers are interpreter-bound and say nothing about the kernels.
-* **Host awareness** -- records embed cpu count, machine and BLAS
-  vendor.  When candidate and baseline disagree on any of these the
-  comparison is *advisory* (reported, never failed) unless
-  ``strict_host`` forces it: a laptop cannot regress a cluster's
-  baseline.
-* **Noise-aware thresholds** -- a metric only regresses when it moves
-  past ``max(rel_threshold, NOISE_SIGMAS * cv)`` where ``cv`` is the
-  coefficient of variation over the trajectory history for that metric
-  (when >= MIN_HISTORY points exist).  A metric with a noisy history
-  earns a wider band instead of flapping.
-
-Metric direction is inferred from naming (``*_seconds`` and
-``*overhead*`` are lower-is-better, ``*speedup*`` and ``*throughput*``
-higher-is-better); everything else is informational only.
+* **Record schema** -- :func:`validate_record` checks the required keys
+  (:data:`SCHEMA_REQUIRED_KEYS`), at least one numeric metric outside
+  the ``host`` block, the per-benchmark metrics in
+  :data:`REQUIRED_METRICS` (flattened dot-paths) and the serving
+  record's latency histogram.
+* **Smoke-file naming** -- ``DISTMIS_BENCH_SMOKE=1`` runs write
+  ``BENCH_*_smoke.json`` (:func:`bench_output_path`), so a smoke run
+  never overwrites a committed record; :func:`committed_records` and
+  :data:`UNTRACKED_RECORDS` name the files the schema gate checks.
+* **Host metadata** -- :func:`host_metadata` is the cpu count, machine
+  and BLAS block every summary (and every perfbench result) embeds.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
-    "BenchRecord", "MetricDelta", "CompareReport", "SCHEMA_REQUIRED_KEYS",
-    "REQUIRED_METRICS",
+    "SCHEMA_REQUIRED_KEYS", "REQUIRED_METRICS", "UNTRACKED_RECORDS",
     "bench_output_path", "is_smoke_env", "host_metadata",
-    "load_bench_record", "validate_record", "metric_directions",
-    "hosts_comparable", "compare_records", "append_trajectory",
-    "load_trajectory", "TRAJECTORY_JSONL", "UNTRACKED_RECORDS",
-    "committed_records",
+    "validate_record", "committed_records",
 ]
 
-# Keys every benchmark summary must carry to join the trajectory.
+# Keys every benchmark summary must carry.
 SCHEMA_REQUIRED_KEYS = ("benchmark", "smoke", "host")
 
 # Per-benchmark required metrics (flattened dot-paths): a record
 # claiming one of these benchmark names must carry them, so a serving
-# run that lost its percentiles can never silently join the trajectory.
+# run that lost its percentiles can never be committed silently.
 REQUIRED_METRICS = {
     # the per-priority block must carry every standard level (the bench
     # zero-fills unused ones) and the shed count, so a serving record
-    # that lost its overload accounting can never join the trajectory
+    # that lost its overload accounting fails the schema gate
     "serving": ("latency_seconds.p50", "latency_seconds.p95",
                 "latency_seconds.p99", "throughput_rps",
                 "priorities.high.latency_seconds.p99",
@@ -66,7 +53,7 @@ REQUIRED_METRICS = {
                 "priorities.low.latency_seconds.p99",
                 "requests.shed"),
     # every backend x dtype row must be present, so a kernel record that
-    # silently dropped a backend can never join the trajectory
+    # silently dropped a backend fails the schema gate
     "kernel_backends": tuple(
         f"backends.{b}.{d}.step_seconds"
         for b in ("reference", "gemm", "fused")
@@ -74,22 +61,11 @@ REQUIRED_METRICS = {
     ) + ("speedup", "fused_speedup_vs_gemm"),
 }
 
-# A candidate regresses when it moves past the larger of these bands.
-DEFAULT_REL_THRESHOLD = 0.15
-NOISE_SIGMAS = 3.0
-MIN_HISTORY = 3
-
-TRAJECTORY_JSONL = "BENCH_trajectory.jsonl"
-
 # Full-run summaries that stay local (host-specific or re-measured on
-# demand); ``.gitignore`` keeps them and every smoke record off the
-# trajectory, and ``make clean`` deletes them.
+# demand); ``.gitignore`` keeps them and every smoke record out of the
+# repo, and ``make clean`` deletes them.
 UNTRACKED_RECORDS = ("BENCH_parallel.json", "BENCH_profiler_overhead.json",
                      "BENCH_live_overhead.json", "BENCH_trace_overhead.json")
-
-_LOWER_SUFFIXES = ("_seconds", "_s")
-_LOWER_TOKENS = ("overhead", "latency", "rss")
-_HIGHER_TOKENS = ("speedup", "throughput", "efficiency")
 
 
 def is_smoke_env(environ=None) -> bool:
@@ -102,9 +78,9 @@ def bench_output_path(anchor, name: str, smoke: bool | None = None) -> Path:
     """Where a benchmark writes its summary.
 
     ``anchor`` is the benchmark module's ``__file__``; full runs land on
-    the trajectory file ``BENCH_<name>.json`` while smoke runs are
+    the committed file ``BENCH_<name>.json`` while smoke runs are
     quarantined onto ``BENCH_<name>_smoke.json`` so they can never
-    clobber a committed trajectory point.
+    clobber a committed record.
     """
     smoke = is_smoke_env() if smoke is None else smoke
     suffix = "_smoke" if smoke else ""
@@ -112,7 +88,7 @@ def bench_output_path(anchor, name: str, smoke: bool | None = None) -> Path:
 
 
 def committed_records(bench_dir) -> list[Path]:
-    """The trajectory records in ``bench_dir``: every ``BENCH_*.json``
+    """The committed records in ``bench_dir``: every ``BENCH_*.json``
     except the untracked ones (:data:`UNTRACKED_RECORDS`, ``*_smoke``).
 
     Decided by name alone, so a stale local record never reaches the
@@ -148,26 +124,6 @@ def host_metadata() -> dict:
         meta.setdefault("numpy", None)
         meta["blas"] = None
     return meta
-
-
-# -- records -----------------------------------------------------------------
-@dataclass
-class BenchRecord:
-    """One parsed benchmark summary (a trajectory point or candidate)."""
-
-    benchmark: str
-    smoke: bool
-    host: dict
-    metrics: dict            # flat {name: float} of comparable numbers
-    raw: dict = field(default_factory=dict, repr=False)
-    path: str | None = None
-
-    @property
-    def host_key(self) -> tuple:
-        """The identity under which numbers are comparable."""
-        blas = self.host.get("blas") or {}
-        return (self.host.get("machine"), self.host.get("cpu_count"),
-                blas.get("name") if isinstance(blas, dict) else blas)
 
 
 def _flatten_numeric(obj, prefix: str = "", out: dict | None = None) -> dict:
@@ -206,7 +162,8 @@ def validate_record(obj, path=None) -> list[str]:
                 "must write *_smoke.json)")
         if not obj.get("smoke", False) and name.endswith("_smoke.json"):
             problems.append(f"{where}full-size record on a *_smoke.json name")
-    flat = _flatten_numeric(obj if isinstance(obj, dict) else {})
+    # the host block says where a record was measured, not what it measured
+    flat = _flatten_numeric({k: v for k, v in obj.items() if k != "host"})
     if not flat:
         problems.append(f"{where}no numeric metrics to track")
     for needed in REQUIRED_METRICS.get(str(obj.get("benchmark", "")), ()):
@@ -224,7 +181,7 @@ def _validate_latency_histogram(obj: dict, where: str) -> list[str]:
     non-empty list of ``[edge_seconds, cumulative_count]`` pairs with
     strictly increasing edges and non-decreasing counts.  Stored as a
     list precisely so :func:`_flatten_numeric` (dicts only) never turns
-    raw bucket counts into gated trajectory metrics."""
+    raw bucket counts into record metrics."""
     hist = obj.get("latency_histogram")
     if not isinstance(hist, dict) or "buckets" not in hist:
         return [f"{where}serving record requires "
@@ -248,201 +205,3 @@ def _validate_latency_histogram(obj: dict, where: str) -> list[str]:
                     "non-decreasing"]
         prev_edge, prev_count = edge, count
     return []
-
-
-def load_bench_record(path) -> BenchRecord:
-    """Parse and validate one ``BENCH_*.json``; raises ``ValueError`` on
-    schema violations."""
-    path = Path(path)
-    obj = json.loads(path.read_text())
-    problems = validate_record(obj, path=path)
-    if problems:
-        raise ValueError("; ".join(problems))
-    metrics = {k: v for k, v in _flatten_numeric(obj).items()
-               if not k.startswith("host.")}
-    return BenchRecord(benchmark=str(obj["benchmark"]),
-                       smoke=bool(obj["smoke"]), host=dict(obj["host"]),
-                       metrics=metrics, raw=obj, path=str(path))
-
-
-def metric_directions(metrics: dict) -> dict[str, str]:
-    """``{name: "lower"|"higher"}`` for the metrics worth gating on.
-
-    Any path component counts (``kernel_seconds.gemm.conv3d_forward``
-    is lower-is-better via its ``kernel_seconds`` ancestor), with the
-    leaf taking precedence when components disagree.
-    """
-    out: dict[str, str] = {}
-    for name in metrics:
-        for part in reversed(name.lower().split(".")):
-            if any(tok in part for tok in _HIGHER_TOKENS):
-                out[name] = "higher"
-                break
-            if part.endswith(_LOWER_SUFFIXES) or \
-                    any(tok in part for tok in _LOWER_TOKENS):
-                out[name] = "lower"
-                break
-    return out
-
-
-def hosts_comparable(a: BenchRecord, b: BenchRecord) -> list[str]:
-    """Why two records' hosts are *not* comparable (empty = same class)."""
-    reasons = []
-    for (ka, kb, label) in zip(a.host_key, b.host_key,
-                               ("machine", "cpu_count", "blas")):
-        if ka != kb:
-            reasons.append(f"{label}: {ka!r} vs {kb!r}")
-    return reasons
-
-
-# -- comparison --------------------------------------------------------------
-@dataclass
-class MetricDelta:
-    """One metric's baseline-vs-candidate movement."""
-
-    name: str
-    direction: str           # "lower" | "higher"
-    baseline: float
-    candidate: float
-    rel_change: float        # signed, positive = got worse
-    threshold: float
-    regressed: bool
-
-    def describe(self) -> str:
-        arrow = "worse" if self.rel_change > 0 else "better"
-        flag = "REGRESSED" if self.regressed else "ok"
-        return (f"{self.name}: {self.baseline:g} -> {self.candidate:g} "
-                f"({self.rel_change * 100:+.1f}% {arrow}, "
-                f"band {self.threshold * 100:.0f}%) [{flag}]")
-
-
-@dataclass
-class CompareReport:
-    """Outcome of one candidate-vs-baseline comparison."""
-
-    benchmark: str
-    deltas: list[MetricDelta]
-    host_mismatch: list[str]
-    advisory: bool           # host mismatch downgraded failures to warnings
-    quarantined: str | None = None   # set when a smoke record was rejected
-
-    @property
-    def regressions(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.regressed]
-
-    @property
-    def ok(self) -> bool:
-        return self.quarantined is None and (
-            self.advisory or not self.regressions)
-
-    def describe(self) -> str:
-        lines = [f"bench compare: {self.benchmark}"]
-        if self.quarantined:
-            lines.append(f"  QUARANTINED: {self.quarantined}")
-            return "\n".join(lines)
-        if self.host_mismatch:
-            mode = "advisory (not gating)" if self.advisory else "gating"
-            lines.append("  host mismatch [" + "; ".join(self.host_mismatch)
-                         + f"] -- {mode}")
-        for d in self.deltas:
-            lines.append("  " + d.describe())
-        lines.append(f"  => {'OK' if self.ok else 'REGRESSION'} "
-                     f"({len(self.regressions)} regressed metric(s))")
-        return "\n".join(lines)
-
-
-def _noise_threshold(history: list[float]) -> float:
-    if len(history) < MIN_HISTORY:
-        return 0.0
-    mean = sum(history) / len(history)
-    if mean == 0:
-        return 0.0
-    var = sum((v - mean) ** 2 for v in history) / (len(history) - 1)
-    return NOISE_SIGMAS * math.sqrt(var) / abs(mean)
-
-
-def compare_records(baseline: BenchRecord, candidate: BenchRecord,
-                    rel_threshold: float = DEFAULT_REL_THRESHOLD,
-                    history: dict[str, list[float]] | None = None,
-                    strict_host: bool = False) -> CompareReport:
-    """Diff a candidate run against a trajectory baseline.
-
-    ``history`` maps metric name to its past trajectory values (same
-    host class) and widens the per-metric band to the measured noise.
-    """
-    if candidate.smoke:
-        return CompareReport(
-            benchmark=candidate.benchmark, deltas=[], host_mismatch=[],
-            advisory=False,
-            quarantined="candidate is a smoke record (interpreter-bound "
-                        "numbers never gate the trajectory)")
-    if baseline.smoke:
-        return CompareReport(
-            benchmark=candidate.benchmark, deltas=[], host_mismatch=[],
-            advisory=False,
-            quarantined="baseline is a smoke record -- regenerate the "
-                        "trajectory file with a full-size run")
-    mismatch = hosts_comparable(baseline, candidate)
-    advisory = bool(mismatch) and not strict_host
-    directions = metric_directions(baseline.metrics)
-    deltas: list[MetricDelta] = []
-    for name, direction in sorted(directions.items()):
-        if name not in candidate.metrics:
-            continue
-        base, cand = baseline.metrics[name], candidate.metrics[name]
-        if base == 0:
-            continue
-        # positive rel_change == moved in the "worse" direction
-        change = (cand - base) / abs(base)
-        if direction == "higher":
-            change = -change
-        band = max(rel_threshold,
-                   _noise_threshold((history or {}).get(name, [])))
-        deltas.append(MetricDelta(
-            name=name, direction=direction, baseline=base, candidate=cand,
-            rel_change=change, threshold=band,
-            regressed=change > band))
-    return CompareReport(benchmark=candidate.benchmark, deltas=deltas,
-                         host_mismatch=mismatch, advisory=advisory)
-
-
-# -- trajectory history ------------------------------------------------------
-def append_trajectory(record: BenchRecord, bench_dir) -> Path:
-    """Append a full-size record to the benchmark directory's history
-    JSONL (one line per run; smoke records are refused)."""
-    if record.smoke:
-        raise ValueError("smoke records are quarantined from the trajectory")
-    path = Path(bench_dir) / TRAJECTORY_JSONL
-    row = {"t_wall": time.time(), "benchmark": record.benchmark,
-           "host_key": list(record.host_key), "metrics": record.metrics}
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return path
-
-
-def load_trajectory(bench_dir, benchmark: str,
-                    host_key: tuple | None = None
-                    ) -> dict[str, list[float]]:
-    """Per-metric value history for one benchmark (optionally filtered
-    to one host class), oldest first -- feeds the noise bands."""
-    path = Path(bench_dir) / TRAJECTORY_JSONL
-    history: dict[str, list[float]] = {}
-    if not path.exists():
-        return history
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail
-            if row.get("benchmark") != benchmark:
-                continue
-            if host_key is not None and \
-                    tuple(row.get("host_key", ())) != tuple(host_key):
-                continue
-            for name, value in row.get("metrics", {}).items():
-                history.setdefault(name, []).append(float(value))
-    return history

@@ -6,8 +6,8 @@ processes (:mod:`repro.execpool`) behind an admission queue with
 dynamic micro-batching, size-based routing between full-volume and
 sliding-window inference, heartbeat/fail-over-backed retries for
 replica crashes, and a telemetry-driven autoscaler.  ``distmis
-serve-bench`` load-tests the stack and records the serving latency
-trajectory (``BENCH_serving.json``).
+serve-bench`` load-tests the stack and writes the serving latency
+record (``BENCH_serving.json``).
 
 Small requests ride whole-request full-volume tasks.  Large requests
 are always served scatter--gather: the driver decomposes a

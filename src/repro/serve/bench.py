@@ -5,9 +5,9 @@ rate for a fixed duration and summarises what came back -- tail latency
 (p50/p95/p99) overall, per priority and per workload class, achieved
 throughput, shed count and the micro-batch size histogram -- as a
 ``BENCH_serving.json`` record in the same schema the kernel and scaling
-benchmarks use (:mod:`repro.perf.regression`), so serving latency
-becomes the repo's third tracked performance trajectory next to compute
-and scaling.
+benchmarks use (:mod:`repro.perf.regression`).  The committed record is
+schema-checked evidence for experiment E21; serving regressions are
+gated by perfbench's ``serve_small``/``serve_mixed`` workloads.
 
 The generator is **open-loop** (arrivals follow the schedule, never the
 responses), the standard way to expose queueing delay: a closed loop
@@ -42,7 +42,7 @@ __all__ = ["run_serve_bench", "write_serving_record",
            "STANDARD_PRIORITIES"]
 
 # the per-priority latency block always carries these levels (zero-count
-# when unused) so the regression gate's required metrics are present in
+# when unused) so the record schema's required metrics are present in
 # every serving record, whatever mix a given run offered
 STANDARD_PRIORITIES = ("high", "normal", "low")
 
@@ -176,11 +176,11 @@ def run_serve_bench(server, volumes, rps: float, duration_s: float,
         "latency_seconds": _percentiles(
             [r.latency_s for r, _, _ in responses]),
         # The fixed SLO bucket grid as [edge_seconds, cumulative_count]
-        # pairs.  A *list* (not a dict) on purpose: the regression
-        # gate's flattener only descends dicts, so raw bucket counts
-        # never become gated trajectory metrics (the percentiles above
-        # are the gated summary), while the full distribution is still
-        # persisted for cross-run histogram diffs.
+        # pairs.  A *list* (not a dict) on purpose: the record schema's
+        # flattener only descends dicts, so raw bucket counts never
+        # become record metrics (the percentiles above are the
+        # summary), while the full distribution is still persisted for
+        # cross-run histogram diffs.
         "latency_histogram": {"buckets": server.latency_histogram()},
         "priorities": priorities,
         "throughput_rps": len(responses) / elapsed,

@@ -16,7 +16,7 @@ class TestParser:
         assert commands == {
             "table1", "fig4", "train", "search", "simulate", "profile",
             "calibrate", "report", "summary", "telemetry", "top", "trace",
-            "bench", "serve-bench",
+            "serve-bench",
         }
 
     def test_missing_command_errors(self):

@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Lint gate: every committed ``benchmarks/BENCH_*.json`` must satisfy
-the trajectory schema (``repro.perf.regression``).
+the record schema (``repro.perf.regression``).  The committed records are
+schema-checked evidence cited by EXPERIMENTS.md; the regression gate is
+``perfbench/`` against ``BENCHMARK.json``.
 
 Checks, per file: valid JSON object; required keys (``benchmark``,
 ``smoke``, ``host``); smoke records only on ``*_smoke.json`` filenames
-(and vice versa -- a smoke run must never masquerade as a trajectory
-point); at least one trackable numeric metric; per-benchmark required
-metrics (``REQUIRED_METRICS``: a ``BENCH_serving.json`` record must
+(and vice versa -- a smoke run must never masquerade as a committed
+record); at least one numeric metric outside the ``host`` block;
+per-benchmark required metrics (``REQUIRED_METRICS``: a ``BENCH_serving.json`` record must
 carry ``latency_seconds.p50/.p95/.p99``, ``throughput_rps``, the
 per-priority tail latencies
 ``priorities.<high|normal|low>.latency_seconds.p99`` and the overload
@@ -17,8 +19,7 @@ record, never a quiet run; a
 ``backends.<reference|gemm|fused>.<float64|float32>.step_seconds`` row
 plus ``speedup`` and ``fused_speedup_vs_gemm``).
 Exits non-zero with one line per violation, so ``make lint`` fails
-before a malformed or quarantine-violating record lands on the
-trajectory.
+before a malformed or quarantine-violating record is committed.
 
 Arguments may be directories (every committed ``BENCH_*.json`` inside
 is linted, see ``repro.perf.regression.committed_records``: git-ignored
