@@ -849,7 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=4,
                    help="micro-batch size cap")
     p.add_argument("--max-delay-ms", type=float, default=10.0,
-                   help="micro-batch coalescing deadline")
+                   help="micro-batch coalescing deadline, binding only "
+                        "while every replica is busy")
     p.add_argument("--autoscale", action="store_true",
                    help="let the backlog-driven autoscaler resize the "
                         "pool during the run")

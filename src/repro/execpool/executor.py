@@ -359,10 +359,14 @@ class ProcessPoolTrialExecutor:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            # liveness is checked every 0.2 s; a short timeout caps the
+            # slice so the call never oversleeps it
+            block = 0.2 if deadline is None else min(
+                0.2, max(0.0, deadline - time.monotonic()))
             try:
-                return self._result_q.get(timeout=0.2)
+                return self._result_q.get(timeout=block)
             except queue_mod.Empty:
-                if deadline is not None and time.monotonic() > deadline:
+                if deadline is not None and time.monotonic() >= deadline:
                     raise TimeoutError(
                         "no worker message within timeout") from None
                 if not any(p.is_alive() for p in self._procs):

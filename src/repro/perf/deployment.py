@@ -192,8 +192,11 @@ def plan_serving_capacity(
     Picks the batch size (<= ``max_batch``) that minimises replica count
     and, at a tie, latency; pools are sized so demand stays below
     ``utilization`` of capacity (queueing headroom).  The latency bound
-    is the batcher's worst case: a request can wait ``max_delay_s`` for
-    its batch to fill, then one full batch service time.
+    is the batcher's worst case under saturated load: with every
+    replica busy a request can wait ``max_delay_s`` for its batch to
+    fill, then one full batch service time.  (The batcher is
+    work-conserving, so a request arriving at an idle replica pays no
+    deadline wait; the bound still holds.)
     """
     if target_rps <= 0:
         raise ValueError("target_rps must be positive")

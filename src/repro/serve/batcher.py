@@ -3,7 +3,11 @@
 The admission queue groups compatible work items (same inference
 strategy, per-sample shape and dtype -- a batch must stack into one
 array, or share one replica task) and releases a group as soon as it
-fills to ``max_batch`` *or* its oldest item has waited ``max_delay_s``.
+fills to ``max_batch``, a replica is idle, *or* its oldest item has
+waited ``max_delay_s``.  Batching is work-conserving: the deadline only
+binds while every replica is busy, because holding a partial batch
+back from an idle replica buys no throughput and costs its whole wait
+in latency.
 Batching amortises the per-invocation dispatch cost (queue hand-off,
 pickling across the process boundary, one task per batch); the
 per-sample forward time itself is batch-invariant because replicas run
@@ -24,8 +28,9 @@ Items of the *same* request always release in arrival (chunk) order,
 and with one item per request (classic full-volume traffic) the
 schedule degenerates to exact FIFO.
 
-``due(now, limit=...)`` lets the server cap how many batches leave per
-step (dispatch credits): whatever is not released keeps accumulating
+``due(now, limit=..., idle=...)`` lets the server cap how many batches
+leave per step (dispatch credits) and say how many replicas have
+nothing to do (``idle``): whatever is not released keeps accumulating
 here -- where arrival order and fairness state live -- instead of
 head-of-line-blocking the replicas' shared FIFO task queue.
 
@@ -36,7 +41,6 @@ health board in :mod:`repro.telemetry.live`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["BatchKey", "MicroBatcher"]
@@ -60,14 +64,17 @@ class _Item:
 
 
 class MicroBatcher:
-    """Deadline/size-triggered coalescing with weighted-fair ordering.
+    """Work-conserving micro-batching with weighted-fair ordering.
 
     >>> mb = MicroBatcher(max_batch=4, max_delay_s=0.01)
     >>> mb.add("r0", key, now=0.0)
     >>> mb.due(now=0.005)          # neither full nor expired
     []
-    >>> mb.due(now=0.02)           # deadline flush with a partial batch
+    >>> mb.due(now=0.005, idle=1)  # ... but a replica has nothing to do
     [(key, ['r0'])]
+    >>> mb.add("r1", key, now=0.006)
+    >>> mb.due(now=0.02)           # all busy: deadline flush, partial
+    [(key, ['r1'])]
     """
 
     def __init__(self, max_batch: int = 4, max_delay_s: float = 0.01):
@@ -165,14 +172,22 @@ class MicroBatcher:
         for rid in [r for r in self._pass if r not in live]:
             del self._pass[rid]
 
-    def due(self, now: float,
-            limit: int | None = None) -> list[tuple[BatchKey, list[str]]]:
-        """Release batches that are full or past their deadline, at
-        most ``limit`` batches (None = all).
+    def due(self, now: float, limit: int | None = None,
+            idle: int = 0) -> list[tuple[BatchKey, list[str]]]:
+        """Release batches that are full or past their deadline, plus
+        partial ones for ``idle`` replicas; at most ``limit`` batches
+        (None = all).
 
         Eligibility is by deadline: a full batch is due at its oldest
-        item's *arrival*, a partial one at ``oldest + max_delay_s``
-        (the per-request latency bound the capacity model in
+        item's *arrival*, a partial one at ``oldest + max_delay_s``.
+        Batching is work-conserving: while fewer than ``idle`` batches
+        have left in this call, groups that are not yet due are
+        eligible too, so a replica with nothing to do never waits for
+        a deadline.  Full and deadline-due batches leave ahead of early
+        ones and use up ``idle`` first, so a partial batch is never
+        pushed behind work that was due anyway.  The deadline therefore
+        binds only while every replica is busy (``idle=0``: the
+        saturated-load bound the capacity model in
         :mod:`repro.perf.deployment` assumes).  *Order* among eligible
         groups is by the weighted-fair scheduler, not FIFO: the next
         batch comes from the group holding the request with the
@@ -185,19 +200,22 @@ class MicroBatcher:
         """
         released: list[tuple[BatchKey, list[str]]] = []
         while limit is None or len(released) < limit:
+            early = len(released) < idle
             best_key = None
-            best_rank = (math.inf, math.inf, "")
+            best_rank = None
             for key, group in self._groups.items():
                 if not group:
                     continue
                 oldest = self._oldest(group)
                 due_at = (oldest if len(group) >= self.max_batch
                           else oldest + self.max_delay_s)
-                if due_at > now:
+                if due_at > now and not early:
                     continue
-                rank = min((self._pass[it.request_id], it.arrival,
-                            it.request_id) for it in group)
-                if rank < best_rank:
+                # due groups rank ahead of early ones, fair order within
+                rank = (due_at > now,) + min(
+                    (self._pass[it.request_id], it.arrival, it.request_id)
+                    for it in group)
+                if best_rank is None or rank < best_rank:
                     best_rank = rank
                     best_key = key
             if best_key is None:

@@ -35,7 +35,8 @@ with an admission queue:
   releases due batches under dispatch credits
   (``max_inflight_per_replica`` tasks per live replica, so the backlog
   accumulates in the fair batcher rather than the replicas' FIFO task
-  queue), heals the pool to its target size, and applies
+  queue; a partial batch leaves at once while a replica is idle),
+  heals the pool to its target size, and applies
   :class:`~repro.serve.autoscaler.Autoscaler` decisions -- shed
   admissions count as backlog pressure so shedding cannot starve the
   scale-up signal.
@@ -94,7 +95,9 @@ class ServeConfig:
     model_kwargs: dict = field(default_factory=dict)
     replicas: int = 2
     max_batch: int = 4
-    max_delay_ms: float = 10.0    # micro-batch deadline
+    # micro-batch deadline; binds only while every replica is busy (an
+    # idle replica takes a partial batch at once)
+    max_delay_ms: float = 10.0
     # volumes whose spatial voxel count exceeds this go to the
     # sliding-window strategy instead of one full-volume pass
     full_volume_max_voxels: int = 64 ** 3
@@ -593,6 +596,15 @@ class ModelServer:
             self._chunk_items.pop(_chunk_item_id(rid, ci), None)
 
     # -- the driver loop ----------------------------------------------------
+    def _credits(self) -> int:
+        """Dispatch credits: tasks that may still be released.  At most
+        ``max_inflight_per_replica`` tasks per live replica sit on the
+        shared FIFO task queue; everything else waits in the batcher,
+        where release order is weighted-fair."""
+        return (self.executor.worker_count()
+                * self.config.max_inflight_per_replica
+                - len(self._inflight))
+
     def step(self, now: float | None = None) -> int:
         """Advance the control loop once; returns messages processed.
 
@@ -612,14 +624,13 @@ class ModelServer:
             self._handle(msg)
             processed += 1
         self._fail_over_dead(now)
-        # dispatch credits: keep at most max_inflight_per_replica tasks
-        # per live replica on the shared FIFO task queue; everything
-        # else waits in the batcher, where release order is weighted-fair
-        credits = (self.executor.worker_count()
-                   * self.config.max_inflight_per_replica
-                   - len(self._inflight))
+        credits = self._credits()
         if credits > 0:
-            for key, items in self.batcher.due(now, limit=credits):
+            # work-conserving: each idle replica takes a partial batch
+            # now; the deadline binds only while every replica is busy
+            idle = max(0, self.executor.worker_count() - len(self._inflight))
+            for key, items in self.batcher.due(now, limit=credits,
+                                               idle=idle):
                 self._dispatch(key, items, now=now)
         self._autoscale(now)
         inflight_requests = len(
@@ -663,9 +674,11 @@ class ModelServer:
                     f"{len(self._pending)} requests still pending after "
                     f"{timeout_s:g}s")
             # idle: block briefly for the next message instead of
-            # spinning, bounded so deadline flushes stay on time
+            # spinning, bounded so deadline flushes stay on time.  With
+            # no credit free only a returning task can release anything,
+            # so the deadline is moot and the wait stays event-driven.
             wait = self.batcher.next_deadline()
-            block = 0.05 if wait is None else max(
+            block = 0.05 if wait is None or self._credits() <= 0 else max(
                 0.001, min(0.05, wait - time.monotonic()))
             try:
                 self._handle(self.executor.next_message(timeout=block))

@@ -106,21 +106,49 @@ class TestKernelAttribution:
 
 
 class TestMicroBatching:
-    def test_deadline_flushes_partial_batch(self, checkpoint):
-        """Two requests against max_batch=8 never fill the batch; the
-        max_delay_ms deadline must release them anyway."""
-        cfg = serve_config(checkpoint, max_batch=8, max_delay_ms=40.0)
+    def test_idle_replica_releases_partial_batch_at_once(self, checkpoint):
+        """Work-conserving batching: two requests against max_batch=8
+        never fill the batch, but the replica is idle, so the partial
+        batch leaves on the first step instead of at the deadline."""
+        cfg = serve_config(checkpoint, max_batch=8, max_delay_ms=10_000.0)
         with ModelServer(cfg) as server:
             t0 = time.monotonic()
             futs = [server.submit(v) for v in volumes(2)]
             server.step()
-            # before the deadline nothing is dispatched
-            assert server.batcher.depth() == 2
+            assert server.batcher.depth() == 0
             server.drain(timeout_s=60)
             elapsed = time.monotonic() - t0
             responses = [f.result() for f in futs]
         assert [r.batch_size for r in responses] == [2, 2]
+        assert elapsed < 5.0  # far inside the 10 s deadline
+        assert all(r.queue_wait_s < 5.0 for r in responses)
+
+    def test_deadline_holds_partial_batch_while_replicas_busy(
+            self, checkpoint):
+        """With the only replica busy, two requests against max_batch=8
+        are held for the max_delay_ms coalescing window and then leave
+        as one batch."""
+        cfg = serve_config(checkpoint, max_batch=8, max_delay_ms=40.0,
+                           full_volume_max_voxels=80 ** 3)
+        with ModelServer(cfg) as server:
+            (slow,) = volumes(1, shape=SLOW_SHAPE)
+            busy = server.submit(slow)
+            server.step()                 # the idle replica takes it
+            assert server.batcher.depth() == 0
+            t0 = time.monotonic()
+            futs = [server.submit(v) for v in volumes(2)]
+            server.step()
+            # the replica is busy: nothing leaves before the deadline
+            assert server.batcher.depth() == 2
+            server.drain(timeout_s=60)
+            elapsed = time.monotonic() - t0
+            responses = [f.result() for f in futs]
+            busy.result()
+        assert [r.batch_size for r in responses] == [2, 2]
         assert elapsed >= 0.040  # held for the coalescing window
+        # released at the deadline (float slack), not when the replica
+        # freed up
+        assert all(r.queue_wait_s >= 0.039 for r in responses)
 
     def test_immediate_dispatch_when_batch_fills(self, checkpoint):
         cfg = serve_config(checkpoint, max_batch=2, max_delay_ms=10_000.0)
@@ -132,9 +160,9 @@ class TestMicroBatching:
             assert [f.result().batch_size for f in futs] == [2, 2]
 
 
-# A deliberately slow request mix for the kill tests: one full-volume
-# predict of an 80^3 volume takes ~0.5 s with MODEL_KWARGS on a 2-vCPU
-# x86 host, so the window between a 2-volume batch's "started" message
+# A deliberately slow request mix for the kill tests and the busy
+# replica above: one full-volume predict of an 80^3 volume takes
+# ~0.5 s with MODEL_KWARGS on a 2-vCPU x86 host, so the window between a 2-volume batch's "started" message
 # and its completion is about a second wide -- killing the replica
 # inside it is not a race.  These tests pin the whole-request task
 # retry path; chunk-granular retry has its own kill test below.

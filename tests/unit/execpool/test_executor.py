@@ -175,6 +175,18 @@ class TestPool:
                                          metric="score")
             assert trials[0].status is TrialStatus.TERMINATED
 
+    def test_short_next_message_timeout_returns_on_time(self):
+        """A short timeout on an idle pool returns at the timeout, not
+        after a whole liveness-poll slice (0.2 s)."""
+        import time as _time
+
+        with ProcessPoolTrialExecutor(quadratic_trainable, max_workers=1,
+                                      heartbeat_s=60.0) as pool:
+            t0 = _time.monotonic()
+            with pytest.raises(TimeoutError):
+                pool.next_message(timeout=0.02)
+            assert _time.monotonic() - t0 < 0.15
+
     def test_retire_validates_worker_id(self):
         with ProcessPoolTrialExecutor(quadratic_trainable,
                                       max_workers=1) as pool:

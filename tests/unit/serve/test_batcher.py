@@ -141,22 +141,28 @@ class TestWeightedFairness:
                       st.integers(0, 3)),    # request group within key
             min_size=1, max_size=40),
         max_batch=st.integers(1, 5),
+        max_delay=st.sampled_from([0.0, 2.5, 1e9]),
+        idle=st.lists(st.integers(0, 3), min_size=1, max_size=40),
     )
-    def test_arrival_order_per_request_is_preserved(self, adds, max_batch):
+    def test_arrival_order_per_request_is_preserved(self, adds, max_batch,
+                                                    max_delay, idle):
         """Property (ISSUE 10 satellite): however multi-key adds
-        interleave, the released stream keeps each request's items in
-        arrival order, every admitted item is released exactly once,
-        and items never jump between batch keys."""
+        interleave with due(idle=...) calls, the released stream (due
+        then a final flush) keeps each request's items in arrival
+        order, every admitted item is released exactly once, and items
+        never jump between batch keys."""
         keys = [BatchKey(strategy="full_volume", shape=(1, 4, 4, 4),
                          dtype=f"dt{k}") for k in range(3)]
-        mb = MicroBatcher(max_batch=max_batch, max_delay_s=0.0)
+        mb = MicroBatcher(max_batch=max_batch, max_delay_s=max_delay)
         admitted = []
+        released = []
         for i, (ki, grp) in enumerate(adds):
             item = f"k{ki}g{grp}#{i}"
             mb.add(item, keys[ki], now=float(i),
                    request_id=f"k{ki}g{grp}")
             admitted.append((item, keys[ki]))
-        released = mb.due(now=float(len(adds) + 1))
+            released += mb.due(now=float(i), idle=idle[i % len(idle)])
+        released += mb.flush()
         assert mb.depth() == 0
         seen = [(item, key) for key, batch in released
                 for item in batch]
@@ -172,3 +178,82 @@ class TestWeightedFairness:
             per_request.setdefault(rid, []).append(int(idx))
         for order in per_request.values():
             assert order == sorted(order)
+
+
+class TestWorkConserving:
+    """due(idle=k): a replica with nothing to do never waits for the
+    deadline, and full or deadline-due batches fill it first."""
+
+    def test_idle_zero_keeps_deadline_contract(self):
+        mb = MicroBatcher(max_batch=2, max_delay_s=1.0)
+        mb.add("f0", KEY, now=0.0)
+        mb.add("f1", KEY, now=0.0)
+        mb.add("f2", KEY, now=0.0)              # overflow: partial
+        mb.add("late", KEY_SW, now=0.0)         # partial, past deadline
+        other = BatchKey(strategy="full_volume", shape=(1, 8, 8, 8),
+                         dtype="float32")
+        mb.add("fresh", other, now=1.5)         # partial, not yet due
+        # exactly the batches that are full or past their deadline
+        assert mb.due(now=1.5, idle=0) == [(KEY, ["f0", "f1"]),
+                                           (KEY, ["f2"]),
+                                           (KEY_SW, ["late"])]
+        assert mb.depth() == 1
+        assert mb.due(now=1.5, idle=0) == []
+        assert mb.due(now=2.5, idle=0) == [(other, ["fresh"])]
+
+    def test_idle_releases_at_most_k_early_groups(self):
+        mb = MicroBatcher(max_batch=4, max_delay_s=10.0)
+        keys = [BatchKey(strategy="full_volume", shape=(1, 4, 4, 4),
+                         dtype=f"dt{k}") for k in range(3)]
+        for k, key in enumerate(keys):
+            mb.add(f"r{k}", key, now=float(k))
+        # oldest (fair tie-break by arrival) first, two of three
+        assert mb.due(now=3.0, idle=2) == [(keys[0], ["r0"]),
+                                           (keys[1], ["r1"])]
+        assert mb.depth() == 1
+        assert mb.due(now=3.0, idle=0) == []
+        assert mb.due(now=3.0, idle=5) == [(keys[2], ["r2"])]
+
+    def test_due_batch_uses_up_an_idle_slot(self):
+        """Full and deadline-due batches leave first and count against
+        ``idle``: with one idle replica only the full batch leaves,
+        though the older partial request ranks ahead of it in fair
+        order."""
+        mb = MicroBatcher(max_batch=2, max_delay_s=10.0)
+        mb.add("big#0", KEY_SW, now=1.0, request_id="big")
+        mb.add("big#1", KEY_SW, now=1.0, request_id="big")
+        mb.add("small", KEY, now=0.0)           # older, partial
+        assert mb.due(now=1.0, idle=1) == [(KEY_SW, ["big#0", "big#1"])]
+        assert mb.depth() == 1
+        mb.add("big#2", KEY_SW, now=1.0, request_id="big")
+        mb.add("big#3", KEY_SW, now=1.0, request_id="big")
+        # two idle: the full batch takes one, the partial the other
+        assert mb.due(now=1.0, idle=2) == [(KEY_SW, ["big#2", "big#3"]),
+                                           (KEY, ["small"])]
+
+    def test_limit_still_caps_the_total(self):
+        mb = MicroBatcher(max_batch=4, max_delay_s=10.0)
+        keys = [BatchKey(strategy="full_volume", shape=(1, 4, 4, 4),
+                         dtype=f"dt{k}") for k in range(4)]
+        for k, key in enumerate(keys):
+            mb.add(f"r{k}", key, now=0.0)
+        assert len(mb.due(now=0.0, limit=1, idle=3)) == 1
+        assert mb.depth() == 3
+        assert len(mb.due(now=0.0, limit=None, idle=3)) == 3
+        assert mb.depth() == 0
+
+    def test_fresh_request_outranks_served_chunk_group(self):
+        """Among early groups the weighted-fair order still decides: a
+        fresh small request goes ahead of the leftover chunks of a
+        large request that already used release slots, though those
+        chunks arrived first."""
+        mb = MicroBatcher(max_batch=4, max_delay_s=10.0)
+        for ci in range(6):
+            mb.add(f"big#c{ci}", KEY_SW, now=0.0, request_id="big")
+        assert mb.due(now=0.0) == [
+            (KEY_SW, [f"big#c{ci}" for ci in range(4)])]
+        mb.add("small", KEY, now=0.001)
+        assert mb.due(now=0.002, idle=1) == [(KEY, ["small"])]
+        assert mb.depth() == 2
+        assert mb.due(now=0.002, idle=1) == [
+            (KEY_SW, ["big#c4", "big#c5"])]
