@@ -40,7 +40,7 @@ from ..data.splits import DatasetSplit, split_indices
 from ..data.synthetic_brats import Subject, SyntheticBraTS
 from ..nn.metrics import batch_dice
 from ..raysim.sgd import DataParallelTrainer
-from .checkpoint import CheckpointManager, load_checkpoint
+from .checkpoint import CheckpointManager
 from .config import ExperimentSettings, build_loss, build_model, build_optimizer
 
 __all__ = ["MISPipeline", "ArrayBackedPipeline", "EpochRecord",
@@ -420,9 +420,7 @@ def train_trial(
     restored_best = 0.0
     resume = getattr(reporter, "resume_from", None)
     if checkpoint_manager is not None and resume is not None and resume.path:
-        meta = {}
-        for rep, opt in zip(trainer.replicas, trainer.optimizers):
-            meta = load_checkpoint(resume.path, rep, opt)
+        meta = trainer.load_checkpoint(resume.path)
         start_epoch = int(meta.get("epoch", resume.epoch)) + 1
         restored_best = float(meta.get("best_val_dice",
                                        meta.get("val_dice", 0.0)))
@@ -488,7 +486,7 @@ def train_trial(
                 ckpt_best = max(ckpt_best, val_dice)
                 t_ck = time.perf_counter()
                 path = checkpoint_manager.save(
-                    trainer.model, trainer.optimizers[0], epoch=epoch,
+                    trainer.model, trainer.optimizer, epoch=epoch,
                     val_dice=val_dice, best_val_dice=ckpt_best,
                 )
                 telemetry.on_step_bucket(

@@ -79,6 +79,18 @@ _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
 
 
+def _forget_pool_after_fork() -> None:
+    # A forked child (a data-parallel replica, an execpool worker) has
+    # none of the parent's tile threads: work queued on the inherited
+    # pool would never run, so the child starts its own on demand.
+    global _pool_lock, _pool, _pool_size
+    _pool_lock = threading.Lock()
+    _pool, _pool_size = None, 0
+
+
+os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
 def kernel_threads() -> int:
     """Requested tile-parallelism width (``DISTMIS_KERNEL_THREADS``)."""
     raw = os.environ.get(THREADS_ENV, "").strip()

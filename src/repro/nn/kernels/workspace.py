@@ -22,10 +22,10 @@ Semantics:
   allocated arrays, never views into the arena (property-tested in
   ``tests/unit/nn/test_workspace.py``).
 
-The arena is thread-safe (replica threads of
-:class:`~repro.raysim.sgd.DataParallelTrainer` convolve concurrently) and
-its footprint is exported as the ``kernel_workspace_bytes`` telemetry
-gauge by the trainer.
+The arena is thread-safe (the fused backend's optional tile threads
+share it) and its footprint is exported as the
+``kernel_workspace_bytes`` telemetry gauge by
+:class:`~repro.raysim.sgd.DataParallelTrainer`.
 """
 
 from __future__ import annotations

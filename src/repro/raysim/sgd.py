@@ -5,8 +5,7 @@ uses, *exactly*:
 
 * every replica starts from broadcast-identical weights;
 * each step the global batch is sharded across replicas, every replica
-  computes gradients on its shard (replicas run on real threads --
-  NumPy's kernels release the GIL, so shards genuinely overlap);
+  computes gradients on its shard;
 * shard gradients are combined with the same chunked ring all-reduce
   whose cost the cluster model charges
   (:func:`repro.cluster.collectives.ring_allreduce`), weighted by shard
@@ -14,6 +13,21 @@ uses, *exactly*:
 * every replica applies the identical update with its own (identical)
   optimizer state, so weights stay in lock-step without re-broadcast --
   the standard synchronous-SGD invariant, asserted in the tests.
+
+Replicas run in processes, one per replica, like DDP.  Replica 0 is
+the calling process; replicas ``1 .. n-1`` are forked from it after
+its model and optimizer are built, so the fork *is* the initial
+broadcast.  Threads do not work here: at the ``train_dp2`` shapes
+(float64, 16^3, batch 2 per replica, BLAS pinned to one thread) one
+replica alone steps in 21.5 ms, two replica threads at once need
+33.6 ms each, and two replica processes 20.5-21.1 ms each -- the
+per-layer Python glue between small GEMMs holds the GIL.  Each step the
+driver copies every shard into its replica's slot of one
+:class:`~repro.execpool.SharedArrayStore` segment, sends a short
+message on that replica's pipe, computes replica 0's shard itself,
+reads the weighted flat gradients back from the slots, all-reduces
+them, writes the sum back and sends "apply".  ``num_replicas=1``
+starts no process.
 
 BatchNorm caveat: per-replica statistics (TensorFlow's MirroredStrategy
 default) make data-parallel training only *statistically* equivalent to
@@ -25,14 +39,17 @@ the paper's dice-invariance claim (Section IV-C) is validated both ways.
 
 from __future__ import annotations
 
-import threading
+import functools
+import math
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from typing import Callable
 
 import numpy as np
 
 from ..cluster.collectives import ring_allreduce
+from ..execpool.sharedmem import SharedArrayStore
 from ..nn.kernels import consume_kernel_seconds, workspace_bytes
 from ..nn.layers.batchnorm import BatchNorm
 from ..nn.losses import Loss
@@ -41,28 +58,189 @@ from ..nn.optimizers import Optimizer
 
 __all__ = ["DataParallelTrainer", "SyncGroup"]
 
+_ALIGN = 16  # byte alignment of each value packed into a SyncGroup slot
+
+
+def _fork_context():
+    # Replica processes inherit the built model, optimizer, loss and
+    # shared mappings; only fork hands those over without pickling.
+    return multiprocessing.get_context("fork")
+
+
+def _close_store(views, store) -> None:
+    views.close()
+    store.close()
+    store.unlink()
+
 
 class SyncGroup:
-    """Barrier-synchronised deterministic sum across replica threads."""
+    """Barrier-synchronised deterministic sum across replicas.
 
-    def __init__(self, num_replicas: int):
+    The replicas may be threads or forked processes: every replica owns
+    one ``slot_bytes`` slot of a shared-memory segment, and a
+    fork-context :class:`multiprocessing.Barrier` orders the writes and
+    reads.  All replicas pass values of the same shapes and dtypes.
+    """
+
+    def __init__(self, num_replicas: int, slot_bytes: int = 1 << 16):
         self.n = num_replicas
-        self._barrier = threading.Barrier(num_replicas)
-        self._slots: list = [None] * num_replicas
+        self.slot_bytes = slot_bytes
+        self._barrier = _fork_context().Barrier(num_replicas)
+        store = SharedArrayStore(
+            {"slots": np.zeros((num_replicas, slot_bytes), np.uint8)})
+        views = store.attach()
+        self._slots = views["slots"]
+        self._close = weakref.finalize(self, _close_store, views, store)
 
     def reduce(self, index: int, *values):
         """Deposit this replica's values, wait for all, return the sums
         (computed in fixed replica order, so results are deterministic)."""
-        self._slots[index] = values
+        if self._slots is None:
+            raise RuntimeError("sync group is closed")
+        arrays = [np.asarray(v) for v in values]
+        offsets, offset = [], 0
+        for a in arrays:
+            offsets.append(offset)
+            offset += -(-a.nbytes // _ALIGN) * _ALIGN
+        if offset > self.slot_bytes:
+            raise ValueError(f"{offset} bytes do not fit a "
+                             f"{self.slot_bytes}-byte sync slot")
+        mine = self._slots[index]
+        for a, off in zip(arrays, offsets):
+            mine[off:off + a.nbytes] = a.reshape(-1).view(np.uint8)
         self._barrier.wait()
         out = []
-        for pos in range(len(values)):
-            total = self._slots[0][pos]
-            for r in range(1, self.n):
-                total = total + self._slots[r][pos]
-            out.append(total)
+        for v, a, off in zip(values, arrays, offsets):
+            peers = [slot[off:off + a.nbytes].view(a.dtype).reshape(a.shape)
+                     for slot in self._slots]
+            total = peers[0].copy()
+            for peer in peers[1:]:
+                total = total + peer
+            out.append(total if isinstance(v, np.ndarray) else type(v)(total))
         self._barrier.wait()  # nobody overwrites slots until all have read
         return tuple(out)
+
+    def abort(self) -> None:
+        """Break the barrier: every replica waiting in :meth:`reduce`,
+        now or later, raises ``BrokenBarrierError`` (a RuntimeError)."""
+        self._barrier.abort()
+
+    def close(self) -> None:
+        """Unmap and unlink the slots (idempotent)."""
+        self._slots = None
+        self._close()
+
+
+def _make_reducer(group: SyncGroup, replica_idx: int):
+    def reducer(total, sq_total, count):
+        return group.reduce(replica_idx, total, sq_total, count)
+    return reducer
+
+
+def _wire_sync_batchnorm(model: Module, group: SyncGroup, index: int) -> None:
+    for _, m in model.named_modules():
+        if isinstance(m, BatchNorm):
+            m.stats_reducer = _make_reducer(group, index)
+
+
+def _shard_grads(model: Module, loss: Loss, x, y, weight: float):
+    """Forward/backward one shard; returns the loss and the flat
+    gradient, both scaled by ``weight`` so that the all-reduce SUM
+    equals the global mean."""
+    model.zero_grad()
+    pred = model(x)
+    loss_val, dpred = loss.forward(pred, y)
+    model.backward(dpred)
+    return loss_val * weight, model.get_flat_grads() * weight
+
+
+def _slot_view(slot: np.ndarray, shape: tuple, dtype: str) -> np.ndarray:
+    dt = np.dtype(dtype)
+    return slot[:math.prod(shape) * dt.itemsize].view(dt).reshape(shape)
+
+
+def _replica_main(index: int, model: Module, optimizer: Optimizer,
+                  loss: Loss, conn, driver_ends: list,
+                  group: SyncGroup | None) -> None:
+    """Serve one replica until "stop" or until the driver goes away.
+
+    Messages: ``("attach", handle)`` maps a new slot segment;
+    ``("step", x_spec, y_spec, weight)`` replies ``("grads", loss,
+    kernel_seconds)`` with the gradient in this replica's ``g`` slot;
+    ``("apply",)`` applies the reduced gradient from the ``r`` slot (no
+    reply); ``("params",)`` and ``("load", path)`` serve
+    :meth:`DataParallelTrainer.weights_in_sync` and
+    :meth:`DataParallelTrainer.load_checkpoint`.  A failure replies
+    ``("error", text)`` in place of the expected message.
+    """
+    for end in driver_ends:   # so the driver's exit reads as EOF here
+        end.close()
+    if group is not None:
+        _wire_sync_batchnorm(model, group, index)
+    consume_kernel_seconds()  # the ledger the fork copied is replica 0's
+    # Every attached segment stays mapped: a layer may still cache a
+    # view of its last input.
+    attached = []
+    slots: dict[str, np.ndarray] = {}
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return
+        kind = msg[0]
+        if kind == "stop":
+            return
+        try:
+            if kind == "attach":
+                attached.append(msg[1].attach())
+                slots = attached[-1].arrays
+            elif kind == "step":
+                _, x_spec, y_spec, weight = msg
+                loss_w, grads = _shard_grads(
+                    model, loss, _slot_view(slots[f"x{index}"], *x_spec),
+                    _slot_view(slots[f"y{index}"], *y_spec), weight)
+                slots[f"g{index}"][...] = grads
+                conn.send(("grads", loss_w, consume_kernel_seconds()))
+            elif kind == "apply":
+                model.set_flat_grads(slots[f"r{index}"])
+                optimizer.step()
+            elif kind == "params":
+                conn.send(("params", model.get_flat_params()))
+            elif kind == "load":
+                from ..core.checkpoint import load_checkpoint
+
+                load_checkpoint(msg[1], model, optimizer)
+                conn.send(("loaded",))
+        except Exception as exc:
+            if group is not None:   # peers may wait for us in a reduce
+                group.abort()
+            try:
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            except OSError:
+                return
+
+
+def _stop_replicas(procs: list, conns: list, closers: list) -> None:
+    """Stop and reap every replica process, then release the shared
+    segments.  A replica that does not exit promptly (e.g. stuck in a
+    sync-BN barrier whose peer died) is terminated."""
+    for conn in conns:
+        try:
+            conn.send(("stop",))
+        except OSError:
+            pass   # already dead
+    for proc in procs:
+        proc.join(timeout=5.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
+        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+            proc.kill()
+            proc.join()
+    for conn in conns:
+        conn.close()
+    for close in closers:
+        close()
 
 
 class DataParallelTrainer:
@@ -71,13 +249,13 @@ class DataParallelTrainer:
     Parameters
     ----------
     model_factory:
-        Zero-argument callable building a fresh model; called once per
-        replica, then weights are broadcast from replica 0.
+        Zero-argument callable building the model; called once, for
+        replica 0 -- the other replicas are forked from it.
     loss:
         A :class:`repro.nn.losses.Loss` (must be a batch *mean* for the
         sharding to recompose exactly -- all provided losses are).
     optimizer_factory:
-        ``model -> Optimizer``; each replica gets its own instance.
+        ``model -> Optimizer``; each replica owns its own instance.
     sync_batchnorm:
         Wire cross-replica reducers into every BatchNorm layer.
     telemetry:
@@ -85,6 +263,9 @@ class DataParallelTrainer:
         hub, usually the null sink).  Per-step loss / step-time /
         all-reduce-byte metrics are recorded through pre-resolved
         metric handles, so the disabled path is a no-op call per event.
+
+    With ``num_replicas > 1`` call :meth:`shutdown` when done; it stops
+    the replica processes and unlinks the shared memory.
     """
 
     def __init__(
@@ -98,21 +279,18 @@ class DataParallelTrainer:
     ):
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
+        if num_replicas > 1 and multiprocessing.current_process().daemon:
+            raise ValueError(
+                f"num_replicas={num_replicas} runs replicas 1..n-1 in child "
+                f"processes, which a daemonic process (such as an execpool "
+                f"worker) cannot start; train with num_replicas=1 there")
         self.num_replicas = num_replicas
         self.loss = loss
-        self.replicas: list[Module] = [model_factory() for _ in range(num_replicas)]
-        state = self.replicas[0].state_dict()
-        for rep in self.replicas[1:]:
-            rep.load_state_dict(state)  # broadcast initial weights
-        self.optimizers = [optimizer_factory(rep) for rep in self.replicas]
+        # replica 0; every replica holds identical weights and
+        # optimizer state
+        self.model: Module = model_factory()
+        self.optimizer: Optimizer = optimizer_factory(self.model)
         self.sync_batchnorm = sync_batchnorm
-        self._pool = (
-            ThreadPoolExecutor(max_workers=num_replicas)
-            if num_replicas > 1
-            else None
-        )
-        if sync_batchnorm and num_replicas > 1:
-            self._wire_sync_batchnorm()
         self.steps_run = 0
 
         if telemetry is None:
@@ -143,35 +321,141 @@ class DataParallelTrainer:
         # reports its own kernel time.
         consume_kernel_seconds()
 
-    def _record_kernel_stats(self) -> None:
-        """Drain the per-backend kernel-seconds ledger into telemetry."""
+        self._procs: list = []
+        self._conns: list = []
+        self._views = self._release = None
+        self._capacity = 0  # bytes of each x / y slot
+        self._closers: list = []  # shared segments to release on shutdown
+        self._shutdown = weakref.finalize(
+            self, _stop_replicas, self._procs, self._conns, self._closers)
+        if num_replicas > 1:
+            self._start_replicas()
+
+    # -- replica processes -------------------------------------------------
+    def _start_replicas(self) -> None:
+        group = None
+        if self.sync_batchnorm:
+            channels = max((m.num_channels
+                            for _, m in self.model.named_modules()
+                            if isinstance(m, BatchNorm)), default=0)
+            group = SyncGroup(self.num_replicas,
+                              slot_bytes=3 * (8 * channels + _ALIGN))
+            self._closers.append(group.close)
+            _wire_sync_batchnorm(self.model, group, 0)
+        flat = self.model.get_flat_grads()
+        self._grad_spec = (flat.size, flat.dtype)
+        ctx = _fork_context()
+        for index in range(1, self.num_replicas):
+            driver_end, replica_end = ctx.Pipe()
+            self._conns.append(driver_end)
+            proc = ctx.Process(
+                target=_replica_main,
+                args=(index, self.model, self.optimizer, self.loss,
+                      replica_end, list(self._conns), group),
+                daemon=True, name=f"dp-replica-{index}")
+            proc.start()
+            replica_end.close()
+            self._procs.append(proc)
+
+    def _replica_failure(self, index: int) -> RuntimeError:
+        proc = self._procs[index - 1]
+        proc.join(timeout=1.0)
+        return RuntimeError(
+            f"data-parallel replica {index} (pid {proc.pid}) exited "
+            f"unexpectedly (exit code {proc.exitcode})")
+
+    def _send(self, index: int, msg: tuple) -> None:
+        try:
+            self._conns[index - 1].send(msg)
+        except OSError:
+            raise self._replica_failure(index) from None
+
+    def _recv(self, index: int, kind: str) -> tuple:
+        try:
+            msg = self._conns[index - 1].recv()
+        except (EOFError, OSError):
+            raise self._replica_failure(index) from None
+        if msg[0] != kind:
+            raise RuntimeError(f"data-parallel replica {index} failed: "
+                               f"{msg[1] if msg[0] == 'error' else msg}")
+        return msg
+
+    def _ensure_capacity(self, nbytes: int) -> None:
+        """(Re)publish the slot segment when a shard outgrows it."""
+        if self._views is not None and nbytes <= self._capacity:
+            return
+        size, dtype = self._grad_spec
+        arrays = {}
+        for r in range(1, self.num_replicas):
+            arrays[f"x{r}"] = np.zeros(nbytes, np.uint8)
+            arrays[f"y{r}"] = np.zeros(nbytes, np.uint8)
+            arrays[f"g{r}"] = np.zeros(size, dtype)
+            arrays[f"r{r}"] = np.zeros(size, np.float64)
+        store = SharedArrayStore(arrays)
+        views = store.attach()
+        for r in range(1, self.num_replicas):
+            self._send(r, ("attach", store.handle))
+        if self._release is not None:
+            self._closers.remove(self._release)
+            self._release()
+        # a partial, not a bound method: the shutdown finalizer must not
+        # keep the trainer alive
+        self._release = functools.partial(_close_store, views, store)
+        self._closers.append(self._release)
+        self._views, self._capacity = views, nbytes
+
+    def _replica_grads(self, x, y, shards, weights, kernel_seconds: dict):
+        """Run every shard: replicas ``1..n-1`` in their processes, 0
+        here.  Returns ``[(weighted loss, weighted flat grads)]`` in
+        replica order; the replicas' kernel seconds are added to
+        ``kernel_seconds``."""
+        if self.num_replicas == 1:
+            return [_shard_grads(self.model, self.loss, x, y, weights[0])]
+        if not self._shutdown.alive:
+            raise RuntimeError("trainer is shut down")
+        for r, proc in enumerate(self._procs, start=1):
+            if not proc.is_alive():
+                raise self._replica_failure(r)
+        self._ensure_capacity(max(max(x[s].nbytes, y[s].nbytes)
+                                  for s in shards[1:]))
+        for r in range(1, self.num_replicas):
+            xs, ys = x[shards[r]], y[shards[r]]
+            specs = []
+            for name, a in (("x", xs), ("y", ys)):
+                specs.append((a.shape, a.dtype.str))
+                _slot_view(self._views[f"{name}{r}"], *specs[-1])[...] = a
+            self._send(r, ("step", *specs, weights[r]))
+        outs = [_shard_grads(self.model, self.loss, x[shards[0]],
+                             y[shards[0]], weights[0])]
+        for r in range(1, self.num_replicas):
+            _, loss_w, seconds = self._recv(r, "grads")
+            outs.append((loss_w, self._views[f"g{r}"].copy()))
+            for key, value in seconds.items():
+                kernel_seconds[key] = kernel_seconds.get(key, 0.0) + value
+        return outs
+
+    def _apply(self, reduced: list) -> float:
+        """Every replica applies the reduced gradient with its own
+        optimizer; returns replica 0's learning rate."""
+        for r in range(1, self.num_replicas):
+            self._views[f"r{r}"][...] = reduced[r]
+            self._send(r, ("apply",))
+        self.model.set_flat_grads(reduced[0])
+        return self.optimizer.step()
+
+    def _record_kernel_stats(self, replica_seconds: dict) -> None:
+        """Drain this process's kernel-seconds ledger, plus what the
+        replica processes drained from theirs, into telemetry."""
         if not self._telemetry.enabled:
             return
-        for (backend, op), seconds in consume_kernel_seconds().items():
-            self._m_kernel_seconds.labels(backend=backend, op=op).inc(seconds)
+        seconds = consume_kernel_seconds()
+        for key, value in replica_seconds.items():
+            seconds[key] = seconds.get(key, 0.0) + value
+        for (backend, op), value in seconds.items():
+            self._m_kernel_seconds.labels(backend=backend, op=op).inc(value)
         self._m_workspace_bytes.set(float(workspace_bytes()))
 
-    # -- sync BN wiring ----------------------------------------------------
-    def _wire_sync_batchnorm(self) -> None:
-        per_replica_bns = [
-            [m for _, m in rep.named_modules() if isinstance(m, BatchNorm)]
-            for rep in self.replicas
-        ]
-        counts = {len(bns) for bns in per_replica_bns}
-        if len(counts) != 1:  # pragma: no cover - same factory => same arch
-            raise ValueError("replicas disagree on BatchNorm layer count")
-        for layer_idx in range(counts.pop()):
-            group = SyncGroup(self.num_replicas)
-            for replica_idx, bns in enumerate(per_replica_bns):
-                bn = bns[layer_idx]
-                bn.stats_reducer = _make_reducer(group, replica_idx)
-
     # -- training ----------------------------------------------------------
-    @property
-    def model(self) -> Module:
-        """Replica 0 (all replicas hold identical weights)."""
-        return self.replicas[0]
-
     def _shards(self, n: int) -> list[slice]:
         if n < self.num_replicas:
             raise ValueError(
@@ -181,6 +465,29 @@ class DataParallelTrainer:
             )
         bounds = np.linspace(0, n, self.num_replicas + 1).astype(int)
         return [slice(bounds[i], bounds[i + 1]) for i in range(self.num_replicas)]
+
+    def _finish_step(self, t0: float, t_fb: float, grads: list,
+                     loss_total, replica_seconds: dict) -> dict:
+        """All-reduce, apply everywhere, record telemetry."""
+        # every replica now holds the sum
+        reduced = ring_allreduce(grads, telemetry=self._telemetry)
+        t_sync_done = time.perf_counter()
+        lr = self._apply(reduced)
+        # forward-backward plus the optimizer update; the all-reduce in
+        # between attributes itself to the "sync" bucket
+        self._telemetry.on_step_bucket(
+            "compute", (t_fb - t0) + (time.perf_counter() - t_sync_done))
+        self._record_kernel_stats(replica_seconds)
+
+        self.steps_run += 1
+        loss_total = float(loss_total)
+        self._m_steps.inc()
+        self._m_step_seconds.observe(time.perf_counter() - t0)
+        self._m_loss.observe(loss_total)
+        self._m_lr.set(lr)
+        if self._telemetry.enabled:  # the norm is a derived computation
+            self._m_grad_norm.set(float(np.linalg.norm(reduced[0])))
+        return {"loss": loss_total, "lr": lr}
 
     def train_step(self, x: np.ndarray, y: np.ndarray) -> dict:
         """One synchronous step on the global batch ``(x, y)``.
@@ -193,45 +500,11 @@ class DataParallelTrainer:
         n_total = x.shape[0]
         shards = self._shards(n_total)
         weights = [(s.stop - s.start) / n_total for s in shards]
-
-        def replica_step(idx: int):
-            rep = self.replicas[idx]
-            sl = shards[idx]
-            rep.zero_grad()
-            pred = rep(x[sl])
-            loss_val, dpred = self.loss.forward(pred, y[sl])
-            rep.backward(dpred)
-            # weight so that the all-reduce SUM equals the global mean
-            return loss_val * weights[idx], rep.get_flat_grads() * weights[idx]
-
-        if self._pool is None:
-            outs = [replica_step(0)]
-        else:
-            outs = list(self._pool.map(replica_step, range(self.num_replicas)))
+        replica_seconds: dict = {}
+        outs = self._replica_grads(x, y, shards, weights, replica_seconds)
         t_fb = time.perf_counter()
-
-        grads = [g for _, g in outs]
-        # every replica now holds the sum
-        reduced = ring_allreduce(grads, telemetry=self._telemetry)
-        t_sync_done = time.perf_counter()
-        for rep, opt, g in zip(self.replicas, self.optimizers, reduced):
-            rep.set_flat_grads(g)
-        lrs = [opt.step() for opt in self.optimizers]
-        # forward-backward plus the optimizer update; the all-reduce in
-        # between attributes itself to the "sync" bucket
-        self._telemetry.on_step_bucket(
-            "compute", (t_fb - t0) + (time.perf_counter() - t_sync_done))
-        self._record_kernel_stats()
-
-        self.steps_run += 1
-        loss_total = float(sum(l for l, _ in outs))
-        self._m_steps.inc()
-        self._m_step_seconds.observe(time.perf_counter() - t0)
-        self._m_loss.observe(loss_total)
-        self._m_lr.set(lrs[0])
-        if self._telemetry.enabled:  # the norm is a derived computation
-            self._m_grad_norm.set(float(np.linalg.norm(reduced[0])))
-        return {"loss": loss_total, "lr": lrs[0]}
+        return self._finish_step(t0, t_fb, [g for _, g in outs],
+                                 sum(l for l, _ in outs), replica_seconds)
 
     def train_step_accumulated(
         self, x: np.ndarray, y: np.ndarray, accumulation_steps: int
@@ -256,52 +529,22 @@ class DataParallelTrainer:
 
         acc: list[np.ndarray] | None = None
         loss_total = 0.0
+        replica_seconds: dict = {}
         for k in range(accumulation_steps):
             sl = slice(bounds[k], bounds[k + 1])
             micro_w = (sl.stop - sl.start) / n_total
             shards = self._shards(sl.stop - sl.start)
             weights = [
-                (s.stop - s.start) / (sl.stop - sl.start) for s in shards
+                (s.stop - s.start) / (sl.stop - sl.start) * micro_w
+                for s in shards
             ]
-
-            def replica_micro(idx: int):
-                rep = self.replicas[idx]
-                s = shards[idx]
-                rep.zero_grad()
-                pred = rep(x[sl][s])
-                loss_val, dpred = self.loss.forward(pred, y[sl][s])
-                rep.backward(dpred)
-                w = weights[idx] * micro_w
-                return loss_val * w, rep.get_flat_grads() * w
-
-            if self._pool is None:
-                outs = [replica_micro(0)]
-            else:
-                outs = list(
-                    self._pool.map(replica_micro, range(self.num_replicas))
-                )
+            outs = self._replica_grads(x[sl], y[sl], shards, weights,
+                                       replica_seconds)
             loss_total += sum(l for l, _ in outs)
             grads = [g for _, g in outs]
             acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
         t_fb = time.perf_counter()
-
-        reduced = ring_allreduce(acc, telemetry=self._telemetry)
-        t_sync_done = time.perf_counter()
-        for rep, g in zip(self.replicas, reduced):
-            rep.set_flat_grads(g)
-        lrs = [opt.step() for opt in self.optimizers]
-        self._telemetry.on_step_bucket(
-            "compute", (t_fb - t0) + (time.perf_counter() - t_sync_done))
-        self._record_kernel_stats()
-        self.steps_run += 1
-        loss_total = float(loss_total)
-        self._m_steps.inc()
-        self._m_step_seconds.observe(time.perf_counter() - t0)
-        self._m_loss.observe(loss_total)
-        self._m_lr.set(lrs[0])
-        if self._telemetry.enabled:
-            self._m_grad_norm.set(float(np.linalg.norm(reduced[0])))
-        return {"loss": loss_total, "lr": lrs[0]}
+        return self._finish_step(t0, t_fb, acc, loss_total, replica_seconds)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> dict:
         """Loss + prediction on replica 0 in eval mode."""
@@ -314,22 +557,29 @@ class DataParallelTrainer:
         loss_val, _ = self.loss.forward(pred, y)
         return {"loss": float(loss_val), "prediction": pred}
 
+    def load_checkpoint(self, path) -> dict:
+        """Restore model + optimizer from ``path`` on every replica (the
+        resume path); returns the checkpoint's metadata."""
+        from ..core.checkpoint import load_checkpoint
+
+        meta = load_checkpoint(path, self.model, self.optimizer)
+        for r in range(1, self.num_replicas):
+            self._send(r, ("load", str(path)))
+        for r in range(1, self.num_replicas):
+            self._recv(r, "loaded")
+        return meta
+
     def weights_in_sync(self, atol: float = 0.0) -> bool:
-        """Check the lock-step invariant across all replicas."""
-        ref = self.replicas[0].get_flat_params()
-        return all(
-            np.allclose(rep.get_flat_params(), ref, atol=atol, rtol=0.0)
-            for rep in self.replicas[1:]
-        )
+        """Check the lock-step invariant across all replicas (fetches
+        every replica process's parameters)."""
+        ref = self.model.get_flat_params()
+        for r in range(1, self.num_replicas):
+            self._send(r, ("params",))
+        params = [self._recv(r, "params")[1]
+                  for r in range(1, self.num_replicas)]
+        return all(np.allclose(p, ref, atol=atol, rtol=0.0) for p in params)
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def _make_reducer(group: SyncGroup, replica_idx: int):
-    def reducer(total, sq_total, count):
-        s, sq, c = group.reduce(replica_idx, total, sq_total, count)
-        return s, sq, c
-    return reducer
+        """Stop the replica processes and unlink the shared memory
+        (idempotent)."""
+        self._shutdown()

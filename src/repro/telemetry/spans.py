@@ -8,7 +8,7 @@ out context-managed :class:`Span` objects::
         with tracer.span("train_step", category="train"):
             ...
 
-Nesting is tracked per thread (each replica thread gets its own stack),
+Nesting is tracked per thread (each thread gets its own stack),
 and finished spans carry their depth so a Chrome-trace viewer stacks
 them correctly.  ``record_span`` accepts *explicit* timestamps, which is
 how discrete-event simulation results (``repro.cluster.trace.Timeline``)

@@ -11,11 +11,12 @@ optimizer exactly -- while ``resume="scratch"`` re-trains from epoch 0.
 import numpy as np
 import pytest
 
-from repro.core import ExperimentSettings, HyperparameterSpace
+from repro.core import (CheckpointManager, ExperimentSettings,
+                        HyperparameterSpace)
 from repro.core.experiment_parallel import run_search_inprocess
-from repro.core.pipeline import MISPipeline
+from repro.core.pipeline import MISPipeline, train_trial
 from repro.fault_tolerance import FaultInjector, RetryPolicy
-from repro.raysim import TrialStatus
+from repro.raysim import GridSearch, TrialStatus, tune_run
 
 SETTINGS = ExperimentSettings(
     num_subjects=6, volume_shape=(16, 16, 16), epochs=3,
@@ -84,3 +85,47 @@ class TestCheckpointResumeEndToEnd:
         (base, ) = baseline.outcomes
         assert outcome.val_dice == base.val_dice
         assert outcome.test_dice == base.test_dice
+
+
+def _two_replica_search(pipeline, checkpoint_dir, injector=None):
+    """One 2-replica trial through ``tune_run``, checkpointing every
+    epoch; returns (trial, last checkpoint's model state)."""
+    manager = CheckpointManager(checkpoint_dir)
+
+    def trainable(config, reporter):
+        outcome = train_trial(config, SETTINGS, pipeline, num_replicas=2,
+                              reporter=reporter, checkpoint_manager=manager)
+        return {"val_dice": outcome.val_dice}
+
+    if injector is not None:
+        trainable = injector.wrap(trainable)
+    analysis = tune_run(
+        trainable, GridSearch(SPACE.axes), metric="val_dice",
+        retry_policy=RetryPolicy(max_retries=1, resume="checkpoint"))
+    (trial, ) = analysis.trials
+    with np.load(manager.latest_path()) as archive:
+        model = {k: archive[k] for k in archive.files
+                 if k.startswith("model/")}
+    return trial, model
+
+
+class TestDataParallelCheckpointResume:
+    def test_two_replica_resume_matches_uninterrupted_run(self, tmp_path,
+                                                          pipeline):
+        """Resume must restore replica 1's process too: a stale replica
+        would all-reduce a different gradient and the histories split."""
+        base, base_model = _two_replica_search(pipeline, tmp_path / "base")
+        injector = FaultInjector(crash_epochs=(1,))
+        trial, model = _two_replica_search(pipeline, tmp_path / "resumed",
+                                           injector)
+        assert injector.faults_injected == 1
+        assert trial.status is TrialStatus.TERMINATED
+        assert trial.retries == 1 and trial.restored_epoch == 0
+        rows = [(r["epoch"], r["train_loss"], r["val_dice"])
+                for r in trial.results]
+        assert rows == [(r["epoch"], r["train_loss"], r["val_dice"])
+                        for r in base.results]
+        assert [r[0] for r in rows] == [0, 1, 2]
+        assert model.keys() == base_model.keys()
+        for name, value in base_model.items():
+            np.testing.assert_array_equal(model[name], value)

@@ -272,6 +272,26 @@ class TestFusedTilingAndThreads:
         for s, t, label in zip(serial, threaded, ("y", "dx", "dw", "db")):
             assert np.array_equal(s, t), f"{label} differs under threads"
 
+    def test_threaded_tiles_run_in_a_forked_child(self, monkeypatch):
+        """A child forked after the tile pool started (a data-parallel
+        replica) must not queue tiles on the parent's dead threads."""
+        import multiprocessing
+
+        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.001")
+        monkeypatch.setenv("DISTMIS_KERNEL_THREADS", "2")
+        expected = self._run("fused")   # starts the pool in this process
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(self._run("fused")))
+        child.start()
+        try:
+            assert recv.poll(60), "tiles queued on the parent's threads"
+            for got, want in zip(recv.recv(), expected):
+                assert np.array_equal(got, want)
+        finally:
+            child.kill()
+            child.join()
+
     def test_workspace_balanced_after_tiled_run(self, monkeypatch):
         # delta, not absolute: earlier tests' layers may still hold a
         # live forward ctx (released lazily on their next forward)

@@ -176,3 +176,189 @@ class TestSyncGroup:
         for r in results:
             np.testing.assert_allclose(r[0], [3.0])
             assert r[1] == 3.0
+
+
+def _fork_and_collect(n, target):
+    """Run ``target(index, conn)`` in ``n`` forked processes; returns
+    what each sent back, in index order."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
+    procs = [ctx.Process(target=target, args=(i, pipes[i][1]))
+             for i in range(n)]
+    for p in procs:
+        p.start()
+    try:
+        return [recv.recv() for recv, _ in pipes]
+    finally:
+        for p in procs:
+            p.join(timeout=10)
+
+
+class TestSyncGroupAcrossProcesses:
+    def test_fixed_order_sums_in_forked_processes(self):
+        group = SyncGroup(3)
+        # 1e16 + 1 rounds back to 1e16: only the replica order 0, 1, 2
+        # yields exactly 0.0 for the scalar
+        scalars = [1e16, 1.0, -1e16]
+
+        def replica(i, conn):
+            arr, scalar = group.reduce(i, np.array([float(i), 10.0 * i]),
+                                       scalars[i])
+            conn.send((arr, scalar))
+
+        try:
+            results = _fork_and_collect(3, replica)
+        finally:
+            group.close()
+        for arr, scalar in results:
+            np.testing.assert_array_equal(arr, [3.0, 30.0])
+            assert type(scalar) is float and scalar == 0.0
+
+
+def _replica_children():
+    import multiprocessing
+
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("dp-replica-")]
+
+
+class TestReplicaProcesses:
+    def test_killed_replica_fails_the_next_step(self):
+        import os
+        import signal
+        import time
+
+        x, y = batch(4)
+        t = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                lambda m: SGD(m, lr=1e-2), 2)
+        try:
+            t.train_step(x, y)
+            (victim,) = _replica_children()
+            os.kill(victim.pid, signal.SIGKILL)
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="replica 1"):
+                t.train_step(x, y)
+            assert time.monotonic() - t0 < 30.0
+        finally:
+            t.shutdown()
+        assert _replica_children() == []
+
+    def test_shutdown_is_idempotent_and_unlinks_shared_memory(
+            self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        from repro.raysim import sgd
+
+        segments = []
+
+        class RecordingStore(sgd.SharedArrayStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                segments.append(self.handle.shm_name)
+
+        monkeypatch.setattr(sgd, "SharedArrayStore", RecordingStore)
+        x, y = batch(4)
+        t = DataParallelTrainer(unet_factory(use_bn=True), SoftDiceLoss(),
+                                lambda m: SGD(m, lr=1e-2), 2,
+                                sync_batchnorm=True)
+        t.train_step(x, y)
+        assert len(segments) == 2   # the sync-BN slots and the data plane
+        t.shutdown()
+        t.shutdown()
+        assert _replica_children() == []
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_replica_failure_breaks_the_sync_batchnorm_barrier(
+            self, monkeypatch):
+        """A replica that fails before its first reduce must not leave
+        replica 0 waiting in the barrier forever."""
+        import os
+
+        from repro.raysim import sgd
+
+        driver = os.getpid()
+        shard_grads = sgd._shard_grads
+
+        def fail_in_replica(*args):
+            if os.getpid() != driver:
+                raise MemoryError("replica out of memory")
+            return shard_grads(*args)
+
+        monkeypatch.setattr(sgd, "_shard_grads", fail_in_replica)
+        x, y = batch(4)
+        t = DataParallelTrainer(unet_factory(use_bn=True), SoftDiceLoss(),
+                                lambda m: SGD(m, lr=1e-2), 2,
+                                sync_batchnorm=True)
+        try:
+            with pytest.raises(RuntimeError):
+                t.train_step(x, y)
+        finally:
+            t.shutdown()
+        assert _replica_children() == []
+
+    def test_daemonic_process_rejects_replica_processes(self):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def build():
+            try:
+                DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                    lambda m: SGD(m, lr=1e-2), 2)
+                send.send(None)
+            except BaseException as exc:
+                send.send((type(exc).__name__, str(exc)))
+
+        proc = ctx.Process(target=build, daemon=True)
+        proc.start()
+        kind, message = recv.recv()
+        proc.join(timeout=10)
+        assert kind == "ValueError"
+        assert "daemonic" in message
+
+    def test_replica_kernel_seconds_reach_the_driver_counter(self,
+                                                             monkeypatch):
+        from repro.raysim import sgd
+        from repro.telemetry import TelemetryHub
+
+        monkeypatch.setattr(sgd, "consume_kernel_seconds",
+                            lambda: {("fake", "op"): 1.0})
+        hub = TelemetryHub()
+        x, y = batch(4)
+        t = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                lambda m: SGD(m, lr=1e-2), 2, telemetry=hub)
+        try:
+            t.train_step(x, y)
+        finally:
+            t.shutdown()
+        counter = hub.metrics.get("kernel_seconds_total")
+        assert counter.labels(backend="fake", op="op").value == 2.0
+
+    def test_load_checkpoint_reaches_every_replica(self, tmp_path):
+        from repro.core import save_checkpoint
+
+        x, y = batch(4)
+        src = DataParallelTrainer(unet_factory(seed=1), SoftDiceLoss(),
+                                  lambda m: Adam(m, lr=1e-2), 1)
+        src.train_step(x, y)
+        path = save_checkpoint(tmp_path / "ckpt", src.model, src.optimizer,
+                               epoch=3)
+        t = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                lambda m: Adam(m, lr=1e-2), 2)
+        try:
+            assert t.load_checkpoint(path)["epoch"] == 3
+            assert t.weights_in_sync()
+            for _ in range(2):
+                src.train_step(x, y)
+                t.train_step(x, y)
+                assert t.weights_in_sync(atol=1e-12)
+            np.testing.assert_allclose(t.model.get_flat_params(),
+                                       src.model.get_flat_params(),
+                                       atol=1e-10)
+        finally:
+            t.shutdown()
