@@ -11,12 +11,13 @@ record (``BENCH_serving.json``).
 
 Small requests ride whole-request full-volume tasks.  Large requests
 are always served scatter--gather: the driver decomposes a
-sliding-window request into patch-chunk tasks, the weighted-fair
-micro-batcher interleaves chunks across requests (so small requests
-are never stuck behind a large request's fan-out), and the driver
-stitches the gathered chunks.  ``submit(..., priority=)`` weights the
-fair scheduler via :data:`PRIORITIES` and, past a configurable
-backlog, low-priority admissions are shed at submit.
+sliding-window request into single-chunk tasks, admits at most one
+per live replica at a time (so a small request waits for at most one
+chunk, never a large request's fan-out), and stitches the gathered
+chunks.  Release order between requests is weighted-fair, and
+``submit(..., priority=)`` weights that fair scheduler via
+:data:`PRIORITIES`; past a configurable backlog, low-priority
+admissions are shed at submit.
 
 Served predictions are bit-identical to the offline strategies
 (:func:`repro.core.inference.full_volume_inference` /

@@ -13,17 +13,21 @@ pickling across the process boundary, one task per batch); the
 per-sample forward time itself is batch-invariant because replicas run
 the bit-identical per-sample/per-chunk loop (:mod:`repro.serve.replica`).
 
-Scatter--gather serving (ISSUE 10) turns one sliding-window request
-into many patch-chunk work items, so release order is no longer plain
-FIFO: items carry a ``request_id`` and a priority ``weight``, and the
-batcher interleaves items of *different* requests by **stride
-scheduling** (weighted fair queuing): each request has a virtual
-``pass`` value advanced by ``1 / weight`` per released item, and the
-next slot always goes to the request with the smallest pass.  A newly
-arrived request starts at the scheduler's current virtual clock, so a
-small request admitted behind a 100-chunk volume is released after at
-most ~one batch of the large request's chunks instead of all of them
--- the head-of-line-blocking fix measured in ``BENCH_serving.json``.
+A sliding-window request arrives here as patch chunks, so release
+order is no longer plain FIFO: items carry a ``request_id`` and a
+priority ``weight``, and the batcher interleaves items of *different*
+requests by **stride scheduling** (weighted fair queuing): each request
+has a virtual ``pass`` value advanced by ``1 / weight`` per released
+item, and the next slot always goes to the request with the smallest
+pass.  A newly arrived request starts at the scheduler's current
+virtual clock, so it neither starves nor jumps ahead of credit others
+already consumed.  A chunk item (``strategy="sw_chunks"``) already
+holds ``sw_batch_size`` patches, so it is a full batch on its own and
+leaves as a batch of one; full-volume items coalesce up to
+``max_batch``.  The server admits a scattered request's chunks a few
+at a time (at most one per live replica, see
+:mod:`repro.serve.server`), so a small request behind a large one
+waits behind at most one chunk, never the large request's backlog.
 Items of the *same* request always release in arrival (chunk) order,
 and with one item per request (classic full-volume traffic) the
 schedule degenerates to exact FIFO.
@@ -50,7 +54,7 @@ __all__ = ["BatchKey", "MicroBatcher"]
 class BatchKey:
     """What must match for work items to share a batch."""
 
-    strategy: str            # "full_volume" | "sliding_window" | "sw_chunk"
+    strategy: str            # "full_volume" | "sw_chunks"
     shape: tuple             # per-sample (C, D, H, W) / per-patch shape
     dtype: str
 
@@ -119,6 +123,19 @@ class MicroBatcher:
     def _oldest(self, group: list[_Item]) -> float:
         return min(it.arrival for it in group)
 
+    def _batch_limit(self, key: BatchKey) -> int:
+        """Items per released batch: a patch chunk already holds a full
+        ``model.predict`` batch, so it leaves alone; anything else
+        coalesces up to ``max_batch``."""
+        return 1 if key.strategy == "sw_chunks" else self.max_batch
+
+    def _due_at(self, key: BatchKey, group: list[_Item]) -> float:
+        """A full batch is due at its oldest item's arrival, a partial
+        one ``max_delay_s`` later."""
+        oldest = self._oldest(group)
+        return (oldest if len(group) >= self._batch_limit(key)
+                else oldest + self.max_delay_s)
+
     def next_deadline(self) -> float | None:
         """Monotonic time of the earliest pending release.
 
@@ -127,13 +144,8 @@ class MicroBatcher:
         sleeping until the returned instant wakes immediately instead
         of stalling a releasable batch for up to ``max_delay_s``.
         """
-        deadlines = []
-        for group in self._groups.values():
-            if not group:
-                continue
-            oldest = self._oldest(group)
-            deadlines.append(oldest if len(group) >= self.max_batch
-                             else oldest + self.max_delay_s)
+        deadlines = [self._due_at(key, group)
+                     for key, group in self._groups.items() if group]
         return min(deadlines) if deadlines else None
 
     # -- weighted-fair selection --------------------------------------------
@@ -179,7 +191,8 @@ class MicroBatcher:
         (None = all).
 
         Eligibility is by deadline: a full batch is due at its oldest
-        item's *arrival*, a partial one at ``oldest + max_delay_s``.
+        item's *arrival*, a partial one at ``oldest + max_delay_s``; a
+        chunk item is always a full batch of one.
         Batching is work-conserving: while fewer than ``idle`` batches
         have left in this call, groups that are not yet due are
         eligible too, so a replica with nothing to do never waits for
@@ -194,7 +207,7 @@ class MicroBatcher:
         smallest virtual pass, so a fresh small request's group
         outranks the chunk group of a large request that has already
         consumed release slots -- cross-group head-of-line blocking is
-        bounded by ~one batch, not by the large request's backlog.
+        bounded by one batch, not by the large request's backlog.
         Whatever ``limit`` leaves behind stays here, still
         accumulating, and is re-offered next call.
         """
@@ -206,9 +219,7 @@ class MicroBatcher:
             for key, group in self._groups.items():
                 if not group:
                     continue
-                oldest = self._oldest(group)
-                due_at = (oldest if len(group) >= self.max_batch
-                          else oldest + self.max_delay_s)
+                due_at = self._due_at(key, group)
                 if due_at > now and not early:
                     continue
                 # due groups rank ahead of early ones, fair order within
@@ -220,8 +231,8 @@ class MicroBatcher:
                     best_key = key
             if best_key is None:
                 break
-            released.append(
-                (best_key, self._take_fair(best_key, self.max_batch)))
+            released.append((best_key, self._take_fair(
+                best_key, self._batch_limit(best_key))))
             if not self._groups[best_key]:
                 del self._groups[best_key]
         self._prune_pass()
@@ -229,12 +240,12 @@ class MicroBatcher:
 
     def flush(self) -> list[tuple[BatchKey, list[str]]]:
         """Release everything pending (server drain/shutdown), in fair
-        order, split at ``max_batch``."""
+        order, split at ``max_batch`` (chunk items one by one)."""
         released: list[tuple[BatchKey, list[str]]] = []
         for key in list(self._groups):
             while self._groups[key]:
                 released.append(
-                    (key, self._take_fair(key, self.max_batch)))
+                    (key, self._take_fair(key, self._batch_limit(key))))
             del self._groups[key]
         self._prune_pass()
         return released

@@ -14,13 +14,13 @@ A replica task is one of two types.  A full-volume task
 (``strategy="full_volume"``) answers whole requests through
 :func:`repro.core.inference.full_volume_inference`, whose inner loop
 forwards **one sample per ``model.predict`` call**.  A scatter--gather
-task (``strategy="sw_chunks"``) carries patch chunks from *several*
-sliding-window requests and runs **one ``model.predict`` per chunk**,
-each chunk being exactly one of offline
-:func:`~repro.core.inference.chunk_bounds`'s invocations; the per-chunk
-predictions ship back for **driver-side** stitching, so partial results
-can come from different replicas and still reassemble bit-identically
-to :func:`~repro.core.inference.sliding_window_inference`.
+task (``strategy="sw_chunks"``) carries **one patch chunk** of a
+sliding-window request and runs **one ``model.predict``** on it, the
+chunk being exactly one of offline
+:func:`~repro.core.inference.chunk_bounds`'s invocations; the
+prediction ships back for **driver-side** stitching, so a request's
+chunks can come from different replicas and still reassemble
+bit-identically to :func:`~repro.core.inference.sliding_window_inference`.
 
 On this BLAS a batched matmul is *not* bitwise-identical to a
 differently-grouped equivalent, so regrouping requests or patches into
@@ -66,9 +66,8 @@ def replica_factory(checkpoint: str, model_builder, model_kwargs=None,
 
     or one scatter--gather chunk task::
 
-        {"strategy": "sw_chunks", "chunks": [(n_i, C, *patch) arrays],
-         "chunk_requests": [request_id per chunk],
-         "chunk_indices": [chunk index within its request]}
+        {"strategy": "sw_chunks", "chunk": (n, C, *patch) array,
+         "request_id": owning request, "chunk_index": index within it}
     """
     if compute_dtype is not None:
         from ..nn.dtypes import set_compute_dtype
@@ -98,8 +97,7 @@ def replica_factory(checkpoint: str, model_builder, model_kwargs=None,
             trace_ids=sorted({str(c.get("trace_id", ""))
                               for c in contexts.values()}))
         if strategy == "sw_chunks":
-            final = _serve_chunks(model, config, contexts, hub,
-                                  span_attrs)
+            final = _serve_chunk(model, config, contexts, hub, span_attrs)
         else:
             final = _serve_volumes(model, config, strategy, hub,
                                    span_attrs)
@@ -143,40 +141,29 @@ def _serve_volumes(model, config, strategy, hub, span_attrs) -> dict:
     }
 
 
-def _serve_chunks(model, config, contexts, hub, span_attrs) -> dict:
-    """Scatter--gather task: one ``model.predict`` per patch chunk
-    (offline grouping preserved -- bit-identity), predictions shipped
-    back per chunk for driver-side stitching.  Each chunk gets its own
-    worker-side span carrying the owning request's trace id, so the
-    merged Chrome trace shows the request fanned across worker pids."""
-    chunks = [np.asarray(c) for c in config["chunks"]]
-    owners = [str(r) for r in config.get("chunk_requests",
-                                         [""] * len(chunks))]
-    indices = [int(i) for i in config.get("chunk_indices",
-                                          range(len(chunks)))]
-    predictions = []
-    chunk_seconds = []
-    passes = 0
+def _serve_chunk(model, config, contexts, hub, span_attrs) -> dict:
+    """Scatter--gather task: one ``model.predict`` on one patch chunk
+    (offline grouping preserved -- bit-identity), the prediction shipped
+    back for driver-side stitching.  The chunk's worker-side span
+    carries the owning request's trace id, so the merged Chrome trace
+    shows the request fanned across worker pids."""
+    chunk = np.asarray(config["chunk"])
+    if chunk.ndim != 5:
+        raise ValueError(
+            f"expected a (n, C, pd, ph, pw) chunk, got {chunk.shape}")
+    owner = str(config["request_id"])
+    ctx = contexts.get(owner) or {}
     with hub.tracer.span("replica_compute", **span_attrs):
-        for chunk, owner, index in zip(chunks, owners, indices):
-            if chunk.ndim != 5:
-                raise ValueError(
-                    f"expected a (n, C, pd, ph, pw) chunk, got "
-                    f"{chunk.shape}")
-            ctx = contexts.get(owner) or {}
-            t0 = time.perf_counter()
-            with hub.tracer.span(
-                    "sw_chunk", category="serve", request_id=owner,
-                    chunk=index,
-                    trace_id=str(ctx.get("trace_id", ""))):
-                pred = model.predict(chunk)
-            predictions.append(pred)
-            chunk_seconds.append(time.perf_counter() - t0)
-            passes += int(chunk.shape[0])
+        t0 = time.perf_counter()
+        with hub.tracer.span(
+                "sw_chunk", category="serve", request_id=owner,
+                chunk=int(config["chunk_index"]),
+                trace_id=str(ctx.get("trace_id", ""))):
+            prediction = model.predict(chunk)
+        seconds = time.perf_counter() - t0
     return {
-        "predictions": predictions,
-        "chunk_seconds": chunk_seconds,
-        "seconds": float(sum(chunk_seconds)),
-        "forward_passes": passes,
-        "model_invocations": len(chunks),
+        "prediction": prediction,
+        "seconds": seconds,
+        "forward_passes": int(chunk.shape[0]),
+        "model_invocations": 1,
     }

@@ -12,11 +12,15 @@ with an admission queue:
   invocations offline :func:`repro.core.inference.sliding_window_inference`
   would run (:func:`~repro.core.inference.sliding_window_spec` /
   :func:`~repro.core.inference.chunk_bounds`), each chunk a separately
-  schedulable work item.  The :class:`~repro.serve.batcher.MicroBatcher`
-  coalesces chunks *across requests* into replica tasks under weighted
-  fair queuing, so a small request admitted behind a 100-chunk volume
-  no longer waits for all of it -- the head-of-line-blocking fix
-  measured in ``BENCH_serving.json``.  ``submit(..., priority=)`` maps
+  schedulable work item and its own replica task (a chunk already holds
+  ``sw_batch_size`` patches, a full batch).  Chunks reach the
+  :class:`~repro.serve.batcher.MicroBatcher` lazily: a request holds at
+  most one chunk per live replica there or in flight, and each gathered
+  chunk admits its next one.  Every replica therefore keeps a dispatch
+  credit for other requests, and a small request admitted behind a
+  100-chunk volume waits for at most one chunk, not the volume's
+  backlog.  Release order between requests is weighted-fair.
+  ``submit(..., priority=)`` maps
   to the fair scheduler's weights, and when the backlog (the same
   ``serve_queue_depth`` signal the ``serve_backlog`` alert watches)
   exceeds ``shed_backlog``, sheddable priorities are rejected at
@@ -35,7 +39,8 @@ with an admission queue:
   releases due batches under dispatch credits
   (``max_inflight_per_replica`` tasks per live replica, so the backlog
   accumulates in the fair batcher rather than the replicas' FIFO task
-  queue; a partial batch leaves at once while a replica is idle),
+  queue; a partial batch leaves at once while a replica is idle; a
+  scattered request never takes more than one credit per replica),
   heals the pool to its target size, and applies
   :class:`~repro.serve.autoscaler.Autoscaler` decisions -- shed
   admissions count as backlog pressure so shedding cannot starve the
@@ -121,7 +126,9 @@ class ServeConfig:
     shed_priorities: tuple = ("low",)
     # dispatch credits: tasks in flight per live replica before the
     # batcher stops releasing (backlog then waits *fairly* here instead
-    # of FIFO on the shared task queue)
+    # of FIFO on the shared task queue).  A sliding-window request uses
+    # at most one per replica, so with 2 the other stays free for
+    # other requests.
     max_inflight_per_replica: int = 2
     # float32 serving mode (ROADMAP 1c): set the replicas' kernel dtype
     # policy; None keeps the ambient float64 default.  float32 trades
@@ -178,7 +185,9 @@ class InferenceResponse:
     prediction: np.ndarray        # (C, D, H, W)
     strategy: str
     latency_s: float              # admission -> response, monotonic
-    batch_size: int               # items coalesced into the (last) batch
+    # full-volume requests coalesced into its batch; 1 for a
+    # sliding-window request (a chunk task carries one chunk)
+    batch_size: int
     replica: int | None           # worker id that answered (last chunk's)
     attempt: int                  # >0 means the request survived retry
     model_seconds: float          # replica-side inference time
@@ -246,6 +255,8 @@ class _Pending:
     started_mono: float | None = None     # first chunk picked up
     done_mono: float | None = None        # last chunk result arrived
     attempt_max: int = 0
+    weight: float = 1.0                   # fair-scheduler weight
+    admitted: int = 0                     # chunks handed to the batcher
 
 
 @dataclass
@@ -431,15 +442,26 @@ class ModelServer:
         key = BatchKey(strategy="sw_chunks",
                        shape=tuple(patches.shape[1:]),
                        dtype=str(patches.dtype))
-        self._pending[request_id] = _Pending(
+        pending = self._pending[request_id] = _Pending(
             volume=volume, key=key, future=future, arrival_mono=now,
             priority=priority, ctx=self.request_tracer.begin(request_id),
-            patches=patches, offsets=offsets, bounds=bounds)
+            patches=patches, offsets=offsets, bounds=bounds, weight=weight)
         for ci in range(len(bounds)):
-            item_id = _chunk_item_id(request_id, ci)
-            self._chunk_items[item_id] = (request_id, ci)
-            self.batcher.add(item_id, key, now,
-                             request_id=request_id, weight=weight)
+            self._chunk_items[_chunk_item_id(request_id, ci)] = (
+                request_id, ci)
+        # one chunk per live replica now; each gathered chunk admits the
+        # next, so this request never holds a replica's second credit
+        for _ in range(max(1, self.executor.worker_count())):
+            self._admit_chunk(request_id, pending, now)
+
+    def _admit_chunk(self, rid: str, pending: _Pending, now: float) -> None:
+        """Hand the request's next not-yet-admitted chunk to the
+        batcher (no-op once every chunk has been admitted)."""
+        ci = pending.admitted
+        if ci < len(pending.bounds):
+            pending.admitted += 1
+            self.batcher.add(_chunk_item_id(rid, ci), pending.key, now,
+                             request_id=rid, weight=pending.weight)
 
     def pending_count(self) -> int:
         """Requests admitted but not yet answered (queued + in flight)."""
@@ -512,19 +534,14 @@ class ModelServer:
             batch_id = f"batch_{self._n_batches:06d}"
             self._n_batches += 1
         if key.strategy == "sw_chunks":
-            request_ids = []
-            chunks, owners, indices = [], [], []
-            for item in items:
-                rid, ci = self._chunk_items[item]
-                pending = self._pending[rid]
-                start, end = pending.bounds[ci]
-                chunks.append(pending.patches[start:end])
-                owners.append(rid)
-                indices.append(ci)
-                if rid not in request_ids:
-                    request_ids.append(rid)
-            task = {"strategy": "sw_chunks", "chunks": chunks,
-                    "chunk_requests": owners, "chunk_indices": indices}
+            (item,) = items   # the batcher releases chunks one by one
+            rid, ci = self._chunk_items[item]
+            pending = self._pending[rid]
+            start, end = pending.bounds[ci]
+            request_ids = [rid]
+            task = {"strategy": "sw_chunks",
+                    "chunk": pending.patches[start:end],
+                    "request_id": rid, "chunk_index": ci}
         else:
             request_ids = list(items)
             volumes = np.stack(
@@ -778,75 +795,71 @@ class ModelServer:
 
     def _gather_chunks(self, batch_id: str, batch: _Inflight, final: dict,
                        done: float, worker, replica_pid) -> None:
-        """Gather: buffer this task's chunk predictions under their
-        owning requests; a request whose last chunk just landed is
-        stitched (canonical order -- bit-identity however the chunks
-        interleaved across replicas and retries) and resolved."""
-        predictions = final["predictions"]
-        chunk_seconds = [float(s) for s in final["chunk_seconds"]]
-        # reconstruct per-chunk spans on the driver clock: chunks ran
-        # back-to-back inside the replica's compute window ending ~done
-        span_t = (batch.started_mono
-                  if batch.started_mono is not None
-                  else done - sum(chunk_seconds))
-        finished: list[str] = []
-        for i, item in enumerate(batch.items):
-            start, span_t = span_t, span_t + chunk_seconds[i]
-            owner = self._chunk_items.get(item)
-            if owner is None:
-                continue  # request already failed elsewhere
-            rid, ci = owner
-            pending = self._pending.get(rid)
-            if pending is None or ci in pending.chunk_results:
-                continue
-            pending.chunk_results[ci] = np.asarray(predictions[i])
-            pending.chunk_seconds[ci] = chunk_seconds[i]
-            pending.chunk_spans.append(
-                {"chunk": ci, "start": start, "end": span_t,
-                 "replica": worker, "pid": replica_pid,
-                 "attempt": batch.attempt})
-            pending.attempt_max = max(pending.attempt_max, batch.attempt)
-            if (pending.started_mono is None
-                    or (batch.started_mono is not None
-                        and batch.started_mono < pending.started_mono)):
-                pending.started_mono = batch.started_mono
-            pending.done_mono = done
-            if len(pending.chunk_results) == len(pending.bounds):
-                finished.append(rid)
-        for rid in finished:
-            pending = self._pending.pop(rid)
-            self._drop_chunk_items(rid, pending)
-            stitched = stitch_chunks(pending.chunk_results,
-                                     pending.offsets,
-                                     pending.volume.shape[1:])
-            completed = time.monotonic()
-            compute_s = float(sum(pending.chunk_seconds.values()))
-            trace = self.request_tracer.complete(
-                pending.ctx, rid,
-                arrival=pending.arrival_mono,
-                released=pending.released_mono,
-                started=pending.started_mono,
-                done=pending.done_mono, completed=completed,
-                compute_s=compute_s,
-                attempt=pending.attempt_max, strategy="sliding_window",
-                batch_id=batch_id, batch_size=len(batch.items),
-                replica=worker, replica_pid=replica_pid,
-                priority=pending.priority,
-                chunk_spans=pending.chunk_spans)
-            self._resolve(pending, trace, InferenceResponse(
-                request_id=rid,
-                prediction=stitched,
-                strategy="sliding_window",
-                latency_s=trace.latency_s,
-                batch_size=len(batch.items),
-                replica=worker,
-                attempt=pending.attempt_max,
-                model_seconds=compute_s,
-                checkpoint_epoch=final.get("checkpoint_epoch"),
-                priority=pending.priority,
-                chunks=len(pending.bounds),
-                chunk_replicas=list(trace.chunk_replicas),
-            ))
+        """Gather: buffer this task's chunk prediction under its owning
+        request and admit the request's next chunk in its place; when
+        the last chunk has landed, stitch (canonical order --
+        bit-identity however the chunks interleaved across replicas and
+        retries) and resolve."""
+        (item,) = batch.items
+        owner = self._chunk_items.get(item)
+        if owner is None:
+            return  # request already failed elsewhere
+        rid, ci = owner
+        pending = self._pending.get(rid)
+        if pending is None or ci in pending.chunk_results:
+            return
+        seconds = float(final["seconds"])
+        # the chunk's span on the driver clock: it ran inside the
+        # replica's compute window ending ~done
+        start = (batch.started_mono if batch.started_mono is not None
+                 else done - seconds)
+        pending.chunk_results[ci] = np.asarray(final["prediction"])
+        pending.chunk_seconds[ci] = seconds
+        self._admit_chunk(rid, pending, done)
+        pending.chunk_spans.append(
+            {"chunk": ci, "start": start, "end": start + seconds,
+             "replica": worker, "pid": replica_pid,
+             "attempt": batch.attempt})
+        pending.attempt_max = max(pending.attempt_max, batch.attempt)
+        if (pending.started_mono is None
+                or (batch.started_mono is not None
+                    and batch.started_mono < pending.started_mono)):
+            pending.started_mono = batch.started_mono
+        pending.done_mono = done
+        if len(pending.chunk_results) < len(pending.bounds):
+            return
+        self._pending.pop(rid)
+        self._drop_chunk_items(rid, pending)
+        stitched = stitch_chunks(pending.chunk_results, pending.offsets,
+                                 pending.volume.shape[1:])
+        completed = time.monotonic()
+        compute_s = float(sum(pending.chunk_seconds.values()))
+        trace = self.request_tracer.complete(
+            pending.ctx, rid,
+            arrival=pending.arrival_mono,
+            released=pending.released_mono,
+            started=pending.started_mono,
+            done=pending.done_mono, completed=completed,
+            compute_s=compute_s,
+            attempt=pending.attempt_max, strategy="sliding_window",
+            batch_id=batch_id, batch_size=1,
+            replica=worker, replica_pid=replica_pid,
+            priority=pending.priority,
+            chunk_spans=pending.chunk_spans)
+        self._resolve(pending, trace, InferenceResponse(
+            request_id=rid,
+            prediction=stitched,
+            strategy="sliding_window",
+            latency_s=trace.latency_s,
+            batch_size=1,
+            replica=worker,
+            attempt=pending.attempt_max,
+            model_seconds=compute_s,
+            checkpoint_epoch=final.get("checkpoint_epoch"),
+            priority=pending.priority,
+            chunks=len(pending.bounds),
+            chunk_replicas=list(trace.chunk_replicas),
+        ))
 
     def _resolve(self, pending: _Pending, trace,
                  response: InferenceResponse) -> None:

@@ -263,6 +263,64 @@ class TestScatterGather:
             assert r.priority == "high"
             assert np.array_equal(ref_small[i], r.prediction)
 
+    def test_large_request_keeps_one_single_chunk_task_per_replica(
+            self, checkpoint):
+        """Fair chunk dispatch: a scattered request never has more than
+        one task per live replica in flight, and each carries exactly
+        one chunk, so every replica keeps a dispatch credit for other
+        requests.  A small request submitted while that window is full
+        ships before the large request's next chunk."""
+        # 12^3 at patch 4, overlap 0.5 -> 125 patches -> 8 chunks of 16
+        cfg = serve_config(checkpoint, replicas=2, max_batch=4,
+                           full_volume_max_voxels=4 ** 3,
+                           patch_shape=(4, 4, 4), overlap=0.5,
+                           sw_batch_size=16, max_delay_ms=0.0)
+        (large,) = volumes(1, shape=(1, 12, 12, 12), seed=3)
+        (small,) = volumes(1, shape=(1, 4, 4, 4), seed=4)
+        with ModelServer(cfg) as server:
+            shipped = []        # (task, chunk tasks in flight) per submit
+            submit = server.executor.submit
+
+            def record(batch_id, task, attempt=0):
+                shipped.append((task, sum(
+                    b.key.strategy == "sw_chunks"
+                    for b in server._inflight.values())))
+                submit(batch_id, task, attempt=attempt)
+
+            server.executor.submit = record
+            workers = server.executor.worker_count()
+            assert workers == 2
+            large_fut = server.submit(large, request_id="large")
+            (pending,) = server._pending.values()
+            assert len(pending.bounds) >= 5
+            server.step()
+            chunk_tasks = [b for b in server._inflight.values()
+                           if b.key.strategy == "sw_chunks"]
+            assert 0 < len(chunk_tasks) <= workers
+            assert all(len(b.items) == 1 for b in chunk_tasks)
+            # nothing capped sits in the batcher reporting itself due
+            deadline = server.batcher.next_deadline()
+            assert deadline is None or deadline > time.monotonic()
+            small_fut = server.submit(small, request_id="small")
+            server.drain(timeout_s=120)
+            large_r, small_r = large_fut.result(), small_fut.result()
+        chunk_tasks = [task for task, _ in shipped
+                       if task["strategy"] == "sw_chunks"]
+        assert len(chunk_tasks) == len(pending.bounds)  # one chunk each
+        assert max(inflight for _, inflight in shipped) <= workers
+        order = [task.get("chunk_index", "small") for task, _ in shipped]
+        # the small request took a free credit ahead of chunk 2
+        assert order.index("small") < order.index(2)
+        assert large_r.chunks == len(pending.bounds)
+        assert large_r.batch_size == 1
+        model = make_model()
+        reference = sliding_window_inference(
+            model, large[None], patch_shape=(4, 4, 4), overlap=0.5,
+            batch_size=16).prediction
+        assert np.array_equal(reference[0], large_r.prediction)
+        ref_small = full_volume_inference(model, small[None]).prediction
+        assert np.array_equal(ref_small[0], small_r.prediction)
+
     def test_killed_replica_retries_only_its_chunks(self, checkpoint):
         """Chunk-granular fail-over: SIGKILL the replica while a
         scattered request is partially gathered -- chunks that already

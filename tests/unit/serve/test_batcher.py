@@ -137,7 +137,7 @@ class TestWeightedFairness:
     @settings(max_examples=40, deadline=None)
     @given(
         adds=st.lists(
-            st.tuples(st.integers(0, 2),     # key index
+            st.tuples(st.integers(0, 3),     # key index (3: chunks)
                       st.integers(0, 3)),    # request group within key
             min_size=1, max_size=40),
         max_batch=st.integers(1, 5),
@@ -149,10 +149,13 @@ class TestWeightedFairness:
         """Property (ISSUE 10 satellite): however multi-key adds
         interleave with due(idle=...) calls, the released stream (due
         then a final flush) keeps each request's items in arrival
-        order, every admitted item is released exactly once, and items
-        never jump between batch keys."""
+        order, every admitted item is released exactly once, items
+        never jump between batch keys, and a patch-chunk item always
+        leaves as a batch of one."""
         keys = [BatchKey(strategy="full_volume", shape=(1, 4, 4, 4),
                          dtype=f"dt{k}") for k in range(3)]
+        keys.append(BatchKey(strategy="sw_chunks", shape=(1, 4, 4, 4),
+                             dtype="dt0"))
         mb = MicroBatcher(max_batch=max_batch, max_delay_s=max_delay)
         admitted = []
         released = []
@@ -170,6 +173,8 @@ class TestWeightedFairness:
         assert sorted(i for i, _ in seen) == sorted(i for i, _ in admitted)
         assert dict(seen) == dict(admitted)
         assert all(len(batch) <= max_batch for _, batch in released)
+        assert all(len(batch) == 1 for key, batch in released
+                   if key.strategy == "sw_chunks")
         # per-request arrival order: the trailing #i index is admission
         # order, so within one request id it must be increasing
         per_request: dict = {}
