@@ -23,10 +23,10 @@ test-gemm:
 # merged-trace writer including the request-tracing spans)
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests tools examples; \
+		ruff check src tests tools examples benchmarks perfbench; \
 	else \
 		echo "ruff not found; using tools/lint.py fallback"; \
-		$(PYTHON) tools/lint.py src tests tools examples; \
+		$(PYTHON) tools/lint.py src tests tools examples benchmarks perfbench; \
 	fi
 	$(PYTHON) tools/check_bench_schema.py
 	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py

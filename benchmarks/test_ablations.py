@@ -30,7 +30,6 @@ from repro.perf import (
     MARENOSTRUM_CTE_PROFILE,
     PAPER_SPATIAL,
     StepCostModel,
-    TrialConfig,
     calibrated_model,
     data_parallel_search_time,
     experiment_parallel_search_time,

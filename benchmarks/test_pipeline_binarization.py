@@ -11,7 +11,6 @@ Two parts:
   read is far cheaper than decode + transform.
 """
 
-import numpy as np
 import pytest
 from conftest import once
 

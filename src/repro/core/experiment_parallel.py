@@ -33,8 +33,7 @@ from ..raysim.search import GridSearch
 from ..raysim.tune import ExperimentAnalysis, TrialScheduler, tune_run
 from .checkpoint import CheckpointManager
 from .config import ExperimentSettings, HyperparameterSpace
-from .pipeline import ArrayBackedPipeline, MISPipeline, TrialOutcome, \
-    train_trial
+from .pipeline import MISPipeline, TrialOutcome, train_trial
 
 __all__ = ["ExperimentParallelSearchResult", "run_search_inprocess",
            "simulate_search", "simulate_search_with_failures"]
@@ -64,15 +63,13 @@ def _search_trainable(settings: ExperimentSettings,
     pool's ``trainable_factory`` it runs *inside* each worker, once,
     before the first task: it attaches the parent's shared-memory split
     arrays (``handle``; zero-copy -- the worker maps the parent's pages
-    instead of re-decoding the records) and serves every trial from an
-    :class:`ArrayBackedPipeline` over those views.  Module-level so the
+    instead of re-decoding the records) and serves every trial from
+    :meth:`MISPipeline.from_arrays` over those views.  Module-level so the
     reference pickles under any multiprocessing start method.  The
     trainable ships its :class:`TrialOutcome` inside the final dict.
     """
     if handle is not None:
-        # The pipeline keeps `attached` referenced: dropping it would let
-        # SharedMemory.__del__ unmap the segment under the live views.
-        pipeline = ArrayBackedPipeline(settings, handle.attach())
+        pipeline = MISPipeline.from_arrays(settings, handle.attach())
     managers: dict[str, CheckpointManager] = {}
 
     def trainable(config: dict, reporter):

@@ -5,8 +5,9 @@ Stages, exactly as the paper lays them out:
 1. **Offline binarisation** (Section III-B1): subjects are pre-processed
    once (crop -> standardise -> binary labels) and written to
    TFRecord-style files, so no epoch ever repeats the transform;
-2. **Input pipeline**: a tf.data-style dataset reads the records with
-   interleave / shuffle / batch / prefetch;
+2. **Input pipeline**: each split is read from its records once into
+   stacked arrays; an epoch is a seeded shuffle order (tf.data's
+   reservoir shuffle, replayed as indices) and a per-batch gather;
 3. **Training**: the 3D U-Net under soft Dice, Adam at the scaled
    learning rate, for a fixed epoch budget;
 4. **Validation**: per-epoch Dice on the held-out split; final Dice on
@@ -20,14 +21,16 @@ on ``num_replicas`` virtual GPUs via the Ray-SGD-analogue trainer.
 from __future__ import annotations
 
 import math
+import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..data.dataset import Dataset, PipelineStats
+from ..data.dataset import Dataset, PipelineStats, shuffle_order
 from ..data.nifti import read_nifti, write_nifti
 from ..data.preprocess import preprocess_subject
 from ..data.records import (
@@ -43,8 +46,9 @@ from ..raysim.sgd import DataParallelTrainer
 from .checkpoint import CheckpointManager
 from .config import ExperimentSettings, build_loss, build_model, build_optimizer
 
-__all__ = ["MISPipeline", "ArrayBackedPipeline", "EpochRecord",
-           "TrialOutcome", "train_trial"]
+__all__ = ["MISPipeline", "EpochRecord", "TrialOutcome", "train_trial"]
+
+_SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -76,13 +80,16 @@ class MISPipeline:
     """Dataset preparation + input pipeline for the in-process backend.
 
     ``input_mode`` selects between the paper's two ingestion paths
-    (Section III-B1): ``"records"`` (the default) binarises offline once
-    and streams pre-processed records per epoch, while ``"nifti"``
-    mimics the naive baseline -- the cohort stays as raw NIfTI files and
-    every epoch re-decodes and re-preprocesses each subject online.
-    Both paths yield bit-identical tensors; only where the time goes
-    differs, which is exactly what the profiler's input-bound % verdict
-    measures (claim C3).
+    (Section III-B1): ``"records"`` (the default) binarises offline once,
+    loads each split once into stacked arrays and serves every epoch
+    from them, while ``"nifti"`` mimics the naive baseline -- the cohort
+    stays as raw NIfTI files and every epoch re-decodes and
+    re-preprocesses each subject online.  Both paths yield bit-identical
+    tensors; only where the time goes differs, which is exactly what the
+    profiler's input-bound % verdict measures (claim C3).
+
+    Without a ``record_dir`` the files go to a temporary directory that
+    is removed when the pipeline is garbage-collected.
     """
 
     def __init__(self, settings: ExperimentSettings,
@@ -109,14 +116,56 @@ class MISPipeline:
         )
         self.split: DatasetSplit = split_indices(settings.num_subjects,
                                                  seed=settings.data_seed)
-        self._record_dir = (
-            Path(record_dir)
-            if record_dir is not None
-            else Path(tempfile.mkdtemp(prefix="distmis_records_"))
-        )
+        self._record_dir = Path(record_dir) if record_dir is not None else None
         self._record_files: dict[str, Path] = {}
         self._nifti_files: dict[str, list[tuple[Path, Path]]] = {}
+        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._owner = None
         self._divisor = 2 ** (settings.depth - 1)
+
+    @classmethod
+    def from_arrays(cls, settings: ExperimentSettings, arrays,
+                    telemetry=None) -> "MISPipeline":
+        """A pipeline over already-stacked splits, keyed
+        ``{split}_images`` / ``{split}_masks`` (see :meth:`split_arrays`).
+
+        A pool worker builds it from the parent's shared-memory views
+        (:meth:`repro.execpool.SharedArrayHandle.attach`), so it trains
+        on the parent's binarised splits without re-generating,
+        re-decoding or copying them.
+        """
+        pipeline = cls(settings, telemetry=telemetry)
+        # Keep an AttachedArrays referenced: if it is collected,
+        # SharedMemory.__del__ unmaps the segment under the views.
+        pipeline._owner = arrays
+        views = getattr(arrays, "arrays", arrays)
+        for split in _SPLITS:
+            try:
+                pipeline._arrays[split] = (views[f"{split}_images"],
+                                           views[f"{split}_masks"])
+            except KeyError as exc:
+                raise ValueError(
+                    f"array bundle is missing {exc.args[0]!r}"
+                ) from None
+        return pipeline
+
+    def _directory(self) -> Path:
+        if self._record_dir is None:
+            self._record_dir = Path(tempfile.mkdtemp(prefix="distmis_records_"))
+            weakref.finalize(self, shutil.rmtree, self._record_dir, True)
+        self._record_dir.mkdir(parents=True, exist_ok=True)
+        return self._record_dir
+
+    def _indices(self, split: str) -> tuple[int, ...]:
+        if split not in _SPLITS:
+            raise ValueError(f"unknown split {split!r}")
+        return getattr(self.split, split)
+
+    def _timed(self, stage: str, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.stats.add(stage, time.perf_counter() - t0)
+        return out
 
     # -- stage 1: offline binarisation --------------------------------------
     def binarize(self) -> dict[str, Path]:
@@ -124,12 +173,10 @@ class MISPipeline:
         split.  Idempotent; returns the file map."""
         if self._record_files:
             return self._record_files
-        for name, indices in (
-            ("train", self.split.train),
-            ("val", self.split.val),
-            ("test", self.split.test),
-        ):
-            path = self._record_dir / f"{name}.rec"
+        directory = self._directory()
+        for name in _SPLITS:
+            indices = self._indices(name)
+            path = directory / f"{name}.rec"
             t0 = time.perf_counter()
 
             def examples():
@@ -152,17 +199,15 @@ class MISPipeline:
         returns ``{split: [(image_path, label_path), ...]}``."""
         if self._nifti_files:
             return self._nifti_files
-        for name, indices in (
-            ("train", self.split.train),
-            ("val", self.split.val),
-            ("test", self.split.test),
-        ):
+        directory = self._directory()
+        for name in _SPLITS:
+            indices = self._indices(name)
             t0 = time.perf_counter()
             pairs: list[tuple[Path, Path]] = []
             for i in indices:
                 subject = self.generator[i]
-                img = self._record_dir / f"{subject.subject_id}_img.nii"
-                lbl = self._record_dir / f"{subject.subject_id}_lbl.nii"
+                img = directory / f"{subject.subject_id}_img.nii"
+                lbl = directory / f"{subject.subject_id}_lbl.nii"
                 write_nifti(img, subject.image,
                             description=subject.subject_id)
                 write_nifti(lbl, subject.label)
@@ -172,99 +217,94 @@ class MISPipeline:
             self._nifti_files[name] = pairs
         return self._nifti_files
 
-    def _online_dataset(self, split: str) -> Dataset:
-        """Per-epoch online chain of the raw-NIfTI baseline: decode both
-        volumes, then run the full preprocess transform -- the work
-        offline binarisation does exactly once."""
-        files = self.materialize_nifti()
-        if split not in files:
-            raise ValueError(f"unknown split {split!r}")
-        pairs = files[split]
-
-        def source():
-            return iter(pairs)
-
-        def decode(pair):
-            img, lbl = read_nifti(pair[0]), read_nifti(pair[1])
-            return Subject(subject_id=img.description, image=img.data,
-                           label=lbl.data)
-
-        ds = Dataset.from_generator(source, stats=self.stats)
-        ds = ds.map(decode, stage="nifti_decode")
-        return ds.map(
-            lambda s: preprocess_subject(s, divisor=self._divisor).as_tuple(),
-            stage="transform")
+    def _decode_nifti(self, pair: tuple[Path, Path]):
+        """The online baseline's per-element work: decode both volumes,
+        then run the full preprocess transform -- what offline
+        binarisation does exactly once."""
+        img, lbl = self._timed("nifti_decode",
+                               lambda: (read_nifti(pair[0]), read_nifti(pair[1])))
+        subject = Subject(subject_id=img.description, image=img.data,
+                          label=lbl.data)
+        return self._timed("transform", lambda: preprocess_subject(
+            subject, divisor=self._divisor).as_tuple())
 
     # -- stage 2: input pipeline ---------------------------------------------
-    def dataset(self, split: str, batch_size: int, shuffle_seed: int | None = None,
-                prefetch: int = 0, augmenter=None) -> Dataset:
-        """tf.data-style stream of ``(image_batch, mask_batch)`` tuples.
+    def dataset(self, split: str, batch_size: int,
+                shuffle_seed: int | None = None, augmenter=None) -> Dataset:
+        """Re-iterable epoch of ``(image_batch, mask_batch)`` tuples.
+
+        An epoch is an index order -- :func:`shuffle_order` with a
+        ``max(2, 4 * batch_size)`` reservoir when ``shuffle_seed`` is
+        given, the split order otherwise -- and, per batch, a gather of
+        those rows from the split's stacked arrays (``"nifti"`` mode
+        decodes and pre-processes each element instead).
 
         ``augmenter`` (a :class:`repro.data.augment.Augmenter`) is the
-        online complement of offline binarisation: applied per element
-        after the record read, before batching.  Its RNG advances across
-        iterations, so successive epochs see *different* augmentations
-        while a re-run of the whole trial (fresh augmenter, same seed)
-        replays exactly.
+        online complement of offline binarisation, applied per element
+        before batching.  Its RNG advances across iterations, so
+        successive epochs see *different* augmentations while a re-run
+        of the whole trial (fresh augmenter, same seed) replays exactly.
         """
+        self._indices(split)
         if self.input_mode == "nifti":
-            ds = self._online_dataset(split)
+            pairs = self.materialize_nifti()[split]
+            n = len(pairs)
+
+            def element(i):
+                return self._decode_nifti(pairs[i])
         else:
-            files = self.binarize()
-            if split not in files:
-                raise ValueError(f"unknown split {split!r}")
-            path = files[split]
-            stats = self.stats
+            images, masks = self.load_split_arrays(split)
+            n = images.shape[0]
 
-            def source():
-                it = read_example_file(path)
-                while True:
-                    t0 = time.perf_counter()
-                    try:
-                        ex = next(it)
-                    except StopIteration:
-                        return
-                    stats.add("record_read", time.perf_counter() - t0)
-                    yield ex["image"], ex["mask"]
+            def element(i):
+                return images[i], masks[i]
+        order = (np.arange(n) if shuffle_seed is None
+                 else shuffle_order(n, max(2, batch_size * 4), shuffle_seed))
 
-            ds = Dataset.from_generator(source, stats=self.stats)
-        if shuffle_seed is not None:
-            ds = ds.shuffle(buffer_size=max(2, batch_size * 4), seed=shuffle_seed)
-        if augmenter is not None:
-            ds = ds.map(augmenter.map_fn(), stage="augment")
-        ds = ds.batch(batch_size)
-        if prefetch:
-            ds = ds.prefetch(prefetch)
-        return ds
+        def epoch():
+            for start in range(0, n, batch_size):
+                rows = [element(i) for i in order[start:start + batch_size]]
+                if augmenter is not None:
+                    rows = [self._timed("augment", augmenter, *row)
+                            for row in rows]
+                yield (np.stack([image for image, _ in rows]),
+                       np.stack([mask for _, mask in rows]))
+
+        return Dataset.from_generator(epoch)
 
     def load_split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """Whole split as two stacked arrays (for validation passes).
+        """Whole split as two stacked arrays, loaded once and cached.
 
         Reads through the index sidecar when present: the per-record
         decode is a zero-copy view over the file mapping and the only
         copy is the final stack.  Falls back to the sequential verifying
         scan when the sidecar is missing or bad.
         """
-        if self.input_mode == "nifti":
-            batches = list(self._online_dataset(split))
-            return (np.stack([img for img, _ in batches]),
-                    np.stack([m for _, m in batches]))
-        files = self.binarize()
-        try:
-            reader = IndexedRecordReader(files[split])
-            examples = list(reader)
-        except RecordIndexError:
-            examples = list(read_example_file(files[split]))
-        images = [ex["image"] for ex in examples]
-        masks = [ex["mask"] for ex in examples]
-        return np.stack(images), np.stack(masks)
+        self._indices(split)
+        if split not in self._arrays:
+            if self.input_mode == "nifti":
+                rows = [self._decode_nifti(pair)
+                        for pair in self.materialize_nifti()[split]]
+            else:
+                path = self.binarize()[split]
+                try:
+                    examples = list(IndexedRecordReader(path))
+                except RecordIndexError:
+                    examples = list(read_example_file(path))
+                rows = [(ex["image"], ex["mask"]) for ex in examples]
+            arrays = (np.stack([image for image, _ in rows]),
+                      np.stack([mask for _, mask in rows]))
+            for a in arrays:  # shared by every caller and every epoch
+                a.flags.writeable = False
+            self._arrays[split] = arrays
+        return self._arrays[split]
 
     def split_arrays(self) -> dict[str, np.ndarray]:
         """Every split stacked, keyed ``{split}_images`` /
         ``{split}_masks`` -- the bundle a
         :class:`repro.execpool.SharedArrayStore` publishes to workers."""
         out: dict[str, np.ndarray] = {}
-        for split in ("train", "val", "test"):
+        for split in _SPLITS:
             images, masks = self.load_split_arrays(split)
             out[f"{split}_images"] = images
             out[f"{split}_masks"] = masks
@@ -272,74 +312,6 @@ class MISPipeline:
 
     def steps_per_epoch(self, batch_size: int) -> int:
         return math.ceil(len(self.split.train) / batch_size)
-
-
-class ArrayBackedPipeline:
-    """The :class:`MISPipeline` surface served from in-memory arrays.
-
-    Built by a pool worker from shared-memory views
-    (:meth:`repro.execpool.SharedArrayHandle.attach`), so the worker
-    trains on the parent's binarised splits without re-generating,
-    re-decoding, or copying them.  ``dataset()`` applies the identical
-    transformation chain (shuffle buffer size and seed included), so a
-    trial trained here is bit-identical to one fed by the record-file
-    pipeline.
-    """
-
-    def __init__(self, settings: ExperimentSettings,
-                 arrays, telemetry=None,
-                 stats: PipelineStats | None = None):
-        if telemetry is None:
-            from ..telemetry import get_hub
-
-            telemetry = get_hub()
-        self.telemetry = telemetry
-        self.settings = settings
-        self.stats = stats or PipelineStats(telemetry=telemetry)
-        # `arrays` may be a plain {name: ndarray} mapping or an
-        # AttachedArrays; keep the object itself referenced so a
-        # shared-memory mapping cannot be unmapped under our views.
-        self._owner = arrays
-        if hasattr(arrays, "arrays"):
-            arrays = arrays.arrays
-        self._splits: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for split in ("train", "val", "test"):
-            try:
-                self._splits[split] = (arrays[f"{split}_images"],
-                                       arrays[f"{split}_masks"])
-            except KeyError as exc:
-                raise ValueError(
-                    f"array bundle is missing {exc.args[0]!r}"
-                ) from None
-
-    def dataset(self, split: str, batch_size: int,
-                shuffle_seed: int | None = None, prefetch: int = 0,
-                augmenter=None) -> Dataset:
-        if split not in self._splits:
-            raise ValueError(f"unknown split {split!r}")
-        images, masks = self._splits[split]
-
-        def source():
-            return ((images[i], masks[i]) for i in range(images.shape[0]))
-
-        ds = Dataset.from_generator(source, stats=self.stats)
-        if shuffle_seed is not None:
-            ds = ds.shuffle(buffer_size=max(2, batch_size * 4),
-                            seed=shuffle_seed)
-        if augmenter is not None:
-            ds = ds.map(augmenter.map_fn(), stage="augment")
-        ds = ds.batch(batch_size)
-        if prefetch:
-            ds = ds.prefetch(prefetch)
-        return ds
-
-    def load_split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        if split not in self._splits:
-            raise ValueError(f"unknown split {split!r}")
-        return self._splits[split]
-
-    def steps_per_epoch(self, batch_size: int) -> int:
-        return math.ceil(self._splits["train"][0].shape[0] / batch_size)
 
 
 def train_trial(

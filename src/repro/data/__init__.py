@@ -3,8 +3,9 @@
 Stands in for the MSD Task 1 download plus TensorFlow's input stack:
 a seeded synthetic BraTS-like cohort (:mod:`~repro.data.synthetic_brats`),
 a minimal NIfTI-1 codec (:mod:`~repro.data.nifti`), TFRecord-style framed
-record files (:mod:`~repro.data.records`), a tf.data-style pipeline
-(:mod:`~repro.data.dataset`), the paper's pre-processing transforms
+record files (:mod:`~repro.data.records`), a minimal tf.data-style
+stream and the seeded epoch shuffle order (:mod:`~repro.data.dataset`),
+the paper's pre-processing transforms
 (:mod:`~repro.data.preprocess`) and the 70/15/15 split
 (:mod:`~repro.data.splits`).
 """
@@ -16,7 +17,7 @@ from .augment import (
     random_intensity_scale,
     random_intensity_shift,
 )
-from .dataset import Dataset, PipelineStats
+from .dataset import Dataset, PipelineStats, shuffle_order
 from .nifti import NiftiImage, read_nifti, write_nifti
 from .patches import (
     PatchSpec,
@@ -44,9 +45,7 @@ from .records import (
     encode_example,
     index_path_for,
     read_example_file,
-    read_sharded_examples,
     write_example_file,
-    write_sharded_examples,
 )
 from .splits import PAPER_FRACTIONS, DatasetSplit, split_indices
 from .synthetic_brats import (
@@ -61,6 +60,7 @@ from .synthetic_brats import (
 __all__ = [
     "Dataset",
     "PipelineStats",
+    "shuffle_order",
     "NiftiImage",
     "read_nifti",
     "write_nifti",
@@ -81,8 +81,6 @@ __all__ = [
     "decode_example",
     "write_example_file",
     "read_example_file",
-    "write_sharded_examples",
-    "read_sharded_examples",
     "DatasetSplit",
     "split_indices",
     "PAPER_FRACTIONS",

@@ -1,39 +1,31 @@
-"""A ``tf.data``-style input pipeline.
+"""A minimal ``tf.data``-style stream and the seeded epoch shuffle.
 
-The paper relies on the tf.data idioms -- *interleave* for parallel file
-reading, *map* for the binarisation transform, *shuffle*, *batch* and
-*prefetch* (Sections II-B3, III-B1).  This module reimplements that
-pipeline algebra over plain Python iterables:
+The paper's input speed-up is *offline binarisation* (Section III-B1):
+pre-process once, then every epoch only reads tensors.  What is left of
+the tf.data idioms here is what that needs:
 
->>> ds = (Dataset.from_list(paths)
-...         .interleave(read_record_file, cycle_length=4)
-...         .map(parse_example)
-...         .shuffle(buffer_size=16, seed=0)
-...         .batch(2)
-...         .prefetch(2))
->>> for batch in ds: ...
+* :class:`Dataset` -- a lazy, restartable element stream with a serial
+  ``map`` that times each stage into a :class:`PipelineStats` (the hook
+  the Section III-B1 bottleneck profiler reads);
+* :func:`shuffle_order` -- tf.data's reservoir ``shuffle`` as a pure
+  index order, which :class:`repro.core.pipeline.MISPipeline` gathers
+  batches by.
 
-Transformations are lazy; each ``iter()`` restarts the pipeline.
-``map``/``interleave`` accept ``num_parallel_calls`` to run the transform
-in a thread pool (NumPy releases the GIL for the heavy kernels), and
-``prefetch`` decouples the consumer with a background thread + bounded
-queue -- the same overlap mechanics tf.data provides.  Every stage
-records per-stage wall-clock into an optional :class:`PipelineStats`, the
-hook the Section III-B1 bottleneck profiler uses.
+>>> ds = (Dataset.from_list(paths).with_stats(stats)
+...         .map(decode, stage="nifti_decode")
+...         .map(transform, stage="transform"))
+>>> for example in ds: ...
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Dataset", "PipelineStats"]
+__all__ = ["Dataset", "PipelineStats", "shuffle_order"]
 
 
 class PipelineStats:
@@ -61,26 +53,14 @@ class PipelineStats:
         self.elements[stage] += elements
         self.telemetry.on_stage(stage, seconds, elements)
 
-    def report(self) -> list[tuple[str, float, int]]:
-        """Stages sorted by total time, descending."""
-        return sorted(
-            ((k, self.seconds[k], self.elements[k]) for k in self.seconds),
-            key=lambda t: -t[1],
-        )
-
-    def bottleneck(self) -> str | None:
-        rep = self.report()
-        return rep[0][0] if rep else None
-
 
 class Dataset:
-    """Lazy, restartable element stream with tf.data-style combinators."""
+    """Lazy, restartable element stream; each ``iter()`` restarts it."""
 
     def __init__(self, source: Callable[[], Iterator], stats: PipelineStats | None = None):
         self._source = source
         self.stats = stats
 
-    # -- constructors ---------------------------------------------------
     @classmethod
     def from_list(cls, items: list, stats: PipelineStats | None = None) -> "Dataset":
         items = list(items)
@@ -93,417 +73,46 @@ class Dataset:
         """``factory`` is called at every iteration to restart the stream."""
         return cls(lambda: iter(factory()), stats)
 
-    @classmethod
-    def range(cls, n: int) -> "Dataset":
-        return cls.from_generator(lambda: range(n))
-
-    # -- plumbing ---------------------------------------------------------
-    def _derive(self, source: Callable[[], Iterator]) -> "Dataset":
-        child = Dataset(source, self.stats)
-        return child
-
     def with_stats(self, stats: PipelineStats) -> "Dataset":
         self.stats = stats
         return self
 
-    def _record(self, stage: str, seconds: float, elements: int = 1) -> None:
-        if self.stats is not None:
-            self.stats.add(stage, seconds, elements)
-
     def __iter__(self) -> Iterator:
         return self._source()
 
-    # -- transformations --------------------------------------------------
-    def map(
-        self,
-        fn: Callable,
-        num_parallel_calls: int = 1,
-        stage: str = "map",
-    ) -> "Dataset":
-        """Apply ``fn`` to every element (optionally via a thread pool,
-        preserving order, like tf.data's deterministic map)."""
-        if num_parallel_calls < 1:
-            raise ValueError("num_parallel_calls must be >= 1")
-
-        if num_parallel_calls == 1:
-            def gen():
-                for item in self._source():
-                    t0 = time.perf_counter()
-                    out = fn(item)
-                    self._record(stage, time.perf_counter() - t0)
-                    yield out
-        else:
-            def gen():
-                with ThreadPoolExecutor(max_workers=num_parallel_calls) as pool:
-                    pending = []
-                    it = self._source()
-                    try:
-                        for item in it:
-                            pending.append(pool.submit(_timed, fn, item))
-                            if len(pending) >= num_parallel_calls * 2:
-                                out, dt = pending.pop(0).result()
-                                self._record(stage, dt)
-                                yield out
-                        for fut in pending:
-                            out, dt = fut.result()
-                            self._record(stage, dt)
-                            yield out
-                    finally:
-                        for fut in pending:
-                            fut.cancel()
-        return self._derive(gen)
-
-    def interleave(
-        self,
-        fn: Callable[[object], Iterable],
-        cycle_length: int = 2,
-        stage: str = "interleave",
-    ) -> "Dataset":
-        """Map each element to a sub-stream and interleave the streams
-        round-robin, tf.data semantics (deterministic order)."""
-        if cycle_length < 1:
-            raise ValueError("cycle_length must be >= 1")
-
-        def gen():
-            outer = self._source()
-            active: list[Iterator] = []
-            exhausted_outer = False
-            while True:
-                while not exhausted_outer and len(active) < cycle_length:
-                    try:
-                        item = next(outer)
-                    except StopIteration:
-                        exhausted_outer = True
-                        break
-                    t0 = time.perf_counter()
-                    sub = iter(fn(item))
-                    self._record(stage + ".open", time.perf_counter() - t0)
-                    active.append(sub)
-                if not active:
-                    return
-                still = []
-                for sub in active:
-                    try:
-                        t0 = time.perf_counter()
-                        val = next(sub)
-                        self._record(stage, time.perf_counter() - t0)
-                    except StopIteration:
-                        continue
-                    still.append(sub)
-                    yield val
-                active = still
-
-        return self._derive(gen)
-
-    @staticmethod
-    def zip(*datasets: "Dataset") -> "Dataset":
-        """Pair elements of several datasets positionally (tf.data
-        ``zip``): stops at the shortest stream.  The idiom for
-        (image_file, label_file) pairing before a joint decode."""
-        if not datasets:
-            raise ValueError("zip needs at least one dataset")
-
-        def gen():
-            iterators = [iter(d) for d in datasets]
-            while True:
-                row = []
-                for it in iterators:
-                    try:
-                        row.append(next(it))
-                    except StopIteration:
-                        return
-                yield tuple(row)
-
-        return Dataset(gen, datasets[0].stats)
-
-    def enumerate(self, start: int = 0) -> "Dataset":
-        """Yield ``(index, element)`` pairs (tf.data ``enumerate``)."""
-
-        def gen():
-            i = start
-            for item in self._source():
-                yield (i, item)
-                i += 1
-
-        return self._derive(gen)
-
-    def filter(self, predicate: Callable[[object], bool]) -> "Dataset":
+    def map(self, fn: Callable, stage: str = "map") -> "Dataset":
+        """Apply ``fn`` to every element, timing it as ``stage``."""
         def gen():
             for item in self._source():
-                if predicate(item):
-                    yield item
-        return self._derive(gen)
-
-    def shuffle(self, buffer_size: int, seed: int | None = None) -> "Dataset":
-        """Streaming shuffle with a reservoir buffer (tf.data semantics:
-        uniform within the buffer window, not a global permutation)."""
-        if buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-
-        def gen():
-            rng = np.random.default_rng(seed)
-            buf: list = []
-            for item in self._source():
-                buf.append(item)
-                if len(buf) >= buffer_size:
-                    idx = int(rng.integers(len(buf)))
-                    buf[idx], buf[-1] = buf[-1], buf[idx]
-                    yield buf.pop()
-            while buf:
-                idx = int(rng.integers(len(buf)))
-                buf[idx], buf[-1] = buf[-1], buf[idx]
-                yield buf.pop()
-
-        return self._derive(gen)
-
-    def batch(self, batch_size: int, drop_remainder: bool = False) -> "Dataset":
-        """Group consecutive elements; ndarray elements are stacked."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-        def gen():
-            buf: list = []
-            for item in self._source():
-                buf.append(item)
-                if len(buf) == batch_size:
-                    yield _collate(buf)
-                    buf = []
-            if buf and not drop_remainder:
-                yield _collate(buf)
-
-        return self._derive(gen)
-
-    def unbatch(self) -> "Dataset":
-        def gen():
-            for batch in self._source():
-                items = _uncollate(batch)
-                yield from items
-        return self._derive(gen)
-
-    def repeat(self, count: int | None = None) -> "Dataset":
-        """Repeat the stream ``count`` times (None = forever)."""
-        if count is not None and count < 1:
-            raise ValueError("count must be >= 1 or None")
-
-        def gen():
-            n = 0
-            while count is None or n < count:
-                yielded = False
-                for item in self._source():
-                    yielded = True
-                    yield item
-                n += 1
-                if not yielded:
-                    return
-        return self._derive(gen)
-
-    def take(self, n: int) -> "Dataset":
-        def gen():
-            it = self._source()
-            for _ in range(n):
-                try:
-                    yield next(it)
-                except StopIteration:
-                    return
-        return self._derive(gen)
-
-    def skip(self, n: int) -> "Dataset":
-        def gen():
-            it = self._source()
-            for _ in range(n):
-                try:
-                    next(it)
-                except StopIteration:
-                    return
-            yield from it
-        return self._derive(gen)
-
-    def shard(self, num_shards: int, index: int) -> "Dataset":
-        """Every ``num_shards``-th element starting at ``index`` -- how
-        subjects are partitioned across data-parallel workers."""
-        if not 0 <= index < num_shards:
-            raise ValueError(f"shard index {index} out of range [0, {num_shards})")
-
-        def gen():
-            for i, item in enumerate(self._source()):
-                if i % num_shards == index:
-                    yield item
-        return self._derive(gen)
-
-    def cache(self) -> "Dataset":
-        """Materialise the stream on first pass; replay from memory after
-        (tf.data ``cache()``, the complement of offline binarisation).
-
-        The cache fills *incrementally*: every element is appended to
-        shared storage as soon as it is produced, so a concurrent second
-        iterator serves the cached prefix immediately (instead of
-        blocking for the whole first epoch) and an abandoned first pass
-        leaves a warm partial cache -- the next iterator skips the
-        cached prefix of the source and produces only the remainder.
-        Exactly one iterator at a time holds the producer role; the
-        others serve from storage and wait on a condition for growth.
-        """
-        storage: list = []
-        state = {"done": False, "producing": False}
-        cond = threading.Condition()
-        _PRODUCE = object()  # sentinel: this iterator must pull the source
-
-        def gen():
-            i = 0
-            it = None  # non-None iff this iterator holds the producer role
-            try:
-                while True:
-                    item = _PRODUCE
-                    with cond:
-                        if i < len(storage):
-                            item = storage[i]
-                            i += 1
-                        elif state["done"]:
-                            return
-                        elif state["producing"] and it is None:
-                            # Another iterator is filling the cache; wait
-                            # for growth (timeout guards a producer that
-                            # died without notifying).
-                            cond.wait(timeout=0.1)
-                            continue
-                        else:
-                            state["producing"] = True
-                    if item is not _PRODUCE:
-                        yield item
-                        continue
-                    # Producer path: pull one element outside the lock.
-                    if it is None:
-                        it = self._source()
-                        # Resume after a partial first pass: the cached
-                        # prefix is served from storage, so skip it in
-                        # the restarted (deterministic) source.
-                        for _ in range(i):
-                            next(it)
-                    try:
-                        nxt = next(it)
-                    except StopIteration:
-                        with cond:
-                            state["done"] = True
-                            state["producing"] = False
-                            cond.notify_all()
-                        return
-                    with cond:
-                        storage.append(nxt)
-                        cond.notify_all()
-            finally:
-                if it is not None:
-                    with cond:
-                        if not state["done"]:
-                            state["producing"] = False
-                            cond.notify_all()
-
-        return self._derive(gen)
-
-    def prefetch(self, buffer_size: int = 1) -> "Dataset":
-        """Produce elements on a background thread into a bounded queue,
-        overlapping producer and consumer (tf.data ``prefetch``).
-
-        The worker thread shuts down cleanly when the consumer abandons
-        the iterator early (``take(n)`` downstream, an exception, GC):
-        closing the generator sets a stop event and drains the queue, so
-        a producer blocked on ``put`` wakes, notices, and exits instead
-        of leaking a thread blocked forever.
-        """
-        if buffer_size < 1:
-            raise ValueError("buffer_size must be >= 1")
-
-        def gen():
-            q: queue.Queue = queue.Queue(maxsize=buffer_size)
-            sentinel = object()
-            stop = threading.Event()
-            error: list[BaseException] = []
-
-            def worker():
-                try:
-                    for item in self._source():
-                        while not stop.is_set():
-                            try:
-                                q.put(item, timeout=0.05)
-                                break
-                            except queue.Full:
-                                continue
-                        if stop.is_set():
-                            return
-                except BaseException as exc:  # propagate to the consumer
-                    error.append(exc)
-                finally:
-                    try:
-                        q.put_nowait(sentinel)
-                    except queue.Full:
-                        pass  # consumer is gone and draining
-
-            t = threading.Thread(target=worker, daemon=True)
-            t.start()
-            try:
-                while True:
-                    # consumer-side stall: how long the training loop sat
-                    # waiting on the producer thread (prefetch depth too
-                    # small, or the upstream pipeline too slow)
-                    t0 = time.perf_counter()
-                    item = q.get()
-                    self._record("prefetch.wait", time.perf_counter() - t0)
-                    if item is sentinel:
-                        if error:
-                            raise error[0]
-                        return
-                    yield item
-            finally:
-                stop.set()
-                while True:  # unblock a producer stuck on a full queue
-                    try:
-                        q.get_nowait()
-                    except queue.Empty:
-                        break
-                t.join(timeout=1.0)
-
-        return self._derive(gen)
-
-    # -- terminals ----------------------------------------------------------
-    def to_list(self) -> list:
-        return list(self)
-
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
-    def reduce(self, initial, fn: Callable):
-        acc = initial
-        for item in self:
-            acc = fn(acc, item)
-        return acc
+                t0 = time.perf_counter()
+                out = fn(item)
+                if self.stats is not None:
+                    self.stats.add(stage, time.perf_counter() - t0)
+                yield out
+        return Dataset(gen, self.stats)
 
 
-def _timed(fn, item):
-    t0 = time.perf_counter()
-    out = fn(item)
-    return out, time.perf_counter() - t0
+def shuffle_order(n: int, buffer_size: int, seed: int) -> np.ndarray:
+    """Indices ``0..n-1`` in the order a seeded reservoir shuffle emits them.
 
+    tf.data semantics: the buffer holds ``buffer_size`` elements and
+    each draw is uniform within it, so this is not a global permutation.
+    """
+    if buffer_size < 1:
+        raise ValueError("buffer_size must be >= 1")
+    rng = np.random.default_rng(seed)
+    buf: list[int] = []
+    order: list[int] = []
 
-def _collate(items: list):
-    """Stack ndarray (or tuple/dict of ndarray) elements into a batch."""
-    first = items[0]
-    if isinstance(first, np.ndarray):
-        return np.stack(items)
-    if isinstance(first, tuple):
-        return tuple(_collate([it[i] for it in items]) for i in range(len(first)))
-    if isinstance(first, dict):
-        return {k: _collate([it[k] for it in items]) for k in first}
-    return list(items)
+    def emit():
+        j = int(rng.integers(len(buf)))
+        buf[j], buf[-1] = buf[-1], buf[j]
+        order.append(buf.pop())
 
-
-def _uncollate(batch):
-    if isinstance(batch, np.ndarray):
-        return [batch[i] for i in range(batch.shape[0])]
-    if isinstance(batch, tuple):
-        parts = [_uncollate(b) for b in batch]
-        return [tuple(p[i] for p in parts) for i in range(len(parts[0]))]
-    if isinstance(batch, dict):
-        keys = list(batch)
-        parts = {k: _uncollate(batch[k]) for k in keys}
-        n = len(parts[keys[0]])
-        return [{k: parts[k][i] for k in keys} for i in range(n)]
-    return list(batch)
+    for i in range(n):
+        buf.append(i)
+        if len(buf) >= buffer_size:
+            emit()
+    while buf:
+        emit()
+    return np.asarray(order, dtype=np.int64)

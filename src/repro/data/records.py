@@ -43,8 +43,6 @@ __all__ = [
     "index_path_for",
     "write_example_file",
     "read_example_file",
-    "write_sharded_examples",
-    "read_sharded_examples",
 ]
 
 _MASK_DELTA = 0xA282EAD8
@@ -375,44 +373,3 @@ def read_example_file(path) -> Iterator[dict[str, np.ndarray]]:
     """Yield feature maps from a record file."""
     for payload in RecordReader(path):
         yield decode_example(payload)
-
-
-def write_sharded_examples(
-    directory, examples, num_shards: int, prefix: str = "data"
-) -> list[Path]:
-    """Round-robin examples into ``num_shards`` record files.
-
-    Sharding is what makes the paper's tf.data *interleave* useful: many
-    files can be opened and read in parallel (Section III-B1 "reading
-    the files for binarization can be parallelized using interleave
-    functions").  Returns the shard paths, named
-    ``{prefix}-00000-of-00004.rec`` TensorFlow-style.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = [
-        directory / f"{prefix}-{i:05d}-of-{num_shards:05d}.rec"
-        for i in range(num_shards)
-    ]
-    writers = [RecordWriter(p) for p in paths]
-    try:
-        for i, ex in enumerate(examples):
-            writers[i % num_shards].write(encode_example(ex))
-    finally:
-        for w in writers:
-            w.close()
-    return paths
-
-
-def read_sharded_examples(
-    paths, cycle_length: int = 2
-) -> "Iterator[dict[str, np.ndarray]]":
-    """Interleaved read across shards via the tf.data-style pipeline."""
-    from .dataset import Dataset
-
-    ds = Dataset.from_list(list(paths)).interleave(
-        lambda p: read_example_file(p), cycle_length=cycle_length
-    )
-    return iter(ds)

@@ -1,4 +1,4 @@
-"""Property-based tests on patching, augmentation and pipeline algebra."""
+"""Property-based tests on patching, augmentation and the epoch shuffle."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.data import (
     Augmenter,
-    Dataset,
     PatchSpec,
     extract_patches,
     patch_grid,
@@ -15,6 +14,7 @@ from repro.data import (
     random_gaussian_noise,
     random_intensity_scale,
     random_intensity_shift,
+    shuffle_order,
     stitch_patches,
 )
 
@@ -88,30 +88,8 @@ class TestAugmentProperties:
 
 class TestDatasetAlgebra:
     @settings(**SMALL)
-    @given(
-        n=st.integers(0, 30),
-        batch=st.integers(1, 7),
-        shards=st.integers(1, 5),
-    )
-    def test_shard_then_concat_is_identity_set(self, n, batch, shards):
-        full = list(range(n))
-        collected = []
-        for i in range(shards):
-            collected += Dataset.from_list(full).shard(shards, i).to_list()
-        assert sorted(collected) == full
-
-    @settings(**SMALL)
-    @given(n=st.integers(0, 25), batch=st.integers(1, 6))
-    def test_batch_unbatch_identity(self, n, batch):
-        items = [np.full((2,), float(i)) for i in range(n)]
-        out = Dataset.from_list(items).batch(batch).unbatch().to_list()
-        assert len(out) == n
-        for a, b in zip(items, out):
-            np.testing.assert_array_equal(a, b)
-
-    @settings(**SMALL)
     @given(n=st.integers(1, 20), k=st.integers(1, 20),
            seed=st.integers(0, 50))
     def test_shuffle_preserves_multiset(self, n, k, seed):
-        out = Dataset.range(n).shuffle(buffer_size=k, seed=seed).to_list()
+        out = shuffle_order(n, buffer_size=k, seed=seed).tolist()
         assert sorted(out) == list(range(n))

@@ -1,8 +1,13 @@
 """MISPipeline (Fig 1 stages) tests on the in-process backend."""
 
+import gc
+
+import numpy as np
 import pytest
 
 from repro.core import ExperimentSettings, MISPipeline, train_trial
+from repro.data import Augmenter, random_flip, random_gaussian_noise
+from repro.execpool import SharedArrayStore
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +67,78 @@ class TestDataset:
         n_train = len(pipeline.split.train)
         assert pipeline.steps_per_epoch(2) == -(-n_train // 2)
 
-    def test_prefetch_path(self, pipeline):
-        items = list(pipeline.dataset("val", 1, prefetch=2))
-        assert len(items) == len(pipeline.split.val)
+    def test_splits_loaded_once(self, pipeline):
+        a = pipeline.load_split_arrays("val")
+        b = pipeline.load_split_arrays("val")
+        assert a[0] is b[0] and a[1] is b[1]
+
+    def test_epoch_is_reiterable(self, pipeline):
+        ds = pipeline.dataset("train", 2, shuffle_seed=4)
+        first = [x for x, _ in ds]
+        second = [x for x, _ in ds]
+        assert len(first) == pipeline.steps_per_epoch(2)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestOnePipeline:
+    """The records-backed, shared-array and online-NIfTI pipelines feed
+    the same batches: same values, same dtype, same order."""
+
+    @pytest.fixture(scope="class")
+    def pipelines(self, settings, pipeline, tmp_path_factory):
+        with SharedArrayStore(pipeline.split_arrays()) as store:
+            yield {
+                "records": pipeline,
+                "from_arrays": MISPipeline.from_arrays(
+                    settings, store.handle.attach()),
+                "nifti": MISPipeline(
+                    settings, record_dir=tmp_path_factory.mktemp("nii"),
+                    input_mode="nifti"),
+            }
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("seed", [0, 5, 19])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_batches_identical(self, pipelines, batch, seed, augment):
+        def epoch(pipe):
+            aug = (Augmenter([random_flip(p=0.5), random_gaussian_noise(0.1)],
+                             seed=seed) if augment else None)
+            return list(pipe.dataset("train", batch, shuffle_seed=seed,
+                                     augmenter=aug))
+
+        ref = epoch(pipelines["records"])
+        assert len(ref) == pipelines["records"].steps_per_epoch(batch)
+        for name in ("from_arrays", "nifti"):
+            other = epoch(pipelines[name])
+            assert len(other) == len(ref), name
+            for (x0, y0), (x1, y1) in zip(ref, other):
+                assert x0.dtype == x1.dtype and y0.dtype == y1.dtype, name
+                np.testing.assert_array_equal(x0, x1)
+                np.testing.assert_array_equal(y0, y1)
+
+
+class TestRecordDirectory:
+    def test_binarize_creates_missing_dir(self, settings, tmp_path):
+        target = tmp_path / "not" / "yet"
+        files = MISPipeline(settings, record_dir=target).binarize()
+        assert files["train"].parent == target
+        assert all(p.exists() for p in files.values())
+
+    def test_own_temp_dir_removed_with_pipeline(self, settings):
+        pipe = MISPipeline(settings)
+        directory = pipe.binarize()["train"].parent
+        assert directory.is_dir()
+        del pipe
+        gc.collect()
+        assert not directory.exists()
+
+    def test_callers_dir_never_removed(self, settings, tmp_path):
+        pipe = MISPipeline(settings, record_dir=tmp_path)
+        files = pipe.binarize()
+        del pipe
+        gc.collect()
+        assert all(p.exists() for p in files.values())
 
 
 class TestTrainTrial:

@@ -111,6 +111,6 @@ class TestAugmenter:
         img, mask = pair()
         aug = Augmenter([random_intensity_shift(0.2)], seed=0)
         ds = Dataset.from_list([(img, mask)] * 3).map(aug.map_fn())
-        out = ds.to_list()
+        out = list(ds)
         assert len(out) == 3
         assert out[0][0].shape == img.shape

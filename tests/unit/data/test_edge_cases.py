@@ -1,7 +1,5 @@
 """Edge-case coverage for the data substrate."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from repro.data import (
     RecordReader,
     RecordWriter,
     read_nifti,
+    shuffle_order,
     write_nifti,
 )
 
@@ -75,57 +74,13 @@ class TestRecordEdges:
 class TestDatasetEdges:
     def test_empty_dataset_everything(self):
         ds = Dataset.from_list([])
-        assert ds.to_list() == []
-        assert ds.batch(3).to_list() == []
-        assert ds.shuffle(4, seed=0).to_list() == []
-        assert ds.map(lambda x: x).count() == 0
-        assert ds.repeat(3).to_list() == []
-
-    def test_repeat_none_of_empty_terminates(self):
-        assert Dataset.from_list([]).repeat(None).take(5).to_list() == []
-
-    def test_take_more_than_available(self):
-        assert Dataset.range(3).take(10).to_list() == [0, 1, 2]
-
-    def test_skip_more_than_available(self):
-        assert Dataset.range(3).skip(10).to_list() == []
-
-    def test_cache_concurrent_consumers(self):
-        calls = []
-
-        def expensive(x):
-            calls.append(x)
-            return x
-
-        ds = Dataset.range(10).map(expensive).cache()
-        results = [None, None]
-
-        def consume(i):
-            results[i] = ds.to_list()
-
-        threads = [threading.Thread(target=consume, args=(i,)) for i in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results[0] == results[1] == list(range(10))
-        # lock serialises the fill: elements computed at most twice
-        assert len(calls) <= 20
+        assert list(ds) == []
+        assert list(ds.map(lambda x: x)) == []
+        assert shuffle_order(0, 4, seed=0).tolist() == []
 
     def test_map_exception_propagates(self):
         def boom(x):
             raise ValueError("bad")
 
         with pytest.raises(ValueError):
-            Dataset.range(3).map(boom).to_list()
-
-    def test_interleave_empty_outer(self):
-        assert Dataset.from_list([]).interleave(lambda x: [x]).to_list() == []
-
-    def test_batch_dict_elements(self):
-        items = [{"a": np.ones(2) * i, "b": np.zeros(1)} for i in range(4)]
-        (b1, b2) = Dataset.from_list(items).batch(2).to_list()
-        assert b1["a"].shape == (2, 2)
-        back = Dataset.from_list([b1, b2]).unbatch().to_list()
-        assert len(back) == 4
-        np.testing.assert_array_equal(back[3]["a"], items[3]["a"])
+            list(Dataset.from_list(range(3)).map(boom))

@@ -113,8 +113,7 @@ class TestLifetime:
         dropping it lets SharedMemory.__del__ unmap under the views."""
         import gc
 
-        from repro.core import ExperimentSettings
-        from repro.core.pipeline import ArrayBackedPipeline
+        from repro.core import ExperimentSettings, MISPipeline
 
         rng = np.random.default_rng(0)
         arrays = {}
@@ -126,7 +125,7 @@ class TestLifetime:
         with SharedArrayStore(arrays) as store:
             settings = ExperimentSettings(num_subjects=4,
                                           volume_shape=(8, 8, 8))
-            pipe = ArrayBackedPipeline(settings, store.handle.attach())
+            pipe = MISPipeline.from_arrays(settings, store.handle.attach())
             assert isinstance(pipe._owner, AttachedArrays)
             gc.collect()  # would free the mapping if the ref were dropped
             batch = next(iter(pipe.dataset("train", batch_size=2)))
