@@ -2,20 +2,13 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-gemm lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels examples report api-docs results clean
+.PHONY: install test lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels examples report api-docs results clean
 
 install:
 	PIP_NO_BUILD_ISOLATION=false pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
-
-# the nn and serve unit suites on the unfused gemm backend: the default
-# fused backend covers the rest, but sync-BN and the profiler hooks still
-# run every Conv3D+BatchNorm+ReLU stage on this sequential route
-test-gemm:
-	DISTMIS_KERNEL_BACKEND=gemm PYTHONPATH=src $(PYTHON) -m pytest \
-		tests/unit/nn tests/unit/serve -q
 
 # ruff when available, else the dependency-free fallback in tools/lint.py;
 # always gate the committed BENCH_*.json records on the record schema
@@ -104,9 +97,9 @@ bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_process_parallel_speedup.py -q -s
 
-# reference vs gemm vs fused conv backends (x float64/float32) on a
-# per-replica U-Net train step; writes benchmarks/BENCH_kernels.json
-# (speedup floors, parity, per-backend rows, host info)
+# the fused conv backend against the reference oracle (x float64/float32)
+# on a per-replica U-Net train step; writes benchmarks/BENCH_kernels.json
+# (speedup floor, parity, per-backend rows, host info)
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_kernel_backends.py -q -s

@@ -1,30 +1,29 @@
-"""E18 -- the kernel-backend ladder: reference < gemm < fused.
+"""E18 -- the production ``fused`` conv backend against the ``reference``
+oracle, at float64 and float32.
 
-The im2col/GEMM lowering in ``repro.nn.kernels.gemm`` only earns its
-complexity if a *full* U-Net train step (forward, Dice loss, backward,
-Adam update) is at least twice as fast as the ``reference`` einsum
-backend; the depth-sliced fused backend (``repro.nn.kernels.fused``)
-must in turn beat ``gemm`` by 1.5x on the float32 fast path that ``distmis
-search`` defaults to.  The workload is the paper's 4-modality U-Net
-(base_filters=8, depth=4) on a batch-1 volume: with the paper's global
-batch of 2 sharded across data-parallel replicas (Section IV-B), batch
-1 is exactly what each worker steps on.
+The depth-sliced fused backend (``repro.nn.kernels.fused``) only earns
+its complexity if a *full* U-Net train step (forward, Dice loss,
+backward, Adam update) is at least three times as fast as the
+``reference`` einsum backend at both dtypes.  The workload is the
+paper's 4-modality U-Net (base_filters=8, depth=4) on a batch-1 volume:
+with the paper's global batch of 2 sharded across data-parallel
+replicas (Section IV-B), batch 1 is exactly what each worker steps on.
 
-Every backend x dtype combination (reference/gemm/fused x
-float64/float32) is timed on identical model state and recorded as its
-own row under ``backends.<name>.<dtype>`` -- the per-backend rows
-``make lint`` requires of a ``kernel_backends`` record -- plus a
-larger-volume float32 point (gemm vs fused) probing the cache regime
-the tiling targets.  Besides speed, the run asserts numerical parity
-(float64 predictions and flat gradients to rtol 1e-9, and the float32
-path to rtol 1e-4) so no speedup is ever bought with accuracy.  Each
-combination is timed ``REPEATS`` times over ``STEPS`` steps and the
-best run is kept; a machine-readable summary -- including the pinned
-BLAS thread counts and CPU metadata that make the numbers comparable
-across hosts -- lands in ``BENCH_kernels.json`` next to this file.
+Every registered backend x dtype combination is timed on identical
+model state and recorded as its own row under
+``backends.<name>.<dtype>`` -- the per-backend rows ``make lint``
+requires of a ``kernel_backends`` record -- plus a larger-volume
+float32 fused step probing the cache regime the tiling targets.
+Besides speed, the run asserts numerical parity (float64 predictions
+and flat gradients to rtol 1e-9, and the float32 path to rtol 1e-4) so
+no speedup is ever bought with accuracy.  Each combination is timed
+``REPEATS`` times over ``STEPS`` steps and the best run is kept; a
+machine-readable summary -- including the pinned BLAS thread counts
+and CPU metadata that make the numbers comparable across hosts --
+lands in ``BENCH_kernels.json`` next to this file.
 ``DISTMIS_BENCH_SMOKE=1`` shrinks the workload so the benchmark
-doubles as a smoke test over all three backends; the speedup floors
-are only enforced on the full-size run (at smoke scale the step is
+doubles as a smoke test over every backend; the speedup floor is only
+enforced on the full-size run (at smoke scale the step is
 interpreter-bound, not GEMM-bound).
 """
 
@@ -41,7 +40,7 @@ from repro.nn import (
     use_compute_dtype,
     workspace,
 )
-from repro.nn.kernels import consume_kernel_seconds
+from repro.nn.kernels import available_backends, consume_kernel_seconds
 from repro.perf.regression import (
     bench_output_path,
     host_metadata,
@@ -50,10 +49,9 @@ from repro.perf.regression import (
 
 SMOKE = is_smoke_env()
 REPEATS = 2 if SMOKE else 3
-BACKENDS = ("reference", "gemm", "fused")
+BACKENDS = available_backends()
 DTYPES = ("float64", "float32")
-MIN_SPEEDUP = 2.0          # gemm over reference, float64
-MIN_FUSED_SPEEDUP = 1.5    # fused over gemm, float32 fast path
+MIN_SPEEDUP = 3.0          # fused over reference, at every dtype
 # Smoke runs are quarantined onto BENCH_kernels_smoke.json so they can
 # never overwrite the committed record.
 OUT = bench_output_path(__file__, "kernels", smoke=SMOKE)
@@ -133,24 +131,20 @@ def _grads_and_pred(name: str, dtype=None):
         return pred, net.get_flat_grads()
 
 
-def test_backend_ladder_parity_and_speedup():
-    # -- parity first: same weights, same data, all backends -----------
+def test_fused_against_reference_parity_and_speedup():
+    # -- parity first: same weights, same data, both backends ----------
     pred_ref, grads_ref = _grads_and_pred("reference")
-    for name in ("gemm", "fused"):
-        pred, grads = _grads_and_pred(name)
-        np.testing.assert_allclose(pred, pred_ref, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(grads, grads_ref, rtol=1e-9, atol=1e-12)
+    pred, grads = _grads_and_pred("fused")
+    np.testing.assert_allclose(pred, pred_ref, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(grads, grads_ref, rtol=1e-9, atol=1e-12)
 
     with use_compute_dtype("float32"):
         pred_ref32, grads_ref32 = _grads_and_pred("reference", "float32")
-        assert pred_ref32.dtype == np.float32
-        for name in ("gemm", "fused"):
-            pred32, grads32 = _grads_and_pred(name, "float32")
-            assert pred32.dtype == np.float32
-            np.testing.assert_allclose(pred32, pred_ref32,
-                                       rtol=1e-4, atol=1e-5)
-            np.testing.assert_allclose(grads32, grads_ref32,
-                                       rtol=1e-4, atol=1e-5)
+        pred32, grads32 = _grads_and_pred("fused", "float32")
+        assert pred_ref32.dtype == np.float32 and pred32.dtype == np.float32
+        np.testing.assert_allclose(pred32, pred_ref32, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(grads32, grads_ref32,
+                                   rtol=1e-4, atol=1e-5)
 
     # -- then the race: every backend x dtype row ----------------------
     rows: dict[str, dict[str, dict]] = {}
@@ -163,14 +157,10 @@ def test_backend_ladder_parity_and_speedup():
                 "kernel_seconds": kernels,
             }
 
-    speedup = (rows["reference"]["float64"]["step_seconds"]
-               / rows["gemm"]["float64"]["step_seconds"])
-    fused_speedup = (rows["gemm"]["float32"]["step_seconds"]
-                     / rows["fused"]["float32"]["step_seconds"])
+    speedups = {dtype: rows["reference"][dtype]["step_seconds"]
+                / rows["fused"][dtype]["step_seconds"] for dtype in DTYPES}
 
     # -- larger-volume float32 point (the cache regime tiling targets) -
-    gemm_large, _ = _time_backend("gemm", "float32", LARGE_VOLUME,
-                                  LARGE_STEPS, LARGE_REPEATS)
     fused_large, _ = _time_backend("fused", "float32", LARGE_VOLUME,
                                    LARGE_STEPS, LARGE_REPEATS)
 
@@ -184,44 +174,31 @@ def test_backend_ladder_parity_and_speedup():
         "base_filters": BASE_FILTERS,
         "depth": DEPTH,
         "backends": rows,
-        # legacy flat fields, kept so the committed record stays
-        # comparable across schema generations
-        "reference_seconds": round(
-            rows["reference"]["float64"]["step_seconds"] * STEPS, 4),
-        "gemm_seconds": round(
-            rows["gemm"]["float64"]["step_seconds"] * STEPS, 4),
-        "speedup": round(speedup, 3),
-        "fused_speedup_vs_gemm": round(fused_speedup, 3),
+        "speedup": round(speedups["float64"], 3),
+        "speedup_float32": round(speedups["float32"], 3),
         "min_speedup": MIN_SPEEDUP,
-        "min_fused_speedup": MIN_FUSED_SPEEDUP,
         "large_volume": {
             "volume_shape": list(LARGE_VOLUME),
             "steps": LARGE_STEPS,
             "dtype": "float32",
-            "gemm_step_seconds": round(gemm_large, 4),
             "fused_step_seconds": round(fused_large, 4),
-            "fused_speedup_vs_gemm": round(gemm_large / fused_large, 3),
         },
         "workspace_stats": workspace().stats(),
         "host": host_metadata(),
     }
     OUT.write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"\nref {rows['reference']['float64']['step_seconds']:.3f}s  "
-          f"gemm {rows['gemm']['float64']['step_seconds']:.3f}s  "
-          f"speedup {speedup:.2f}x (floor {MIN_SPEEDUP:.1f}x)")
-    print(f"float32: gemm {rows['gemm']['float32']['step_seconds']:.3f}s  "
-          f"fused {rows['fused']['float32']['step_seconds']:.3f}s  "
-          f"speedup {fused_speedup:.2f}x (floor {MIN_FUSED_SPEEDUP:.1f}x) "
-          f"-> {OUT.name}")
+    for dtype in DTYPES:
+        print(f"\n{dtype}: ref {rows['reference'][dtype]['step_seconds']:.3f}s"
+              f"  fused {rows['fused'][dtype]['step_seconds']:.3f}s  "
+              f"speedup {speedups[dtype]:.2f}x (floor {MIN_SPEEDUP:.1f}x)")
+    print(f"-> {OUT.name}")
 
     if SMOKE:
         import pytest
 
         pytest.skip("smoke scale: interpreter-bound step; rows recorded, "
-                    "floors enforced on the full run")
-    assert speedup >= MIN_SPEEDUP, (
-        f"GEMM backend only {speedup:.2f}x faster than reference "
-        f"(floor {MIN_SPEEDUP:.1f}x)")
-    assert fused_speedup >= MIN_FUSED_SPEEDUP, (
-        f"fused backend only {fused_speedup:.2f}x faster than gemm at "
-        f"float32 (floor {MIN_FUSED_SPEEDUP:.1f}x)")
+                    "floor enforced on the full run")
+    for dtype, speedup in speedups.items():
+        assert speedup >= MIN_SPEEDUP, (
+            f"fused backend only {speedup:.2f}x faster than reference at "
+            f"{dtype} (floor {MIN_SPEEDUP:.1f}x)")

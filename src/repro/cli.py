@@ -102,12 +102,6 @@ def _add_scale_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=2,
                    help="resolution steps (paper: 4)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel-backend", default=None,
-                   choices=["gemm", "reference", "fused"],
-                   help="convolution compute backend (default: fused, or "
-                        "DISTMIS_KERNEL_BACKEND; 'fused' adds tiled "
-                        "im2col and Conv+BN+ReLU fusion, 'gemm' runs the "
-                        "unfused im2col path)")
     p.add_argument("--compute-dtype", default=None,
                    choices=["float64", "float32"],
                    help="parameter/activation dtype (default: float64 -- "
@@ -117,18 +111,13 @@ def _add_scale_args(p: argparse.ArgumentParser) -> None:
 
 #: Undo actions recorded by :func:`_apply_compute_flags`, drained by
 #: :func:`main` after the command returns so in-process callers (tests)
-#: never observe a leaked global backend/dtype policy.
+#: never observe a leaked global dtype policy.
 _policy_restores: list = []
 
 
 def _apply_compute_flags(args) -> None:
-    """Install --kernel-backend / --compute-dtype before any model is
-    built (None leaves env/default resolution untouched)."""
-    if getattr(args, "kernel_backend", None):
-        from .nn.kernels import set_backend
-
-        prev = set_backend(args.kernel_backend)
-        _policy_restores.append(lambda: set_backend(prev))
+    """Install --compute-dtype before any model is built (None leaves
+    env/default resolution untouched)."""
     if getattr(args, "compute_dtype", None):
         from .nn.dtypes import set_compute_dtype
 

@@ -18,7 +18,6 @@ from .gradcheck import check_module_gradients, numeric_gradient, relative_error
 from .kernels import (
     available_backends,
     get_backend,
-    kernel_threads,
     set_backend,
     use_backend,
     workspace,
@@ -95,7 +94,6 @@ __all__ = [
     "set_backend",
     "use_backend",
     "available_backends",
-    "kernel_threads",
     "workspace",
     "workspace_bytes",
     "get_compute_dtype",

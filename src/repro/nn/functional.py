@@ -6,15 +6,15 @@ weights are ``(C_out, C_in, kD, kH, kW)``.
 
 The convolution entry points here are thin dispatchers: they validate
 shapes, normalise ``stride``/``pad`` into 3-tuples, and hand off to the
-active :class:`~repro.nn.kernels.registry.KernelBackend` (``gemm`` by
-default, the original einsum kernels as ``reference``; see
+active :class:`~repro.nn.kernels.registry.KernelBackend` (``fused``,
+or the original einsum kernels as the ``reference`` test oracle; see
 :mod:`repro.nn.kernels`).  Each dispatched call is stamped with two
 ``perf_counter`` reads feeding the per-backend kernel-seconds ledger the
 profiler splits its ``compute`` bucket by.
 
 The ``ctx`` parameter is an optional mutable dict owned by the calling
 layer: a backend may park forward-pass scratch there (e.g. the im2col
-patches matrix) for the matching backward call.  Layers that forward
+slice buffers) for the matching backward call.  Layers that forward
 without backpropagating must hand leftover ctx to
 :func:`release_conv_ctx`.
 
@@ -106,8 +106,8 @@ def conv3d_backward(
 
     Returns ``(dx, dw, db)`` where ``db`` is None when ``with_bias`` is
     False.  Passing the same ``ctx`` dict the forward call populated
-    lets the backend reuse its forward scratch (the GEMM backend skips
-    one full im2col gather per layer per step).
+    lets the backend reuse its forward scratch (the ``fused`` backend
+    skips one im2col gather per layer per step).
     """
     s, p = _triple(stride), _triple(pad)
     backend = get_backend()

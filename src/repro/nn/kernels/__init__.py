@@ -1,8 +1,8 @@
 """Convolution compute backends: registry, workspace arena, kernels.
 
-Importing this package registers the built-in backends (``reference``,
-``gemm`` and ``fused``); the active one is resolved lazily by
-:func:`~repro.nn.kernels.registry.get_backend`.
+Importing this package registers the two built-in backends: ``fused``,
+the production kernels every model runs on, and ``reference``, the
+einsum oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .workspace import (
 )
 
 # Backend registration side effects.
-from . import gemm as _gemm  # noqa: F401,E402
+from . import fused as _fused  # noqa: F401,E402
 from . import reference as _reference  # noqa: F401,E402
-from .fused import kernel_threads  # noqa: E402  (also registers "fused")
 
 __all__ = [
-    "kernel_threads",
     "KernelBackend",
     "register_backend",
     "available_backends",

@@ -1,11 +1,12 @@
 """The ``fused`` backend: depth-sliced batched GEMMs plus Conv+BN+ReLU fusion.
 
-The ``gemm`` backend gathers each convolution into one giant patches
-matrix ``(N, C*kd*kh*kw, Do*Ho*Wo)`` and runs a single batched GEMM.
-For the skinny matrices of a small-filter 3D U-Net that GEMM is
-bandwidth-bound: every padded input slice is copied ``kd`` times into
-the patches matrix, and the whole matrix streams from DRAM once per
-multiply.  This backend lowers the convolution differently:
+The production convolution backend (``reference`` stays registered as
+the test oracle).  A single full-3D im2col GEMM -- one giant patches
+matrix ``(N, C*kd*kh*kw, Do*Ho*Wo)`` -- is bandwidth-bound for the
+skinny matrices of a small-filter 3D U-Net: every padded input slice is
+copied ``kd`` times into the patches matrix, and the whole matrix
+streams from DRAM once per multiply.  This backend lowers the
+convolution differently:
 
 * **depth-sliced im2col** (MEC-style) -- only the *2D* patch columns
   ``(C*kh*kw, Ho*Wo)`` are gathered, once per padded input depth slice,
@@ -21,14 +22,19 @@ multiply.  This backend lowers the convolution differently:
   ``as_strided`` window copy: ``sliding_window_view`` spends as long in
   shape/stride bookkeeping as in the copy at these call counts.
 * **output-depth tiling** -- the slice buffer is tiled along output
-  depth to a workspace-arena target (``DISTMIS_KERNEL_TILE_MB``,
-  default 4 MiB per tile) so it stays cache-resident at large volumes.
-  Training forwards *stash* the tile buffers in ``ctx``; the backward
-  weight gradient contracts the same slice ranges against the matching
-  ``dy`` rows (``cols2 @ dy^T`` per depth offset, partials summed in
-  tile order) with no re-gather.  The input gradient at unit stride is
-  the mirrored lowering over the padded ``dy`` -- 2D patches of ``dy``
-  against depth slabs of the flipped kernel.
+  depth to :data:`TILE_BYTES` (4 MiB) per tile so it stays
+  cache-resident at large volumes.  Training forwards *stash* the tile
+  buffers in ``ctx``; the backward weight gradient contracts the same
+  slice ranges against the matching ``dy`` rows (``cols2 @ dy^T`` per
+  depth offset, partials summed in tile order) with no re-gather.  The
+  input gradient at unit stride is the mirrored lowering over the
+  padded ``dy`` -- 2D patches of ``dy`` against depth slabs of the
+  flipped kernel; strided convolutions take the col2im form (GEMM
+  ``w^T @ dy``, then a scatter-add per kernel offset).
+* **1x1x1 convolutions** (the segmentation head) are one batched GEMM
+  on the input itself, which already is the patches matrix.
+* **transposed conv** -- one GEMM producing the offset columns, then a
+  ``kd*kh*kw``-step scatter (forward) / gather (backward).
 * **fused Conv3D+BatchNorm+ReLU** (``supports_fusion``) -- training
   forward accumulates the BN channel sums in the GEMM epilogue while
   each output tile is cache-hot, then applies ``relu(scale*y + shift)``
@@ -42,71 +48,51 @@ multiply.  This backend lowers the convolution differently:
   in place on the stashed conv output.  Per U-Net stage this skips the
   ``x_hat`` volume, the BN output volume and the ReLU mask the unfused
   layer chain materialises.
-* **thread-pool tiles** -- independent tiles optionally run on a shared
-  ``ThreadPoolExecutor`` (``DISTMIS_KERNEL_THREADS``, default 1): the
-  arena hands each thread a distinct buffer, tiles write disjoint output
-  slices, and reductions (``dw``, BN sums) combine per-tile partials in
-  fixed tile order so results are bit-identical to the serial schedule.
+
+All scratch (slice buffers, padded volumes) is checked out of the
+:mod:`~repro.nn.kernels.workspace` arena and recycled across steps;
+outputs are always freshly allocated, never views into the arena.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .common import conv3d_output_shape
-from .gemm import GemmBackend, _padded
-from .registry import register_backend
+from .common import conv3d_output_shape, conv_transpose3d_output_shape
+from .registry import KernelBackend, register_backend
 from .workspace import workspace
 
-__all__ = ["FusedBackend", "kernel_threads"]
+__all__ = ["FusedBackend"]
 
 _UNIT = (1, 1, 1)
 
-#: Target bytes for one tile's slice buffer (per thread).
-TILE_ENV = "DISTMIS_KERNEL_TILE_MB"
-DEFAULT_TILE_MB = 4.0
-
-#: Tile thread-pool width (1 = serial; BLAS stays pinned separately).
-THREADS_ENV = "DISTMIS_KERNEL_THREADS"
-
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
+#: Target bytes for one tile's slice buffer.
+TILE_BYTES = 4 * 1024 * 1024
 
 
-def _forget_pool_after_fork() -> None:
-    # A forked child (a data-parallel replica, an execpool worker) has
-    # none of the parent's tile threads: work queued on the inherited
-    # pool would never run, so the child starts its own on demand.
-    global _pool_lock, _pool, _pool_size
-    _pool_lock = threading.Lock()
-    _pool, _pool_size = None, 0
-
-
-os.register_at_fork(after_in_child=_forget_pool_after_fork)
-
-
-def kernel_threads() -> int:
-    """Requested tile-parallelism width (``DISTMIS_KERNEL_THREADS``)."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _tile_target_bytes() -> int:
-    raw = os.environ.get(TILE_ENV, "").strip()
-    try:
-        mb = float(raw) if raw else DEFAULT_TILE_MB
-    except ValueError:
-        mb = DEFAULT_TILE_MB
-    return max(1 << 16, int(mb * 1024 * 1024))
+def _padded(ws, x: np.ndarray, pad) -> np.ndarray:
+    """Zero-padded copy of ``x`` in an arena buffer (``x`` itself when
+    padding is zero -- callers must not write through it)."""
+    pd, ph, pw = pad
+    if pd == ph == pw == 0:
+        return x
+    n, c, D, H, W = x.shape
+    xp = ws.acquire((n, c, D + 2 * pd, H + 2 * ph, W + 2 * pw), x.dtype)
+    # Zero only the pad margins -- the interior is fully overwritten by
+    # the copy below, and skipping its redundant fill saves one complete
+    # write pass over the (recycled, hence dirty) arena buffer.
+    if pd:
+        xp[:, :, :pd].fill(0.0)
+        xp[:, :, pd + D:].fill(0.0)
+    if ph:
+        xp[:, :, pd : pd + D, :ph].fill(0.0)
+        xp[:, :, pd : pd + D, ph + H:].fill(0.0)
+    if pw:
+        xp[:, :, pd : pd + D, ph : ph + H, :pw].fill(0.0)
+        xp[:, :, pd : pd + D, ph : ph + H, pw + W:].fill(0.0)
+    xp[:, :, pd : pd + D, ph : ph + H, pw : pw + W] = x
+    return xp
 
 
 def _plan_tiles(n, K9, Do, Ho, Wo, itemsize):
@@ -115,10 +101,9 @@ def _plan_tiles(n, K9, Do, Ho, Wo, itemsize):
     fits the tile target and tiling would only add gather-halo
     overhead."""
     per_d = n * K9 * Ho * Wo * itemsize
-    target = _tile_target_bytes()
-    if per_d * Do <= 2 * target:
+    if per_d * Do <= 2 * TILE_BYTES:
         return None
-    td = max(1, target // per_d)
+    td = max(1, TILE_BYTES // per_d)
     if td >= Do:
         return None
     return [(d0, min(d0 + int(td), Do)) for d0 in range(0, Do, int(td))]
@@ -157,28 +142,114 @@ def _release_stash(ws, ctx):
         return
     for _, _, cols in ctx.pop("cols_tiles", ()):
         ws.release(cols)
-    ws.release(ctx.pop("cols", None))
 
 
-def _map_tiles(fn, tiles):
-    """Run ``fn`` over tile spans -- serially, or on the shared pool when
-    ``DISTMIS_KERNEL_THREADS`` asks for it.  Results keep tile order."""
-    width = kernel_threads()
-    if width <= 1 or len(tiles) <= 1:
-        return [fn(t) for t in tiles]
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None or _pool_size != width:
-            if _pool is not None:
-                _pool.shutdown(wait=False)
-            _pool = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="distmis-tile")
-            _pool_size = width
-        pool = _pool
-    return list(pool.map(fn, tiles))
+def _pointwise_forward(x, w, b):
+    """1x1x1 channel mix: the input already is the patches matrix."""
+    n, c = x.shape[:2]
+    co = w.shape[0]
+    Do, Ho, Wo = x.shape[2:]
+    P = Do * Ho * Wo
+    y = np.empty((n, co, Do, Ho, Wo), dtype=x.dtype)
+    np.matmul(w.reshape(co, c), x.reshape(n, c, P), out=y.reshape(n, co, P))
+    if b is not None:
+        y += b.reshape(1, -1, 1, 1, 1)
+    return y
 
 
-class FusedBackend(GemmBackend):
+def _pointwise_backward(dy, x, w, with_bias):
+    """Gradients of :func:`_pointwise_forward`: two GEMMs on the input
+    and ``dy`` as they are."""
+    n, c = x.shape[:2]
+    co = w.shape[0]
+    P = dy.shape[2] * dy.shape[3] * dy.shape[4]
+    cols = x.reshape(n, c, P)
+    dy2 = np.ascontiguousarray(dy).reshape(n, co, P)
+    dw = np.matmul(dy2, cols.transpose(0, 2, 1)).sum(axis=0)
+    dw = dw.reshape(w.shape)
+    db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
+    dx = np.empty_like(x)
+    np.matmul(w.reshape(co, c).T, dy2, out=dx.reshape(n, c, P))
+    return dx, dw, db
+
+
+def _dx_scatter(ws, dy2, w, stride, pad, x_shape):
+    """General-stride input gradient: col2im scatter-add of
+    ``w^T @ dy``."""
+    n, c, D, H, W = x_shape
+    co = w.shape[0]
+    kd, kh, kw = w.shape[2:]
+    P = dy2.shape[2]
+    K = c * kd * kh * kw
+    Do, Ho, Wo = conv3d_output_shape((D, H, W), (kd, kh, kw), stride, pad)
+    dcols = ws.acquire((n, K, P), dy2.dtype)
+    np.matmul(w.reshape(co, K).T, dy2, out=dcols)
+
+    pd, ph, pw = pad
+    dxp = ws.acquire((n, c, D + 2 * pd, H + 2 * ph, W + 2 * pw), dy2.dtype)
+    dxp.fill(0.0)
+    v = dcols.reshape(n, c, kd, kh, kw, Do, Ho, Wo)
+    for i in range(kd):
+        di = slice(i, i + stride[0] * Do, stride[0])
+        for j in range(kh):
+            dj = slice(j, j + stride[1] * Ho, stride[1])
+            for k in range(kw):
+                dk = slice(k, k + stride[2] * Wo, stride[2])
+                dxp[:, :, di, dj, dk] += v[:, :, i, j, k]
+    dx = dxp[
+        :,
+        :,
+        pd : dxp.shape[2] - pd or None,
+        ph : dxp.shape[3] - ph or None,
+        pw : dxp.shape[4] - pw or None,
+    ].copy()
+    ws.release(dxp)
+    ws.release(dcols)
+    return dx
+
+
+def _dx_correlation_tiled(ws, dy, w, pad, x_shape):
+    """Unit-stride input gradient: the mirrored depth-sliced
+    lowering -- 2D patches of the padded ``dy`` against per-offset
+    slabs of the flipped kernel, tiled over the *input* depth."""
+    n, c, D, H, W = x_shape
+    co = w.shape[0]
+    kd, kh, kw = w.shape[2:]
+    bpad = tuple(kk - 1 - pp for kk, pp in zip((kd, kh, kw), pad))
+    K9b = co * kh * kw
+    HW = H * W
+    tiles = (_plan_tiles(n, K9b, D, H, W, dy.dtype.itemsize)
+             or [(0, D)])
+    dyp = _padded(ws, dy, bpad)
+    wkb = np.ascontiguousarray(
+        w[:, :, ::-1, ::-1, ::-1].transpose(2, 1, 0, 3, 4)
+    ).reshape(kd, c, K9b)
+    dx = np.empty(x_shape, dtype=dy.dtype)
+
+    for d0, d1 in tiles:
+        td = d1 - d0
+        S = td - 1 + kd
+        cols2 = ws.acquire((n, S, K9b, HW), dy.dtype)
+        _gather_slab2d(dyp[:, :, d0 : d0 + S], (kh, kw), (1, 1), cols2)
+        xbat = ws.acquire((n, td, c, HW), dy.dtype)
+        tmp = ws.acquire((n, td, c, HW), dy.dtype) if kd > 1 else None
+        np.matmul(wkb[0], cols2[:, 0:td], out=xbat)
+        for j in range(1, kd):
+            np.matmul(wkb[j], cols2[:, j : j + td], out=tmp)
+            np.add(xbat, tmp, out=xbat)
+        if tmp is not None:
+            ws.release(tmp)
+        ws.release(cols2)
+        np.copyto(
+            dx[:, :, d0:d1],
+            xbat.reshape(n, td, c, H, W).transpose(0, 2, 1, 3, 4))
+        ws.release(xbat)
+    if dyp is not dy:
+        ws.release(dyp)
+    return dx
+
+
+class FusedBackend(KernelBackend):
     """Depth-sliced batched GEMMs with a fused Conv3D+BatchNorm+ReLU pair."""
 
     name = "fused"
@@ -188,7 +259,7 @@ class FusedBackend(GemmBackend):
     def conv3d_forward(self, x, w, b, stride, pad, ctx=None):
         kernel = w.shape[2:]
         if kernel == _UNIT and stride == _UNIT and pad == (0, 0, 0):
-            return super().conv3d_forward(x, w, b, stride, pad, ctx)
+            return _pointwise_forward(x, w, b)
         n, c = x.shape[:2]
         co = w.shape[0]
         Do, Ho, Wo = conv3d_output_shape(x.shape[2:], kernel, stride, pad)
@@ -211,8 +282,7 @@ class FusedBackend(GemmBackend):
                         need_dx=True):
         kernel = w.shape[2:]
         if kernel == _UNIT and stride == _UNIT and pad == (0, 0, 0):
-            return super().conv3d_backward(dy, x, w, stride, pad,
-                                           with_bias, ctx)
+            return _pointwise_backward(dy, x, w, with_bias)
         n, c = x.shape[:2]
         co = w.shape[0]
         kd, kh, kw = kernel
@@ -237,8 +307,6 @@ class FusedBackend(GemmBackend):
             for _, _, cols in stash:
                 ws.release(cols)
             stash = None
-        if ctx:
-            ws.release(ctx.pop("cols", None))  # stale untiled stash
         dyc = np.ascontiguousarray(dy)
 
         # dw: for depth offset j, contract the slice range
@@ -256,30 +324,22 @@ class FusedBackend(GemmBackend):
                            .reshape(n * td, K9, co).sum(axis=0))
             return part
 
+        parts = []
         if stash is not None:
-            def dw_stashed(entry):
-                d0, d1, cols2 = entry
-                part = dw_from(cols2, d0, d1)
+            for d0, d1, cols2 in stash:
+                parts.append(dw_from(cols2, d0, d1))
                 ws.release(cols2)
-                return part
-
-            parts = _map_tiles(dw_stashed, stash)
         else:
             # No stash (eval-mode forward, or none ran): re-gather each
             # tile's slice buffer before contracting.
             xp = _padded(ws, x, pad)
-
-            def dw_tile(span):
-                d0, d1 = span
+            for d0, d1 in tiles:
                 S = (d1 - d0 - 1) * sd + kd
                 cols2 = ws.acquire((n, S, K9, HoWo), x.dtype)
                 _gather_slab2d(xp[:, :, d0 * sd : d0 * sd + S], (kh, kw),
                                stride[1:], cols2)
-                part = dw_from(cols2, d0, d1)
+                parts.append(dw_from(cols2, d0, d1))
                 ws.release(cols2)
-                return part
-
-            parts = _map_tiles(dw_tile, tiles)
             if xp is not x:
                 ws.release(xp)
         total = parts[0]
@@ -293,61 +353,17 @@ class FusedBackend(GemmBackend):
             dx = None  # first-layer input carries no gradient
         elif stride == _UNIT and all(kk - 1 - pp >= 0 for kk, pp in
                                      zip(kernel, pad)):
-            dx = self._dx_correlation_tiled(ws, dyc, w, pad, x.shape)
+            dx = _dx_correlation_tiled(ws, dyc, w, pad, x.shape)
         else:
-            dx = self._dx_scatter(ws, dyc.reshape(n, co, Do * HoWo), w,
-                                  stride, pad, x.shape)
+            dx = _dx_scatter(ws, dyc.reshape(n, co, Do * HoWo), w, stride,
+                             pad, x.shape)
         return dx, dw, db
-
-    @staticmethod
-    def _dx_correlation_tiled(ws, dy, w, pad, x_shape):
-        """Unit-stride input gradient: the mirrored depth-sliced
-        lowering -- 2D patches of the padded ``dy`` against per-offset
-        slabs of the flipped kernel, tiled over the *input* depth."""
-        n, c, D, H, W = x_shape
-        co = w.shape[0]
-        kd, kh, kw = w.shape[2:]
-        bpad = tuple(kk - 1 - pp for kk, pp in zip((kd, kh, kw), pad))
-        K9b = co * kh * kw
-        HW = H * W
-        tiles = (_plan_tiles(n, K9b, D, H, W, dy.dtype.itemsize)
-                 or [(0, D)])
-        dyp = _padded(ws, dy, bpad)
-        wkb = np.ascontiguousarray(
-            w[:, :, ::-1, ::-1, ::-1].transpose(2, 1, 0, 3, 4)
-        ).reshape(kd, c, K9b)
-        dx = np.empty(x_shape, dtype=dy.dtype)
-
-        def dx_tile(span):
-            d0, d1 = span
-            td = d1 - d0
-            S = td - 1 + kd
-            cols2 = ws.acquire((n, S, K9b, HW), dy.dtype)
-            _gather_slab2d(dyp[:, :, d0 : d0 + S], (kh, kw), (1, 1), cols2)
-            xbat = ws.acquire((n, td, c, HW), dy.dtype)
-            tmp = ws.acquire((n, td, c, HW), dy.dtype) if kd > 1 else None
-            np.matmul(wkb[0], cols2[:, 0:td], out=xbat)
-            for j in range(1, kd):
-                np.matmul(wkb[j], cols2[:, j : j + td], out=tmp)
-                np.add(xbat, tmp, out=xbat)
-            if tmp is not None:
-                ws.release(tmp)
-            ws.release(cols2)
-            np.copyto(
-                dx[:, :, d0:d1],
-                xbat.reshape(n, td, c, H, W).transpose(0, 2, 1, 3, 4))
-            ws.release(xbat)
-
-        _map_tiles(dx_tile, tiles)
-        if dyp is not dy:
-            ws.release(dyp)
-        return dx
 
     def _run_tiles(self, ws, xp, w5, b, y, stride, tiles,
                    relu=False, stats=False, stash=None):
         """Run every tile's depth-sliced GEMMs into its slice of ``y``;
-        optionally apply bias/ReLU and/or return per-tile BN channel
-        sums (computed on the batch-major scratch while it is
+        optionally apply bias/ReLU and/or return the per-tile BN channel
+        sums in tile order (computed on the batch-major scratch while it is
         cache-hot, before the transpose-copy into ``y``).  When
         ``stash`` is a list the slice buffers are kept (appended in
         tile order as ``(d0, d1, cols2)`` for the backward's dw GEMMs)
@@ -361,8 +377,8 @@ class FusedBackend(GemmBackend):
         K9 = wk.shape[2]
         bias = None if b is None else b.reshape(1, 1, co, 1)
 
-        def run(span):
-            d0, d1 = span
+        tile_sums = []
+        for d0, d1 in tiles:
             td = d1 - d0
             S = (td - 1) * sd + kd
             cols2 = ws.acquire((n, S, K9, HoWo), y.dtype)
@@ -381,24 +397,20 @@ class FusedBackend(GemmBackend):
                 ws.release(tmp)
             if stash is None:
                 ws.release(cols2)
+            else:
+                stash.append((d0, d1, cols2))
             if bias is not None:
                 ybat += bias
             if relu:
                 np.maximum(ybat, 0.0, out=ybat)
-            sums = None
             if stats:  # channel sums while the scratch is cache-hot
-                sums = (ybat.sum(axis=(0, 1, 3)),
-                        np.einsum("ndcp,ndcp->c", ybat, ybat))
+                tile_sums.append((ybat.sum(axis=(0, 1, 3)),
+                                  np.einsum("ndcp,ndcp->c", ybat, ybat)))
             np.copyto(
                 y[:, :, d0:d1],
                 ybat.reshape(n, td, co, Ho, Wo).transpose(0, 2, 1, 3, 4))
             ws.release(ybat)
-            return sums, (d0, d1, cols2)
-
-        results = _map_tiles(run, tiles)
-        if stash is not None:
-            stash.extend(entry for _, entry in results)
-        return [sums for sums, _ in results]
+        return tile_sums
 
     # -- fused Conv3D + BatchNorm + ReLU ------------------------------------
     def conv3d_bn_relu_forward(self, x, w, b, gamma, beta, running_mean,
@@ -520,8 +532,84 @@ class FusedBackend(GemmBackend):
         ws.release(y_conv)
         return dx, dw, db, dgamma, dbeta
 
-    # ctx management: GemmBackend.release_ctx releases every arena array
-    # in the ctx ("cols", "y_conv", or a "cols_tiles" stash alike).
+    # -- conv_transpose3d --------------------------------------------------
+    def conv_transpose3d_forward(self, x, w, b, stride, ctx=None):
+        ws = workspace()
+        n, ci, D, H, W = x.shape
+        co = w.shape[1]
+        kd, kh, kw = w.shape[2:]
+        Do, Ho, Wo = conv_transpose3d_output_shape((D, H, W), (kd, kh, kw),
+                                                   stride)
+        P, K = D * H * W, co * kd * kh * kw
+
+        cols = ws.acquire((n, K, P), x.dtype)
+        np.matmul(w.reshape(ci, K).T,
+                  np.ascontiguousarray(x).reshape(n, ci, P), out=cols)
+        y = np.zeros((n, co, Do, Ho, Wo), dtype=x.dtype)
+        v = cols.reshape(n, co, kd, kh, kw, D, H, W)
+        for i in range(kd):
+            di = slice(i, i + stride[0] * D, stride[0])
+            for j in range(kh):
+                dj = slice(j, j + stride[1] * H, stride[1])
+                for k in range(kw):
+                    dk = slice(k, k + stride[2] * W, stride[2])
+                    y[:, :, di, dj, dk] += v[:, :, i, j, k]
+        ws.release(cols)
+        if b is not None:
+            y += b.reshape(1, -1, 1, 1, 1)
+        return y
+
+    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias,
+                                  ctx=None):
+        ws = workspace()
+        n, ci, D, H, W = x.shape
+        co = w.shape[1]
+        kd, kh, kw = w.shape[2:]
+        P, K = D * H * W, co * kd * kh * kw
+
+        # Gather dy at every kernel offset: the adjoint of the forward
+        # scatter, one strided slice copy per offset.
+        dycols = ws.acquire((n, K, P), dy.dtype)
+        v = dycols.reshape(n, co, kd, kh, kw, D, H, W)
+        for i in range(kd):
+            di = slice(i, i + stride[0] * D, stride[0])
+            for j in range(kh):
+                dj = slice(j, j + stride[1] * H, stride[1])
+                for k in range(kw):
+                    dk = slice(k, k + stride[2] * W, stride[2])
+                    v[:, :, i, j, k] = dy[:, :, di, dj, dk]
+
+        dx = np.empty_like(x)
+        np.matmul(w.reshape(ci, K), dycols, out=dx.reshape(n, ci, P))
+        x2 = np.ascontiguousarray(x).reshape(n, ci, P)
+        dw = np.matmul(x2, dycols.transpose(0, 2, 1)).sum(axis=0)
+        dw = dw.reshape(w.shape)
+        ws.release(dycols)
+        db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
+        return dx, dw, db
+
+    # -- ctx management ----------------------------------------------------
+    def release_ctx(self, ctx: dict | None) -> None:
+        """Reclaim scratch a forward pass parked for a backward that
+        never ran (e.g. a training-mode forward used for evaluation).
+
+        Releases *every* arena array in ``ctx`` (``y_conv`` and the
+        ``cols_tiles`` stash of ``(d0, d1, cols)`` entries alike), so a
+        ctx stashed under one backend is still reclaimed when another
+        is active at cleanup time (layers may outlive a ``use_backend``
+        block)."""
+        if not ctx:
+            return
+        ws = workspace()
+        for buf in ctx.values():
+            if isinstance(buf, np.ndarray):
+                ws.release(buf)
+            elif isinstance(buf, (list, tuple)):
+                for item in buf:
+                    for part in (item if isinstance(item, tuple) else (item,)):
+                        if isinstance(part, np.ndarray):
+                            ws.release(part)
+        ctx.clear()
 
 
 register_backend(FusedBackend())

@@ -1,25 +1,18 @@
-"""Pluggable compute-backend registry for the convolution kernels.
+"""Compute-backend registry for the convolution kernels.
 
 Every 3D convolution in the model dispatches through one active
 :class:`KernelBackend`:
 
+* ``fused`` (the production backend) -- depth-sliced batched GEMMs,
+  tiled over output depth so the slice buffer stays cache-resident,
+  plus a fused Conv3D+BatchNorm+ReLU forward/backward
+  (``supports_fusion``).
 * ``reference`` -- the original ``sliding_window_view`` + ``einsum``
-  kernels, kept as the bit-for-bit ground truth every other backend is
-  cross-validated against (gradcheck + allclose parity tests).
-* ``gemm`` -- im2col/col2im lowering to one contiguous BLAS GEMM per
-  convolution, with workspace-arena scratch reuse.
-* ``fused`` (the default) -- the GEMM lowering tiled over output-depth
-  chunks so the patches matrix stays cache-resident, plus a fused
-  Conv3D+BatchNorm+ReLU forward/backward (``supports_fusion``) and
-  optional thread-pool execution of independent tiles
-  (``DISTMIS_KERNEL_THREADS``).
+  kernels, kept as the ground truth ``fused`` is cross-validated
+  against (gradcheck + allclose parity tests).
 
-Selection, in priority order: :func:`set_backend` /
-:func:`use_backend` > the ``DISTMIS_KERNEL_BACKEND`` environment
-variable > the built-in default (``fused``).  The CLI exposes the same
-choice as ``--kernel-backend``.  ``DISTMIS_KERNEL_BACKEND=gemm``
-restores the unfused path, where every Conv3D+BatchNorm+ReLU stage
-runs as the sequential conv/bn/act chain.
+``fused`` is active unless :func:`set_backend` / :func:`use_backend`
+install another; the tests use them to run the ``reference`` oracle.
 
 The module also keeps the per-backend kernel-seconds ledger:
 :mod:`repro.nn.functional` stamps every dispatched call with two
@@ -32,7 +25,6 @@ bucket by backend and operation.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
 __all__ = [
@@ -47,7 +39,6 @@ __all__ = [
     "kernel_seconds_snapshot",
 ]
 
-ENV_VAR = "DISTMIS_KERNEL_BACKEND"
 DEFAULT_BACKEND = "fused"
 
 
@@ -58,7 +49,7 @@ class KernelBackend:
     3-tuples and shapes have been validated by
     :mod:`repro.nn.functional`.  ``ctx`` is an optional mutable dict
     owned by the calling layer; a backend may stash forward-pass scratch
-    there (e.g. the im2col patches matrix) for the matching backward
+    there (e.g. the im2col slice buffers) for the matching backward
     call and must reclaim it in :meth:`release_ctx`.  Outputs must be
     freshly allocated arrays -- never views into cached scratch.
     """
@@ -147,21 +138,18 @@ def _resolve(name: str) -> KernelBackend:
 
 
 def get_backend() -> KernelBackend:
-    """The active backend (resolving ``DISTMIS_KERNEL_BACKEND`` on first
-    use)."""
+    """The active backend (``DEFAULT_BACKEND`` until one is set)."""
     global _active
     if _active is None:
         with _lock:
             if _active is None:
-                _active = _resolve(
-                    os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND)
+                _active = _resolve(DEFAULT_BACKEND)
     return _active
 
 
 def set_backend(backend: str | KernelBackend) -> KernelBackend:
-    """Install the active backend; returns the previous one (the
-    env/default resolution when none was ever active, so
-    :func:`use_backend` restores the state a fresh process would see)."""
+    """Install the active backend; returns the previous one, so
+    :func:`use_backend` can restore it."""
     global _active
     new = _resolve(backend) if isinstance(backend, str) else backend
     previous = get_backend()

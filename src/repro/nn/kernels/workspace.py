@@ -1,11 +1,11 @@
 """Workspace arena: bounded, shape-keyed reuse of large scratch buffers.
 
-The GEMM backend lowers every convolution to ``patches-matrix x weights``,
-and the patches matrix is *large* -- ``kd*kh*kw`` times the activation it
-was gathered from.  Allocating (and faulting in) a multi-hundred-MB
-temporary per convolution per step would hand a third of the step time to
-the allocator, so scratch buffers are checked out of a process-wide arena
-instead and recycled across steps.
+The ``fused`` backend lowers every convolution to ``patches x weights``
+GEMMs, and the patches (slice) buffers are *large* -- ``kh*kw`` times the
+activation they were gathered from.  Allocating (and faulting in) such a
+temporary per convolution per step would hand a large share of the step
+time to the allocator, so scratch buffers are checked out of a
+process-wide arena instead and recycled across steps.
 
 Semantics:
 
@@ -13,7 +13,9 @@ Semantics:
   the requested shape/dtype -- a recycled one when the free pool holds a
   match, a fresh allocation otherwise.  Callers must fully overwrite it.
 * :meth:`WorkspaceArena.release` checks a buffer back in.  Released bytes
-  are retained up to ``max_bytes`` (oldest-first eviction beyond that);
+  are retained up to ``max_bytes`` (512 MiB for the process-wide arena,
+  rebound with :func:`set_workspace_limit`; oldest-first eviction beyond
+  that);
   checked-out buffers are never counted against the budget because they
   cannot be evicted.
 * Buffers are handed to exactly one caller at a time, so workspace reuse
@@ -22,15 +24,13 @@ Semantics:
   allocated arrays, never views into the arena (property-tested in
   ``tests/unit/nn/test_workspace.py``).
 
-The arena is thread-safe (the fused backend's optional tile threads
-share it) and its footprint is exported as the
+The arena is thread-safe and its footprint is exported as the
 ``kernel_workspace_bytes`` telemetry gauge by
 :class:`~repro.raysim.sgd.DataParallelTrainer`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -42,18 +42,14 @@ __all__ = [
     "workspace_bytes",
 ]
 
-# Retained (free-pool) budget.  Override with DISTMIS_KERNEL_WORKSPACE_MB.
+# Retained (free-pool) budget of the process-wide arena.
 DEFAULT_LIMIT_BYTES = 512 * 1024 * 1024
 
 
 class WorkspaceArena:
     """Pool of reusable scratch ndarrays keyed by ``(shape, dtype)``."""
 
-    def __init__(self, max_bytes: int | None = None):
-        if max_bytes is None:
-            mb = os.environ.get("DISTMIS_KERNEL_WORKSPACE_MB", "")
-            max_bytes = (int(float(mb) * 1024 * 1024) if mb
-                         else DEFAULT_LIMIT_BYTES)
+    def __init__(self, max_bytes: int = DEFAULT_LIMIT_BYTES):
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._free: dict[tuple, list[np.ndarray]] = {}

@@ -15,7 +15,8 @@ and the model summary all see the familiar leaves.  Fusion is a runtime
 routing decision re-taken every forward; the sequential child chain is
 used whenever fusion cannot preserve semantics:
 
-* the active backend lacks ``supports_fusion`` (``reference``/``gemm``);
+* the active backend lacks ``supports_fusion`` (the ``reference``
+  test oracle);
 * synchronous BN is wired (``bn.stats_reducer`` set) -- the fused kernel
   computes local statistics only;
 * a child ``forward`` has been instrumented per-instance (the model

@@ -13,8 +13,8 @@ What is left here:
 
 * **Record schema** -- :func:`validate_record` checks the required keys
   (:data:`SCHEMA_REQUIRED_KEYS`), at least one numeric metric outside
-  the ``host`` block, the per-benchmark metrics in
-  :data:`REQUIRED_METRICS` (flattened dot-paths) and the serving
+  the ``host`` block, the per-benchmark metrics of
+  :func:`required_metrics` (flattened dot-paths) and the serving
   record's latency histogram.
 * **Smoke-file naming** -- ``DISTMIS_BENCH_SMOKE=1`` runs write
   ``BENCH_*_smoke.json`` (:func:`bench_output_path`), so a smoke run
@@ -32,7 +32,7 @@ from pathlib import Path
 
 __all__ = [
     "SCHEMA_REQUIRED_KEYS", "REQUIRED_METRICS", "UNTRACKED_RECORDS",
-    "bench_output_path", "is_smoke_env", "host_metadata",
+    "required_metrics", "bench_output_path", "is_smoke_env", "host_metadata",
     "validate_record", "committed_records",
 ]
 
@@ -52,13 +52,9 @@ REQUIRED_METRICS = {
                 "priorities.normal.latency_seconds.p99",
                 "priorities.low.latency_seconds.p99",
                 "requests.shed"),
-    # every backend x dtype row must be present, so a kernel record that
-    # silently dropped a backend fails the schema gate
-    "kernel_backends": tuple(
-        f"backends.{b}.{d}.step_seconds"
-        for b in ("reference", "gemm", "fused")
-        for d in ("float64", "float32")
-    ) + ("speedup", "fused_speedup_vs_gemm"),
+    # plus one backends.<name>.<dtype>.step_seconds row per registered
+    # kernel backend, derived at validate time by required_metrics()
+    "kernel_backends": ("speedup",),
 }
 
 # Full-run summaries that stay local (host-specific or re-measured on
@@ -141,6 +137,24 @@ def _flatten_numeric(obj, prefix: str = "", out: dict | None = None) -> dict:
     return out
 
 
+def required_metrics(benchmark: str) -> tuple[str, ...]:
+    """The flattened dot-paths a ``benchmark`` record must carry.
+
+    A ``kernel_backends`` record needs one ``step_seconds`` row per
+    registered kernel backend and dtype, read from the live registry, so
+    a record that silently dropped a backend fails the schema gate and
+    removing a backend needs no schema edit.
+    """
+    needed = REQUIRED_METRICS.get(benchmark, ())
+    if benchmark == "kernel_backends":
+        from ..nn.kernels import available_backends
+
+        needed = tuple(f"backends.{b}.{d}.step_seconds"
+                       for b in available_backends()
+                       for d in ("float64", "float32")) + needed
+    return needed
+
+
 def validate_record(obj, path=None) -> list[str]:
     """Schema problems of one summary dict; empty list means valid."""
     problems: list[str] = []
@@ -166,7 +180,7 @@ def validate_record(obj, path=None) -> list[str]:
     flat = _flatten_numeric({k: v for k, v in obj.items() if k != "host"})
     if not flat:
         problems.append(f"{where}no numeric metrics to track")
-    for needed in REQUIRED_METRICS.get(str(obj.get("benchmark", "")), ()):
+    for needed in required_metrics(str(obj.get("benchmark", ""))):
         if needed not in flat:
             problems.append(
                 f"{where}benchmark {obj.get('benchmark')!r} requires "

@@ -156,7 +156,7 @@ class TestWorkspaceProperties:
                                        (pad,) * 3)
         if min(d, h, wd) < 1:
             return  # config produces an empty output volume
-        with use_backend("gemm"):
+        with use_backend("fused"):
             y = conv3d_forward(x, w, None, stride, pad)
             dx, dw, _ = conv3d_backward(np.ones_like(y), x, w, stride, pad,
                                         with_bias=False)

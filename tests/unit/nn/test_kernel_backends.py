@@ -1,14 +1,12 @@
-"""Cross-validation of the GEMM-family conv backends against the
+"""Cross-validation of the production ``fused`` conv backend against the
 reference.
 
-The ``reference`` einsum kernels are the ground truth; the ``gemm``
-im2col lowering and the tiled ``fused`` backend must agree with them
-(and with finite differences) at every stride/padding/kernel
-combination the U-Net uses -- plus the registry plumbing that selects
-between them.  The fused backend is additionally pinned with tiling
-*forced on* (tiny ``DISTMIS_KERNEL_TILE_MB``) and under thread-pool
-tile execution (``DISTMIS_KERNEL_THREADS``), which must stay
-bit-identical to the serial run.
+The ``reference`` einsum kernels are the ground truth; the tiled
+``fused`` backend must agree with them (and with finite differences) at
+every stride/padding/kernel combination the U-Net uses -- plus the
+registry plumbing that selects between them.  The fused backend is
+additionally pinned with tiling *forced on* (a tiny
+``fused.TILE_BYTES``).
 """
 
 import numpy as np
@@ -31,6 +29,7 @@ from repro.nn.functional import (
 )
 from repro.nn.kernels import (
     available_backends,
+    fused,
     get_backend,
     kernel_seconds_snapshot,
     registry,
@@ -68,9 +67,9 @@ def _conv_tensors(kernel, cin=2, cout=3, shape=(6, 5, 4)):
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
+    def test_builtin_backends_registered(self):
         names = available_backends()
-        assert {"reference", "gemm", "fused"} <= set(names)
+        assert {"reference", "fused"} <= set(names)
 
     def test_only_fused_supports_fusion(self):
         for name in available_backends():
@@ -107,25 +106,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             set_backend("cudnn")
 
-    def test_env_var_resolved_on_first_use(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_VAR, "reference")
-        monkeypatch.setattr(registry, "_active", None)
-        assert get_backend().name == "reference"
-
-    def test_blank_env_var_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_VAR, "  ")
-        monkeypatch.setattr(registry, "_active", None)
-        assert get_backend().name == registry.DEFAULT_BACKEND
-
     def test_dispatch_feeds_kernel_seconds_ledger(self):
         x, w, b = _conv_tensors(3)
-        with use_backend("gemm"):
+        with use_backend("fused"):
             conv3d_forward(x, w, b, 1, 1)
             snap = kernel_seconds_snapshot()
-        assert snap.get(("gemm", "conv3d_forward"), 0.0) > 0.0
+        assert snap.get(("fused", "conv3d_forward"), 0.0) > 0.0
 
 
-CANDIDATES = ("gemm", "fused")
+CANDIDATES = ("fused",)
 
 
 class TestConv3DParity:
@@ -227,7 +216,8 @@ class TestGradcheck:
     def test_conv3d_gradients_with_tiling_forced(self, monkeypatch):
         """Tiny tile budget: the fused lowering must split every conv
         into many output-depth tiles and still pass finite differences."""
-        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.0001")
+        monkeypatch.setattr(fused, "TILE_BYTES", 8 * 1024)
+        assert len(fused._plan_tiles(2, 18, 5, 5, 4, 8)) == 5
         layer = Conv3D(2, 3, 3, padding="same",
                        rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(2, 2, 5, 5, 4))
@@ -236,9 +226,18 @@ class TestGradcheck:
         assert max(errs.values()) < 1e-6, errs
 
 
-class TestFusedTilingAndThreads:
+class TestFusedTiling:
     """The fused backend's tiled path (forced on via a tiny tile budget)
-    against the reference, serially and on the tile thread-pool."""
+    against the reference."""
+
+    @pytest.fixture(autouse=True)
+    def _tiny_tiles(self, monkeypatch):
+        # three uneven output-depth tiles for the forward, four input-depth
+        # tiles for the unit-stride input gradient
+        monkeypatch.setattr(fused, "TILE_BYTES", 36 * 1024)
+        assert fused._plan_tiles(2, 18, 8, 7, 6, 8) == [(0, 3), (3, 6),
+                                                         (6, 8)]
+        assert len(fused._plan_tiles(2, 27, 8, 7, 6, 8)) == 4
 
     def _run(self, backend):
         g = np.random.default_rng(1234)  # identical tensors every call
@@ -253,58 +252,23 @@ class TestFusedTilingAndThreads:
             release_conv_ctx(ctx)
         return y, dx, dw, db
 
-    def test_tiled_path_matches_reference(self, monkeypatch):
+    def test_tiled_path_matches_reference(self):
         ref = self._run("reference")
-        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.001")
         out = self._run("fused")
         for o, r, label in zip(out, ref, ("y", "dx", "dw", "db")):
             np.testing.assert_allclose(o, r, rtol=1e-9, atol=1e-11,
                                        err_msg=label)
 
-    def test_threaded_tiles_bit_identical_to_serial(self, monkeypatch):
-        """Thread-pool tile execution is a scheduling choice, not a
-        numerical one: every output must match the serial run exactly,
-        and no tile may scribble over another's workspace buffer."""
-        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.001")
-        serial = self._run("fused")
-        monkeypatch.setenv("DISTMIS_KERNEL_THREADS", "4")
-        threaded = self._run("fused")
-        for s, t, label in zip(serial, threaded, ("y", "dx", "dw", "db")):
-            assert np.array_equal(s, t), f"{label} differs under threads"
-
-    def test_threaded_tiles_run_in_a_forked_child(self, monkeypatch):
-        """A child forked after the tile pool started (a data-parallel
-        replica) must not queue tiles on the parent's dead threads."""
-        import multiprocessing
-
-        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.001")
-        monkeypatch.setenv("DISTMIS_KERNEL_THREADS", "2")
-        expected = self._run("fused")   # starts the pool in this process
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=lambda: send.send(self._run("fused")))
-        child.start()
-        try:
-            assert recv.poll(60), "tiles queued on the parent's threads"
-            for got, want in zip(recv.recv(), expected):
-                assert np.array_equal(got, want)
-        finally:
-            child.kill()
-            child.join()
-
-    def test_workspace_balanced_after_tiled_run(self, monkeypatch):
+    def test_workspace_balanced_after_tiled_run(self):
         # delta, not absolute: earlier tests' layers may still hold a
         # live forward ctx (released lazily on their next forward)
-        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.001")
-        monkeypatch.setenv("DISTMIS_KERNEL_THREADS", "2")
         before = workspace().stats()["in_use_bytes"]
         self._run("fused")
         assert workspace().stats()["in_use_bytes"] == before
 
-    def test_outputs_do_not_alias_workspace(self, monkeypatch):
+    def test_outputs_do_not_alias_workspace(self):
         """Forward/backward results must be freshly allocated -- a later
         kernel call reusing arena scratch must not mutate them."""
-        monkeypatch.setenv("DISTMIS_KERNEL_TILE_MB", "0.001")
         y1, dx1, dw1, db1 = self._run("fused")
         snap = (y1.copy(), dx1.copy(), dw1.copy(), db1.copy())
         self._run("fused")  # reuses the same arena buffers

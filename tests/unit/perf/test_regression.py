@@ -43,7 +43,7 @@ class TestSmokeEnvAndPaths:
 class TestSchema:
     def good(self):
         return {"benchmark": "kernels", "smoke": False, "host": dict(HOST_A),
-                "gemm_seconds": 1.25}
+                "step_seconds": 1.25}
 
     def test_valid_record_passes(self, tmp_path):
         path = tmp_path / "BENCH_kernels.json"
@@ -90,6 +90,27 @@ class TestSchema:
         del block[leaf]
         assert validate_record(obj, path=path) == [
             f"{path}: benchmark {kind!r} requires metric {dotted!r}"]
+
+
+    def test_kernel_rows_follow_the_backend_registry(self, monkeypatch):
+        """Every registered backend needs its rows, read from the registry
+        when the record is validated, not from a hand-kept list."""
+        from repro.nn.kernels import KernelBackend, registry
+
+        class Extra(KernelBackend):
+            name = "extra"
+
+        path = BENCH_DIR / "BENCH_kernels.json"
+        obj = json.loads(path.read_text())
+        assert validate_record(obj, path=path) == []
+        monkeypatch.setitem(registry._BACKENDS, "extra", Extra())
+        assert validate_record(obj, path=path) == [
+            f"{path}: benchmark 'kernel_backends' requires metric "
+            f"'backends.extra.{dtype}.step_seconds'"
+            for dtype in ("float64", "float32")]
+        obj["backends"]["extra"] = {
+            dtype: {"step_seconds": 0.5} for dtype in ("float64", "float32")}
+        assert validate_record(obj, path=path) == []
 
 
 class TestCommittedBaselines:

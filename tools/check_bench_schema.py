@@ -8,16 +8,17 @@ Checks, per file: valid JSON object; required keys (``benchmark``,
 ``smoke``, ``host``); smoke records only on ``*_smoke.json`` filenames
 (and vice versa -- a smoke run must never masquerade as a committed
 record); at least one numeric metric outside the ``host`` block;
-per-benchmark required metrics (``REQUIRED_METRICS``: a ``BENCH_serving.json`` record must
-carry ``latency_seconds.p50/.p95/.p99``, ``throughput_rps``, the
+per-benchmark required metrics (``required_metrics``: a
+``BENCH_serving.json`` record must carry
+``latency_seconds.p50/.p95/.p99``, ``throughput_rps``, the
 per-priority tail latencies
 ``priorities.<high|normal|low>.latency_seconds.p99`` and the overload
 accounting ``requests.shed`` -- the serving bench zero-fills priority
 levels a run never offered, so absence always means a malformed
-record, never a quiet run; a
-``BENCH_kernels.json`` record must carry every
-``backends.<reference|gemm|fused>.<float64|float32>.step_seconds`` row
-plus ``speedup`` and ``fused_speedup_vs_gemm``).
+record, never a quiet run; a ``BENCH_kernels.json`` record must carry
+``speedup`` and a ``backends.<name>.<float64|float32>.step_seconds``
+row for every backend registered in ``repro.nn.kernels``
+(``available_backends()``, read when the record is validated)).
 Exits non-zero with one line per violation, so ``make lint`` fails
 before a malformed or quarantine-violating record is committed.
 
