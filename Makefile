@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint smoke profile-smoke monitor-smoke serve-smoke bench bench-parallel bench-kernels examples report api-docs results clean
+.PHONY: install test lint smoke profile-smoke monitor-smoke serve-smoke sim-smoke bench bench-parallel bench-kernels examples report api-docs results clean
 
 install:
 	PIP_NO_BUILD_ISOLATION=false pip install -e .
@@ -24,7 +24,7 @@ lint:
 	$(PYTHON) tools/check_bench_schema.py
 	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py
 
-smoke: profile-smoke monitor-smoke serve-smoke
+smoke: profile-smoke monitor-smoke serve-smoke sim-smoke
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py
 	PYTHONPATH=src $(PYTHON) examples/fault_tolerance.py
 	DISTMIS_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
@@ -41,6 +41,24 @@ profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile /tmp/distmis_profile_smoke
 	DISTMIS_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_profiler_overhead.py -q -s
+
+# paper-scale simulated runs of the three methods, plus one under GPU
+# failures: every run directory's merged trace (driver spans + the
+# simulated timeline) must satisfy the viewer contract
+SIM_SMOKE := /tmp/distmis_sim_smoke
+sim-smoke:
+	for method in experiment_parallel data_parallel hybrid; do \
+		PYTHONPATH=src $(PYTHON) -m repro.cli simulate $$method 8 \
+			--telemetry $(SIM_SMOKE)/$$method || exit 1; \
+	done
+	PYTHONPATH=src $(PYTHON) -m repro.cli simulate experiment_parallel 8 \
+		--failures mtbf=43200,repair=600 \
+		--telemetry $(SIM_SMOKE)/failures
+	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py \
+		$(SIM_SMOKE)/experiment_parallel/trace.json \
+		$(SIM_SMOKE)/data_parallel/trace.json \
+		$(SIM_SMOKE)/hybrid/trace.json \
+		$(SIM_SMOKE)/failures/trace.json
 
 # tiny live-monitored search with --watch on a non-TTY: asserts the
 # streaming export really streams (events.jsonl + final health snapshot)

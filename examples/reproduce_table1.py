@@ -3,8 +3,8 @@
 
 Prices the full paper-scale hyper-parameter search (20 trials, 484
 volumes, 250 epochs, V100 nodes of 4) under both distribution methods
-at 1..32 GPUs using the calibrated cost model and the discrete-event
-simulator, printing the reproduction next to the paper's numbers.
+at 1..32 GPUs using the calibrated cost model and Ray Tune's greedy
+trial placement, printing the reproduction next to the paper's numbers.
 
 Run:  python examples/reproduce_table1.py
 """

@@ -5,7 +5,8 @@ Stands in for the BSC MareNostrum-CTE GPU environment: hardware specs
 (:mod:`~repro.cluster.network`), collective-communication algorithms --
 both cost models and exact NumPy ring all-reduce
 (:mod:`~repro.cluster.collectives`) -- a coroutine discrete-event
-simulator (:mod:`~repro.cluster.simulator`) and execution timelines
+simulator (:mod:`~repro.cluster.simulator`) that prices searches under
+GPU failures (:mod:`~repro.cluster.failures`), and execution timelines
 (:mod:`~repro.cluster.trace`).
 """
 

@@ -1,12 +1,15 @@
 """Discrete-event simulation engine.
 
-A small coroutine-process simulator (in the spirit of SimPy) that the
-cluster-scale experiments run on: *processes* are generators that yield
-events -- timeouts, resource requests, other processes -- and resume
-when the event fires.  Time is virtual, so a 44-hour hyper-parameter
-search (Table I) simulates in milliseconds while every scheduling
-decision (who waits for which GPU, when the all-reduce barrier releases)
-is executed faithfully.
+A small coroutine-process simulator (in the spirit of SimPy):
+*processes* are generators that yield events -- timeouts, resource
+requests, other processes -- and resume when the event fires.  Time is
+virtual, so a 44-hour hyper-parameter search simulates in milliseconds
+while every scheduling decision is executed faithfully.  Failure-free
+searches need no events (their greedy placement is
+:func:`repro.raysim.scheduler.fifo_schedule`); the simulator prices a
+search under GPU failures, where a crashed trial re-queues behind the
+waiting ones after its repair
+(:func:`repro.cluster.failures.run_with_failures`).
 
 Example
 -------

@@ -13,20 +13,17 @@ Two backends share this module:
 
 * :func:`run_search_inprocess` really trains every configuration with
   ``num_gpus`` *virtual* replicas (exact semantics, laptop scale);
-* :func:`simulate_search` prices the same search at paper scale on the
-  discrete-event simulator with the calibrated cost model, emitting a
-  timeline of per-trial spans.
+* :func:`simulate_search` prices the same search at paper scale with
+  the calibrated cost model, emitting a timeline of per-trial spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster.simulator import Simulator
 from ..cluster.trace import Timeline
 from ..perf.costs import StepCostModel, TrialConfig
-from ..perf.speedup import _trial_jitters
-from ..raysim.cluster import RayCluster
+from ..perf.speedup import trial_durations
 from .config import ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline, TrialOutcome, train_trial
 
@@ -98,37 +95,23 @@ def simulate_search(
     seed: int | None = None,
 ) -> tuple[float, Timeline]:
     """Paper-scale simulation: trials run back-to-back, each occupying
-    the full ``num_gpus`` allocation; returns (elapsed seconds,
-    timeline).  Matches
-    :func:`repro.perf.speedup.data_parallel_search_time` exactly -- the
-    event simulator adds the audited execution trace (allocation,
-    placement case, per-trial spans)."""
-    if num_gpus > model.cluster.total_gpus:
-        raise ValueError(
-            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
-        )
-    ray_cluster = RayCluster(model.cluster)
-    alloc = ray_cluster.allocate_gpus(num_gpus, strategy="pack")
+    the first ``num_gpus`` GPUs packed node by node; returns (elapsed
+    seconds, timeline).  The elapsed time is
+    :func:`repro.perf.speedup.data_parallel_search_time`; the timeline
+    adds one span per trial on every GPU, tagged with the placement
+    case."""
     case = placement_case(num_gpus, model.cluster.node.num_gpus)
-
-    jitters = _trial_jitters(model, len(trials), seed)
-    sim = Simulator()
+    devices = model.cluster.devices(num_gpus)
     timeline = Timeline()
-
-    def run_all():
-        for idx, (cfg, jit) in enumerate(zip(trials, jitters)):
-            start = sim.now
-            duration = model.trial_time(cfg, num_gpus, jitter=float(jit))
-            yield sim.timeout(duration)
-            for dev in alloc.devices:
-                timeline.record(
-                    name=f"trial_{idx:02d}", start=start, end=sim.now,
-                    resource=str(dev), category="train",
-                    case=case, loss=cfg.loss, lr=cfg.learning_rate,
-                    base_filters=cfg.base_filters,
-                )
-
-    sim.process(run_all())
-    elapsed = sim.run()
-    ray_cluster.release(alloc)
-    return elapsed, timeline
+    end = 0.0
+    for idx, (cfg, duration) in enumerate(
+            zip(trials, trial_durations(model, trials, num_gpus, seed))):
+        start, end = end, end + duration
+        for dev in devices:
+            timeline.record(
+                name=f"trial_{idx:02d}", start=start, end=end,
+                resource=str(dev), category="train",
+                case=case, loss=cfg.loss, lr=cfg.learning_rate,
+                base_filters=cfg.base_filters,
+            )
+    return end, timeline

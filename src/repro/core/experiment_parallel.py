@@ -10,11 +10,12 @@ Backends:
 
 * :func:`run_search_inprocess` -- the Tune-analogue trial runner really
   trains every configuration (1 virtual GPU each) at laptop scale;
-* :func:`simulate_search` -- paper-scale: the discrete-event simulator
-  executes Ray Tune's greedy FIFO placement over a GPU pool with the
-  calibrated per-trial durations, producing the makespan and a
-  timeline.  A test pins this to the analytic
-  :func:`repro.raysim.scheduler.fifo_schedule` makespan.
+* :func:`simulate_search` -- paper-scale: Ray Tune's greedy FIFO
+  placement (:func:`repro.raysim.scheduler.fifo_schedule`) of the
+  calibrated per-trial durations over a GPU pool, producing the
+  makespan Table I reports and a per-GPU timeline;
+* :func:`simulate_search_with_failures` -- the same search on the
+  discrete-event simulator under GPU failures and repairs.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..cluster.failures import FailureModel, FailureRunResult, run_with_failures
-from ..cluster.simulator import Resource, Simulator
 from ..cluster.trace import Timeline
 from ..fault_tolerance import FaultInjector, RetryPolicy
 from ..perf.costs import StepCostModel, TrialConfig
-from ..perf.speedup import _trial_jitters
+from ..perf.speedup import experiment_parallel_placement, trial_durations
 from ..raysim.search import GridSearch
 from ..raysim.tune import ExperimentAnalysis, TrialScheduler, tune_run
 from .checkpoint import CheckpointManager
@@ -200,66 +200,24 @@ def simulate_search(
 ) -> tuple[float, Timeline]:
     """Paper-scale simulation of Ray Tune's placement.
 
-    A :class:`Resource` pool of ``num_gpus`` GPUs; trial processes are
-    submitted FIFO and each acquires one GPU, holds it for
-    ``tune_overhead + duration`` and releases it; the elapsed time is
-    the makespan plus the Ray cluster spin-up over the hosting nodes.
+    Trials are placed FIFO, each on the earliest free one of
+    ``num_gpus`` GPUs for ``tune_overhead + duration``; the elapsed time
+    is the makespan plus the Ray cluster spin-up over the hosting nodes
+    -- :func:`repro.perf.experiment_parallel_search_time`, with one
+    timeline span per trial on the GPU that ran it.
     """
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if num_gpus > model.cluster.total_gpus:
-        raise ValueError(
-            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
-        )
-    if telemetry is None:
-        from ..telemetry import get_hub
-
-        telemetry = get_hub()
-    m_queue = telemetry.metrics.histogram(
-        "sim_queue_depth", "trials waiting for a GPU at each placement",
-        ("method",), buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128),
-    ).labels(method="experiment_parallel")
-    jitters = _trial_jitters(model, len(trials), seed)
-    durations = [
-        model.trial_time(cfg, 1, jitter=float(j))
-        for cfg, j in zip(trials, jitters)
-    ]
-    overhead = model.params.tune_trial_overhead_s
-
-    sim = Simulator()
-    pool = Resource(sim, capacity=num_gpus, name="gpu_pool")
+    elapsed, placement = experiment_parallel_placement(
+        model, trials, num_gpus, seed=seed, telemetry=telemetry)
     timeline = Timeline()
-    # Track which physical GPU each acquisition maps to, for the trace.
-    free_slots = list(range(num_gpus))
-    waiting = [len(durations)]
-
-    def trial_proc(idx: int, duration: float):
-        yield pool.request()
-        waiting[0] -= 1
-        m_queue.observe(waiting[0])
-        slot = free_slots.pop()
-        start = sim.now
-        yield sim.timeout(overhead + duration)
-        cfg = trials[idx]
+    for idx, (cfg, (worker, start, end)) in enumerate(
+            zip(trials, placement.assignments)):
         timeline.record(
-            name=f"trial_{idx:02d}", start=start, end=sim.now,
-            resource=str(model.cluster.device(slot)), category="train",
+            name=f"trial_{idx:02d}", start=start, end=end,
+            resource=str(model.cluster.device(worker)), category="train",
             loss=cfg.loss, lr=cfg.learning_rate,
             base_filters=cfg.base_filters,
         )
-        free_slots.append(slot)
-        pool.release()
-
-    # FIFO submission order == grid enumeration order (Ray Tune).
-    for idx, d in enumerate(durations):
-        sim.process(trial_proc(idx, d))
-    makespan = sim.run()
-
-    nodes = model.cluster.nodes_for(num_gpus)
-    cluster_startup = (
-        model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
-    )
-    return makespan + cluster_startup, timeline
+    return elapsed, timeline
 
 
 def simulate_search_with_failures(
@@ -292,13 +250,8 @@ def simulate_search_with_failures(
         from ..telemetry import get_hub
 
         telemetry = get_hub()
-    jitters = _trial_jitters(model, len(trials), seed)
-    durations = [
-        model.trial_time(cfg, 1, jitter=float(j))
-        for cfg, j in zip(trials, jitters)
-    ]
     result = run_with_failures(
-        durations, num_gpus, failure_model,
+        trial_durations(model, trials, 1, seed), num_gpus, failure_model,
         seed=0 if seed is None else seed,
         per_trial_overhead=model.params.tune_trial_overhead_s,
         num_epochs=[cfg.epochs for cfg in trials],

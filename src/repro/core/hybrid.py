@@ -9,20 +9,20 @@ makespan is pinned to the longest trial.  Giving each trial ``g`` GPUs
 trades per-trial speed-up (sub-linear, it pays the data-parallel
 overheads) against trial concurrency (``floor(n / g)`` at a time).
 
-:func:`simulate_hybrid_search` prices any ``gpus_per_trial`` on the
-event simulator; :func:`best_gpus_per_trial` sweeps the feasible
-values.  ``g = 1`` recovers the experiment-parallel method, ``g = n``
-the data-parallel method (both asserted by tests).
+:func:`simulate_hybrid_search` prices any ``gpus_per_trial`` with Ray
+Tune's greedy placement (the schedule that prices Table I);
+:func:`best_gpus_per_trial` sweeps the feasible values.  ``g = 1``
+recovers the experiment-parallel method, ``g = n`` the data-parallel
+method (both asserted by tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster.simulator import Resource, Simulator
 from ..cluster.trace import Timeline
 from ..perf.costs import StepCostModel, TrialConfig
-from ..perf.speedup import _trial_jitters
+from ..perf.speedup import experiment_parallel_placement, trial_durations
 
 __all__ = ["HybridResult", "simulate_hybrid_search", "best_gpus_per_trial"]
 
@@ -47,55 +47,28 @@ def simulate_hybrid_search(
     Each trial's duration is the *data-parallel* trial time at ``g``
     GPUs (so it inherits the straggler/comm overheads), plus the Tune
     per-trial overhead; Ray cluster startup over the hosting nodes is
-    charged once, as in the pure methods.
+    charged once, as in the pure methods.  The timeline holds one span
+    per trial on the slot that ran it.
     """
-    if gpus_per_trial < 1:
-        raise ValueError("gpus_per_trial must be >= 1")
-    if gpus_per_trial > num_gpus:
-        raise ValueError(
-            f"gpus_per_trial {gpus_per_trial} exceeds {num_gpus} GPUs"
-        )
-    if num_gpus > model.cluster.total_gpus:
-        raise ValueError(
-            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
-        )
-    slots = num_gpus // gpus_per_trial
-    jitters = _trial_jitters(model, len(trials), seed)
-    durations = [
-        model.trial_time(cfg, gpus_per_trial, jitter=float(j))
-        + model.params.tune_trial_overhead_s
-        for cfg, j in zip(trials, jitters)
-    ]
-
-    sim = Simulator()
-    pool = Resource(sim, capacity=slots, name="trial_slots")
+    elapsed, placement = experiment_parallel_placement(
+        model, trials, num_gpus, seed=seed, gpus_per_trial=gpus_per_trial)
     timeline = Timeline()
-
-    def trial_proc(idx: int, duration: float):
-        yield pool.request()
-        start = sim.now
-        yield sim.timeout(duration)
+    for idx, (worker, start, end) in enumerate(placement.assignments):
         timeline.record(
-            f"trial_{idx:02d}", start, sim.now,
-            resource=f"slot{idx % slots}", category="train",
+            f"trial_{idx:02d}", start, end,
+            resource=f"slot{worker}", category="train",
             gpus=gpus_per_trial,
         )
-        pool.release()
 
-    for idx, d in enumerate(durations):
-        sim.process(trial_proc(idx, d))
-    makespan = sim.run()
-
-    nodes = model.cluster.nodes_for(num_gpus)
-    startup = model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
-    elapsed = makespan + startup
-
-    busy_gpu_seconds = sum(durations) * gpus_per_trial
+    overhead = model.params.tune_trial_overhead_s
+    busy_gpu_seconds = gpus_per_trial * sum(
+        d + overhead
+        for d in trial_durations(model, trials, gpus_per_trial, seed))
     util = busy_gpu_seconds / (elapsed * num_gpus) if elapsed > 0 else 0.0
     return (
         HybridResult(
             gpus_per_trial=gpus_per_trial,
-            concurrent_slots=slots,
+            concurrent_slots=num_gpus // gpus_per_trial,
             elapsed_seconds=elapsed,
             mean_gpu_utilization=min(1.0, util),
         ),

@@ -22,6 +22,7 @@ from ..perf.costs import StepCostModel, TrialConfig
 from ..perf.speedup import PAPER_GPU_COUNTS, paper_search_grid
 from ..telemetry import get_hub
 from . import data_parallel, experiment_parallel
+from .hybrid import simulate_hybrid_search
 from .config import DEFAULT_SPACE, ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline
 from .results import ComparisonReport, MethodSeries
@@ -216,36 +217,24 @@ class DistMISRunner:
     def _simulate_one(self, method: str, num_gpus: int,
                       seed: int | None = None,
                       gpus_per_trial: int | None = None) -> SimulatedRun:
+        if method != "hybrid":
+            self._check_method(method)
         hub = self.telemetry
-        if method == "hybrid":
-            from .hybrid import simulate_hybrid_search
-
-            g = gpus_per_trial or min(num_gpus,
-                                      self.cost_model.cluster.node.num_gpus)
-            with hub.tracer.span(f"simulate[hybrid g={g}]", category="run",
-                                 num_gpus=num_gpus):
-                result, timeline = simulate_hybrid_search(
-                    self.sim_trials, self.cost_model, num_gpus, g, seed=seed
-                )
-            hub.attach_timeline(timeline)
-            return SimulatedRun(method=f"hybrid[g={g}]", num_gpus=num_gpus,
-                                elapsed_seconds=result.elapsed_seconds,
-                                timeline=timeline)
-        self._check_method(method)
-        mod = (
-            data_parallel if method == "data_parallel" else experiment_parallel
-        )
+        args = (self.sim_trials, self.cost_model, num_gpus)
         with hub.tracer.span(f"simulate[{method}]", category="run",
                              num_gpus=num_gpus):
-            if mod is experiment_parallel:
-                elapsed, timeline = mod.simulate_search(
-                    self.sim_trials, self.cost_model, num_gpus, seed=seed,
-                    telemetry=hub,
-                )
+            if method == "hybrid":
+                g = gpus_per_trial or min(
+                    num_gpus, self.cost_model.cluster.node.num_gpus)
+                method = f"hybrid[g={g}]"
+                result, timeline = simulate_hybrid_search(*args, g, seed=seed)
+                elapsed = result.elapsed_seconds
+            elif method == "experiment_parallel":
+                elapsed, timeline = experiment_parallel.simulate_search(
+                    *args, seed=seed, telemetry=hub)
             else:
-                elapsed, timeline = mod.simulate_search(
-                    self.sim_trials, self.cost_model, num_gpus, seed=seed
-                )
+                elapsed, timeline = data_parallel.simulate_search(
+                    *args, seed=seed)
         hub.attach_timeline(timeline)
         hub.metrics.gauge(
             "sim_elapsed_seconds", "simulated search elapsed time",

@@ -49,9 +49,11 @@ from .speedup import (
     SpeedupRow,
     SpeedupTable,
     data_parallel_search_time,
+    experiment_parallel_placement,
     experiment_parallel_search_time,
     format_hms,
     paper_search_grid,
+    trial_durations,
 )
 from .regression import (
     bench_output_path,
@@ -60,7 +62,7 @@ from .regression import (
     validate_record,
 )
 from .straggler import expected_max_factor, sample_max_factor
-from .trace_model import TrialBreakdown, epoch_breakdown, simulate_trial_timeline
+from .trace_model import TrialBreakdown, epoch_breakdown
 
 __all__ = [
     "conv3d_flops",
@@ -75,7 +77,9 @@ __all__ = [
     "PAPER_SPATIAL",
     "PAPER_GPU_COUNTS",
     "paper_search_grid",
+    "trial_durations",
     "data_parallel_search_time",
+    "experiment_parallel_placement",
     "experiment_parallel_search_time",
     "SpeedupRow",
     "SpeedupTable",
@@ -102,7 +106,6 @@ __all__ = [
     "plan_serving_capacity",
     "TrialBreakdown",
     "epoch_breakdown",
-    "simulate_trial_timeline",
     "bench_output_path",
     "host_metadata",
     "is_smoke_env",

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..raysim.scheduler import fifo_schedule, lpt_schedule
+from ..raysim.scheduler import PlacementResult, fifo_schedule, lpt_schedule
 from .costs import StepCostModel, TrialConfig
 
 __all__ = [
     "paper_search_grid",
+    "trial_durations",
     "data_parallel_search_time",
+    "experiment_parallel_placement",
     "experiment_parallel_search_time",
     "SpeedupRow",
     "SpeedupTable",
@@ -51,15 +53,29 @@ def paper_search_grid() -> list[TrialConfig]:
     ]
 
 
-def _trial_jitters(model: StepCostModel, num_trials: int,
-                   seed: int | None) -> np.ndarray:
-    """Per-trial throughput jitter factors (1.0 when seed is None)."""
-    if seed is None or model.params.trial_jitter_sigma == 0.0:
-        return np.ones(num_trials)
-    rng = np.random.default_rng(seed)
+def trial_durations(
+    model: StepCostModel,
+    trials: list[TrialConfig],
+    gpus_per_trial: int,
+    seed: int | None = None,
+) -> list[float]:
+    """Seconds each trial trains on ``gpus_per_trial`` GPUs.
+
+    ``seed`` draws one unit-mean lognormal throughput jitter per trial
+    (the run-to-run spread behind Fig 4a's error bars); ``None`` prices
+    the expected durations.
+    """
     sigma = model.params.trial_jitter_sigma
-    draws = rng.lognormal(mean=0.0, sigma=sigma, size=num_trials)
-    return draws / np.exp(0.5 * sigma**2)  # unit mean
+    if seed is None or sigma == 0.0:
+        jitters = np.ones(len(trials))
+    else:
+        draws = np.random.default_rng(seed).lognormal(
+            mean=0.0, sigma=sigma, size=len(trials))
+        jitters = draws / np.exp(0.5 * sigma**2)  # unit mean
+    return [
+        model.trial_time(cfg, gpus_per_trial, jitter=float(j))
+        for cfg, j in zip(trials, jitters)
+    ]
 
 
 def data_parallel_search_time(
@@ -70,13 +86,50 @@ def data_parallel_search_time(
 ) -> float:
     """Elapsed seconds of the data-parallel method: the trials run one
     after another, each using all ``num_gpus`` GPUs."""
-    jitters = _trial_jitters(model, len(trials), seed)
-    return float(
-        sum(
-            model.trial_time(cfg, num_gpus, jitter=j)
-            for cfg, j in zip(trials, jitters)
+    return float(sum(trial_durations(model, trials, num_gpus, seed)))
+
+
+def experiment_parallel_placement(
+    model: StepCostModel,
+    trials: list[TrialConfig],
+    num_gpus: int,
+    seed: int | None = None,
+    policy: str = "fifo",
+    gpus_per_trial: int = 1,
+    telemetry=None,
+) -> tuple[float, PlacementResult]:
+    """Ray Tune's placement of the search: ``(elapsed, placement)``.
+
+    Each trial holds ``gpus_per_trial`` GPUs (1 is experiment
+    parallelism, more is the hybrid method), so ``num_gpus //
+    gpus_per_trial`` trials run at once, placed greedily by ``policy``
+    with the Tune per-trial overhead.  ``elapsed`` is the makespan plus
+    the Ray cluster spin-up over the hosting nodes; the placement's
+    ``assignments`` hold each trial's (worker, start, end).
+    """
+    if gpus_per_trial < 1:
+        raise ValueError("gpus_per_trial must be >= 1")
+    if gpus_per_trial > num_gpus:
+        raise ValueError(
+            f"gpus_per_trial {gpus_per_trial} exceeds {num_gpus} GPUs"
         )
+    if num_gpus > model.cluster.total_gpus:
+        raise ValueError(
+            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
+        )
+    durations = trial_durations(model, trials, gpus_per_trial, seed)
+    schedule = {"fifo": fifo_schedule, "lpt": lpt_schedule}[policy]
+    result = schedule(
+        durations, num_gpus // gpus_per_trial,
+        per_trial_overhead=model.params.tune_trial_overhead_s,
+        telemetry=telemetry,
     )
+    # Ray cluster spin-up across the nodes hosting the workers.
+    nodes = model.cluster.nodes_for(num_gpus)
+    cluster_startup = (
+        model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
+    )
+    return float(result.makespan + cluster_startup), result
 
 
 def experiment_parallel_search_time(
@@ -85,25 +138,15 @@ def experiment_parallel_search_time(
     num_gpus: int,
     seed: int | None = None,
     policy: str = "fifo",
+    gpus_per_trial: int = 1,
 ) -> float:
     """Elapsed seconds of the experiment-parallel method: each trial on
-    one GPU, placed by Ray Tune's greedy scheduler; the search ends when
-    the last trial does (makespan)."""
-    jitters = _trial_jitters(model, len(trials), seed)
-    durations = [
-        model.trial_time(cfg, 1, jitter=j) for cfg, j in zip(trials, jitters)
-    ]
-    schedule = {"fifo": fifo_schedule, "lpt": lpt_schedule}[policy]
-    result = schedule(
-        durations, num_gpus,
-        per_trial_overhead=model.params.tune_trial_overhead_s,
-    )
-    # Ray cluster spin-up across the nodes hosting the workers.
-    nodes = model.cluster.nodes_for(num_gpus)
-    cluster_startup = (
-        model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
-    )
-    return float(result.makespan + cluster_startup)
+    ``gpus_per_trial`` GPUs (one by default), placed by Ray Tune's
+    greedy scheduler; the search ends when the last trial does
+    (makespan)."""
+    return experiment_parallel_placement(
+        model, trials, num_gpus, seed=seed, policy=policy,
+        gpus_per_trial=gpus_per_trial)[0]
 
 
 def format_hms(seconds: float) -> str:

@@ -1,26 +1,21 @@
-"""Detailed (per-epoch, per-category) simulation of one training trial.
+"""Per-category cost decomposition of one training trial.
 
 Table I only needs trial totals; understanding *why* data parallelism
-scales sub-linearly needs the breakdown this module provides: for every
-epoch, how much wall-clock went to useful compute, to waiting at the
+scales sub-linearly needs the breakdown this module provides: how much
+of a trial's wall-clock goes to useful compute, to waiting at the
 synchronisation barrier for stragglers, to the all-reduce, to the input
-pipeline and to framework overhead.  The per-epoch straggler factor is
-*sampled* (not its expectation), so repeated runs exhibit the epoch-time
-variance behind Fig 4a's error bars.
+pipeline and to framework overhead (expected values, summing to
+:meth:`StepCostModel.trial_time`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..cluster.collectives import allreduce_time
-from ..cluster.trace import Timeline
 from .costs import StepCostModel, TrialConfig
-from .straggler import sample_max_factor
 
-__all__ = ["epoch_breakdown", "simulate_trial_timeline", "TrialBreakdown"]
+__all__ = ["epoch_breakdown", "TrialBreakdown"]
 
 
 @dataclass(frozen=True)
@@ -74,60 +69,3 @@ def epoch_breakdown(
         validation=e * model.validation_time(config, num_gpus),
         fixed=e * model.params.epoch_fixed_s + model.startup_time(num_gpus),
     )
-
-
-def simulate_trial_timeline(
-    model: StepCostModel,
-    config: TrialConfig,
-    num_gpus: int,
-    seed: int = 0,
-    epochs: int | None = None,
-) -> Timeline:
-    """Per-epoch trace with sampled straggler waits.
-
-    One lane per cost category (epoch spans laid back-to-back), so
-    ``timeline.by_category()`` gives the realised breakdown and
-    ``timeline.makespan()`` the realised trial duration.
-    """
-    rng = np.random.default_rng(seed)
-    e_total = epochs if epochs is not None else config.epochs
-    if e_total < 1:
-        raise ValueError("epochs must be >= 1")
-
-    steps = model.steps_per_epoch(config, num_gpus)
-    compute = model.step_compute_time(config)
-    m = model.cluster.node.num_gpus
-    comm = allreduce_time(
-        model.gradient_bytes(config), num_gpus, m,
-        model.cluster.node.intra_link, model.cluster.inter_link,
-    )
-    inp = model.input_time(config)
-    fw = model.framework_overhead(num_gpus)
-    val = model.validation_time(config, num_gpus)
-    fixed = model.params.epoch_fixed_s
-
-    timeline = Timeline()
-    now = model.startup_time(num_gpus)
-    if now > 0:
-        timeline.record("startup", 0.0, now, "trial", category="fixed")
-    sigma = model.params.straggler_sigma
-    for epoch in range(e_total):
-        factor = sample_max_factor(num_gpus, sigma, rng, num_steps=steps)
-        seg = [
-            ("compute", steps * compute),
-            ("straggler_wait", steps * compute * max(0.0, factor - 1.0)),
-            ("allreduce", steps * comm),
-            ("input", steps * inp),
-            ("framework", steps * fw),
-            ("validation", val),
-            ("fixed", fixed),
-        ]
-        for category, dur in seg:
-            if dur <= 0:
-                continue
-            timeline.record(
-                f"epoch{epoch:03d}.{category}", now, now + dur, "trial",
-                category=category, epoch=epoch,
-            )
-            now += dur
-    return timeline

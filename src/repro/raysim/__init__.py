@@ -1,16 +1,14 @@
 """``repro.raysim`` -- a Ray-like runtime.
 
 Stands in for the two parts of Ray 1.4.1 the paper uses (Ray SGD and
-Ray Tune): a cluster resource registry with pack/spread GPU placement
-(:mod:`~repro.raysim.cluster`), synchronous data-parallel SGD with exact
-ring all-reduce and optional sync-BatchNorm (:mod:`~repro.raysim.sgd`),
-a Tune-like trial runner with FIFO/ASHA scheduling
-(:mod:`~repro.raysim.tune`), grid/random/TPE-lite search
-(:mod:`~repro.raysim.search`) and placement/makespan policies
+Ray Tune): synchronous data-parallel SGD with exact ring all-reduce and
+optional sync-BatchNorm (:mod:`~repro.raysim.sgd`), a Tune-like trial
+runner with FIFO/ASHA scheduling (:mod:`~repro.raysim.tune`),
+grid/random/TPE-lite search (:mod:`~repro.raysim.search`) and the greedy
+trial placement that prices every paper-scale search
 (:mod:`~repro.raysim.scheduler`).
 """
 
-from .cluster import Allocation, InsufficientResources, NodeResources, RayCluster
 from .scheduler import (
     PlacementResult,
     fifo_schedule,
@@ -36,10 +34,6 @@ from .tune import (
 )
 
 __all__ = [
-    "RayCluster",
-    "NodeResources",
-    "Allocation",
-    "InsufficientResources",
     "DataParallelTrainer",
     "SyncGroup",
     "GridSearch",

@@ -7,9 +7,10 @@ available GPU.  LPT (longest-processing-time-first) is the classic
 makespan heuristic, provided for the scheduling ablation (E9).
 
 These are pure functions over (durations, worker count) so they can be
-property-tested against the makespan lower bounds; the event-simulator
-execution in ``repro.core.experiment_parallel`` must agree with them
-exactly (and a test asserts it does).
+property-tested against the makespan lower bounds.  They are the only
+placement of failure-free paper-scale searches: Table I's pricing and
+the simulated experiment-parallel and hybrid runs (whose timelines are
+read off ``PlacementResult.assignments``) all call them.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ contract:
 
 ``tune_run`` executes trials in-process (functional reproduction); the
 *timing* of concurrent trial placement at cluster scale is what
-``repro.core.experiment_parallel`` simulates with the event simulator,
-using this module's Trial/scheduler data model.
+``repro.core.experiment_parallel`` prices with the greedy FIFO schedule
+of :mod:`repro.raysim.scheduler`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Integration: paper-scale simulated comparisons (Table I / Fig 4)."""
 
+import json
+
 import pytest
 
 from repro.core import DistMISRunner
@@ -57,11 +59,18 @@ class TestTimelineConsistency:
         # Every span ends by the reported elapsed time.
         assert run.timeline.makespan() <= run.elapsed_seconds + 1e-6
 
-    def test_data_parallel_trace_serialises_trials(self):
+    @pytest.mark.parametrize("method,num_gpus,gpus_per_trial", [
+        ("data_parallel", 8, None),
+        ("experiment_parallel", 8, None),
+        ("hybrid", 32, 8),
+    ])
+    def test_data_parallel_trace_serialises_trials(self, method, num_gpus,
+                                                   gpus_per_trial):
         runner = DistMISRunner()
-        run = runner.simulate("data_parallel", 8, seed=2)
-        # On any single GPU lane, spans must not overlap (one trial at
-        # a time uses the whole allocation).
+        run = runner.simulate(method, num_gpus, seed=2,
+                              gpus_per_trial=gpus_per_trial)
+        # On any lane, spans must not overlap (a GPU -- or a hybrid
+        # trial slot -- runs one trial at a time).
         lanes = {}
         for ev in run.timeline.events:
             lanes.setdefault(ev.resource, []).append((ev.start, ev.end))
@@ -69,3 +78,24 @@ class TestTimelineConsistency:
             spans.sort()
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                 assert s2 >= e1 - 1e-9
+
+
+class TestSimulatedRunDir:
+    @pytest.mark.parametrize("argv", [
+        ["data_parallel", "8"],
+        ["experiment_parallel", "8"],
+        ["hybrid", "32", "--gpus-per-trial", "8"],
+        ["experiment_parallel", "8", "--failures", "mtbf=43200,repair=600"],
+    ], ids=["data_parallel", "experiment_parallel", "hybrid", "failures"])
+    def test_trace_meets_viewer_contract(self, tmp_path, capsys, argv):
+        """A simulate run directory's merged trace (driver spans plus the
+        simulated timeline under its own pid) passes the lint gate."""
+        from repro.cli import main
+
+        from .test_request_tracing import _load_trace_validator
+
+        run_dir = tmp_path / "run"
+        assert main(["simulate", *argv, "--telemetry", str(run_dir)]) == 0
+        events = json.loads((run_dir / "trace.json").read_text())
+        assert {e["pid"] for e in events if e["ph"] == "X"} == {0, 1}
+        assert _load_trace_validator()(events, where="trace.json") == []

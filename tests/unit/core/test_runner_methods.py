@@ -49,19 +49,16 @@ class TestSimulatedBackend:
 
     def test_dp_simulator_matches_analytic(self, model, grid):
         for n in (1, 4, 12, 32):
-            sim, _ = dp_simulate(grid, model, n)
-            assert sim == pytest.approx(
-                data_parallel_search_time(model, grid, n)
-            )
+            sim, _ = dp_simulate(grid, model, n, seed=n)
+            assert sim == data_parallel_search_time(model, grid, n, seed=n)
 
     def test_ep_simulator_matches_analytic(self, model, grid):
-        """The event-driven FIFO placement must equal the analytic
-        greedy schedule's makespan."""
+        """The simulated search's elapsed time is, bit for bit, the
+        greedy-FIFO makespan that prices Table I."""
         for n in (1, 2, 8, 16, 32):
-            sim, _ = ep_simulate(grid, model, n)
-            assert sim == pytest.approx(
-                experiment_parallel_search_time(model, grid, n)
-            )
+            sim, _ = ep_simulate(grid, model, n, seed=n)
+            assert sim == experiment_parallel_search_time(
+                model, grid, n, seed=n)
 
     def test_dp_timeline_spans_all_gpus(self, model, grid):
         _, tl = dp_simulate(grid, model, 8)

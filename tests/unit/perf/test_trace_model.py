@@ -1,4 +1,4 @@
-"""Per-epoch trial trace / cost-breakdown tests."""
+"""Per-trial cost-breakdown tests."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.perf import (
     TrialConfig,
     calibrated_model,
     epoch_breakdown,
-    simulate_trial_timeline,
 )
 
 
@@ -47,44 +46,3 @@ class TestBreakdown:
         fr = epoch_breakdown(model, CFG, 32).fractions()
         assert fr["straggler_wait"] > fr["allreduce"]
         assert fr["straggler_wait"] > fr["framework"]
-
-
-class TestTimeline:
-    def test_makespan_near_expected_trial_time(self, model):
-        tl = simulate_trial_timeline(model, CFG, 8, seed=0, epochs=30)
-        short_cfg = TrialConfig(epochs=30)
-        expect = model.trial_time(short_cfg, 8)
-        assert tl.makespan() == pytest.approx(expect, rel=0.05)
-
-    def test_categories_present(self, model):
-        tl = simulate_trial_timeline(model, CFG, 8, seed=0, epochs=5)
-        cats = tl.by_category()
-        for key in ("compute", "straggler_wait", "allreduce", "input"):
-            assert key in cats
-
-    def test_single_gpu_has_no_wait_spans(self, model):
-        tl = simulate_trial_timeline(model, CFG, 1, seed=0, epochs=5)
-        assert "straggler_wait" not in tl.by_category()
-        assert "allreduce" not in tl.by_category()
-
-    def test_epoch_variance_from_sampled_stragglers(self, model):
-        tl = simulate_trial_timeline(model, CFG, 32, seed=0, epochs=20)
-        waits = [e.duration for e in tl.events
-                 if e.category == "straggler_wait"]
-        assert len(waits) == 20
-        assert max(waits) > min(waits)  # sampled, not constant
-
-    def test_seeded_reproducible(self, model):
-        a = simulate_trial_timeline(model, CFG, 8, seed=3, epochs=5)
-        b = simulate_trial_timeline(model, CFG, 8, seed=3, epochs=5)
-        assert a.makespan() == b.makespan()
-
-    def test_spans_contiguous_no_gaps(self, model):
-        tl = simulate_trial_timeline(model, CFG, 4, seed=0, epochs=3)
-        events = sorted(tl.events, key=lambda e: e.start)
-        for a, b in zip(events, events[1:]):
-            assert b.start == pytest.approx(a.end)
-
-    def test_validation(self, model):
-        with pytest.raises(ValueError):
-            simulate_trial_timeline(model, CFG, 4, epochs=0)
