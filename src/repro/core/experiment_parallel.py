@@ -206,7 +206,7 @@ def simulate_search(
     -- :func:`repro.perf.experiment_parallel_search_time`, with one
     timeline span per trial on the GPU that ran it.
     """
-    elapsed, placement = experiment_parallel_placement(
+    elapsed, placement, _ = experiment_parallel_placement(
         model, trials, num_gpus, seed=seed, telemetry=telemetry)
     timeline = Timeline()
     for idx, (cfg, (worker, start, end)) in enumerate(

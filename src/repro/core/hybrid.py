@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..cluster.trace import Timeline
 from ..perf.costs import StepCostModel, TrialConfig
-from ..perf.speedup import experiment_parallel_placement, trial_durations
+from ..perf.speedup import experiment_parallel_placement
 
 __all__ = ["HybridResult", "simulate_hybrid_search", "best_gpus_per_trial"]
 
@@ -41,6 +41,7 @@ def simulate_hybrid_search(
     num_gpus: int,
     gpus_per_trial: int,
     seed: int | None = None,
+    telemetry=None,
 ) -> tuple[HybridResult, Timeline]:
     """FIFO placement of ``g``-GPU trials onto ``floor(n/g)`` slots.
 
@@ -50,8 +51,9 @@ def simulate_hybrid_search(
     charged once, as in the pure methods.  The timeline holds one span
     per trial on the slot that ran it.
     """
-    elapsed, placement = experiment_parallel_placement(
-        model, trials, num_gpus, seed=seed, gpus_per_trial=gpus_per_trial)
+    elapsed, placement, durations = experiment_parallel_placement(
+        model, trials, num_gpus, seed=seed, gpus_per_trial=gpus_per_trial,
+        telemetry=telemetry)
     timeline = Timeline()
     for idx, (worker, start, end) in enumerate(placement.assignments):
         timeline.record(
@@ -61,9 +63,7 @@ def simulate_hybrid_search(
         )
 
     overhead = model.params.tune_trial_overhead_s
-    busy_gpu_seconds = gpus_per_trial * sum(
-        d + overhead
-        for d in trial_durations(model, trials, gpus_per_trial, seed))
+    busy_gpu_seconds = gpus_per_trial * sum(d + overhead for d in durations)
     util = busy_gpu_seconds / (elapsed * num_gpus) if elapsed > 0 else 0.0
     return (
         HybridResult(

@@ -227,7 +227,8 @@ class DistMISRunner:
                 g = gpus_per_trial or min(
                     num_gpus, self.cost_model.cluster.node.num_gpus)
                 method = f"hybrid[g={g}]"
-                result, timeline = simulate_hybrid_search(*args, g, seed=seed)
+                result, timeline = simulate_hybrid_search(
+                    *args, g, seed=seed, telemetry=hub)
                 elapsed = result.elapsed_seconds
             elif method == "experiment_parallel":
                 elapsed, timeline = experiment_parallel.simulate_search(

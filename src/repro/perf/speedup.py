@@ -97,16 +97,21 @@ def experiment_parallel_placement(
     policy: str = "fifo",
     gpus_per_trial: int = 1,
     telemetry=None,
-) -> tuple[float, PlacementResult]:
-    """Ray Tune's placement of the search: ``(elapsed, placement)``.
+) -> tuple[float, PlacementResult, list[float]]:
+    """Ray Tune's placement of the search: ``(elapsed, placement,
+    durations)``.
 
     Each trial holds ``gpus_per_trial`` GPUs (1 is experiment
     parallelism, more is the hybrid method), so ``num_gpus //
     gpus_per_trial`` trials run at once, placed greedily by ``policy``
     with the Tune per-trial overhead.  ``elapsed`` is the makespan plus
     the Ray cluster spin-up over the hosting nodes; the placement's
-    ``assignments`` hold each trial's (worker, start, end).
+    ``assignments`` hold each trial's (worker, start, end), and
+    ``durations`` are the training seconds it priced (Tune overhead
+    excluded).
     """
+    if num_gpus < 1:
+        raise ValueError("num_gpus must be >= 1")
     if gpus_per_trial < 1:
         raise ValueError("gpus_per_trial must be >= 1")
     if gpus_per_trial > num_gpus:
@@ -129,7 +134,7 @@ def experiment_parallel_placement(
     cluster_startup = (
         model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
     )
-    return float(result.makespan + cluster_startup), result
+    return float(result.makespan + cluster_startup), result, durations
 
 
 def experiment_parallel_search_time(
@@ -138,15 +143,12 @@ def experiment_parallel_search_time(
     num_gpus: int,
     seed: int | None = None,
     policy: str = "fifo",
-    gpus_per_trial: int = 1,
 ) -> float:
     """Elapsed seconds of the experiment-parallel method: each trial on
-    ``gpus_per_trial`` GPUs (one by default), placed by Ray Tune's
-    greedy scheduler; the search ends when the last trial does
-    (makespan)."""
+    one GPU, placed by Ray Tune's greedy scheduler; the search ends when
+    the last trial does (makespan)."""
     return experiment_parallel_placement(
-        model, trials, num_gpus, seed=seed, policy=policy,
-        gpus_per_trial=gpus_per_trial)[0]
+        model, trials, num_gpus, seed=seed, policy=policy)[0]
 
 
 def format_hms(seconds: float) -> str:

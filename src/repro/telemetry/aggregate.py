@@ -255,13 +255,14 @@ def merged_chrome_trace(tracer: Tracer, aggregator: TraceAggregator | None,
                         extra_timelines=(), path=None) -> list[dict]:
     """One Perfetto-compatible Chrome trace across all processes.
 
-    Driver spans keep their timestamps under the driver's real OS pid;
+    Driver spans keep their timestamps under the driver's real OS pid
+    (pid 0 when there is no ``aggregator``, i.e. no worker processes);
     worker spans are shifted into the driver timebase via the wall-clock
     anchors and appear under their own real pids; simulated timelines
     get synthetic pids above every real one.  ``M`` metadata events name
     each process row and record the driver's wall-clock anchor.
     """
-    driver_pid = os.getpid()
+    driver_pid = os.getpid() if aggregator is not None else 0
     events: list[tuple[int, Span]] = [
         (driver_pid, s) for s in tracer.closed_spans()]
     pid_names: dict[int, str] = {driver_pid: "driver"}

@@ -187,21 +187,19 @@ class TelemetryHub:
         if run_dir is None:
             return None
         run_dir.mkdir(parents=True, exist_ok=True)
-        if self.aggregator is not None:
-            from .aggregate import merge_registries, merged_chrome_trace
+        from .aggregate import merge_registries, merged_chrome_trace
 
+        if self.aggregator is not None:
             merged = merge_registries(
                 [self.metrics.samples()] + self.aggregator.sample_sets())
             merged.export_jsonl(run_dir / METRICS_JSONL)
             merged.export_prometheus(run_dir / METRICS_PROM)
-            merged_chrome_trace(self.tracer, self.aggregator,
-                                extra_timelines=self._timelines,
-                                path=run_dir / TRACE_JSON)
         else:
             self.metrics.export_jsonl(run_dir / METRICS_JSONL)
             self.metrics.export_prometheus(run_dir / METRICS_PROM)
-            self.tracer.to_chrome_trace(run_dir / TRACE_JSON,
-                                        extra_timelines=self._timelines)
+        merged_chrome_trace(self.tracer, self.aggregator,
+                            extra_timelines=self._timelines,
+                            path=run_dir / TRACE_JSON)
         if self.request_tracer is not None and self.request_tracer.kept:
             atomic_write_text(run_dir / REQUESTS_JSONL,
                               self.request_tracer.to_jsonl())

@@ -211,12 +211,9 @@ class Tracer:
         """Chrome-trace 'X' events (microseconds), one ``tid`` lane per
         resource; pass simulated ``Timeline`` objects via
         ``extra_timelines`` to get the merged Perfetto view (simulated
-        lanes appear under their own ``pid``, and a ``process_name`` row
-        names the driver and every simulated pid)."""
+        lanes appear under their own ``pid``)."""
         events: list[tuple[int, Span]] = [(0, s) for s in self.closed_spans()]
-        pid_names = {0: "driver"}
         for i, tl in enumerate(extra_timelines, start=1):
-            pid_names[i] = f"simulated-{i - 1}"
             for ev in tl.events:
                 events.append((i, Span(
                     name=ev.name, start=ev.start, end=ev.end,
@@ -240,10 +237,6 @@ class Tracer:
             for pid, s in sorted(events, key=lambda e: e[1].start)
         ]
         if out:
-            out.extend(
-                {"name": "process_name", "ph": "M", "cat": "__metadata",
-                 "pid": pid, "tid": 0, "args": {"name": name}}
-                for pid, name in pid_names.items())
             # Wall-clock anchor metadata: trace ts=0 is this unix time,
             # so traces from separate processes/runs can be correlated.
             out.append({

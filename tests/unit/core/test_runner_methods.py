@@ -78,6 +78,12 @@ class TestSimulatedBackend:
         with pytest.raises(ValueError):
             ep_simulate(grid, model, 64)
 
+    def test_zero_gpus_rejected(self, model, grid):
+        with pytest.raises(ValueError, match="num_gpus must be >= 1"):
+            dp_simulate(grid, model, 0)
+        with pytest.raises(ValueError, match="num_gpus must be >= 1"):
+            ep_simulate(grid, model, 0)
+
     def test_runner_simulate_and_comparison(self):
         runner = tiny_runner()
         run = runner.simulate("experiment_parallel", 8, seed=1)
