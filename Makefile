@@ -42,9 +42,10 @@ profile-smoke:
 	DISTMIS_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_profiler_overhead.py -q -s
 
-# paper-scale simulated runs of the three methods, plus one under GPU
-# failures: every run directory's merged trace (driver spans + the
-# simulated timeline) must satisfy the viewer contract
+# paper-scale simulated runs of the three methods, plus two under GPU
+# failures (checkpoint resume; one scratch retry, then abandonment):
+# every run directory's merged trace (driver spans + the simulated
+# timeline, one lane per GPU) must satisfy the viewer contract
 SIM_SMOKE := /tmp/distmis_sim_smoke
 sim-smoke:
 	for method in experiment_parallel data_parallel hybrid; do \
@@ -54,11 +55,15 @@ sim-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli simulate experiment_parallel 8 \
 		--failures mtbf=43200,repair=600 \
 		--telemetry $(SIM_SMOKE)/failures
+	PYTHONPATH=src $(PYTHON) -m repro.cli simulate experiment_parallel 8 \
+		--failures mtbf=43200,repair=600 --max-retries 1 --resume scratch \
+		--telemetry $(SIM_SMOKE)/failures_scratch
 	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py \
 		$(SIM_SMOKE)/experiment_parallel/trace.json \
 		$(SIM_SMOKE)/data_parallel/trace.json \
 		$(SIM_SMOKE)/hybrid/trace.json \
-		$(SIM_SMOKE)/failures/trace.json
+		$(SIM_SMOKE)/failures/trace.json \
+		$(SIM_SMOKE)/failures_scratch/trace.json
 
 # tiny live-monitored search with --watch on a non-TTY: asserts the
 # streaming export really streams (events.jsonl + final health snapshot)

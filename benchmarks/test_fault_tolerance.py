@@ -7,9 +7,11 @@ between failures for the search is MTBF / n.  Under *experiment
 parallelism* a failure takes down exactly one trial, which restarts
 (from its last checkpoint) while the other 31 GPUs keep working.
 
-The experiment-parallel side runs on the failure-injecting event
-simulator; the data-parallel side uses the renewal-theory slowdown for
-a single synchronous task with n-fold failure rate.
+The experiment-parallel side runs through the failure-injecting event
+loop (``run_with_failures``) with per-epoch checkpoints, exactly as
+``distmis simulate --failures`` does; the data-parallel side uses the
+renewal-theory slowdown for a single synchronous task with n-fold
+failure rate.
 """
 
 from conftest import once
@@ -27,26 +29,27 @@ def _sweep():
     grid = paper_search_grid()
     durations = [model.trial_time(c, 1) for c in grid]
     dp_trials = [model.trial_time(c, GPUS) for c in grid]
+    epochs = [c.epochs for c in grid]
 
     out = {}
     for mtbf_h in MTBF_HOURS:
         mtbf = mtbf_h * 3600.0
         # Experiment parallel: per-GPU failures, per-epoch checkpoints
-        # (~0.96 of an interrupted trial's work survives).
-        ep_model = FailureModel(mtbf_s=mtbf, repair_s=REPAIR_S,
-                                checkpoint_fraction=0.96)
-        ep = run_with_failures(durations, GPUS, ep_model, seed=1)
+        # (a failure loses at most the epoch in flight).
+        ep_model = FailureModel(mtbf_s=mtbf, repair_s=REPAIR_S)
+        ep = run_with_failures(durations, GPUS, ep_model, seed=1,
+                               num_epochs=epochs)
         # Data parallel: whole-allocation coupling -> any of the n GPUs
         # failing stalls the synchronous step, so the search runs at an
         # effective MTBF of mtbf / n.  Per-epoch checkpoints split each
-        # trial into restartable segments of 4% of its length; renewal
-        # theory prices each segment, so
+        # trial into restartable segments of one epoch (t / epochs);
+        # renewal theory prices each segment, so
         #   E[T] = t * expected_slowdown(segment, model).
         dp_model = FailureModel(mtbf_s=mtbf / GPUS, repair_s=REPAIR_S)
         dp_healthy = sum(dp_trials)
         dp_time = sum(
-            t * expected_slowdown(max(t * (1 - 0.96), 1.0), dp_model)
-            for t in dp_trials
+            t * expected_slowdown(t / e, dp_model)
+            for t, e in zip(dp_trials, epochs)
         )
         out[mtbf_h] = {
             "ep_makespan": ep.makespan,

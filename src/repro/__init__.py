@@ -16,8 +16,8 @@ Subpackages
     Dataset substrate: synthetic BraTS cohort, NIfTI-1 codec,
     TFRecord-style files, tf.data-style pipeline.
 ``repro.cluster``
-    Discrete-event cluster hardware model: V100 nodes, NVLink /
-    InfiniBand links, collective cost models.
+    Cluster hardware model: V100 nodes, NVLink / InfiniBand links,
+    collective cost models, GPU-failure pricing.
 ``repro.raysim``
     Ray-like runtime: GPU placement, data-parallel SGD, Tune-like
     trial runner with grid/random/ASHA search.

@@ -235,11 +235,10 @@ def cmd_search(args) -> int:
 
 
 def _parse_failures(spec: str):
-    """``mtbf=43200,repair=600[,frac=0.9]`` -> FailureModel (seconds)."""
+    """``mtbf=43200,repair=600`` -> FailureModel (seconds)."""
     from .cluster import FailureModel
 
-    known = {"mtbf": "mtbf_s", "repair": "repair_s",
-             "frac": "checkpoint_fraction"}
+    known = {"mtbf": "mtbf_s", "repair": "repair_s"}
     kwargs = {}
     for part in spec.split(","):
         if not part:
@@ -249,7 +248,7 @@ def _parse_failures(spec: str):
         if not sep or key not in known:
             raise SystemExit(
                 f"bad --failures entry {part!r}; expected "
-                "mtbf=SECONDS[,repair=SECONDS][,frac=FRACTION]"
+                "mtbf=SECONDS[,repair=SECONDS]"
             )
         kwargs[known[key]] = float(value)
     if "mtbf_s" not in kwargs:
@@ -753,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--failures", metavar="SPEC",
                    help="price the run under exponential GPU failures: "
-                        "mtbf=SECONDS[,repair=SECONDS][,frac=FRACTION] "
+                        "mtbf=SECONDS[,repair=SECONDS] "
                         "(experiment_parallel only; per-epoch checkpoint "
                         "resume unless --resume scratch)")
     p.add_argument("--max-retries", type=int, default=None,

@@ -4,9 +4,9 @@ Stands in for the BSC MareNostrum-CTE GPU environment: hardware specs
 (:mod:`~repro.cluster.resources`), alpha-beta interconnect models
 (:mod:`~repro.cluster.network`), collective-communication algorithms --
 both cost models and exact NumPy ring all-reduce
-(:mod:`~repro.cluster.collectives`) -- a coroutine discrete-event
-simulator (:mod:`~repro.cluster.simulator`) that prices searches under
-GPU failures (:mod:`~repro.cluster.failures`), and execution timelines
+(:mod:`~repro.cluster.collectives`) -- the event loop that prices
+experiment-parallel searches under GPU failures
+(:mod:`~repro.cluster.failures`), and execution timelines
 (:mod:`~repro.cluster.trace`).
 """
 
@@ -44,15 +44,6 @@ from .resources import (
     marenostrum_cte,
     unet3d_activation_bytes,
 )
-from .simulator import (
-    AllOf,
-    Event,
-    Process,
-    Resource,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
 from .trace import Timeline, TraceEvent
 
 __all__ = [
@@ -76,13 +67,6 @@ __all__ = [
     "hierarchical_allreduce_time",
     "allreduce_time",
     "ring_allreduce",
-    "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "Resource",
-    "AllOf",
-    "SimulationError",
     "Timeline",
     "TraceEvent",
     "FailureModel",

@@ -12,20 +12,22 @@ is preserved at *discrete epoch boundaries* -- exactly what a
 :class:`repro.core.checkpoint.CheckpointManager` saving once per epoch
 gives you -- under the same :class:`repro.fault_tolerance.RetryPolicy`
 (``resume="scratch"`` discards everything, ``max_retries`` caps the
-attempts before a trial is abandoned).  The legacy continuous
-``checkpoint_fraction`` remains for coarse modelling.
+attempts before a trial is abandoned).  Without ``num_epochs`` every
+retry restarts from scratch.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..fault_tolerance import RetryPolicy
-from .simulator import Resource, Simulator
 from .trace import Timeline
 
 __all__ = [
@@ -45,19 +47,12 @@ class FailureModel:
 
     mtbf_s: float
     repair_s: float = 300.0
-    # Fraction of completed work preserved at restart (0 = from scratch,
-    # e.g. 0.9 = per-epoch checkpoints lose at most the current epoch).
-    # Ignored when run_with_failures() is given num_epochs, which models
-    # discrete per-epoch checkpoints instead.
-    checkpoint_fraction: float = 0.0
 
     def __post_init__(self):
         if self.mtbf_s <= 0:
             raise ValueError("mtbf_s must be positive")
         if self.repair_s < 0:
             raise ValueError("repair_s must be >= 0")
-        if not 0.0 <= self.checkpoint_fraction < 1.0:
-            raise ValueError("checkpoint_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -102,17 +97,18 @@ def run_with_failures(
 ) -> FailureRunResult:
     """Experiment-parallel placement under failures.
 
-    Each attempt of trial ``i`` samples an exponential failure time; if
-    it lands inside the remaining work, the attempt aborts there, pays
-    the repair, keeps its checkpointed progress and re-queues.
+    Trials start in submission order on the lowest free GPU (Ray Tune's
+    FIFO runner); a GPU that frees up goes to the longest-waiting trial.
+    Each attempt of trial ``i`` samples an exponential failure time when
+    it starts; if it lands inside the remaining work, the attempt aborts
+    there and its GPU is held for the repair.  The repaired GPU then
+    goes to the head of the queue and the crashed trial re-queues at
+    the back (or restarts at once when nobody waits).
 
-    Progress preserved across attempts:
-
-    * ``num_epochs`` set (an int, or one per trial): the trial's work is
-      ``num_epochs`` equal epochs and a failure rolls back to the last
-      completed epoch boundary (per-epoch checkpoints);
-    * otherwise: the continuous ``failure_model.checkpoint_fraction`` of
-      the crashed attempt's progress survives.
+    Progress preserved across attempts: with ``num_epochs`` set (an
+    int, or one per trial) the trial's work is ``num_epochs`` equal
+    epochs and a failure rolls back to the last completed epoch boundary
+    (per-epoch checkpoints); otherwise every retry restarts from scratch.
 
     ``retry_policy`` (default: unlimited checkpoint-resume attempts)
     caps attempts at ``max_retries + 1`` -- a trial that exhausts them
@@ -121,9 +117,12 @@ def run_with_failures(
     on every failure.  Every failed attempt is recorded as a
     :class:`RetryRecord` in ``retries`` and as a ``failure`` event in
     the timeline, so retry behaviour is visible in the Chrome trace.
+    Each attempt is recorded on its GPU's lane (``gpu<k>``).
     """
     if num_gpus < 1:
         raise ValueError("num_gpus must be >= 1")
+    if any(d < 0 for d in durations):
+        raise ValueError("durations must be non-negative")
     if isinstance(num_epochs, (list, tuple)):
         if len(num_epochs) != len(durations):
             raise ValueError("num_epochs list must match durations")
@@ -138,90 +137,108 @@ def run_with_failures(
     max_attempts = retry_policy.max_attempts if retry_policy else None
 
     rng = np.random.default_rng(seed)
-    sim = Simulator()
-    pool = Resource(sim, capacity=num_gpus, name="gpus")
     timeline = Timeline()
-    stats = {"failures": 0, "wasted": 0.0, "abandoned": 0}
     retries: list[RetryRecord] = []
+    num_failures = num_abandoned = 0
+    wasted = 0.0
+    # checkpointed work units and attempt number carried across attempts
+    done = [0.0] * len(durations)
+    attempt = [0] * len(durations)
+    epoch_len = [
+        d / epochs_per_trial[i] if epochs_per_trial is not None and d > 0
+        else None
+        for i, d in enumerate(durations)
+    ]
+    # (time, seq, kind, trial, gpu, attempt start, drawn failure time)
+    events: list[tuple[float, int, str, int, int, float, float]] = []
+    seq = itertools.count()  # FIFO among events due at the same time
+    waiting: deque[int] = deque()
+    free = list(range(num_gpus))  # already a min-heap
+    now = 0.0
 
-    def trial(idx: int, work: float):
-        name = f"trial_{idx:02d}"
-        epoch_len = None
-        if epochs_per_trial is not None and work > 0:
-            epoch_len = work / epochs_per_trial[idx]
-        done = 0.0  # checkpointed work units carried across attempts
-        attempt = 0
-        while True:
-            yield pool.request()
-            start = sim.now
-            need = (work - done) + per_trial_overhead
-            fail_after = float(rng.exponential(failure_model.mtbf_s))
-            if fail_after >= need:
-                yield sim.timeout(need)
-                resumed = (
-                    int(round(done / epoch_len))
-                    if epoch_len and done > 0 else None
-                )
-                timeline.record(name, start, sim.now, "gpu",
-                                category="train", attempt=attempt,
-                                resumed_epoch=resumed)
-                pool.release()
-                return
-            # failure mid-attempt
-            yield sim.timeout(fail_after)
-            stats["failures"] += 1
+    def start(idx: int, gpu: int) -> None:
+        need = (durations[idx] - done[idx]) + per_trial_overhead
+        fail_after = float(rng.exponential(failure_model.mtbf_s))
+        if fail_after >= need:
+            item = (now + need, next(seq), "done", idx, gpu, now, fail_after)
+        else:
+            item = (now + fail_after, next(seq), "fail", idx, gpu, now,
+                    fail_after)
+        heapq.heappush(events, item)
+
+    def request(idx: int) -> None:
+        if free:
+            start(idx, heapq.heappop(free))
+        else:
+            waiting.append(idx)
+
+    def release(gpu: int) -> None:
+        if waiting:
+            start(waiting.popleft(), gpu)
+        else:
+            heapq.heappush(free, gpu)
+
+    def resumed_epoch(idx: int, work: float) -> int | None:
+        ep = epoch_len[idx]
+        return int(round(work / ep)) if ep and work > 0 else None
+
+    for i in range(len(durations)):
+        request(i)
+    while events:
+        now, _, kind, idx, gpu, began, fail_after = heapq.heappop(events)
+        name, lane = f"trial_{idx:02d}", f"gpu{gpu}"
+        if kind == "done":
+            timeline.record(name, began, now, lane, category="train",
+                            attempt=attempt[idx],
+                            resumed_epoch=resumed_epoch(idx, done[idx]))
+            release(gpu)
+        elif kind == "fail":
+            num_failures += 1
             progressed = max(0.0, fail_after - per_trial_overhead)
-            total = done + progressed
-            if scratch:
+            total = done[idx] + progressed
+            ep = epoch_len[idx]
+            if scratch or ep is None:
                 kept = 0.0
-            elif epoch_len is not None:
-                kept = min(total,
-                           math.floor(total / epoch_len + 1e-9) * epoch_len)
             else:
-                kept = done + progressed * failure_model.checkpoint_fraction
+                kept = min(total, math.floor(total / ep + 1e-9) * ep)
             lost = total - kept
-            stats["wasted"] += lost
-            resumed = (
-                int(round(kept / epoch_len))
-                if epoch_len and kept > 0 else None
-            )
+            wasted += lost
+            resumed = resumed_epoch(idx, kept)
             retries.append(RetryRecord(
-                trial=name, attempt=attempt, failed_at_s=sim.now,
+                trial=name, attempt=attempt[idx], failed_at_s=now,
                 kept_work_s=kept, lost_work_s=lost, resumed_epoch=resumed,
             ))
-            timeline.record(f"{name}_fail", start, sim.now, "gpu",
-                            category="failure", attempt=attempt,
+            timeline.record(f"{name}_fail", began, now, lane,
+                            category="failure", attempt=attempt[idx],
                             kept_work_s=kept, lost_work_s=lost,
                             resumed_epoch=resumed)
-            done = kept
-            yield sim.timeout(failure_model.repair_s)
-            pool.release()
-            attempt += 1
-            if max_attempts is not None and attempt >= max_attempts:
-                stats["abandoned"] += 1
-                timeline.record(f"{name}_abandoned", sim.now, sim.now,
-                                "gpu", category="abandoned",
-                                attempt=attempt - 1)
-                return
-
-    for i, d in enumerate(durations):
-        if d < 0:
-            raise ValueError("durations must be non-negative")
-        sim.process(trial(i, d))
-    makespan = sim.run()
+            done[idx] = kept
+            heapq.heappush(events, (now + failure_model.repair_s, next(seq),
+                                    "repaired", idx, gpu, now, 0.0))
+        else:  # repaired: the GPU serves the queue head, the trial re-queues
+            release(gpu)
+            attempt[idx] += 1
+            if max_attempts is not None and attempt[idx] >= max_attempts:
+                num_abandoned += 1
+                timeline.record(f"{name}_abandoned", now, now, lane,
+                                category="abandoned",
+                                attempt=attempt[idx] - 1)
+            else:
+                request(idx)
     return FailureRunResult(
-        makespan=makespan,
-        num_failures=stats["failures"],
-        wasted_seconds=stats["wasted"],
+        makespan=now,
+        num_failures=num_failures,
+        wasted_seconds=wasted,
         timeline=timeline,
-        num_abandoned=stats["abandoned"],
+        num_abandoned=num_abandoned,
         retries=retries,
     )
 
 
 def expected_slowdown(duration_s: float, model: FailureModel) -> float:
     """Analytic expected completion time / duration for one task with
-    restart-from-scratch semantics (checkpoint_fraction = 0):
+    restart-from-scratch semantics (``run_with_failures`` without
+    ``num_epochs``):
 
     E[T] = (mtbf + repair) * (exp(d / mtbf) - 1) / d
     """

@@ -4,7 +4,7 @@ Models the paper's benchmarking environment (Section IV-B): the BSC
 MareNostrum-CTE cluster of 52 IBM Power9 nodes (2x20 cores @ 2.4 GHz),
 each with 4 NVIDIA V100 16 GB GPUs, interconnected with InfiniBand.
 Specs are plain dataclasses consumed by the network/collective cost
-models and the discrete-event simulator.
+models and the paper-scale placements.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ Backends:
   placement (:func:`repro.raysim.scheduler.fifo_schedule`) of the
   calibrated per-trial durations over a GPU pool, producing the
   makespan Table I reports and a per-GPU timeline;
-* :func:`simulate_search_with_failures` -- the same search on the
-  discrete-event simulator under GPU failures and repairs.
+* :func:`simulate_search_with_failures` -- the same FIFO placement
+  under GPU failures and repairs, priced by the failure event loop
+  (:func:`repro.cluster.failures.run_with_failures`).
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ speaks:
   with what backoff, and whether it resumes from its last checkpoint or
   restarts from scratch.  Accepted by :func:`repro.raysim.tune.tune_run`
   (in-process execution, serial or process pool) and
-  :func:`repro.cluster.failures.run_with_failures` (the discrete-event
-  simulator), so laptop-scale tests and paper-scale pricing share one
-  semantics.  In-process, the policy is applied in one place,
+  :func:`repro.cluster.failures.run_with_failures` (the paper-scale
+  failure event loop), so laptop-scale tests and paper-scale pricing
+  share one semantics.  In-process, the policy is applied in one place,
   :meth:`repro.raysim.tune.TrialLifecycle.prepare_retry`, for both the
   serial loop and the process-pool driver.
 * :class:`CheckpointHandle` -- an opaque (epoch, path) pair a trainable
@@ -54,8 +54,8 @@ class RetryPolicy:
     checkpoint-mode retry falls back to scratch when the crashed attempt
     never published a checkpoint).  ``backoff_s`` is the wait before
     retry ``k`` (1-based), growing by ``backoff_factor`` per attempt --
-    real seconds in-process, accounted into the timeline by the
-    simulator.
+    real seconds in-process; the simulated failure loop does not model
+    it.
     """
 
     max_retries: int = 0

@@ -1,11 +1,11 @@
-"""Property-based tests on records, collectives, scheduling, simulator."""
+"""Property-based tests on records, collectives, scheduling, failures."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cluster import Resource, Simulator, ring_allreduce
+from repro.cluster import FailureModel, ring_allreduce, run_with_failures
 from repro.data.records import decode_example, encode_example
 from repro.data.splits import split_indices
 from repro.raysim import fifo_schedule, lpt_schedule, makespan_lower_bound
@@ -90,20 +90,16 @@ class TestSchedulingProperties:
     @settings(**SMALL)
     @given(d=durations, n=st.integers(1, 8))
     def test_event_simulator_agrees_with_analytic_fifo(self, d, n):
-        """The discrete-event execution of greedy FIFO placement equals
-        the analytic makespan."""
-        sim = Simulator()
-        pool = Resource(sim, capacity=n)
-
-        def proc(duration):
-            yield pool.request()
-            yield sim.timeout(duration)
-            pool.release()
-
-        for dur in d:
-            sim.process(proc(dur))
-        got = sim.run()
-        assert abs(got - fifo_schedule(d, n).makespan) < 1e-9
+        """Without failures, the failure event loop places every trial
+        exactly where the analytic greedy FIFO schedule does."""
+        res = run_with_failures(d, n, FailureModel(mtbf_s=1e15))
+        assert res.num_failures == 0
+        spans = {int(e.name.split("_")[1]): (e.start, e.end)
+                 for e in res.timeline.events}
+        assert sorted(spans) == list(range(len(d)))
+        for i, (_, start, end) in enumerate(fifo_schedule(d, n).assignments):
+            assert abs(spans[i][0] - start) < 1e-9
+            assert abs(spans[i][1] - end) < 1e-9
 
 
 class TestSplitProperties:

@@ -66,6 +66,17 @@ class TestCommands:
             main(["simulate", "experiment_parallel", "8",
                   "--failures", "mtbf=1,bogus=2"])
 
+    def test_failures_spec_has_exactly_mtbf_and_repair(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "experiment_parallel", "8",
+                  "--failures", "mtbf=43200,frac=0.9"])
+        assert str(exc.value) == (
+            "bad --failures entry 'frac=0.9'; expected "
+            "mtbf=SECONDS[,repair=SECONDS]")
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "mtbf=SECONDS[,repair=SECONDS]" in capsys.readouterr().out
+
     def test_train_command(self, capsys):
         rc = main([
             "train", "--subjects", "6", "--volume", "16", "16", "16",

@@ -1,43 +1,29 @@
-"""Cross-validation: event-simulated synchronous steps vs the analytic
+"""Cross-validation: simulated synchronous steps vs the analytic
 straggler model.
 
 The Table I reproduction leans on ``expected_max_factor`` (the analytic
-E[max of n] inflation).  Here the same physics is *executed*: n replica
-processes with lognormal per-step compute times meet at an AllOf
-barrier on the discrete-event simulator, and the realised mean step
+E[max of n] inflation).  Here the same physics is *executed*: n replicas
+draw lognormal per-step compute times and meet at a barrier, so each
+step lasts as long as its slowest replica, and the realised mean step
 time must match the analytic prediction.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import Simulator
 from repro.perf import expected_max_factor
 
 
 def simulate_sync_steps(num_replicas: int, num_steps: int, sigma: float,
                         base: float = 1.0, seed: int = 0) -> float:
-    """Mean barrier-to-barrier step time over an event-simulated run."""
+    """Mean barrier-to-barrier step time over a simulated run."""
     rng = np.random.default_rng(seed)
-    sim = Simulator()
+    mean_correction = np.exp(0.5 * sigma**2)
     step_times: list[float] = []
-
-    def replica_step(duration):
-        yield sim.timeout(duration)
-        return duration
-
-    def trainer():
-        mean_correction = np.exp(0.5 * sigma**2)
-        for _ in range(num_steps):
-            start = sim.now
-            draws = rng.lognormal(0.0, sigma, size=num_replicas)
-            draws = draws / mean_correction * base  # unit-mean jitter
-            procs = [sim.process(replica_step(d)) for d in draws]
-            yield sim.all_of(procs)  # the synchronisation barrier
-            step_times.append(sim.now - start)
-
-    sim.process(trainer())
-    sim.run()
+    for _ in range(num_steps):
+        draws = rng.lognormal(0.0, sigma, size=num_replicas)
+        draws = draws / mean_correction * base  # unit-mean jitter
+        step_times.append(float(draws.max()))  # the synchronisation barrier
     return float(np.mean(step_times))
 
 
