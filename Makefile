@@ -139,11 +139,11 @@ api-docs:
 results:
 	$(PYTHON) examples/generate_all_results.py results/
 
-# the git-ignored benchmark records: every smoke record plus
-# repro.perf.regression.UNTRACKED_RECORDS (both listed in .gitignore)
+# the git-ignored local benchmark records:
+# repro.perf.regression.UNTRACKED_RECORDS (listed in .gitignore)
 clean:
 	rm -rf results report.md .pytest_cache
-	rm -f benchmarks/BENCH_*_smoke.json benchmarks/BENCH_parallel.json \
+	rm -f benchmarks/BENCH_parallel.json \
 		benchmarks/BENCH_profiler_overhead.json \
 		benchmarks/BENCH_live_overhead.json \
 		benchmarks/BENCH_trace_overhead.json

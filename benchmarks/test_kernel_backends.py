@@ -52,8 +52,8 @@ REPEATS = 2 if SMOKE else 3
 BACKENDS = available_backends()
 DTYPES = ("float64", "float32")
 MIN_SPEEDUP = 3.0          # fused over reference, at every dtype
-# Smoke runs are quarantined onto BENCH_kernels_smoke.json so they can
-# never overwrite the committed record.
+# Smoke runs are quarantined onto a temp-dir BENCH_kernels_smoke.json so
+# they can never overwrite the committed record.
 OUT = bench_output_path(__file__, "kernels", smoke=SMOKE)
 
 if SMOKE:

@@ -35,8 +35,8 @@ from repro.telemetry import TelemetryHub
 
 SMOKE = is_smoke_env()
 WORKERS = 4
-# Smoke runs are quarantined onto BENCH_parallel_smoke.json so they can
-# never overwrite the committed record.
+# Smoke runs are quarantined onto a temp-dir BENCH_parallel_smoke.json so
+# they can never overwrite the committed record.
 OUT = bench_output_path(__file__, "parallel", smoke=SMOKE)
 
 

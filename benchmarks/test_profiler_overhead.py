@@ -16,9 +16,9 @@ instrumented hubs; each variant is timed ``REPEATS`` times and the best
 in ``BENCH_profiler_overhead.json`` / ``BENCH_live_overhead.json`` next
 to this file.  ``DISTMIS_BENCH_SMOKE=1`` shrinks the workload so the
 benchmark doubles as a smoke test (writing quarantined ``*_smoke.json``
-files); the <5% assertions are only enforced on the full-size run (at
-smoke scale a search is so short that scheduler noise, not the
-instrumentation, dominates the ratio).
+files to the temp dir); the <5% assertions are only enforced on the
+full-size run (at smoke scale a search is so short that scheduler
+noise, not the instrumentation, dominates the ratio).
 """
 
 import json

@@ -888,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "match its architecture; default: a synthetic "
                         "best-trial checkpoint built from the flags)")
     p.add_argument("--bench-dir", default="benchmarks",
-                   help="where BENCH_serving[_smoke].json lands")
+                   help="where BENCH_serving.json lands (smoke: temp dir)")
     p.add_argument("--out", default=None,
                    help="explicit output path (overrides --bench-dir)")
     p.add_argument("--smoke", action="store_true",

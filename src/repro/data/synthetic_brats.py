@@ -28,11 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    from scipy.ndimage import gaussian_filter
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    gaussian_filter = None
-
 __all__ = [
     "MODALITIES",
     "CLASS_NAMES",
@@ -142,13 +137,14 @@ class SyntheticBraTS:
 
     def generate(self, index: int) -> Subject:
         """Generate subject ``index`` deterministically."""
+        from scipy.ndimage import gaussian_filter
+
         if not 0 <= index < self.num_subjects:
             raise IndexError(
                 f"subject index {index} out of range [0, {self.num_subjects})"
             )
         rng = np.random.default_rng(self.seed * 1_000_003 + index)
         shape = self.volume_shape
-        D, H, W = shape
 
         # --- anatomy: brain ellipsoid with smooth texture -------------
         center = np.array(shape) / 2.0 + rng.uniform(-1.5, 1.5, size=3)
@@ -156,8 +152,7 @@ class SyntheticBraTS:
         brain = _ellipsoid_mask(shape, center, radii)
 
         texture = rng.normal(size=shape)
-        if gaussian_filter is not None:
-            texture = gaussian_filter(texture, sigma=max(2.0, min(shape) / 8))
+        texture = gaussian_filter(texture, sigma=max(2.0, min(shape) / 8))
         texture = (texture - texture.mean()) / (texture.std() + 1e-9)
 
         # --- tumour: nested core / rim / edema -------------------------

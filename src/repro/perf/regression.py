@@ -16,9 +16,9 @@ What is left here:
   the ``host`` block, the per-benchmark metrics of
   :func:`required_metrics` (flattened dot-paths) and the serving
   record's latency histogram.
-* **Smoke-file naming** -- ``DISTMIS_BENCH_SMOKE=1`` runs write
-  ``BENCH_*_smoke.json`` (:func:`bench_output_path`), so a smoke run
-  never overwrites a committed record; :func:`committed_records` and
+* **Smoke-file placement** -- ``DISTMIS_BENCH_SMOKE=1`` runs write
+  ``BENCH_*_smoke.json`` to the temp dir (:func:`bench_output_path`),
+  never beside a committed record; :func:`committed_records` and
   :data:`UNTRACKED_RECORDS` name the files the schema gate checks.
 * **Host metadata** -- :func:`host_metadata` is the cpu count, machine
   and BLAS block every summary (and every perfbench result) embeds.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from pathlib import Path
 
 __all__ = [
@@ -58,8 +59,8 @@ REQUIRED_METRICS = {
 }
 
 # Full-run summaries that stay local (host-specific or re-measured on
-# demand); ``.gitignore`` keeps them and every smoke record out of the
-# repo, and ``make clean`` deletes them.
+# demand); ``.gitignore`` keeps them out of the repo, and ``make clean``
+# deletes them.
 UNTRACKED_RECORDS = ("BENCH_parallel.json", "BENCH_profiler_overhead.json",
                      "BENCH_live_overhead.json", "BENCH_trace_overhead.json")
 
@@ -74,13 +75,16 @@ def bench_output_path(anchor, name: str, smoke: bool | None = None) -> Path:
     """Where a benchmark writes its summary.
 
     ``anchor`` is the benchmark module's ``__file__``; full runs land on
-    the committed file ``BENCH_<name>.json`` while smoke runs are
-    quarantined onto ``BENCH_<name>_smoke.json`` so they can never
-    clobber a committed record.
+    the committed file ``BENCH_<name>.json`` beside it, smoke runs on
+    ``<tempdir>/distmis_bench/BENCH_<name>_smoke.json``, away from every
+    committed record.
     """
     smoke = is_smoke_env() if smoke is None else smoke
-    suffix = "_smoke" if smoke else ""
-    return Path(anchor).with_name(f"BENCH_{name}{suffix}.json")
+    if not smoke:
+        return Path(anchor).with_name(f"BENCH_{name}.json")
+    out_dir = Path(tempfile.gettempdir()) / "distmis_bench"
+    out_dir.mkdir(exist_ok=True)
+    return out_dir / f"BENCH_{name}_smoke.json"
 
 
 def committed_records(bench_dir) -> list[Path]:

@@ -18,7 +18,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["expected_max_factor", "sample_max_factor"]
 
@@ -36,6 +35,8 @@ def expected_max_factor(n: int, sigma: float) -> float:
         raise ValueError("sigma must be >= 0")
     if n == 1 or sigma == 0.0:
         return 1.0
+    from scipy.stats import norm
+
     z = np.linspace(-9.0, 9.0, 4001)
     pdf_max = n * norm.pdf(z) * norm.cdf(z) ** (n - 1)
     e_max = np.trapezoid(np.exp(sigma * z) * pdf_max, z)

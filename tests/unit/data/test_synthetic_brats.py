@@ -1,5 +1,7 @@
 """Synthetic cohort generator tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,23 @@ class TestGeneration:
     def test_subject_ids_stable(self, gen):
         assert gen.subject_ids()[0] == "BRATS_0000"
         assert gen[3].subject_id == "BRATS_0003"
+
+    @pytest.mark.parametrize("shape,digest", [
+        ((16, 16, 16),
+         "4d074912c6990cf7158085f0940986071c03c582f249ba230245d42e7d24586f"),
+        ((24, 24, 16),
+         "88b71e9e6366adb67ca5a6a11d4bb3c2de52563a44bab3e0763a4586a9d5bd4c"),
+    ], ids=["16x16x16", "24x24x16"])
+    def test_cohort_bytes_pinned(self, shape, digest):
+        """Pinned cohort bytes: a change to the texture smoothing (sigma
+        included), the draws or the label map fails here."""
+        gen = SyntheticBraTS(num_subjects=3, volume_shape=shape, seed=0)
+        h = hashlib.sha256()
+        for i in range(3):
+            s = gen.generate(i)
+            h.update(s.image.tobytes())
+            h.update(s.label.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestValidation:
