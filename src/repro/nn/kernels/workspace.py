@@ -1,4 +1,4 @@
-"""Workspace arena: bounded, shape-keyed reuse of large scratch buffers.
+"""Workspace arena: bounded, size-keyed reuse of large scratch buffers.
 
 The ``fused`` backend lowers every convolution to ``patches x weights``
 GEMMs, and the patches (slice) buffers are *large* -- ``kh*kw`` times the
@@ -7,22 +7,40 @@ temporary per convolution per step would hand a large share of the step
 time to the allocator, so scratch buffers are checked out of a
 process-wide arena instead and recycled across steps.
 
+The arena retains scratch as raw byte *blocks*, not as typed arrays:
+one retained block serves every request that fits in it, whatever its
+shape or dtype.  A layer's released 4 MB slice buffer therefore serves
+the next layer's 3 MB padded input, and the arena holds about the
+largest set of buffers ever checked out at once rather than one buffer
+per distinct ``(shape, dtype)`` it has seen.
+
 Semantics:
 
-* :meth:`WorkspaceArena.acquire` returns an **uninitialised** buffer of
-  the requested shape/dtype -- a recycled one when the free pool holds a
-  match, a fresh allocation otherwise.  Callers must fully overwrite it.
-* :meth:`WorkspaceArena.release` checks a buffer back in.  Released bytes
-  are retained up to ``max_bytes`` (512 MiB for the process-wide arena,
-  rebound with :func:`set_workspace_limit`; oldest-first eviction beyond
-  that);
-  checked-out buffers are never counted against the budget because they
-  cannot be evicted.
-* Buffers are handed to exactly one caller at a time, so workspace reuse
-  can never alias a *live* tensor: two overlapping checkouts of the same
-  key get two distinct buffers, and kernel outputs are always freshly
-  allocated arrays, never views into the arena (property-tested in
-  ``tests/unit/nn/test_workspace.py``).
+* :meth:`WorkspaceArena.acquire` returns an **uninitialised**,
+  C-contiguous array of the requested shape/dtype: a view of the
+  *smallest* retained block that fits (best fit by bytes), or of a
+  fresh block when none fits -- which then replaces the largest
+  retained block, too small to serve this request, rather than
+  leaving it idle.  Callers must fully overwrite it.  An exact repeat
+  of the last ``(shape, dtype)`` a block served returns the same view
+  object.  A miss thus either replaces a retained block with a larger
+  one or adds a block while every block is checked out, so a step
+  that repeats stops missing once its blocks have grown to fit (after
+  one pass for the U-Net steps measured in the tests).
+* :meth:`WorkspaceArena.release` checks a view back in; its block is
+  found through the view's ``.base`` (NumPy points every view at the
+  array that owns the memory).  Released bytes are retained up to
+  ``max_bytes`` (512 MiB for the process-wide arena, rebound with
+  :meth:`WorkspaceArena.set_limit` / :func:`set_workspace_limit`;
+  oldest-first eviction beyond that); checked-out blocks are never
+  counted against the budget because they cannot be evicted.
+* A block is handed to exactly one caller at a time, so workspace reuse
+  can never alias a *live* tensor: two overlapping checkouts get two
+  distinct blocks, and kernel outputs are always freshly allocated
+  arrays, never views into the arena (property-tested in
+  ``tests/unit/nn/test_workspace.py``).  The arena keeps only a weak
+  reference to a checked-out view, so a checkout that leaks (its ctx
+  dropped without a release) is collected, not pinned.
 
 The arena is thread-safe and its footprint is exported as the
 ``kernel_workspace_bytes`` telemetry gauge by
@@ -31,7 +49,10 @@ The arena is thread-safe and its footprint is exported as the
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
+from bisect import bisect_left
 
 import numpy as np
 
@@ -47,82 +68,138 @@ DEFAULT_LIMIT_BYTES = 512 * 1024 * 1024
 
 
 class WorkspaceArena:
-    """Pool of reusable scratch ndarrays keyed by ``(shape, dtype)``."""
+    """Pool of reusable scratch byte blocks, handed out as typed views."""
 
     def __init__(self, max_bytes: int = DEFAULT_LIMIT_BYTES):
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._order: list[tuple] = []  # FIFO of (key, nbytes) for eviction
-        self._out: dict[int, tuple] = {}  # id(buffer) -> key while checked out
+        # Retained blocks, each held through the last view it served,
+        # sorted by block size so best fit is one bisect.
+        self._sizes: list[int] = []
+        self._views: list[np.ndarray] = []
+        self._fifo: dict[int, int] = {}  # id(block) -> nbytes, release order
+        # id(block) -> (weakref to the handed-out view, nbytes)
+        self._out: dict[int, tuple] = {}
         self.free_bytes = 0
         self.in_use_bytes = 0
+        self.peak_in_use_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _key(shape, dtype) -> tuple:
-        return (tuple(int(d) for d in shape), np.dtype(dtype).str)
-
     def acquire(self, shape, dtype=np.float64) -> np.ndarray:
-        """Check out an uninitialised ``(shape, dtype)`` scratch buffer."""
-        key = self._key(shape, dtype)
+        """Check out an uninitialised ``(shape, dtype)`` scratch array."""
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
         with self._lock:
-            stack = self._free.get(key)
-            if stack:
-                buf = stack.pop()
-                self.free_bytes -= buf.nbytes
-                self._order.remove((key, buf.nbytes))
+            i = bisect_left(self._sizes, nbytes)
+            if i < len(self._sizes):
+                view = self._take(i)
+                block = view.base
                 self.hits += 1
             else:
-                buf = None
+                view = None
                 self.misses += 1
-        if buf is None:
-            buf = np.empty(key[0], dtype=np.dtype(dtype))
+                if self._sizes:
+                    # every retained block is too small: the largest is
+                    # replaced by the fresh one rather than kept idle
+                    self._take(len(self._sizes) - 1)
+                    self.evictions += 1
+        if view is None:
+            block = np.empty(nbytes, dtype=np.uint8)
+        if view is None or view.shape != shape or view.dtype != dtype:
+            view = np.ndarray(shape, dtype=dtype, buffer=block)
         with self._lock:
-            self._out[id(buf)] = key
-            self.in_use_bytes += buf.nbytes
-        return buf
+            self._out[id(block)] = (weakref.ref(view), block.nbytes)
+            self.in_use_bytes += block.nbytes
+            self.peak_in_use_bytes = max(self.peak_in_use_bytes,
+                                         self.in_use_bytes)
+        return view
 
     def release(self, buf: np.ndarray | None) -> None:
-        """Return a buffer to the pool.  Foreign arrays (not handed out by
-        :meth:`acquire`) and ``None`` are ignored, so callers can release
-        unconditionally."""
-        if buf is None:
+        """Return a checked-out view to the pool.  Foreign arrays (not
+        handed out by :meth:`acquire`) and ``None`` are ignored, so
+        callers can release unconditionally."""
+        block = getattr(buf, "base", None)
+        if block is None:
             return
         with self._lock:
-            key = self._out.get(id(buf))
-            if key is None:
+            entry = self._out.get(id(block))
+            if entry is None:
                 return
-            if buf.shape != key[0] or buf.dtype.str != key[1]:
-                # ``id`` reuse: a checkout leaked (its ctx was dropped
-                # without release), the buffer was collected, and this
-                # *foreign* array landed on the same address.  Filing it
-                # under the stale key would hand a wrong-shaped buffer
-                # to a later acquire -- drop the entry, ignore the array.
-                del self._out[id(buf)]
+            ref, nbytes = entry
+            view = ref()
+            if view is None:
+                # The checkout leaked (its ctx was dropped without a
+                # release): this array is foreign -- it landed on the
+                # collected block's address (``id`` reuse) -- or another
+                # view of the abandoned block.  Retaining it would hand
+                # memory the arena does not own to a later acquire --
+                # drop the stale entry, ignore the array.
+                del self._out[id(block)]
+                self.in_use_bytes -= nbytes
                 return
-            del self._out[id(buf)]
-            self.in_use_bytes -= buf.nbytes
-            if buf.nbytes > self.max_bytes:
+            if view is not buf:
+                return  # another view of a live checkout: not ours to free
+            del self._out[id(block)]
+            self.in_use_bytes -= nbytes
+            if nbytes > self.max_bytes:
                 self.evictions += 1  # too big to ever retain
                 return
-            self._free.setdefault(key, []).append(buf)
-            self._order.append((key, buf.nbytes))
-            self.free_bytes += buf.nbytes
-            while self.free_bytes > self.max_bytes and self._order:
-                old_key, nbytes = self._order.pop(0)
-                self._free[old_key].pop(0)
-                self.free_bytes -= nbytes
-                self.evictions += 1
+            i = bisect_left(self._sizes, nbytes)
+            self._sizes.insert(i, nbytes)
+            self._views.insert(i, view)
+            self._fifo[id(block)] = nbytes
+            self.free_bytes += nbytes
+            self._evict_over_budget()
+
+    def _take(self, i: int) -> np.ndarray:
+        """Remove the ``i``-th retained block from the pool and return
+        its view (caller holds the lock)."""
+        self.free_bytes -= self._sizes.pop(i)
+        view = self._views.pop(i)
+        del self._fifo[id(view.base)]
+        return view
+
+    def _evict_over_budget(self) -> None:
+        """Drop the oldest retained blocks until the budget holds
+        (caller holds the lock)."""
+        while self.free_bytes > self.max_bytes and self._fifo:
+            block_id, nbytes = next(iter(self._fifo.items()))
+            i = bisect_left(self._sizes, nbytes)
+            while id(self._views[i].base) != block_id:
+                i += 1
+            self._take(i)
+            self.evictions += 1
+
+    def set_limit(self, max_bytes: int) -> int:
+        """Rebound the retained-bytes budget (evicting oldest-first down
+        to it); returns the previous limit."""
+        with self._lock:
+            previous, self.max_bytes = self.max_bytes, int(max_bytes)
+            self._evict_over_budget()
+        return previous
 
     def clear(self) -> None:
-        """Drop every retained buffer (checked-out ones stay live)."""
+        """Drop every retained block (checked-out ones stay live)."""
         with self._lock:
-            self._free.clear()
-            self._order.clear()
+            self._sizes.clear()
+            self._views.clear()
+            self._fifo.clear()
             self.free_bytes = 0
+
+    def retained(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of the retained blocks, smallest first -- for
+        checks that pooled memory never aliases a live result."""
+        with self._lock:
+            blocks = [view.base for view in self._views]
+        views = []
+        for block in blocks:
+            view = block.view()
+            view.flags.writeable = False
+            views.append(view)
+        return tuple(views)
 
     @property
     def total_bytes(self) -> int:
@@ -133,6 +210,7 @@ class WorkspaceArena:
             return {
                 "free_bytes": self.free_bytes,
                 "in_use_bytes": self.in_use_bytes,
+                "peak_in_use_bytes": self.peak_in_use_bytes,
                 "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -149,16 +227,9 @@ def workspace() -> WorkspaceArena:
 
 
 def set_workspace_limit(max_bytes: int) -> int:
-    """Rebound the retained-bytes budget; returns the previous limit."""
-    ws = workspace()
-    previous, ws.max_bytes = ws.max_bytes, int(max_bytes)
-    with ws._lock:
-        while ws.free_bytes > ws.max_bytes and ws._order:
-            key, nbytes = ws._order.pop(0)
-            ws._free[key].pop(0)
-            ws.free_bytes -= nbytes
-            ws.evictions += 1
-    return previous
+    """Rebound the process-wide arena's retained-bytes budget; returns
+    the previous limit."""
+    return workspace().set_limit(max_bytes)
 
 
 def workspace_bytes() -> int:

@@ -22,13 +22,15 @@ prediction ships back for **driver-side** stitching, so a request's
 chunks can come from different replicas and still reassemble
 bit-identically to :func:`~repro.core.inference.sliding_window_inference`.
 
-On this BLAS a batched matmul is *not* bitwise-identical to a
-differently-grouped equivalent, so regrouping requests or patches into
-other forward-pass shapes would make served predictions diverge from
-offline inference at the last ulp.  Keeping the offline grouping makes
-a served prediction bit-identical to a solo offline call on the same
-volume, whatever task the request happened to ride in --
-micro-batching therefore amortises the *dispatch* cost (queue hand-off,
+Under the ``fused`` backend a batched eval forward is bit-identical
+to the per-sample forwards (batch invariance, pinned by
+``tests/unit/nn/test_unet3d.py::TestBatchInvariance``), and a batch
+costs about as much as its samples run one by one.  Regrouping would
+therefore save no arithmetic; the offline grouping is kept as the
+contract, so a served prediction
+is bit-identical to a solo offline call on the same volume by
+construction, whatever task the request happened to ride in --
+micro-batching amortises the *dispatch* cost (queue hand-off,
 volume pickling, Python call overhead), not the GEMM, which is exactly
 how the serving capacity model prices it
 (:class:`repro.perf.deployment.ServingWorkload`).

@@ -167,8 +167,9 @@ class TestWorkspaceProperties:
                 conv3d_forward(x, w, None, stride, pad)
                 conv3d_backward(np.ones_like(y), x, w, stride, pad,
                                 with_bias=False)
-            ws = workspace()
-            pooled = [buf for bufs in ws._free.values() for buf in bufs]
+            pooled = workspace().retained()
+            if (kernel, stride, pad) != (1, 1, 0):  # pointwise: no scratch
+                assert pooled  # the scratch came back: the check is real
             for out, ref in zip((y, dx, dw), frozen):
                 np.testing.assert_array_equal(out, ref)
                 assert all(not np.shares_memory(out, buf) for buf in pooled)
