@@ -5,7 +5,7 @@ paper ran every execution three times and reports the average).
 
 from conftest import once
 
-from repro.core import DistMISRunner
+from repro.core.runner import DistMISRunner
 from repro.perf import TABLE1_DP_SPEEDUPS, TABLE1_EP_SPEEDUPS
 
 

@@ -11,7 +11,7 @@ configuration of the paper's own search is one it never ran.
 
 from conftest import once
 
-from repro.core.hybrid import best_gpus_per_trial
+from repro.core.simulated import best_gpus_per_trial
 from repro.perf import calibrated_model, format_hms, paper_search_grid
 
 GPUS = 32

@@ -19,7 +19,7 @@ but they follow from the same accounting that reproduces Table I.
 from conftest import once
 
 from repro.cluster.resources import marenostrum_cte
-from repro.core.hybrid import best_gpus_per_trial
+from repro.core.simulated import best_gpus_per_trial
 from repro.perf import (
     StepCostModel,
     data_parallel_search_time,

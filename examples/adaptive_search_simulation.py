@@ -20,8 +20,13 @@ Run:  python examples/adaptive_search_simulation.py
 
 import numpy as np
 
-from repro.perf import calibrated_model, format_hms, paper_search_grid
-from repro.raysim import ASHAScheduler, GridSearch, fifo_schedule, tune_run
+from repro.perf import (
+    calibrated_model,
+    fifo_schedule,
+    format_hms,
+    paper_search_grid,
+)
+from repro.raysim import ASHAScheduler, GridSearch, tune_run
 
 
 def quality_curve(config: dict, epochs: int, rng: np.random.Generator):

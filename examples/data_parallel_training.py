@@ -11,7 +11,7 @@ Run:  python examples/data_parallel_training.py
 
 
 from repro.core import ExperimentSettings, MISPipeline, train_trial
-from repro.core.data_parallel import placement_case
+from repro.core.simulated import placement_case
 from repro.nn import linear_scaling_rule
 
 

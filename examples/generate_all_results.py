@@ -11,9 +11,9 @@ Run:  python examples/generate_all_results.py [output_dir]
 import sys
 from pathlib import Path
 
-from repro.core import DistMISRunner
-from repro.core.hybrid import best_gpus_per_trial
 from repro.core.report import build_report
+from repro.core.runner import DistMISRunner
+from repro.core.simulated import best_gpus_per_trial
 from repro.perf import (
     DatasetFootprint,
     SpeedupTable,

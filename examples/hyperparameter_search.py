@@ -8,8 +8,9 @@ epochs an adaptive scheduler saves on top of the paper's FIFO setup.
 Run:  python examples/hyperparameter_search.py
 """
 
-from repro.core import DistMISRunner, ExperimentSettings, HyperparameterSpace
+from repro.core import ExperimentSettings, HyperparameterSpace
 from repro.core.experiment_parallel import run_search_inprocess
+from repro.core.runner import DistMISRunner
 from repro.raysim import ASHAScheduler
 
 

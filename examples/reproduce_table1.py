@@ -9,7 +9,7 @@ trial placement, printing the reproduction next to the paper's numbers.
 Run:  python examples/reproduce_table1.py
 """
 
-from repro.core import DistMISRunner
+from repro.core.runner import DistMISRunner
 from repro.perf import (
     TABLE1_DATA_PARALLEL_S,
     TABLE1_DP_SPEEDUPS,

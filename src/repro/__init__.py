@@ -16,20 +16,26 @@ Subpackages
     Dataset substrate: synthetic BraTS cohort, NIfTI-1 codec,
     TFRecord-style files, tf.data-style pipeline.
 ``repro.cluster``
-    Cluster hardware model: V100 nodes, NVLink / InfiniBand links,
-    collective cost models, GPU-failure pricing.
+    Cluster hardware model (simulator): V100 nodes, NVLink /
+    InfiniBand links, collective cost models, GPU-failure pricing.
 ``repro.raysim``
-    Ray-like runtime: GPU placement, data-parallel SGD, Tune-like
-    trial runner with grid/random/ASHA search.
+    Ray-like runtime: data-parallel SGD over an exact ring all-reduce,
+    Tune-like trial runner with grid/random/ASHA search.
 ``repro.perf``
-    Calibrated performance model behind the Table I reproduction.
+    Calibrated performance model (simulator) behind the Table I
+    reproduction, including Ray Tune's greedy trial placement.
 ``repro.telemetry``
     Unified observability: metrics registry, span tracer, run
     manifests, and the process-wide hub with its zero-overhead null
     twin.
 ``repro.core``
     The paper's pipeline: configuration spaces, data-parallel and
-    experiment-parallel drivers, the DistMIS runner, profiling.
+    experiment-parallel drivers, inference, profiling; its simulator
+    modules (``simulated``, ``results``, ``report``, ``runner``) are
+    imported by name.
+
+Importing, training or serving loads no simulator module (``cluster``,
+``perf``, ``core``'s simulator modules); the simulator imports the rest.
 """
 
 __version__ = "1.0.0"

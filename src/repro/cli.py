@@ -146,7 +146,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    from .core import DistMISRunner
+    from .core.runner import DistMISRunner
 
     report = DistMISRunner().simulate_comparison(num_runs=args.runs,
                                                  base_seed=args.seed)
@@ -186,7 +186,8 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     import os
 
-    from .core import DistMISRunner, HyperparameterSpace
+    from .core import HyperparameterSpace
+    from .core.runner import DistMISRunner
 
     # Search workloads trade a little precision for throughput: default
     # to the float32 fast path unless the user (flag or env) said
@@ -257,7 +258,7 @@ def _parse_failures(spec: str):
 
 
 def cmd_simulate(args) -> int:
-    from .core import DistMISRunner
+    from .core.runner import DistMISRunner
     from .perf import format_hms
 
     failures = _parse_failures(args.failures) if args.failures else None

@@ -1,27 +1,22 @@
-"""Collective-communication algorithms: cost models and exact math.
+"""Collective-communication cost models.
 
-Two layers:
+Analytic time estimates for ring / tree / hierarchical all-reduce under
+the alpha-beta link model.  These drive the simulated Table I
+reproduction: the paper's data-parallel method pays a NVLink ring
+inside each 4-GPU node plus an InfiniBand ring across node leaders once
+more than one node is used (NCCL's hierarchical strategy).
 
-* **Cost models** -- analytic time estimates for ring / tree /
-  hierarchical all-reduce under the alpha-beta link model.  These drive
-  the simulated Table I reproduction: the paper's data-parallel method
-  pays a NVLink ring inside each 4-GPU node plus an InfiniBand ring
-  across node leaders once more than one node is used (NCCL's
-  hierarchical strategy).
-* **Exact numerics** -- :func:`ring_allreduce` really performs the
-  chunked reduce-scatter + all-gather on a list of NumPy arrays and is
-  used by the in-process data-parallel trainer, so the "gradients are
-  averaged across replicas" step is executed by the same algorithm whose
-  cost is being modelled (and property-tested for sum-invariance).
+The algorithm the ring model prices is executed for real by
+:func:`ring_allreduce`, defined next to its caller, the data-parallel
+trainer, in :mod:`repro.raysim.sgd` and re-exported here (simulator ->
+executed, never the other way).
 """
 
 from __future__ import annotations
 
 import math
-import time
 
-import numpy as np
-
+from ..raysim.sgd import ring_allreduce
 from .network import LinkSpec, transfer_time
 
 __all__ = [
@@ -108,73 +103,3 @@ def allreduce_time(
     return hierarchical_allreduce_time(
         nbytes, gpus_per_node, num_nodes, intra_link, inter_link
     )
-
-
-def ring_allreduce(buffers: list[np.ndarray], average: bool = False,
-                   telemetry=None) -> list[np.ndarray]:
-    """Exact ring all-reduce over per-replica buffers.
-
-    Performs the textbook chunked reduce-scatter followed by an
-    all-gather; every returned buffer equals the elementwise sum (or
-    mean) of the inputs.  Inputs are not modified.  ``telemetry`` (a
-    :class:`repro.telemetry.TelemetryHub`, default the process hub)
-    receives the operation count and the wire bytes the ring would move
-    -- ``2 (n-1)/n`` of the payload per participant, the quantity the
-    cost model prices.
-    """
-    n = len(buffers)
-    if n == 0:
-        raise ValueError("need at least one buffer")
-    if telemetry is None:
-        from ..telemetry import get_hub
-
-        telemetry = get_hub()
-    payload = sum(b.nbytes for b in buffers)
-    telemetry.metrics.counter(
-        "allreduce_ops_total", "exact ring all-reduce invocations").inc()
-    telemetry.metrics.counter(
-        "allreduce_bytes_total",
-        "bytes the chunked ring moves over the wire (2(n-1)/n x payload)",
-    ).inc(2 * (n - 1) / n * payload)
-    shape = buffers[0].shape
-    for b in buffers:
-        if b.shape != shape:
-            raise ValueError("all buffers must share a shape")
-    if n == 1:
-        # Single replica: no exchange happens, so nothing lands in the
-        # "sync" step bucket -- exactly the paper's C1 claim that
-        # experiment parallelism pays zero gradient-sync overhead.
-        out = buffers[0].astype(np.float64, copy=True)
-        return [out]
-
-    t_sync0 = time.perf_counter()
-    flat = [b.astype(np.float64).ravel().copy() for b in buffers]
-    size = flat[0].size
-    bounds = np.linspace(0, size, n + 1).astype(int)
-    chunks = [slice(bounds[i], bounds[i + 1]) for i in range(n)]
-
-    # Reduce-scatter: after n-1 steps, rank r holds the full sum of
-    # chunk (r + 1) mod n.
-    for step in range(n - 1):
-        for rank in range(n):
-            send_chunk = (rank - step) % n
-            dst = (rank + 1) % n
-            flat_dst_view = flat[dst][chunks[send_chunk]]
-            flat_dst_view += flat[rank][chunks[send_chunk]]
-    # All-gather: circulate the completed chunks.
-    for step in range(n - 1):
-        for rank in range(n):
-            done_chunk = (rank + 1 - step) % n
-            dst = (rank + 1) % n
-            flat[dst][chunks[done_chunk]] = flat[rank][chunks[done_chunk]]
-
-    if average:
-        for f in flat:
-            f /= n
-    out = [f.reshape(shape) for f in flat]
-    dt = time.perf_counter() - t_sync0
-    telemetry.metrics.counter(
-        "allreduce_seconds_total",
-        "wall-clock spent inside the exact ring all-reduce").inc(dt)
-    telemetry.on_step_bucket("sync", dt)
-    return out

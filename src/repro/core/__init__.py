@@ -1,18 +1,19 @@
 """``repro.core`` -- the paper's contribution: distributed MIS training.
 
 Configuration spaces (:mod:`~repro.core.config`), the Fig 1 pipeline
-(:mod:`~repro.core.pipeline`), the two distribution methods
-(:mod:`~repro.core.data_parallel`,
-:mod:`~repro.core.experiment_parallel`), the pipeline profiler
-(:mod:`~repro.core.profiling`), result reports
-(:mod:`~repro.core.results`) and the :class:`DistMISRunner` facade
-(:mod:`~repro.core.runner`).
+(:mod:`~repro.core.pipeline`), the two distribution methods executed at
+laptop scale (:mod:`~repro.core.data_parallel`,
+:mod:`~repro.core.experiment_parallel`), checkpoints, inference, run
+tracking and the pipeline profiler (:mod:`~repro.core.profiling`).
+
+Importing it loads no simulator module.  ``core``'s simulator modules
+are imported by name: :mod:`~repro.core.simulated`,
+:mod:`~repro.core.results`, :mod:`~repro.core.report` and
+:mod:`~repro.core.runner` (the ``DistMISRunner`` facade).
 """
 
 from . import data_parallel, experiment_parallel
 from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
-from .hybrid import HybridResult, best_gpus_per_trial, simulate_hybrid_search
-from .report import build_report
 from .tracking import RunTracker, TrialRecord, resume_search
 from .inference import (
     InferenceResult,
@@ -31,12 +32,10 @@ from .config import (
     build_model,
     build_optimizer,
 )
-from .data_parallel import DataParallelSearchResult, placement_case
+from .data_parallel import DataParallelSearchResult
 from .experiment_parallel import ExperimentParallelSearchResult
 from .pipeline import EpochRecord, MISPipeline, TrialOutcome, train_trial
 from .profiling import BottleneckReport, StageTiming, profile_online_vs_offline
-from .results import ComparisonReport, MethodSeries
-from .runner import DistMISRunner, SimulatedRun
 
 __all__ = [
     "HyperparameterSpace",
@@ -51,16 +50,11 @@ __all__ = [
     "train_trial",
     "DataParallelSearchResult",
     "ExperimentParallelSearchResult",
-    "placement_case",
     "data_parallel",
     "experiment_parallel",
     "BottleneckReport",
     "StageTiming",
     "profile_online_vs_offline",
-    "MethodSeries",
-    "ComparisonReport",
-    "DistMISRunner",
-    "SimulatedRun",
     "CheckpointManager",
     "save_checkpoint",
     "load_checkpoint",
@@ -74,8 +68,4 @@ __all__ = [
     "RunTracker",
     "TrialRecord",
     "resume_search",
-    "build_report",
-    "HybridResult",
-    "simulate_hybrid_search",
-    "best_gpus_per_trial",
 ]

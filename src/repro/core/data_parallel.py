@@ -9,37 +9,20 @@ gradient all-reduce.  Section III-B2's three cases decide the machinery:
   one node;
 * ``n > M`` -- Ray cluster + Ray SGD across nodes.
 
-Two backends share this module:
-
-* :func:`run_search_inprocess` really trains every configuration with
-  ``num_gpus`` *virtual* replicas (exact semantics, laptop scale);
-* :func:`simulate_search` prices the same search at paper scale with
-  the calibrated cost model, emitting a timeline of per-trial spans.
+:func:`run_search_inprocess` really trains every configuration with
+``num_gpus`` *virtual* replicas (exact semantics, laptop scale).  The
+same search priced at paper scale is
+:func:`repro.core.simulated.simulate_data_parallel_search`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster.trace import Timeline
-from ..perf.costs import StepCostModel, TrialConfig
-from ..perf.speedup import trial_durations
 from .config import ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline, TrialOutcome, train_trial
 
-__all__ = ["DataParallelSearchResult", "run_search_inprocess",
-           "simulate_search", "placement_case"]
-
-
-def placement_case(num_gpus: int, gpus_per_node: int = 4) -> str:
-    """The Section III-B2 trichotomy (string tag used in logs/traces)."""
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if num_gpus == 1:
-        return "sequential"
-    if num_gpus <= gpus_per_node:
-        return "mirrored"
-    return "ray_sgd"
+__all__ = ["DataParallelSearchResult", "run_search_inprocess"]
 
 
 @dataclass
@@ -47,7 +30,6 @@ class DataParallelSearchResult:
     num_gpus: int
     outcomes: list[TrialOutcome] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    timeline: Timeline | None = None
 
     def best(self, key: str = "val_dice") -> TrialOutcome:
         if not self.outcomes:
@@ -86,32 +68,3 @@ def run_search_inprocess(
         result.outcomes.append(outcome)
     result.elapsed_seconds = time.perf_counter() - t0
     return result
-
-
-def simulate_search(
-    trials: list[TrialConfig],
-    model: StepCostModel,
-    num_gpus: int,
-    seed: int | None = None,
-) -> tuple[float, Timeline]:
-    """Paper-scale simulation: trials run back-to-back, each occupying
-    the first ``num_gpus`` GPUs packed node by node; returns (elapsed
-    seconds, timeline).  The elapsed time is
-    :func:`repro.perf.speedup.data_parallel_search_time`; the timeline
-    adds one span per trial on every GPU, tagged with the placement
-    case."""
-    case = placement_case(num_gpus, model.cluster.node.num_gpus)
-    devices = model.cluster.devices(num_gpus)
-    timeline = Timeline()
-    end = 0.0
-    for idx, (cfg, duration) in enumerate(
-            zip(trials, trial_durations(model, trials, num_gpus, seed))):
-        start, end = end, end + duration
-        for dev in devices:
-            timeline.record(
-                name=f"trial_{idx:02d}", start=start, end=end,
-                resource=str(dev), category="train",
-                case=case, loss=cfg.loss, lr=cfg.learning_rate,
-                base_filters=cfg.base_filters,
-            )
-    return end, timeline

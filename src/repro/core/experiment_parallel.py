@@ -6,17 +6,10 @@ hyper-parameter configuration on its own GPU; runs are self-contained,
 so no gradient synchronisation or data shuffling crosses trials -- the
 property that buys the extra speed-up at scale (Section IV-C).
 
-Backends:
-
-* :func:`run_search_inprocess` -- the Tune-analogue trial runner really
-  trains every configuration (1 virtual GPU each) at laptop scale;
-* :func:`simulate_search` -- paper-scale: Ray Tune's greedy FIFO
-  placement (:func:`repro.raysim.scheduler.fifo_schedule`) of the
-  calibrated per-trial durations over a GPU pool, producing the
-  makespan Table I reports and a per-GPU timeline;
-* :func:`simulate_search_with_failures` -- the same FIFO placement
-  under GPU failures and repairs, priced by the failure event loop
-  (:func:`repro.cluster.failures.run_with_failures`).
+:func:`run_search_inprocess` -- the Tune-analogue trial runner -- really
+trains every configuration (1 virtual GPU each) at laptop scale,
+serially or on a process pool.  The same search priced at paper scale,
+with or without GPU failures, is in :mod:`repro.core.simulated`.
 """
 
 from __future__ import annotations
@@ -25,19 +18,14 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..cluster.failures import FailureModel, FailureRunResult, run_with_failures
-from ..cluster.trace import Timeline
 from ..fault_tolerance import FaultInjector, RetryPolicy
-from ..perf.costs import StepCostModel, TrialConfig
-from ..perf.speedup import experiment_parallel_placement, trial_durations
 from ..raysim.search import GridSearch
 from ..raysim.tune import ExperimentAnalysis, TrialScheduler, tune_run
 from .checkpoint import CheckpointManager
 from .config import ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline, TrialOutcome, train_trial
 
-__all__ = ["ExperimentParallelSearchResult", "run_search_inprocess",
-           "simulate_search", "simulate_search_with_failures"]
+__all__ = ["ExperimentParallelSearchResult", "run_search_inprocess"]
 
 
 @dataclass
@@ -46,7 +34,6 @@ class ExperimentParallelSearchResult:
     outcomes: list[TrialOutcome] = field(default_factory=list)
     analysis: ExperimentAnalysis | None = None
     elapsed_seconds: float = 0.0
-    timeline: Timeline | None = None
 
     def best(self, key: str = "val_dice") -> TrialOutcome:
         if not self.outcomes:
@@ -190,84 +177,3 @@ def run_search_inprocess(
         outcomes=outcomes, analysis=analysis,
         elapsed_seconds=time.perf_counter() - t0,
     )
-
-
-def simulate_search(
-    trials: list[TrialConfig],
-    model: StepCostModel,
-    num_gpus: int,
-    seed: int | None = None,
-    telemetry=None,
-) -> tuple[float, Timeline]:
-    """Paper-scale simulation of Ray Tune's placement.
-
-    Trials are placed FIFO, each on the earliest free one of
-    ``num_gpus`` GPUs for ``tune_overhead + duration``; the elapsed time
-    is the makespan plus the Ray cluster spin-up over the hosting nodes
-    -- :func:`repro.perf.experiment_parallel_search_time`, with one
-    timeline span per trial on the GPU that ran it.
-    """
-    elapsed, placement, _ = experiment_parallel_placement(
-        model, trials, num_gpus, seed=seed, telemetry=telemetry)
-    timeline = Timeline()
-    for idx, (cfg, (worker, start, end)) in enumerate(
-            zip(trials, placement.assignments)):
-        timeline.record(
-            name=f"trial_{idx:02d}", start=start, end=end,
-            resource=str(model.cluster.device(worker)), category="train",
-            loss=cfg.loss, lr=cfg.learning_rate,
-            base_filters=cfg.base_filters,
-        )
-    return elapsed, timeline
-
-
-def simulate_search_with_failures(
-    trials: list[TrialConfig],
-    model: StepCostModel,
-    num_gpus: int,
-    failure_model: FailureModel,
-    retry_policy: RetryPolicy | None = None,
-    seed: int | None = None,
-    telemetry=None,
-) -> tuple[float, FailureRunResult]:
-    """Paper-scale experiment-parallel placement under failures.
-
-    Same calibrated per-trial durations and Ray Tune FIFO placement as
-    :func:`simulate_search`, but executed through
-    :func:`repro.cluster.failures.run_with_failures` with per-epoch
-    checkpoint granularity (each trial's ``epochs``) and the shared
-    :class:`RetryPolicy` semantics.  Returns ``(elapsed, result)`` where
-    ``elapsed`` includes the cluster spin-up and ``result`` carries the
-    failure count, wasted seconds, per-trial retry records and the
-    timeline (failures included) for the Chrome trace.
-    """
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if num_gpus > model.cluster.total_gpus:
-        raise ValueError(
-            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
-        )
-    if telemetry is None:
-        from ..telemetry import get_hub
-
-        telemetry = get_hub()
-    result = run_with_failures(
-        trial_durations(model, trials, 1, seed), num_gpus, failure_model,
-        seed=0 if seed is None else seed,
-        per_trial_overhead=model.params.tune_trial_overhead_s,
-        num_epochs=[cfg.epochs for cfg in trials],
-        retry_policy=retry_policy,
-    )
-    telemetry.metrics.counter(
-        "sim_failures_total", "injected simulator failures",
-        ("method",)).labels(method="experiment_parallel").inc(
-            result.num_failures)
-    telemetry.metrics.counter(
-        "sim_wasted_seconds_total", "simulated compute lost to failures",
-        ("method",)).labels(method="experiment_parallel").inc(
-            result.wasted_seconds)
-    nodes = model.cluster.nodes_for(num_gpus)
-    cluster_startup = (
-        model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
-    )
-    return result.makespan + cluster_startup, result

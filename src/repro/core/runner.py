@@ -22,10 +22,15 @@ from ..perf.costs import StepCostModel, TrialConfig
 from ..perf.speedup import PAPER_GPU_COUNTS, paper_search_grid
 from ..telemetry import get_hub
 from . import data_parallel, experiment_parallel
-from .hybrid import simulate_hybrid_search
 from .config import DEFAULT_SPACE, ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline
 from .results import ComparisonReport, MethodSeries
+from .simulated import (
+    simulate_data_parallel_search,
+    simulate_experiment_parallel_search,
+    simulate_hybrid_search,
+    simulate_search_with_failures,
+)
 
 __all__ = ["DistMISRunner", "SimulatedRun"]
 
@@ -148,7 +153,7 @@ class DistMISRunner:
         """Price the full-scale search on the calibrated cluster model.
 
         ``method`` may also be ``"hybrid"`` (multi-GPU trials under Tune
-        placement, see :mod:`repro.core.hybrid`); ``gpus_per_trial``
+        placement, see :mod:`repro.core.simulated`); ``gpus_per_trial``
         then selects the per-trial width (default: one node).  The run's
         simulated timeline is attached to the telemetry hub, so the
         exported Chrome trace merges simulated and real spans.
@@ -200,7 +205,7 @@ class DistMISRunner:
         with hub.tracer.span("simulate[experiment_parallel+failures]",
                              category="run", num_gpus=num_gpus,
                              mtbf_s=failures.mtbf_s):
-            elapsed, result = experiment_parallel.simulate_search_with_failures(
+            elapsed, result = simulate_search_with_failures(
                 self.sim_trials, self.cost_model, num_gpus, failures,
                 retry_policy=retry_policy, seed=seed, telemetry=hub,
             )
@@ -231,10 +236,10 @@ class DistMISRunner:
                     *args, g, seed=seed, telemetry=hub)
                 elapsed = result.elapsed_seconds
             elif method == "experiment_parallel":
-                elapsed, timeline = experiment_parallel.simulate_search(
+                elapsed, timeline = simulate_experiment_parallel_search(
                     *args, seed=seed, telemetry=hub)
             else:
-                elapsed, timeline = data_parallel.simulate_search(
+                elapsed, timeline = simulate_data_parallel_search(
                     *args, seed=seed)
         hub.attach_timeline(timeline)
         hub.metrics.gauge(

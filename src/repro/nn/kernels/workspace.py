@@ -40,7 +40,9 @@ Semantics:
   arrays, never views into the arena (property-tested in
   ``tests/unit/nn/test_workspace.py``).  The arena keeps only a weak
   reference to a checked-out view, so a checkout that leaks (its ctx
-  dropped without a release) is collected, not pinned.
+  dropped without a release) is collected, not pinned; the next miss,
+  :meth:`WorkspaceArena.stats` or :attr:`WorkspaceArena.total_bytes`
+  stops counting it as checked out.
 
 The arena is thread-safe and its footprint is exported as the
 ``kernel_workspace_bytes`` telemetry gauge by
@@ -101,6 +103,7 @@ class WorkspaceArena:
             else:
                 view = None
                 self.misses += 1
+                self._sweep_leaks()
                 if self._sizes:
                     # every retained block is too small: the largest is
                     # replaced by the fresh one rather than kept idle
@@ -137,8 +140,7 @@ class WorkspaceArena:
                 # view of the abandoned block.  Retaining it would hand
                 # memory the arena does not own to a later acquire --
                 # drop the stale entry, ignore the array.
-                del self._out[id(block)]
-                self.in_use_bytes -= nbytes
+                self._sweep_leaks()
                 return
             if view is not buf:
                 return  # another view of a live checkout: not ours to free
@@ -153,6 +155,14 @@ class WorkspaceArena:
             self._fifo[id(block)] = nbytes
             self.free_bytes += nbytes
             self._evict_over_budget()
+
+    def _sweep_leaks(self) -> None:
+        """Forget checkouts whose view was collected without a release
+        (caller holds the lock): their memory is freed, so it no longer
+        counts as checked out."""
+        dead = [k for k, (ref, _) in self._out.items() if ref() is None]
+        for k in dead:
+            self.in_use_bytes -= self._out.pop(k)[1]
 
     def _take(self, i: int) -> np.ndarray:
         """Remove the ``i``-th retained block from the pool and return
@@ -203,10 +213,13 @@ class WorkspaceArena:
 
     @property
     def total_bytes(self) -> int:
-        return self.free_bytes + self.in_use_bytes
+        with self._lock:
+            self._sweep_leaks()
+            return self.free_bytes + self.in_use_bytes
 
     def stats(self) -> dict:
         with self._lock:
+            self._sweep_leaks()
             return {
                 "free_bytes": self.free_bytes,
                 "in_use_bytes": self.in_use_bytes,

@@ -2,12 +2,16 @@
 
 Analytic cost accounting for 3D U-Net training at cluster scale
 (:mod:`~repro.perf.costs`), straggler order statistics
-(:mod:`~repro.perf.straggler`), search-level elapsed-time / speed-up
-tables (:mod:`~repro.perf.speedup`), the Table I calibration
+(:mod:`~repro.perf.straggler`), Ray Tune's greedy trial placement and
+the search-level elapsed-time / speed-up tables built on it
+(:mod:`~repro.perf.speedup`), the Table I calibration
 (:mod:`~repro.perf.calibration`) and the schema, naming and host
 metadata of the committed ``BENCH_*.json`` records
 (:mod:`~repro.perf.regression`); regressions are gated by ``perfbench/``
 against ``BENCHMARK.json``.
+
+Simulator side: training and serving never load this package; the
+serving benchmark imports :mod:`~repro.perf.regression` at the call.
 """
 
 from .calibration import (
@@ -46,12 +50,16 @@ from .costs import (
 )
 from .speedup import (
     PAPER_GPU_COUNTS,
+    PlacementResult,
     SpeedupRow,
     SpeedupTable,
     data_parallel_search_time,
     experiment_parallel_placement,
     experiment_parallel_search_time,
+    fifo_schedule,
     format_hms,
+    lpt_schedule,
+    makespan_lower_bound,
     paper_search_grid,
     trial_durations,
 )
@@ -78,6 +86,10 @@ __all__ = [
     "PAPER_GPU_COUNTS",
     "paper_search_grid",
     "trial_durations",
+    "PlacementResult",
+    "fifo_schedule",
+    "lpt_schedule",
+    "makespan_lower_bound",
     "data_parallel_search_time",
     "experiment_parallel_placement",
     "experiment_parallel_search_time",

@@ -1,23 +1,32 @@
 """Search-level elapsed-time and speed-up computation.
 
-Combines the step cost model with the scheduling layer to price an
-entire hyper-parameter search under both distribution methods, at any
-GPU count -- the quantities Table I and Fig 4 report.
+Combines the step cost model with trial placement to price an entire
+hyper-parameter search under both distribution methods, at any GPU
+count -- the quantities Table I and Fig 4 report.  Placement is Ray
+Tune's greedy FIFO (LPT for the scheduling ablation, E9): pure
+functions over (durations, worker count), property-tested against
+:func:`makespan_lower_bound`, and the one placement of every
+failure-free paper-scale search.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..raysim.scheduler import PlacementResult, fifo_schedule, lpt_schedule
 from .costs import StepCostModel, TrialConfig
 
 __all__ = [
+    "PlacementResult",
+    "fifo_schedule",
+    "lpt_schedule",
+    "makespan_lower_bound",
     "paper_search_grid",
     "trial_durations",
     "data_parallel_search_time",
+    "ray_cluster_startup",
     "experiment_parallel_placement",
     "experiment_parallel_search_time",
     "SpeedupRow",
@@ -27,6 +36,87 @@ __all__ = [
 ]
 
 PAPER_GPU_COUNTS = (1, 2, 4, 8, 12, 16, 32)
+
+
+@dataclass(frozen=True)
+class PlacementResult:
+    """Outcome of a static schedule."""
+
+    makespan: float
+    # per-trial (worker, start, end), in input order
+    assignments: tuple[tuple[int, float, float], ...]
+
+    def worker_loads(self, num_workers: int) -> list[float]:
+        loads = [0.0] * num_workers
+        for w, s, e in self.assignments:
+            loads[w] += e - s
+        return loads
+
+
+def _greedy(durations, order, num_workers: int, per_trial_overhead: float,
+            policy: str = "fifo", telemetry=None):
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
+    if any(d < 0 for d in durations):
+        raise ValueError("durations must be non-negative")
+    if telemetry is None:
+        from ..telemetry import get_hub
+
+        telemetry = get_hub()
+    m_placements = telemetry.metrics.counter(
+        "scheduler_placements_total", "trial-to-worker placements made",
+        ("policy",)).labels(policy=policy)
+    m_queue = telemetry.metrics.histogram(
+        "scheduler_queue_depth", "trials still waiting at each placement",
+        ("policy",),
+        buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128)).labels(policy=policy)
+    # (available_time, worker_id) min-heap
+    heap = [(0.0, w) for w in range(num_workers)]
+    heapq.heapify(heap)
+    assignments: list[tuple[int, float, float] | None] = [None] * len(durations)
+    for placed, idx in enumerate(order):
+        avail, w = heapq.heappop(heap)
+        start = avail
+        end = start + per_trial_overhead + durations[idx]
+        assignments[idx] = (w, start, end)
+        heapq.heappush(heap, (end, w))
+        m_placements.inc()
+        m_queue.observe(len(durations) - placed - 1)
+    makespan = max((a[2] for a in assignments), default=0.0)
+    telemetry.metrics.gauge(
+        "scheduler_makespan_seconds", "makespan of the last schedule",
+        ("policy",)).labels(policy=policy).set(makespan)
+    return PlacementResult(makespan=makespan, assignments=tuple(assignments))
+
+
+def fifo_schedule(
+    durations, num_workers: int, per_trial_overhead: float = 0.0,
+    telemetry=None,
+) -> PlacementResult:
+    """Greedy earliest-available-worker in submission order (Ray Tune)."""
+    return _greedy(durations, range(len(durations)), num_workers,
+                   per_trial_overhead, policy="fifo", telemetry=telemetry)
+
+
+def lpt_schedule(
+    durations, num_workers: int, per_trial_overhead: float = 0.0,
+    telemetry=None,
+) -> PlacementResult:
+    """Longest-processing-time-first; 4/3-approximate minimum makespan."""
+    order = sorted(range(len(durations)), key=lambda i: -durations[i])
+    return _greedy(durations, order, num_workers, per_trial_overhead,
+                   policy="lpt", telemetry=telemetry)
+
+
+def makespan_lower_bound(durations, num_workers: int,
+                         per_trial_overhead: float = 0.0) -> float:
+    """max(longest trial, total work / workers) -- no schedule beats it."""
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
+    padded = [d + per_trial_overhead for d in durations]
+    if not padded:
+        return 0.0
+    return max(max(padded), sum(padded) / num_workers)
 
 
 def paper_search_grid() -> list[TrialConfig]:
@@ -89,6 +179,28 @@ def data_parallel_search_time(
     return float(sum(trial_durations(model, trials, num_gpus, seed)))
 
 
+def ray_cluster_startup(model: StepCostModel, num_gpus: int,
+                        gpus_per_trial: int = 1) -> float:
+    """Seconds to spin the Ray cluster up over the nodes hosting
+    ``num_gpus`` GPUs (none on a single GPU), after checking that the
+    cluster holds them and that ``gpus_per_trial``-GPU trials fit."""
+    if num_gpus < 1:
+        raise ValueError("num_gpus must be >= 1")
+    if gpus_per_trial < 1:
+        raise ValueError("gpus_per_trial must be >= 1")
+    if gpus_per_trial > num_gpus:
+        raise ValueError(
+            f"gpus_per_trial {gpus_per_trial} exceeds {num_gpus} GPUs"
+        )
+    if num_gpus > model.cluster.total_gpus:
+        raise ValueError(
+            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
+        )
+    if num_gpus == 1:
+        return 0.0
+    return model.params.startup_per_node_s * model.cluster.nodes_for(num_gpus)
+
+
 def experiment_parallel_placement(
     model: StepCostModel,
     trials: list[TrialConfig],
@@ -110,29 +222,13 @@ def experiment_parallel_placement(
     ``durations`` are the training seconds it priced (Tune overhead
     excluded).
     """
-    if num_gpus < 1:
-        raise ValueError("num_gpus must be >= 1")
-    if gpus_per_trial < 1:
-        raise ValueError("gpus_per_trial must be >= 1")
-    if gpus_per_trial > num_gpus:
-        raise ValueError(
-            f"gpus_per_trial {gpus_per_trial} exceeds {num_gpus} GPUs"
-        )
-    if num_gpus > model.cluster.total_gpus:
-        raise ValueError(
-            f"{num_gpus} GPUs requested, cluster has {model.cluster.total_gpus}"
-        )
+    cluster_startup = ray_cluster_startup(model, num_gpus, gpus_per_trial)
     durations = trial_durations(model, trials, gpus_per_trial, seed)
     schedule = {"fifo": fifo_schedule, "lpt": lpt_schedule}[policy]
     result = schedule(
         durations, num_gpus // gpus_per_trial,
         per_trial_overhead=model.params.tune_trial_overhead_s,
         telemetry=telemetry,
-    )
-    # Ray cluster spin-up across the nodes hosting the workers.
-    nodes = model.cluster.nodes_for(num_gpus)
-    cluster_startup = (
-        model.params.startup_per_node_s * nodes if num_gpus > 1 else 0.0
     )
     return float(result.makespan + cluster_startup), result, durations
 

@@ -3,18 +3,13 @@
 Stands in for the two parts of Ray 1.4.1 the paper uses (Ray SGD and
 Ray Tune): synchronous data-parallel SGD with exact ring all-reduce and
 optional sync-BatchNorm (:mod:`~repro.raysim.sgd`), a Tune-like trial
-runner with FIFO/ASHA scheduling (:mod:`~repro.raysim.tune`),
-grid/random/TPE-lite search (:mod:`~repro.raysim.search`) and the greedy
-trial placement that prices every paper-scale search
-(:mod:`~repro.raysim.scheduler`).
+runner with FIFO/ASHA scheduling (:mod:`~repro.raysim.tune`) and
+grid/random/TPE-lite search (:mod:`~repro.raysim.search`).
+
+All of it is executed code; the greedy placement that prices
+paper-scale searches is simulator code in :mod:`repro.perf.speedup`.
 """
 
-from .scheduler import (
-    PlacementResult,
-    fifo_schedule,
-    lpt_schedule,
-    makespan_lower_bound,
-)
 from ..fault_tolerance import FaultInjector, InjectedFault
 from .search import GridSearch, RandomSearch, SearchAlgorithm, TPELite
 from .sgd import DataParallelTrainer, SyncGroup
@@ -54,8 +49,4 @@ __all__ = [
     "CheckpointHandle",
     "FaultInjector",
     "InjectedFault",
-    "PlacementResult",
-    "fifo_schedule",
-    "lpt_schedule",
-    "makespan_lower_bound",
 ]

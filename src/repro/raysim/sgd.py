@@ -6,10 +6,10 @@ uses, *exactly*:
 * every replica starts from broadcast-identical weights;
 * each step the global batch is sharded across replicas, every replica
   computes gradients on its shard;
-* shard gradients are combined with the same chunked ring all-reduce
-  whose cost the cluster model charges
-  (:func:`repro.cluster.collectives.ring_allreduce`), weighted by shard
-  size so the result equals the full-batch gradient;
+* shard gradients are combined with the chunked ring all-reduce
+  (:func:`ring_allreduce`) whose cost the cluster model charges
+  (:mod:`repro.cluster.collectives`), weighted by shard size so the
+  result equals the full-batch gradient;
 * every replica applies the identical update with its own (identical)
   optimizer state, so weights stay in lock-step without re-broadcast --
   the standard synchronous-SGD invariant, asserted in the tests.
@@ -48,7 +48,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..cluster.collectives import ring_allreduce
 from ..execpool.sharedmem import SharedArrayStore
 from ..nn.kernels import consume_kernel_seconds, workspace_bytes
 from ..nn.layers.batchnorm import BatchNorm
@@ -56,7 +55,7 @@ from ..nn.losses import Loss
 from ..nn.module import Module
 from ..nn.optimizers import Optimizer
 
-__all__ = ["DataParallelTrainer", "SyncGroup"]
+__all__ = ["DataParallelTrainer", "SyncGroup", "ring_allreduce"]
 
 _ALIGN = 16  # byte alignment of each value packed into a SyncGroup slot
 
@@ -71,6 +70,76 @@ def _close_store(views, store) -> None:
     views.close()
     store.close()
     store.unlink()
+
+
+def ring_allreduce(buffers: list[np.ndarray], average: bool = False,
+                   telemetry=None) -> list[np.ndarray]:
+    """Exact ring all-reduce over per-replica buffers.
+
+    Performs the textbook chunked reduce-scatter followed by an
+    all-gather; every returned buffer equals the elementwise sum (or
+    mean) of the inputs.  Inputs are not modified.  ``telemetry`` (a
+    :class:`repro.telemetry.TelemetryHub`, default the process hub)
+    receives the operation count and the wire bytes the ring would move
+    -- ``2 (n-1)/n`` of the payload per participant, the quantity the
+    cost model prices.
+    """
+    n = len(buffers)
+    if n == 0:
+        raise ValueError("need at least one buffer")
+    if telemetry is None:
+        from ..telemetry import get_hub
+
+        telemetry = get_hub()
+    payload = sum(b.nbytes for b in buffers)
+    telemetry.metrics.counter(
+        "allreduce_ops_total", "exact ring all-reduce invocations").inc()
+    telemetry.metrics.counter(
+        "allreduce_bytes_total",
+        "bytes the chunked ring moves over the wire (2(n-1)/n x payload)",
+    ).inc(2 * (n - 1) / n * payload)
+    shape = buffers[0].shape
+    for b in buffers:
+        if b.shape != shape:
+            raise ValueError("all buffers must share a shape")
+    if n == 1:
+        # Single replica: no exchange happens, so nothing lands in the
+        # "sync" step bucket -- exactly the paper's C1 claim that
+        # experiment parallelism pays zero gradient-sync overhead.
+        out = buffers[0].astype(np.float64, copy=True)
+        return [out]
+
+    t_sync0 = time.perf_counter()
+    flat = [b.astype(np.float64).ravel().copy() for b in buffers]
+    size = flat[0].size
+    bounds = np.linspace(0, size, n + 1).astype(int)
+    chunks = [slice(bounds[i], bounds[i + 1]) for i in range(n)]
+
+    # Reduce-scatter: after n-1 steps, rank r holds the full sum of
+    # chunk (r + 1) mod n.
+    for step in range(n - 1):
+        for rank in range(n):
+            send_chunk = (rank - step) % n
+            dst = (rank + 1) % n
+            flat_dst_view = flat[dst][chunks[send_chunk]]
+            flat_dst_view += flat[rank][chunks[send_chunk]]
+    # All-gather: circulate the completed chunks.
+    for step in range(n - 1):
+        for rank in range(n):
+            done_chunk = (rank + 1 - step) % n
+            dst = (rank + 1) % n
+            flat[dst][chunks[done_chunk]] = flat[rank][chunks[done_chunk]]
+
+    if average:
+        for f in flat:
+            f /= n
+    out = [f.reshape(shape) for f in flat]
+    dt = time.perf_counter() - t_sync0
+    telemetry.metrics.counter(
+        "allreduce_seconds_total",
+        "wall-clock spent inside the exact ring all-reduce").inc(dt)
+    telemetry.on_step_bucket("sync", dt)
+    return out
 
 
 class SyncGroup:

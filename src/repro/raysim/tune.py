@@ -17,8 +17,8 @@ contract:
 
 ``tune_run`` executes trials in-process (functional reproduction); the
 *timing* of concurrent trial placement at cluster scale is what
-``repro.core.experiment_parallel`` prices with the greedy FIFO schedule
-of :mod:`repro.raysim.scheduler`.
+``repro.core.simulated`` prices with the greedy FIFO schedule of
+:mod:`repro.perf.speedup`.
 """
 
 from __future__ import annotations

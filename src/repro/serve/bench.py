@@ -36,8 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..perf.regression import host_metadata, validate_record
-
 __all__ = ["run_serve_bench", "write_serving_record",
            "STANDARD_PRIORITIES"]
 
@@ -149,6 +147,8 @@ def run_serve_bench(server, volumes, rps: float, duration_s: float,
             shed=sum(1 for _, p, _ in shed if p == level))
         for level in levels
     }
+    from ..perf.regression import host_metadata
+
     cfg = server.config
     record = {
         "benchmark": "serving",
@@ -213,6 +213,8 @@ def run_serve_bench(server, volumes, rps: float, duration_s: float,
 def write_serving_record(record: dict, path) -> Path:
     """Validate against the shared bench schema (including the serving
     benchmark's required percentiles) and write it."""
+    from ..perf.regression import validate_record
+
     problems = validate_record(record, path=path)
     if problems:
         raise ValueError("; ".join(problems))

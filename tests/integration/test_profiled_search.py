@@ -7,12 +7,12 @@ import json
 import os
 
 from repro.core import (
-    DistMISRunner,
     ExperimentSettings,
     HyperparameterSpace,
     MISPipeline,
     train_trial,
 )
+from repro.core.runner import DistMISRunner
 from repro.telemetry import StepAttribution, TelemetryHub, analyze_run_dir
 
 

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    DistMISRunner,
-    ExperimentSettings,
-    HyperparameterSpace,
-)
+from repro.core import ExperimentSettings, HyperparameterSpace
+from repro.core.runner import DistMISRunner
 from repro.raysim import ASHAScheduler
 
 

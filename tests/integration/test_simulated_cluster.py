@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import DistMISRunner
+from repro.core.runner import DistMISRunner
 from repro.perf import (
     TABLE1_DP_SPEEDUPS,
     TABLE1_EP_SPEEDUPS,

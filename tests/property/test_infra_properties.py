@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from repro.cluster import FailureModel, ring_allreduce, run_with_failures
 from repro.data.records import decode_example, encode_example
 from repro.data.splits import split_indices
-from repro.raysim import fifo_schedule, lpt_schedule, makespan_lower_bound
+from repro.perf import fifo_schedule, lpt_schedule, makespan_lower_bound
 
 SMALL = {"max_examples": 40, "deadline": None}
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.failures import FailureModel, run_with_failures
-from repro.raysim import fifo_schedule, makespan_lower_bound
+from repro.perf import fifo_schedule, makespan_lower_bound
 
 SMALL = {"max_examples": 30, "deadline": None}
 
@@ -57,7 +57,7 @@ class TestHybridProperties:
     @settings(**SMALL)
     @given(num_gpus=st.integers(1, 32), g=st.integers(1, 8))
     def test_hybrid_respects_makespan_bound(self, num_gpus, g):
-        from repro.core.hybrid import simulate_hybrid_search
+        from repro.core.simulated import simulate_hybrid_search
         from repro.perf import calibrated_model, paper_search_grid
 
         if g > num_gpus:

@@ -12,7 +12,7 @@ from repro.cluster import (
 )
 from repro.cluster.failures import expected_slowdown
 from repro.fault_tolerance import RetryPolicy
-from repro.raysim import fifo_schedule
+from repro.perf import fifo_schedule
 
 
 class TestFailureModel:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.hybrid import best_gpus_per_trial, simulate_hybrid_search
+from repro.core.simulated import best_gpus_per_trial, simulate_hybrid_search
 from repro.perf import (
     calibrated_model,
     data_parallel_search_time,
@@ -101,7 +101,7 @@ class TestSweep:
 
 class TestRunnerIntegration:
     def test_runner_simulates_hybrid(self):
-        from repro.core import DistMISRunner
+        from repro.core.runner import DistMISRunner
 
         runner = DistMISRunner()
         run = runner.simulate("hybrid", 32, gpus_per_trial=8)
@@ -110,7 +110,7 @@ class TestRunnerIntegration:
         assert run.elapsed_seconds < ep.elapsed_seconds
 
     def test_runner_hybrid_default_is_one_node(self):
-        from repro.core import DistMISRunner
+        from repro.core.runner import DistMISRunner
 
         runner = DistMISRunner()
         run = runner.simulate("hybrid", 32)

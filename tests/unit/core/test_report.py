@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_report
+from repro.core.report import build_report
 
 
 @pytest.fixture(scope="module")

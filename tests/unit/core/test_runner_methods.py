@@ -3,16 +3,17 @@
 import pytest
 
 from repro.core import (
-    ComparisonReport,
-    DistMISRunner,
     ExperimentSettings,
     HyperparameterSpace,
-    MethodSeries,
-    placement_case,
     profile_online_vs_offline,
 )
-from repro.core.data_parallel import simulate_search as dp_simulate
-from repro.core.experiment_parallel import simulate_search as ep_simulate
+from repro.core.results import ComparisonReport, MethodSeries
+from repro.core.runner import DistMISRunner
+from repro.core.simulated import (
+    placement_case,
+    simulate_data_parallel_search as dp_simulate,
+    simulate_experiment_parallel_search as ep_simulate,
+)
 from repro.perf import (
     calibrated_model,
     data_parallel_search_time,

@@ -74,6 +74,23 @@ class TestArenaBasics:
         gc.collect()
         assert ref() is None
 
+    def test_leaked_checkout_stops_counting_as_in_use(self):
+        """A checkout dropped without a release is freed, so neither
+        ``stats()``/``total_bytes`` nor a later miss may still count it
+        (the ``kernel_workspace_bytes`` gauge would overstate forever)."""
+        ws = WorkspaceArena(max_bytes=1 << 20)
+        leaked = ws.acquire((32, 32))
+        del leaked
+        gc.collect()
+        assert ws.stats()["in_use_bytes"] == 0
+        assert ws.total_bytes == 0
+        leaked = ws.acquire((32, 32))
+        del leaked
+        gc.collect()
+        live = ws.acquire((64, 64))  # the miss alone sweeps the leak
+        assert ws.misses == 3
+        assert ws.in_use_bytes == live.nbytes
+
     def test_release_of_another_view_of_a_live_checkout_ignored(self):
         ws = WorkspaceArena(max_bytes=1 << 20)
         a = ws.acquire((8, 8))

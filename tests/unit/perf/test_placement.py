@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.raysim import fifo_schedule, lpt_schedule, makespan_lower_bound
+from repro.perf import fifo_schedule, lpt_schedule, makespan_lower_bound
 
 
 class TestFIFO:

@@ -15,10 +15,10 @@ from repro.perf import (
     data_parallel_search_time,
     experiment_parallel_search_time,
     format_hms,
+    makespan_lower_bound,
     paper_search_grid,
     summarize,
 )
-from repro.raysim import makespan_lower_bound
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MethodSeries
+from repro.core.results import MethodSeries
 from repro.perf import SpeedupRow, SpeedupTable, calibrated_model
 
 

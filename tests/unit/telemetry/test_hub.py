@@ -125,11 +125,8 @@ class TestNullSink:
 
 class TestEndToEnd:
     def test_run_inprocess_emits_full_run_dir(self, tmp_path):
-        from repro.core import (
-            DistMISRunner,
-            ExperimentSettings,
-            HyperparameterSpace,
-        )
+        from repro.core import ExperimentSettings, HyperparameterSpace
+        from repro.core.runner import DistMISRunner
 
         hub = TelemetryHub(run_dir=tmp_path / "run")
         runner = DistMISRunner(
@@ -166,11 +163,8 @@ class TestEndToEnd:
         assert {"train", "pipeline", "run", "trial", "eval"} <= cats
 
     def test_disabled_run_writes_nothing(self, tmp_path):
-        from repro.core import (
-            DistMISRunner,
-            ExperimentSettings,
-            HyperparameterSpace,
-        )
+        from repro.core import ExperimentSettings, HyperparameterSpace
+        from repro.core.runner import DistMISRunner
 
         runner = DistMISRunner(
             space=HyperparameterSpace({"learning_rate": [3e-3],
@@ -184,7 +178,7 @@ class TestEndToEnd:
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_merges_sim_timeline(self, tmp_path):
-        from repro.core import DistMISRunner
+        from repro.core.runner import DistMISRunner
 
         hub = TelemetryHub(run_dir=tmp_path / "sim")
         run = DistMISRunner(telemetry=hub).simulate("experiment_parallel", 4,

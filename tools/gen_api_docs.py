@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Generate docs/api.md from the package's public API.
 
-Walks every ``repro`` subpackage, collects the names each ``__init__``
-exports and their first docstring line, and writes a browsable API
+Walks every ``repro`` subpackage (plus the simulator modules of
+``repro.core``, which its ``__init__`` does not re-export), collects the
+names each exports and their first docstring line, and writes a browsable API
 index.  Run after adding public symbols:
 
     python tools/gen_api_docs.py
@@ -25,6 +26,11 @@ PACKAGES = [
     "repro.execpool",
     "repro.serve",
     "repro.core",
+    # core's simulator modules: imported by name, not re-exported
+    "repro.core.simulated",
+    "repro.core.results",
+    "repro.core.report",
+    "repro.core.runner",
     "repro.cli",
 ]
 
