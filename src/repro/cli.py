@@ -187,7 +187,7 @@ def cmd_search(args) -> int:
     import os
 
     from .core import HyperparameterSpace
-    from .core.runner import DistMISRunner
+    from .core.search import run_search
 
     # Search workloads trade a little precision for throughput: default
     # to the float32 fast path unless the user (flag or env) said
@@ -199,24 +199,25 @@ def cmd_search(args) -> int:
     space = HyperparameterSpace(
         {"learning_rate": args.lr, "loss": args.losses}
     )
-    runner = DistMISRunner(space=space, settings=_settings(args),
-                           telemetry=_make_hub(args))
+    settings = _settings(args)
+    hub = _make_hub(args)
     progress = None
     if args.profile:
         from .telemetry import ProgressReporter
 
         progress = ProgressReporter()
     if args.method == "data_parallel":
-        result = runner.run_inprocess("data_parallel", num_gpus=args.gpus)
+        result = run_search("data_parallel", space, settings, args.gpus,
+                            telemetry=hub)
         for o in result.outcomes:
             print(f"{o.config}  val DSC {o.val_dice:.4f}")
         best = result.best()
         print(f"best: {best.config} (val DSC {best.val_dice:.4f})")
     else:
-        result = runner.run_inprocess(
-            "experiment_parallel",
+        result = run_search(
+            "experiment_parallel", space, settings,
             executor=args.executor, max_workers=args.workers,
-            progress=progress,
+            progress=progress, telemetry=hub,
         )
         if args.executor == "process":
             workers = args.workers or result.num_gpus
@@ -229,9 +230,9 @@ def cmd_search(args) -> int:
     if args.profile:
         from .telemetry import analyze_run_dir
 
-        print(analyze_run_dir(runner.telemetry.run_dir).render())
-    if runner.telemetry.enabled:
-        print(f"telemetry written to {runner.telemetry.run_dir}")
+        print(analyze_run_dir(hub.run_dir).render())
+    if hub.enabled:
+        print(f"telemetry written to {hub.run_dir}")
     return 0
 
 

@@ -3,7 +3,8 @@
 Configuration spaces (:mod:`~repro.core.config`), the Fig 1 pipeline
 (:mod:`~repro.core.pipeline`), the two distribution methods executed at
 laptop scale (:mod:`~repro.core.data_parallel`,
-:mod:`~repro.core.experiment_parallel`), checkpoints, inference, run
+:mod:`~repro.core.experiment_parallel`, both behind
+:func:`~repro.core.search.run_search`), checkpoints, inference, run
 tracking and the pipeline profiler (:mod:`~repro.core.profiling`).
 
 Importing it loads no simulator module.  ``core``'s simulator modules

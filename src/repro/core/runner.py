@@ -3,7 +3,8 @@
 One object that exposes the paper's whole workflow:
 
 * ``run_inprocess(method, num_gpus)`` -- really trains the search at
-  laptop scale with exact distribution semantics (claims C2/C4);
+  laptop scale with exact distribution semantics (claims C2/C4), by
+  way of the executed side's :func:`repro.core.search.run_search`;
 * ``simulate(method, num_gpus)`` -- prices the search at paper scale on
   the calibrated MareNostrum model (claims C1/C3);
 * ``simulate_comparison(...)`` -- the full Table I / Fig 4 sweep with
@@ -21,10 +22,10 @@ from ..perf.calibration import calibrated_model
 from ..perf.costs import StepCostModel, TrialConfig
 from ..perf.speedup import PAPER_GPU_COUNTS, paper_search_grid
 from ..telemetry import get_hub
-from . import data_parallel, experiment_parallel
 from .config import DEFAULT_SPACE, ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline
 from .results import ComparisonReport, MethodSeries
+from .search import METHODS, check_method, run_search
 from .simulated import (
     simulate_data_parallel_search,
     simulate_experiment_parallel_search,
@@ -33,8 +34,6 @@ from .simulated import (
 )
 
 __all__ = ["DistMISRunner", "SimulatedRun"]
-
-_METHODS = ("data_parallel", "experiment_parallel")
 
 
 @dataclass
@@ -82,67 +81,13 @@ class DistMISRunner:
                       executor: str = "serial",
                       max_workers: int | None = None,
                       progress=None):
-        """Execute the search for real at the configured laptop scale.
-
-        For ``method="experiment_parallel"``, ``executor="process"``
-        runs the independent trials on ``max_workers`` worker processes
-        (true multi-core experiment parallelism, result-identical to the
-        serial executor); trials remain 1-virtual-GPU runs either way.
-
-        With a live telemetry hub the run emits per-step / per-epoch
-        metrics and nested spans, and finishes by writing the run
-        directory (manifest, metrics JSONL + Prometheus text, merged
-        Chrome trace) when the hub has one configured.  ``progress`` (a
-        :class:`~repro.telemetry.ProgressReporter`) renders a live
-        Tune-style trial table while the search runs.
-        """
-        self._check_method(method)
-        hub = self.telemetry
-        with hub.tracer.span(f"run_inprocess[{method}]", category="run",
-                             num_gpus=num_gpus):
-            if method == "data_parallel":
-                if executor != "serial":
-                    raise ValueError(
-                        "the process executor parallelises independent "
-                        "trials; data_parallel trains one trial at a "
-                        "time (use method='experiment_parallel')"
-                    )
-                result = data_parallel.run_search_inprocess(
-                    self.space, self.settings, num_gpus,
-                    pipeline=self.pipeline, telemetry=hub,
-                )
-            else:
-                if num_gpus != 1 and executor == "serial":
-                    # Trials are independent 1-GPU runs; concurrency
-                    # changes wall-clock only, which the simulated
-                    # backend prices (or the process executor executes).
-                    raise ValueError(
-                        "in-process experiment parallelism executes "
-                        "trials as 1-GPU runs; use simulate() for "
-                        "multi-GPU timing or executor='process' for "
-                        "real multi-core execution"
-                    )
-                result = experiment_parallel.run_search_inprocess(
-                    self.space, self.settings, pipeline=self.pipeline,
-                    telemetry=hub, executor=executor,
-                    max_workers=max_workers, progress=progress,
-                )
-        best = result.best()
-        hub.finalize_run(
-            kind=f"inprocess/{method}",
-            config={"space": self.space.axes, "num_gpus": num_gpus,
-                    "executor": executor, "max_workers": max_workers,
-                    "epochs": self.settings.epochs},
-            seed=self.settings.seed,
-            final_metrics={
-                "best_val_dice": best.val_dice,
-                "best_test_dice": best.test_dice,
-                "best_config": best.config,
-                "elapsed_seconds": result.elapsed_seconds,
-                "num_trials": len(result.outcomes),
-            },
-        )
-        return result
+        """Execute the search for real at the configured laptop scale
+        (:func:`repro.core.search.run_search` on this runner's space,
+        settings, shared pipeline and telemetry hub)."""
+        return run_search(method, self.space, self.settings, num_gpus,
+                          executor=executor, max_workers=max_workers,
+                          progress=progress, pipeline=self.pipeline,
+                          telemetry=self.telemetry)
 
     # -- simulated (paper-scale) backend ---------------------------------------
     def simulate(self, method: str, num_gpus: int,
@@ -223,7 +168,7 @@ class DistMISRunner:
                       seed: int | None = None,
                       gpus_per_trial: int | None = None) -> SimulatedRun:
         if method != "hybrid":
-            self._check_method(method)
+            check_method(method)
         hub = self.telemetry
         args = (self.sim_trials, self.cost_model, num_gpus)
         with hub.tracer.span(f"simulate[{method}]", category="run",
@@ -263,7 +208,7 @@ class DistMISRunner:
         series = {}
         with hub.tracer.span("simulate_comparison", category="run",
                              num_runs=num_runs):
-            for method in _METHODS:
+            for method in METHODS:
                 runs = []
                 for n in gpu_counts:
                     runs.append(
@@ -289,10 +234,3 @@ class DistMISRunner:
             },
         )
         return report
-
-    @staticmethod
-    def _check_method(method: str) -> None:
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_METHODS}"
-            )

@@ -7,7 +7,9 @@ split arrays (:class:`SharedArrayStore` / :class:`SharedArrayHandle`)
 so each extra worker costs an attach, not a dataset copy.  Selected via
 ``executor="process"`` in
 :func:`repro.core.experiment_parallel.run_search_inprocess`,
-:meth:`repro.core.runner.DistMISRunner.run_inprocess`, and
+:func:`repro.core.search.run_search` (and
+:meth:`repro.core.runner.DistMISRunner.run_inprocess`, which delegates
+to it), and
 ``distmis search --executor process --workers N``;
 :func:`repro.raysim.tune.tune_run` takes a pre-built
 :class:`ProcessPoolTrialExecutor` as ``executor=``.

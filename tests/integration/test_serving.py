@@ -137,8 +137,10 @@ class TestMicroBatching:
             assert server.batcher.depth() == 0
             t0 = time.monotonic()
             futs = [server.submit(v) for v in volumes(2)]
-            server.step()
-            # the replica is busy: nothing leaves before the deadline
+            # the replica is busy: nothing leaves before the deadline.
+            # Stepped at the submission time, so a host stall between
+            # submit and step cannot carry the clock past it.
+            server.step(now=t0)
             assert server.batcher.depth() == 2
             server.drain(timeout_s=60)
             elapsed = time.monotonic() - t0

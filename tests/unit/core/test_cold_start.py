@@ -1,18 +1,20 @@
 """Cold start: shipped paths load neither SciPy nor the simulator.
 
 Execpool trial workers, serve replicas and data-parallel replicas are
-forked from the driver image, so every module it imports at start-up
-is paid once per process.  SciPy is needed only by the simulator's
-data-parallel pricing (``perf.straggler``), the Table I fit
-(``perf.calibration``) and cohort synthesis (``data.synthetic_brats``),
-which import it at the call.  The paper-scale simulator
+forked from the parent process, so every module it imports before
+the fork is paid once per process.  SciPy is needed only by the
+simulator's data-parallel pricing (``perf.straggler``) and the Table I
+fit (``perf.calibration``), which import it at the call; cohort
+synthesis smooths in NumPy.  The paper-scale simulator
 (``repro.cluster``, ``repro.perf``, ``repro.core.{simulated,runner,
 report,results}``) may import the executed system, never the other
-way: importing, training and serving load none of it.  Each check runs
-a fresh interpreter, so what the test session itself has imported
-cannot mask a regression.
+way: importing, training (one or two replicas), a process-pool search,
+``distmis search`` and serving load none of it.  Each snippet runs
+once in a fresh interpreter, so what the test run itself has
+imported cannot mask a regression.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -25,23 +27,22 @@ ROOT = Path(__file__).resolve().parents[3]
 
 IMPORTS = "import repro.cli, repro.core, repro.nn, repro.serve"
 
-REPORT = """
-import json, sys
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
-"""
-
 SIMULATOR_PACKAGES = ("repro.cluster", "repro.perf")
 SIMULATOR_MODULES = ("repro.core.simulated", "repro.core.runner",
                      "repro.core.report", "repro.core.results",
                      "repro.raysim.scheduler")
 
-REPORT_SIMULATOR = f"""
+REPORT = f"""
 import json, sys
-print(json.dumps(sorted(
-    m for m in sys.modules
-    if m in {SIMULATOR_PACKAGES + SIMULATOR_MODULES!r}
-    or m.startswith({tuple(p + "." for p in SIMULATOR_PACKAGES)!r}))))
+
+def loaded(names):
+    prefixes = tuple(n + "." for n in names)
+    return sorted(m for m in sys.modules
+                  if m in names or m.startswith(prefixes))
+
+simulator = {SIMULATOR_PACKAGES + SIMULATOR_MODULES!r}
+print(json.dumps({{"scipy": loaded(("scipy",)),
+                  "simulator": loaded(simulator)}}))
 """
 
 SERVE_ONE = """
@@ -79,28 +80,75 @@ assert len(outcome.history) == 1, outcome.history
 """
 
 
-def modules_after(code: str, report: str = REPORT) -> list[str]:
+TRAIN_DP2 = """
+from repro.core import ExperimentSettings, MISPipeline, train_trial
+
+settings = ExperimentSettings(num_subjects=3, volume_shape=(8, 8, 8),
+                              epochs=1, base_filters=2, depth=2)
+outcome = train_trial({"learning_rate": 1e-3, "loss": "dice"}, settings,
+                      MISPipeline(settings), num_replicas=2)
+assert len(outcome.history) == 1, outcome.history
+"""
+
+SEARCH_POOL = """
+from repro.core import ExperimentSettings, HyperparameterSpace
+from repro.core.experiment_parallel import run_search_inprocess
+
+settings = ExperimentSettings(num_subjects=3, volume_shape=(8, 8, 8),
+                              epochs=1, base_filters=2, depth=2)
+space = HyperparameterSpace({"learning_rate": [1e-3, 3e-3],
+                             "loss": ["dice"]})
+result = run_search_inprocess(space, settings, executor="process",
+                              max_workers=2)
+assert len(result.outcomes) == 2, result.outcomes
+"""
+
+CLI_SEARCH = """
+from repro.cli import main
+
+assert main(["search", "--subjects", "3", "--volume", "8", "8", "8",
+             "--epochs", "1", "--base-filters", "2", "--depth", "2",
+             "--lr", "1e-3", "3e-3"]) == 0
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def modules_after(snippet: str) -> dict[str, list[str]]:
+    """SciPy and simulator modules loaded once ``snippet`` has run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code + report], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", IMPORTS + "\n" + snippet + REPORT],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_importing_the_shipped_packages_loads_no_scipy():
-    assert modules_after(IMPORTS) == []
+    assert modules_after("")["scipy"] == []
 
 
 def test_serving_a_request_loads_no_scipy():
-    assert modules_after(IMPORTS + "\n" + SERVE_ONE) == []
+    assert modules_after(SERVE_ONE)["scipy"] == []
+
+
+TRAINING_AND_SEARCH = [
+    pytest.param(TRAIN_ONE, id="train"),
+    pytest.param(TRAIN_DP2, id="train_dp2"),
+    pytest.param(SEARCH_POOL, id="search_pool"),
+    pytest.param(CLI_SEARCH, id="cli_search"),
+]
+
+
+@pytest.mark.parametrize("snippet", TRAINING_AND_SEARCH)
+def test_training_and_search_load_no_scipy(snippet):
+    assert modules_after(snippet)["scipy"] == []
 
 
 @pytest.mark.parametrize("snippet", [
     pytest.param("", id="import"),
     pytest.param(SERVE_ONE, id="serve"),
-    pytest.param(TRAIN_ONE, id="train"),
+    *TRAINING_AND_SEARCH,
 ])
 def test_executed_side_loads_no_simulator_module(snippet):
-    assert modules_after(IMPORTS + "\n" + snippet, REPORT_SIMULATOR) == []
+    assert modules_after(snippet)["simulator"] == []

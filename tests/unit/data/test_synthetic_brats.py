@@ -12,6 +12,7 @@ from repro.data import (
     PAPER_VOLUME_SHAPE,
     SyntheticBraTS,
 )
+from repro.data.synthetic_brats import _gaussian_smooth
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,29 @@ class TestGeneration:
             h.update(s.image.tobytes())
             h.update(s.label.tobytes())
         assert h.hexdigest() == digest
+
+
+class TestGaussianSmooth:
+    @pytest.mark.parametrize("sigma", [2.0, 2.7, 4.0, 5.5, 8.0])
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (12, 20, 9), (24, 24, 24),
+                                       (64, 64, 40)],
+                             ids=["8^3", "12x20x9", "24^3", "64x64x40"])
+    def test_bit_identical_to_scipy(self, shape, sigma):
+        """The NumPy smoothing the cohort uses gives SciPy's bits, edges
+        included: at 8^3 with sigma 2 the radius equals the axis length,
+        and larger sigmas reach past it."""
+        from scipy.ndimage import gaussian_filter
+
+        rng = np.random.default_rng(int(sigma * 10) + sum(shape))
+        volume = rng.normal(size=shape)
+        expected = gaussian_filter(volume, sigma=sigma)
+        assert np.array_equal(_gaussian_smooth(volume, sigma), expected)
+
+    def test_input_is_not_modified(self):
+        volume = np.random.default_rng(0).normal(size=(8, 9, 10))
+        before = volume.copy()
+        _gaussian_smooth(volume, 2.0)
+        assert np.array_equal(volume, before)
 
 
 class TestValidation:

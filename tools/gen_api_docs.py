@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Generate docs/api.md from the package's public API.
 
-Walks every ``repro`` subpackage (plus the simulator modules of
-``repro.core``, which its ``__init__`` does not re-export), collects the
+Walks every ``repro`` subpackage (plus ``repro.core.search`` and the
+simulator modules of ``repro.core``, which its ``__init__`` does not
+re-export), collects the
 names each exports and their first docstring line, and writes a browsable API
 index.  Run after adding public symbols:
 
@@ -26,6 +27,7 @@ PACKAGES = [
     "repro.execpool",
     "repro.serve",
     "repro.core",
+    "repro.core.search",
     # core's simulator modules: imported by name, not re-exported
     "repro.core.simulated",
     "repro.core.results",
