@@ -67,7 +67,7 @@ BATCH = 1  # per-replica shard of the paper's global batch 2
 
 def _build(dtype=None, volume=None):
     net = UNet3D(4, 1, base_filters=BASE_FILTERS, depth=DEPTH,
-                 norm="batch", rng=np.random.default_rng(7), dtype=dtype)
+                 rng=np.random.default_rng(7), dtype=dtype)
     net.train()
     return net
 

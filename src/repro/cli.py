@@ -687,6 +687,8 @@ def cmd_calibrate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .nn.losses import LOSS_NAMES
+
     parser = argparse.ArgumentParser(
         prog="distmis",
         description="DistMIS reproduction: distributed hyper-parameter "
@@ -706,8 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one configuration in-process")
     _add_scale_args(p)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--loss", default="dice",
-                   choices=["dice", "quadratic_dice", "bce"])
+    p.add_argument("--loss", default="dice", choices=LOSS_NAMES)
     p.add_argument("--gpus", type=int, default=1,
                    help="virtual data-parallel replicas")
     p.add_argument("--telemetry", metavar="DIR",
@@ -717,7 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="hyper-parameter search in-process")
     _add_scale_args(p)
     p.add_argument("--lr", type=float, nargs="+", default=[3e-3, 1e-3])
-    p.add_argument("--losses", nargs="+", default=["dice"])
+    p.add_argument("--losses", nargs="+", default=["dice"],
+                   choices=LOSS_NAMES)
     p.add_argument("--method", default="experiment_parallel",
                    choices=["data_parallel", "experiment_parallel"])
     p.add_argument("--gpus", type=int, default=1)

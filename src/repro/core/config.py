@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.losses import get_loss
-from ..nn.optimizers import Adam, Momentum, SGD
+from ..nn.optimizers import Adam, SGD
 from ..nn.schedules import ConstantLR, CyclicLR, linear_scaling_rule
 from ..nn.unet3d import UNet3D
 
@@ -141,6 +141,4 @@ def build_optimizer(config: dict, settings: ExperimentSettings, model,
         return Adam(model, lr=schedule)
     if name == "sgd":
         return SGD(model, lr=schedule)
-    if name == "momentum":
-        return Momentum(model, lr=schedule)
     raise ValueError(f"unknown optimizer {name!r}")

@@ -31,7 +31,6 @@ from .preprocess import (
     center_crop,
     crop_to_divisible,
     merge_labels_binary,
-    one_hot,
     preprocess_subject,
     standardize,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "center_crop",
     "crop_to_divisible",
     "merge_labels_binary",
-    "one_hot",
     "preprocess_subject",
     "RecordWriter",
     "RecordReader",

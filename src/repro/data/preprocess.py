@@ -18,7 +18,6 @@ __all__ = [
     "center_crop",
     "crop_to_divisible",
     "merge_labels_binary",
-    "one_hot",
     "preprocess_subject",
     "TrainingExample",
 ]
@@ -82,20 +81,6 @@ def merge_labels_binary(label: np.ndarray) -> np.ndarray:
     return (np.asarray(label) > 0).astype(np.float32)
 
 
-def one_hot(label: np.ndarray, num_classes: int) -> np.ndarray:
-    """``(D, H, W)`` integer map -> ``(num_classes, D, H, W)`` float."""
-    label = np.asarray(label)
-    if label.min() < 0 or label.max() >= num_classes:
-        raise ValueError(
-            f"labels outside [0, {num_classes}): "
-            f"min={label.min()}, max={label.max()}"
-        )
-    out = np.zeros((num_classes, *label.shape), dtype=np.float32)
-    for c in range(num_classes):
-        out[c] = label == c
-    return out
-
-
 class TrainingExample:
     """A fully pre-processed (image, mask) pair ready for the model."""
 
@@ -114,24 +99,15 @@ def preprocess_subject(
     subject: Subject,
     divisor: int = 8,
     standardize_intensities: bool = True,
-    multiclass: bool = False,
-    num_classes: int = 4,
 ) -> TrainingExample:
     """The paper's full per-subject transform: crop to a
     pooling-divisible shape, standardise, binarise labels, channels
     first (the generator is already channels-first, matching Section
     III-A's data format).
-
-    ``multiclass=True`` keeps the original 4-class problem instead of
-    the paper's binary reduction: the mask becomes the
-    ``(num_classes, D, H, W)`` one-hot encoding for the softmax head.
     """
     image = crop_to_divisible(subject.image, divisor)
     label = crop_to_divisible(subject.label, divisor)
     if standardize_intensities:
         image = standardize(image)
-    if multiclass:
-        mask = one_hot(label, num_classes)
-    else:
-        mask = merge_labels_binary(label)[None]  # (1, D, H, W)
+    mask = merge_labels_binary(label)[None]  # (1, D, H, W)
     return TrainingExample(subject.subject_id, image.astype(np.float32), mask)

@@ -23,68 +23,28 @@ from .kernels import (
     workspace,
     workspace_bytes,
 )
-from .initializers import (
-    GlorotUniform,
-    HeNormal,
-    TruncatedNormal,
-    get_initializer,
-)
+from .initializers import TruncatedNormal, get_initializer
 from .layers import (
-    AvgPool3D,
     BatchNorm,
     Conv3D,
     ConvTranspose3D,
-    Dropout,
     FusedConvBNReLU3D,
-    GroupNorm,
-    Identity,
-    InstanceNorm,
-    LeakyReLU,
     MaxPool3D,
     ReLU,
     Sigmoid,
-    Softmax,
-    Tanh,
 )
 from .losses import (
     BinaryCrossEntropy,
-    ComboLoss,
     Loss,
-    MulticlassSoftDiceLoss,
     QuadraticSoftDiceLoss,
     SoftDiceLoss,
     get_loss,
 )
-from .metrics import mean_multiclass_dice, multiclass_dice
-from .metrics import (
-    batch_dice,
-    dice_coefficient,
-    iou,
-    precision,
-    recall,
-    soft_dice_coefficient,
-    voxel_accuracy,
-)
+from .metrics import batch_dice, dice_coefficient
 from .module import Module, Parameter, Sequential
 from .summary import LayerInfo, format_summary, model_summary
-from .optimizers import (
-    SGD,
-    Adam,
-    Momentum,
-    Optimizer,
-    clip_grad_norm,
-    get_optimizer,
-)
-from .schedules import (
-    ConstantLR,
-    CosineAnnealing,
-    CyclicLR,
-    ExponentialDecay,
-    LinearWarmup,
-    Schedule,
-    StepDecay,
-    linear_scaling_rule,
-)
+from .optimizers import SGD, Adam, Optimizer
+from .schedules import ConstantLR, CyclicLR, Schedule, linear_scaling_rule
 from .unet3d import PAPER_INPUT_SHAPE, PAPER_OUTPUT_SHAPE, ConvBlock, UNet3D
 
 __all__ = [
@@ -107,50 +67,24 @@ __all__ = [
     "ConvTranspose3D",
     "FusedConvBNReLU3D",
     "MaxPool3D",
-    "AvgPool3D",
     "BatchNorm",
-    "GroupNorm",
-    "InstanceNorm",
-    "Dropout",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
-    "Identity",
-    "Softmax",
     "Loss",
     "SoftDiceLoss",
     "QuadraticSoftDiceLoss",
     "BinaryCrossEntropy",
-    "MulticlassSoftDiceLoss",
-    "ComboLoss",
     "get_loss",
-    "multiclass_dice",
-    "mean_multiclass_dice",
     "dice_coefficient",
-    "soft_dice_coefficient",
     "batch_dice",
-    "iou",
-    "precision",
-    "recall",
-    "voxel_accuracy",
     "Optimizer",
     "SGD",
-    "Momentum",
     "Adam",
-    "get_optimizer",
-    "clip_grad_norm",
     "Schedule",
     "ConstantLR",
-    "StepDecay",
-    "ExponentialDecay",
     "CyclicLR",
-    "CosineAnnealing",
-    "LinearWarmup",
     "linear_scaling_rule",
     "TruncatedNormal",
-    "GlorotUniform",
-    "HeNormal",
     "get_initializer",
     "ConvBlock",
     "UNet3D",

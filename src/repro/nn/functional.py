@@ -48,8 +48,6 @@ __all__ = [
     "release_conv_ctx",
     "maxpool3d_forward",
     "maxpool3d_backward",
-    "avgpool3d_forward",
-    "avgpool3d_backward",
     "conv3d_output_shape",
     "conv_transpose3d_output_shape",
 ]
@@ -297,26 +295,6 @@ def maxpool3d_backward(dy: np.ndarray, arg: np.ndarray, x_shape, kernel=2):
     n, c, D, H, W = x_shape
     win = np.zeros((*dy.shape, kd * kh * kw), dtype=dy.dtype)
     np.put_along_axis(win, arg[..., None], dy[..., None], axis=-1)
-    v = win.reshape(n, c, D // kd, H // kh, W // kw, kd, kh, kw)
-    v = v.transpose(0, 1, 2, 5, 3, 6, 4, 7)
-    return v.reshape(n, c, D, H, W)
-
-
-def avgpool3d_forward(x: np.ndarray, kernel=2) -> np.ndarray:
-    """Non-overlapping 3D average pooling (stride == kernel)."""
-    k = _triple(kernel)
-    return _pool_windows(x, k).mean(axis=-1)
-
-
-def avgpool3d_backward(dy: np.ndarray, x_shape, kernel=2) -> np.ndarray:
-    """Spread pooled gradients uniformly over each window."""
-    k = _triple(kernel)
-    kd, kh, kw = k
-    n, c, D, H, W = x_shape
-    scale = 1.0 / (kd * kh * kw)
-    win = np.broadcast_to(
-        (dy * scale)[..., None], (*dy.shape, kd * kh * kw)
-    ).copy()
     v = win.reshape(n, c, D // kd, H // kh, W // kw, kd, kh, kw)
     v = v.transpose(0, 1, 2, 5, 3, 6, 4, 7)
     return v.reshape(n, c, D, H, W)

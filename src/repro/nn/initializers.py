@@ -1,8 +1,7 @@
 """Weight initializers.
 
 The paper (Section III-A) uses a *truncated normal* kernel initializer for
-every convolution layer; the rest are provided for completeness and for
-the ablation experiments.
+every convolution layer; biases start at zero.
 
 Every initializer takes an optional ``dtype``: an explicit value wins,
 ``None`` defers to the process compute-dtype policy
@@ -14,8 +13,6 @@ down-cast of the float64 one from the same seed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .dtypes import resolve_dtype
@@ -23,26 +20,9 @@ from .dtypes import resolve_dtype
 __all__ = [
     "Initializer",
     "Zeros",
-    "Ones",
-    "Constant",
-    "RandomNormal",
     "TruncatedNormal",
-    "GlorotUniform",
-    "HeNormal",
     "get_initializer",
 ]
-
-
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Compute fan-in / fan-out for dense or convolutional weight shapes.
-
-    Convolution weights are ``(C_out, C_in, *kernel)`` (channels-first),
-    dense weights are ``(in, out)``.
-    """
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-    return shape[1] * receptive, shape[0] * receptive
 
 
 class Initializer:
@@ -64,30 +44,6 @@ class Initializer:
 class Zeros(Initializer):
     def __call__(self, shape, rng):
         return np.zeros(shape, dtype=self._dtype())
-
-
-class Ones(Initializer):
-    def __call__(self, shape, rng):
-        return np.ones(shape, dtype=self._dtype())
-
-
-class Constant(Initializer):
-    def __init__(self, value: float, dtype=None):
-        super().__init__(dtype)
-        self.value = float(value)
-
-    def __call__(self, shape, rng):
-        return np.full(shape, self.value, dtype=self._dtype())
-
-
-class RandomNormal(Initializer):
-    def __init__(self, mean: float = 0.0, stddev: float = 0.05, dtype=None):
-        super().__init__(dtype)
-        self.mean, self.stddev = float(mean), float(stddev)
-
-    def __call__(self, shape, rng):
-        out = rng.normal(self.mean, self.stddev, size=shape)
-        return out.astype(self._dtype(), copy=False)
 
 
 class TruncatedNormal(Initializer):
@@ -114,32 +70,9 @@ class TruncatedNormal(Initializer):
         return out.astype(self._dtype(), copy=False)
 
 
-class GlorotUniform(Initializer):
-    """Uniform(-limit, limit) with limit = sqrt(6 / (fan_in + fan_out))."""
-
-    def __call__(self, shape, rng):
-        fan_in, fan_out = _fan_in_out(tuple(shape))
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        out = rng.uniform(-limit, limit, size=shape)
-        return out.astype(self._dtype(), copy=False)
-
-
-class HeNormal(Initializer):
-    """Normal(0, sqrt(2 / fan_in)) -- suited to ReLU networks."""
-
-    def __call__(self, shape, rng):
-        fan_in, _ = _fan_in_out(tuple(shape))
-        out = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
-        return out.astype(self._dtype(), copy=False)
-
-
 _REGISTRY = {
     "zeros": Zeros,
-    "ones": Ones,
-    "random_normal": RandomNormal,
     "truncated_normal": TruncatedNormal,
-    "glorot_uniform": GlorotUniform,
-    "he_normal": HeNormal,
 }
 
 

@@ -1,28 +1,18 @@
 """Layer zoo for the NumPy deep-learning engine."""
 
-from .activations import Identity, LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from .activations import ReLU, Sigmoid
 from .batchnorm import BatchNorm
-from .groupnorm import GroupNorm, InstanceNorm
 from .conv3d import Conv3D
 from .conv_transpose3d import ConvTranspose3D
-from .dropout import Dropout
 from .fused_block import FusedConvBNReLU3D
-from .pooling import AvgPool3D, MaxPool3D
+from .pooling import MaxPool3D
 
 __all__ = [
     "Conv3D",
     "FusedConvBNReLU3D",
     "ConvTranspose3D",
     "MaxPool3D",
-    "AvgPool3D",
     "BatchNorm",
-    "GroupNorm",
-    "InstanceNorm",
-    "Dropout",
     "ReLU",
-    "LeakyReLU",
     "Sigmoid",
-    "Tanh",
-    "Identity",
-    "Softmax",
 ]

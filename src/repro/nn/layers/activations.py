@@ -6,7 +6,7 @@ import numpy as np
 
 from ..module import Module
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Identity", "Softmax"]
+__all__ = ["ReLU", "Sigmoid"]
 
 
 class ReLU(Module):
@@ -24,24 +24,6 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         dx = np.where(self._mask, dy, 0.0)
-        self._mask = None
-        return dx
-
-
-class LeakyReLU(Module):
-    def __init__(self, alpha: float = 0.01):
-        super().__init__()
-        self.alpha = float(alpha)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        dx = np.where(self._mask, dy, self.alpha * dy)
         self._mask = None
         return dx
 
@@ -70,56 +52,5 @@ class Sigmoid(Module):
         if self._y is None:
             raise RuntimeError("backward called before forward")
         dx = dy * self._y * (1.0 - self._y)
-        self._y = None
-        return dx
-
-
-class Tanh(Module):
-    def __init__(self):
-        super().__init__()
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        dx = dy * (1.0 - self._y**2)
-        self._y = None
-        return dx
-
-
-class Identity(Module):
-    """No-op layer, handy as a placeholder in ablations."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy
-
-
-class Softmax(Module):
-    """Channel-axis softmax (for the 4-class variant of the task)."""
-
-    def __init__(self, axis: int = 1):
-        super().__init__()
-        self.axis = axis
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        z = x - x.max(axis=self.axis, keepdims=True)
-        e = np.exp(z)
-        self._y = e / e.sum(axis=self.axis, keepdims=True)
-        return self._y
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward")
-        y = self._y
-        dot = (dy * y).sum(axis=self.axis, keepdims=True)
-        dx = y * (dy - dot)
         self._y = None
         return dx

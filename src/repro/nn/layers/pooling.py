@@ -5,14 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..functional import (
-    avgpool3d_backward,
-    avgpool3d_forward,
     maxpool3d_backward,
     maxpool3d_forward,
 )
 from ..module import Module
 
-__all__ = ["MaxPool3D", "AvgPool3D"]
+__all__ = ["MaxPool3D"]
 
 
 class MaxPool3D(Module):
@@ -35,24 +33,4 @@ class MaxPool3D(Module):
             raise RuntimeError("backward called before forward")
         dx = maxpool3d_backward(dy, self._arg, self._x_shape, self.kernel_size)
         self._arg = None
-        return dx
-
-
-class AvgPool3D(Module):
-    """Average pooling counterpart, used by ablation experiments."""
-
-    def __init__(self, kernel_size=2):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self._x_shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        return avgpool3d_forward(x, self.kernel_size)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        dx = avgpool3d_backward(dy, self._x_shape, self.kernel_size)
-        self._x_shape = None
         return dx

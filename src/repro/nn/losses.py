@@ -25,9 +25,8 @@ __all__ = [
     "SoftDiceLoss",
     "QuadraticSoftDiceLoss",
     "BinaryCrossEntropy",
-    "MulticlassSoftDiceLoss",
-    "ComboLoss",
     "get_loss",
+    "LOSS_NAMES",
 ]
 
 
@@ -134,72 +133,14 @@ class BinaryCrossEntropy(Loss):
         return loss, grad
 
 
-class MulticlassSoftDiceLoss(Loss):
-    """Macro-averaged soft Dice over class channels.
-
-    For the original 4-class MSD problem (before the paper's binary
-    reduction): ``pred`` is a ``(N, C, ...)`` probability map (softmax
-    output), ``target`` the one-hot encoding of the label map.  The loss
-    is ``1 - mean_{n,c} dice(pred[n,c], target[n,c])``; background can
-    be excluded (BraTS convention).
-    """
-
-    def __init__(self, eps: float = 0.1, include_background: bool = True):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.eps = float(eps)
-        self.include_background = bool(include_background)
-
-    def forward(self, pred: np.ndarray, target: np.ndarray):
-        _validate(pred, target)
-        if pred.ndim < 3:
-            raise ValueError("expected (N, C, ...) class-channel tensors")
-        n, c = pred.shape[:2]
-        start = 0 if self.include_background else 1
-        if start >= c:
-            raise ValueError("no foreground channels to score")
-        p = pred.reshape(n, c, -1)
-        t = target.reshape(n, c, -1)
-
-        inter = np.einsum("ncv,ncv->nc", p, t)
-        num = 2.0 * inter + self.eps
-        den = p.sum(axis=2) + t.sum(axis=2) + self.eps
-        dice = num / den                     # (n, c)
-        used = dice[:, start:]
-        loss = float(np.mean(1.0 - used))
-
-        grad = np.zeros_like(p)
-        scale = 1.0 / (n * (c - start))
-        grad[:, start:] = (
-            -(2.0 * t[:, start:] * den[:, start:, None]
-              - num[:, start:, None])
-            / (den[:, start:, None] ** 2)
-        ) * scale
-        return loss, grad.reshape(pred.shape)
-
-
-class ComboLoss(Loss):
-    """Weighted sum of two losses (e.g. Dice + BCE), a common extension."""
-
-    def __init__(self, first: Loss, second: Loss, alpha: float = 0.5):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        self.first, self.second, self.alpha = first, second, float(alpha)
-
-    def forward(self, pred: np.ndarray, target: np.ndarray):
-        l1, g1 = self.first.forward(pred, target)
-        l2, g2 = self.second.forward(pred, target)
-        a = self.alpha
-        return a * l1 + (1 - a) * l2, a * g1 + (1 - a) * g2
-
-
 _REGISTRY = {
     "dice": SoftDiceLoss,
-    "soft_dice": SoftDiceLoss,
     "quadratic_dice": QuadraticSoftDiceLoss,
     "bce": BinaryCrossEntropy,
-    "multiclass_dice": MulticlassSoftDiceLoss,
 }
+
+#: Every loss a config (or ``distmis --loss/--losses``) may name.
+LOSS_NAMES = tuple(_REGISTRY)
 
 
 def get_loss(spec, **kwargs) -> Loss:

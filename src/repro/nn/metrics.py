@@ -13,15 +13,8 @@ import numpy as np
 
 __all__ = [
     "dice_coefficient",
-    "soft_dice_coefficient",
-    "iou",
-    "precision",
-    "recall",
-    "voxel_accuracy",
     "confusion_counts",
     "batch_dice",
-    "multiclass_dice",
-    "mean_multiclass_dice",
 ]
 
 
@@ -56,84 +49,6 @@ def dice_coefficient(
     if denom == 0:
         return float(empty_value)
     return 2 * tp / denom
-
-
-def soft_dice_coefficient(
-    pred: np.ndarray, target: np.ndarray, eps: float = 0.1
-) -> float:
-    """Differentiable Dice on probabilities (the training-time analogue)."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    num = 2.0 * float((p * t).sum()) + eps
-    den = float(p.sum()) + float(t.sum()) + eps
-    return num / den
-
-
-def iou(pred: np.ndarray, target: np.ndarray, threshold: float = 0.5) -> float:
-    """Jaccard index |A ∩ B| / |A ∪ B|."""
-    tp, fp, fn, _ = confusion_counts(pred, target, threshold)
-    denom = tp + fp + fn
-    if denom == 0:
-        return 1.0
-    return tp / denom
-
-
-def precision(pred: np.ndarray, target: np.ndarray, threshold: float = 0.5) -> float:
-    tp, fp, _, _ = confusion_counts(pred, target, threshold)
-    return tp / (tp + fp) if (tp + fp) > 0 else 1.0
-
-
-def recall(pred: np.ndarray, target: np.ndarray, threshold: float = 0.5) -> float:
-    tp, _, fn, _ = confusion_counts(pred, target, threshold)
-    return tp / (tp + fn) if (tp + fn) > 0 else 1.0
-
-
-def voxel_accuracy(
-    pred: np.ndarray, target: np.ndarray, threshold: float = 0.5
-) -> float:
-    tp, fp, fn, tn = confusion_counts(pred, target, threshold)
-    total = tp + fp + fn + tn
-    return (tp + tn) / total if total > 0 else 1.0
-
-
-def multiclass_dice(
-    pred: np.ndarray,
-    target: np.ndarray,
-    num_classes: int,
-    include_background: bool = False,
-) -> dict[int, float]:
-    """Per-class hard Dice for the original 4-class MSD problem.
-
-    ``pred`` is either a ``(C, ...)`` probability map (argmax over the
-    class axis) or an integer label map matching ``target``'s shape;
-    ``target`` is an integer label map.  Returns ``{class: dice}``;
-    class 0 (background) is skipped unless requested, matching BraTS
-    scoring conventions.
-    """
-    target = np.asarray(target)
-    pred = np.asarray(pred)
-    if pred.shape != target.shape:
-        if pred.ndim != target.ndim + 1 or pred.shape[0] != num_classes:
-            raise ValueError(
-                f"pred shape {pred.shape} incompatible with target "
-                f"{target.shape} and {num_classes} classes"
-            )
-        pred = pred.argmax(axis=0)
-    out: dict[int, float] = {}
-    start = 0 if include_background else 1
-    for c in range(start, num_classes):
-        out[c] = dice_coefficient(pred == c, target == c)
-    return out
-
-
-def mean_multiclass_dice(
-    pred: np.ndarray, target: np.ndarray, num_classes: int
-) -> float:
-    """Macro-averaged foreground Dice (the BraTS summary number)."""
-    per_class = multiclass_dice(pred, target, num_classes)
-    return float(np.mean(list(per_class.values())))
 
 
 def batch_dice(

@@ -1,11 +1,11 @@
 """Gradient-descent optimizers.
 
 The paper trains with Adam at an initial learning rate of ``1e-4 x #GPUs``
-(the linear scaling rule for data parallelism, Section IV-B); SGD and
-momentum variants are provided for the hyper-parameter search space and
-ablations.  Optimizers read ``Parameter.grad`` accumulated by the model's
-backward pass and update ``Parameter.value`` in place -- in-place updates
-keep the hot loop allocation-free.
+(the linear scaling rule for data parallelism, Section IV-B); plain SGD
+is the other choice of the hyper-parameter search space.  Optimizers
+read ``Parameter.grad`` accumulated by the model's backward pass and
+update ``Parameter.value`` in place -- in-place updates keep the hot
+loop allocation-free.
 """
 
 from __future__ import annotations
@@ -15,26 +15,7 @@ import numpy as np
 from .module import Module
 from .schedules import ConstantLR, Schedule
 
-__all__ = ["Optimizer", "SGD", "Momentum", "Adam", "get_optimizer",
-           "clip_grad_norm"]
-
-
-def clip_grad_norm(model: "Module", max_norm: float) -> float:
-    """Scale all trainable gradients so their global L2 norm is at most
-    ``max_norm``; returns the pre-clip norm.  The standard stabiliser
-    for the scaled learning rates the LR x #GPUs rule produces."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
-    total_sq = 0.0
-    params = [p for p in model.parameters() if p.trainable]
-    for p in params:
-        total_sq += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total_sq))
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            p.grad *= scale
-    return norm
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -92,36 +73,6 @@ class SGD(Optimizer):
         p.value -= lr * g
 
 
-class Momentum(Optimizer):
-    """SGD with (optionally Nesterov) momentum."""
-
-    def __init__(self, model, lr=1e-3, momentum: float = 0.9,
-                 nesterov: bool = False, weight_decay: float = 0.0):
-        super().__init__(model, lr, weight_decay)
-        self.momentum = float(momentum)
-        self.nesterov = bool(nesterov)
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def _update(self, index, p, g, lr):
-        v = self._velocity.get(index)
-        if v is None:
-            v = np.zeros_like(p.value)
-            self._velocity[index] = v
-        v *= self.momentum
-        v -= lr * g
-        if self.nesterov:
-            p.value += self.momentum * v - lr * g
-        else:
-            p.value += v
-
-    def state_dict(self):
-        return {"t": self.t, "velocity": {k: v.copy() for k, v in self._velocity.items()}}
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        self._velocity = {k: np.asarray(v).copy() for k, v in state["velocity"].items()}
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba), the paper's optimizer, with bias correction."""
 
@@ -163,17 +114,3 @@ class Adam(Optimizer):
         self.t = int(state["t"])
         self._m = {k: np.asarray(v).copy() for k, v in state["m"].items()}
         self._v = {k: np.asarray(v).copy() for k, v in state["v"].items()}
-
-
-_REGISTRY = {"sgd": SGD, "momentum": Momentum, "adam": Adam}
-
-
-def get_optimizer(spec: str, model: Module, **kwargs) -> Optimizer:
-    """Build an optimizer by name, as hyper-parameter configs do."""
-    try:
-        cls = _REGISTRY[spec]
-    except KeyError:
-        raise ValueError(
-            f"unknown optimizer {spec!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    return cls(model, **kwargs)

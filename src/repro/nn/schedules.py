@@ -15,11 +15,7 @@ import math
 __all__ = [
     "Schedule",
     "ConstantLR",
-    "StepDecay",
-    "ExponentialDecay",
     "CyclicLR",
-    "CosineAnnealing",
-    "LinearWarmup",
     "linear_scaling_rule",
 ]
 
@@ -39,30 +35,6 @@ class ConstantLR(Schedule):
 
     def __call__(self, step: int) -> float:
         return self.base_lr
-
-
-class StepDecay(Schedule):
-    """Multiply the rate by ``gamma`` every ``step_size`` updates."""
-
-    def __init__(self, lr: float, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.base_lr, self.step_size, self.gamma = float(lr), int(step_size), float(gamma)
-
-    def __call__(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.step_size)
-
-
-class ExponentialDecay(Schedule):
-    """``lr * decay**(step / decay_steps)`` (TensorFlow convention)."""
-
-    def __init__(self, lr: float, decay_steps: int, decay_rate: float):
-        self.base_lr = float(lr)
-        self.decay_steps = int(decay_steps)
-        self.decay_rate = float(decay_rate)
-
-    def __call__(self, step: int) -> float:
-        return self.base_lr * self.decay_rate ** (step / self.decay_steps)
 
 
 class CyclicLR(Schedule):
@@ -89,39 +61,6 @@ class CyclicLR(Schedule):
         x = abs(step / self.step_size - 2 * cycle + 1)
         scale = 1.0 if self.mode == "triangular" else 1.0 / (2 ** (cycle - 1))
         return self.base_lr + (self.max_lr - self.base_lr) * max(0.0, 1 - x) * scale
-
-
-class CosineAnnealing(Schedule):
-    """Half-cosine decay from ``lr`` to ``min_lr`` over ``total_steps``."""
-
-    def __init__(self, lr: float, total_steps: int, min_lr: float = 0.0):
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.base_lr, self.total_steps, self.min_lr = float(lr), int(total_steps), float(min_lr)
-
-    def __call__(self, step: int) -> float:
-        s = min(step, self.total_steps)
-        cos = 0.5 * (1 + math.cos(math.pi * s / self.total_steps))
-        return self.min_lr + (self.base_lr - self.min_lr) * cos
-
-
-class LinearWarmup(Schedule):
-    """Ramp linearly from 0 to the wrapped schedule over ``warmup_steps``.
-
-    The standard companion of the linear scaling rule: large scaled rates
-    are eased in to avoid early divergence.
-    """
-
-    def __init__(self, inner: Schedule, warmup_steps: int):
-        if warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
-        self.inner, self.warmup_steps = inner, int(warmup_steps)
-
-    def __call__(self, step: int) -> float:
-        lr = self.inner(step)
-        if self.warmup_steps and step < self.warmup_steps:
-            return lr * (step + 1) / self.warmup_steps
-        return lr
 
 
 def linear_scaling_rule(base_lr: float, num_replicas: int) -> float:

@@ -31,10 +31,7 @@ import numpy as np
 
 from .dtypes import resolve_dtype
 from .initializers import TruncatedNormal
-from .layers.activations import ReLU, Sigmoid, Softmax
-from .layers.batchnorm import BatchNorm
-from .layers.dropout import Dropout
-from .layers.groupnorm import GroupNorm, InstanceNorm
+from .layers.activations import ReLU, Sigmoid
 from .layers.conv3d import Conv3D
 from .layers.conv_transpose3d import ConvTranspose3D
 from .layers.fused_block import FusedConvBNReLU3D
@@ -49,33 +46,16 @@ PAPER_INPUT_SHAPE = (4, 240, 240, 152)
 PAPER_OUTPUT_SHAPE = (1, 240, 240, 152)
 
 
-def _make_norm(kind: str | None, channels: int, dtype=None) -> Module | None:
-    """Normalisation factory: 'batch' (the paper), 'instance', 'group'
-    (nnU-Net-style BN alternatives at tiny batch sizes) or None."""
-    if kind in (None, "none"):
-        return None
-    if kind == "batch":
-        return BatchNorm(channels, dtype=dtype)
-    if kind == "instance":
-        return InstanceNorm(channels, dtype=dtype)
-    if kind == "group":
-        return GroupNorm(channels, num_groups=max(1, channels // 4),
-                         dtype=dtype)
-    raise ValueError(
-        f"unknown norm {kind!r}; expected batch/instance/group/none"
-    )
-
-
 class ConvBlock(Module):
-    """Two (Conv3D 3x3x3 -> norm -> ReLU) stages (paper: BatchNorm).
+    """Two (Conv3D 3x3x3 -> BatchNorm -> ReLU) stages (Section III-A).
 
-    With the paper's BatchNorm each stage is a
+    With BatchNorm each stage is a
     :class:`~repro.nn.layers.fused_block.FusedConvBNReLU3D` composite:
     on a fusion-capable backend the whole triple runs as one fused
     kernel call, and on every other backend (or under sync-BN /
     instrumentation) it transparently degrades to the sequential
-    conv/bn/act chain with identical arithmetic.  Other norms keep the
-    flat ``Sequential`` wiring.
+    conv/bn/act chain with identical arithmetic.  Without BatchNorm
+    (``use_batchnorm=False``) each stage is a plain conv -> ReLU.
     """
 
     def __init__(
@@ -84,17 +64,14 @@ class ConvBlock(Module):
         out_channels: int,
         use_batchnorm: bool = True,
         rng: np.random.Generator | None = None,
-        norm: str | None = "__from_flag__",
         dtype=None,
         input_grad: bool = True,
     ):
         super().__init__()
-        if norm == "__from_flag__":
-            norm = "batch" if use_batchnorm else None
         dtype = resolve_dtype(dtype)
         init = TruncatedNormal(dtype=dtype)
         layers: list[Module] = []
-        if norm == "batch":
+        if use_batchnorm:
             # ``input_grad=False`` (the network's first block) lets the
             # fused backward skip the dx of the first stage entirely.
             layers.append(FusedConvBNReLU3D(
@@ -105,22 +82,12 @@ class ConvBlock(Module):
                 out_channels, out_channels, 3, padding="same",
                 kernel_initializer=init, rng=rng, dtype=dtype))
         else:
-            layers.append(
-                Conv3D(in_channels, out_channels, 3, padding="same",
-                       kernel_initializer=init, rng=rng, dtype=dtype)
-            )
-            n1 = _make_norm(norm, out_channels, dtype=dtype)
-            if n1 is not None:
-                layers.append(n1)
-            layers.append(ReLU())
-            layers.append(
-                Conv3D(out_channels, out_channels, 3, padding="same",
-                       kernel_initializer=init, rng=rng, dtype=dtype)
-            )
-            n2 = _make_norm(norm, out_channels, dtype=dtype)
-            if n2 is not None:
-                layers.append(n2)
-            layers.append(ReLU())
+            for ci in (in_channels, out_channels):
+                layers.append(
+                    Conv3D(ci, out_channels, 3, padding="same",
+                           kernel_initializer=init, rng=rng, dtype=dtype)
+                )
+                layers.append(ReLU())
         self.body = Sequential(*layers)
         self.out_channels = out_channels
 
@@ -151,13 +118,10 @@ class UNet3D(Module):
     use_batchnorm:
         Disable to obtain a purely deterministic network for the exact
         data-parallel equivalence tests.
-    final_activation:
-        ``"sigmoid"`` (paper's binary head) or ``"softmax"`` over the
-        class channels, for the original 4-class problem.
     input_grad:
         Whether :meth:`backward` returns the gradient with respect to
         the network input.  Training never needs it, so by default
-        ``backward`` returns ``None`` on every backend and norm, and the
+        ``backward`` returns ``None`` on every backend, and the
         fused kernel path skips the first block's input gradient.  Set
         True to get ``dx`` (gradient checks, input-sensitivity probes).
     """
@@ -171,9 +135,6 @@ class UNet3D(Module):
         transpose_halves: bool = True,
         use_batchnorm: bool = True,
         rng: np.random.Generator | None = None,
-        final_activation: str = "sigmoid",
-        norm: str | None = "__from_flag__",
-        bottleneck_dropout: float = 0.0,
         dtype=None,
         input_grad: bool = False,
     ):
@@ -182,14 +143,6 @@ class UNet3D(Module):
             raise ValueError("UNet3D needs depth >= 2")
         if base_filters < 1:
             raise ValueError("base_filters must be >= 1")
-        if final_activation not in ("sigmoid", "softmax"):
-            raise ValueError(
-                f"final_activation must be 'sigmoid' or 'softmax', "
-                f"got {final_activation!r}"
-            )
-        if norm == "__from_flag__":
-            norm = "batch" if use_batchnorm else None
-        self.norm = norm
         self.dtype = resolve_dtype(dtype)
         rng = rng if rng is not None else np.random.default_rng()
         self.in_channels = int(in_channels)
@@ -207,7 +160,7 @@ class UNet3D(Module):
         self.enc_blocks: list[ConvBlock] = []
         self.pools: list[MaxPool3D] = []
         for s in range(depth):
-            blk = ConvBlock(ci, filters[s], use_batchnorm, rng, norm=norm,
+            blk = ConvBlock(ci, filters[s], use_batchnorm, rng,
                             dtype=self.dtype,
                             input_grad=(s > 0 or self.input_grad))
             setattr(self, f"enc{s}", blk)
@@ -230,23 +183,15 @@ class UNet3D(Module):
             setattr(self, f"up{s}", up)
             self.up_convs.append(up)
             blk = ConvBlock(up_out + filters[s], filters[s], use_batchnorm,
-                            rng, norm=norm, dtype=self.dtype)
+                            rng, dtype=self.dtype)
             setattr(self, f"dec{s}", blk)
             self.dec_blocks.append(blk)
             cur = filters[s]
 
-        self.bottleneck_dropout = (
-            Dropout(bottleneck_dropout, rng=rng)
-            if bottleneck_dropout > 0.0
-            else None
-        )
         self.head = Conv3D(cur, out_channels, 1, padding="valid",
                            kernel_initializer=init, rng=rng,
                            dtype=self.dtype)
-        self.final_activation = final_activation
-        self.out_act = (
-            Sigmoid() if final_activation == "sigmoid" else Softmax(axis=1)
-        )
+        self.out_act = Sigmoid()
 
         self._skip_channels: list[int] | None = None
 
@@ -278,8 +223,6 @@ class UNet3D(Module):
             skips.append(x)
             x = self.pools[s](x)
         x = self.enc_blocks[-1](x)
-        if self.bottleneck_dropout is not None:
-            x = self.bottleneck_dropout(x)
 
         self._skip_channels = []
         for i, s in enumerate(range(self.depth - 2, -1, -1)):
@@ -308,8 +251,6 @@ class UNet3D(Module):
             dy = self.up_convs[i].backward(np.ascontiguousarray(dup))
 
         # Bottom block, then the analysis path in reverse.
-        if self.bottleneck_dropout is not None:
-            dy = self.bottleneck_dropout.backward(dy)
         dy = self.enc_blocks[-1].backward(dy)
         for s in range(self.depth - 2, -1, -1):
             dy = self.pools[s].backward(dy)

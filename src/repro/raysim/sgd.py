@@ -535,29 +535,6 @@ class DataParallelTrainer:
         bounds = np.linspace(0, n, self.num_replicas + 1).astype(int)
         return [slice(bounds[i], bounds[i + 1]) for i in range(self.num_replicas)]
 
-    def _finish_step(self, t0: float, t_fb: float, grads: list,
-                     loss_total, replica_seconds: dict) -> dict:
-        """All-reduce, apply everywhere, record telemetry."""
-        # every replica now holds the sum
-        reduced = ring_allreduce(grads, telemetry=self._telemetry)
-        t_sync_done = time.perf_counter()
-        lr = self._apply(reduced)
-        # forward-backward plus the optimizer update; the all-reduce in
-        # between attributes itself to the "sync" bucket
-        self._telemetry.on_step_bucket(
-            "compute", (t_fb - t0) + (time.perf_counter() - t_sync_done))
-        self._record_kernel_stats(replica_seconds)
-
-        self.steps_run += 1
-        loss_total = float(loss_total)
-        self._m_steps.inc()
-        self._m_step_seconds.observe(time.perf_counter() - t0)
-        self._m_loss.observe(loss_total)
-        self._m_lr.set(lr)
-        if self._telemetry.enabled:  # the norm is a derived computation
-            self._m_grad_norm.set(float(np.linalg.norm(reduced[0])))
-        return {"loss": loss_total, "lr": lr}
-
     def train_step(self, x: np.ndarray, y: np.ndarray) -> dict:
         """One synchronous step on the global batch ``(x, y)``.
 
@@ -572,59 +549,27 @@ class DataParallelTrainer:
         replica_seconds: dict = {}
         outs = self._replica_grads(x, y, shards, weights, replica_seconds)
         t_fb = time.perf_counter()
-        return self._finish_step(t0, t_fb, [g for _, g in outs],
-                                 sum(l for l, _ in outs), replica_seconds)
 
-    def train_step_accumulated(
-        self, x: np.ndarray, y: np.ndarray, accumulation_steps: int
-    ) -> dict:
-        """One optimizer update from ``accumulation_steps`` sequential
-        micro-batches -- the memory-saving alternative to a big batch
-        (Section V-C: a 16 GB V100 holds only 2 full volumes at once,
-        but gradient accumulation emulates any global batch).  Exactly
-        equivalent to :meth:`train_step` on the whole batch; asserted by
-        the tests.
-        """
-        if accumulation_steps < 1:
-            raise ValueError("accumulation_steps must be >= 1")
-        t0 = time.perf_counter()
-        n_total = x.shape[0]
-        if n_total < accumulation_steps * self.num_replicas:
-            raise ValueError(
-                f"batch of {n_total} cannot feed {accumulation_steps} "
-                f"micro-steps x {self.num_replicas} replicas"
-            )
-        bounds = np.linspace(0, n_total, accumulation_steps + 1).astype(int)
+        # every replica now holds the sum
+        reduced = ring_allreduce([g for _, g in outs],
+                                 telemetry=self._telemetry)
+        t_sync_done = time.perf_counter()
+        lr = self._apply(reduced)
+        # forward-backward plus the optimizer update; the all-reduce in
+        # between attributes itself to the "sync" bucket
+        self._telemetry.on_step_bucket(
+            "compute", (t_fb - t0) + (time.perf_counter() - t_sync_done))
+        self._record_kernel_stats(replica_seconds)
 
-        acc: list[np.ndarray] | None = None
-        loss_total = 0.0
-        replica_seconds: dict = {}
-        for k in range(accumulation_steps):
-            sl = slice(bounds[k], bounds[k + 1])
-            micro_w = (sl.stop - sl.start) / n_total
-            shards = self._shards(sl.stop - sl.start)
-            weights = [
-                (s.stop - s.start) / (sl.stop - sl.start) * micro_w
-                for s in shards
-            ]
-            outs = self._replica_grads(x[sl], y[sl], shards, weights,
-                                       replica_seconds)
-            loss_total += sum(l for l, _ in outs)
-            grads = [g for _, g in outs]
-            acc = grads if acc is None else [a + g for a, g in zip(acc, grads)]
-        t_fb = time.perf_counter()
-        return self._finish_step(t0, t_fb, acc, loss_total, replica_seconds)
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> dict:
-        """Loss + prediction on replica 0 in eval mode."""
-        pred = self.model.predict(x) if hasattr(self.model, "predict") else None
-        if pred is None:
-            was = self.model.training
-            self.model.eval()
-            pred = self.model(x)
-            self.model.train(was)
-        loss_val, _ = self.loss.forward(pred, y)
-        return {"loss": float(loss_val), "prediction": pred}
+        self.steps_run += 1
+        loss_total = float(sum(l for l, _ in outs))
+        self._m_steps.inc()
+        self._m_step_seconds.observe(time.perf_counter() - t0)
+        self._m_loss.observe(loss_total)
+        self._m_lr.set(lr)
+        if self._telemetry.enabled:  # the norm is a derived computation
+            self._m_grad_norm.set(float(np.linalg.norm(reduced[0])))
+        return {"loss": loss_total, "lr": lr}
 
     def load_checkpoint(self, path) -> dict:
         """Restore model + optimizer from ``path`` on every replica (the

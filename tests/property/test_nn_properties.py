@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import (
-    QuadraticSoftDiceLoss,
-    SoftDiceLoss,
-    dice_coefficient,
-    iou,
-    soft_dice_coefficient,
-)
+from repro.nn import QuadraticSoftDiceLoss, SoftDiceLoss, dice_coefficient
 from repro.nn.functional import (
     conv3d_forward,
     conv3d_output_shape,
@@ -45,18 +39,6 @@ class TestDiceProperties:
     @given(a=masks())
     def test_self_dice_is_one(self, a):
         assert dice_coefficient(a, a) == 1.0
-
-    @settings(**SMALL)
-    @given(a=masks(), b=masks())
-    def test_dice_iou_relation(self, a, b):
-        """dice = 2 iou / (1 + iou) for all hard masks."""
-        d, j = dice_coefficient(a, b), iou(a, b)
-        assert abs(d - 2 * j / (1 + j)) < 1e-12
-
-    @settings(**SMALL)
-    @given(p=probs(), t=masks((2, 1, 2, 2, 2)))
-    def test_soft_dice_bounded(self, p, t):
-        assert 0.0 < soft_dice_coefficient(p, t) <= 1.0 + 1e-12
 
 
 class TestLossProperties:

@@ -29,6 +29,24 @@ class TestParser:
         args = build_parser().parse_args(["simulate", "data_parallel", "8"])
         assert args.gpus == 8
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--losses", "dice", "nope", "--executor", "process"],
+        ["train", "--loss", "nope"],
+    ], ids=["search", "train"])
+    def test_unknown_loss_is_a_parse_error(self, argv, capsys, monkeypatch):
+        """An unknown loss name exits 2 with an argparse error before the
+        command runs: no cohort is built and no pool is started."""
+        import repro.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "cmd_search", ran.append)
+        monkeypatch.setattr(cli, "cmd_train", ran.append)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert ran == []
+
 
 class TestCommands:
     def test_table1_prints_all_rows(self, capsys):

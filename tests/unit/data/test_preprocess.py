@@ -8,7 +8,6 @@ from repro.data import (
     center_crop,
     crop_to_divisible,
     merge_labels_binary,
-    one_hot,
     preprocess_subject,
     standardize,
 )
@@ -91,17 +90,6 @@ class TestLabels:
         out = merge_labels_binary(label)
         np.testing.assert_array_equal(out, [[0, 1], [1, 1]])
         assert out.dtype == np.float32
-
-    def test_one_hot_roundtrip(self):
-        label = rng.integers(0, 4, size=(4, 4, 4)).astype(np.uint8)
-        oh = one_hot(label, 4)
-        assert oh.shape == (4, 4, 4, 4)
-        np.testing.assert_array_equal(oh.argmax(axis=0), label)
-        np.testing.assert_allclose(oh.sum(axis=0), 1.0)
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([0, 4]), 4)
 
 
 class TestPreprocessSubject:

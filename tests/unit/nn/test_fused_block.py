@@ -165,7 +165,7 @@ class TestInputGradSkip:
                                        rtol=1e-12, atol=0, err_msg=name)
 
     def test_unet_first_encoder_block_skips_input_grad(self):
-        net = UNet3D(2, 1, base_filters=2, depth=2, norm="batch",
+        net = UNet3D(2, 1, base_filters=2, depth=2,
                      rng=np.random.default_rng(3))
         first = net.enc_blocks[0].body.layers[0]
         assert isinstance(first, FusedConvBNReLU3D)

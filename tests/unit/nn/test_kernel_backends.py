@@ -284,7 +284,8 @@ class TestModelLevelParity:
 
         def grads(name):
             with use_backend(name):
-                net = UNet3D(2, 1, base_filters=2, depth=2, norm="none",
+                net = UNet3D(2, 1, base_filters=2, depth=2,
+                             use_batchnorm=False,
                              rng=np.random.default_rng(3))
                 net.train()
                 net.zero_grad()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     BinaryCrossEntropy,
-    ComboLoss,
     QuadraticSoftDiceLoss,
     SoftDiceLoss,
     get_loss,
@@ -109,22 +108,6 @@ class TestBCE:
         target = np.array([[1.0, 0.0]])
         loss, grad = BinaryCrossEntropy().forward(pred, target)
         assert np.isfinite(loss) and np.isfinite(grad).all()
-
-
-class TestComboLoss:
-    def test_alpha_blend(self):
-        pred, target = _rand_pred_target()
-        d, b = SoftDiceLoss(), BinaryCrossEntropy()
-        combo = ComboLoss(d, b, alpha=0.3)
-        lc, gc = combo.forward(pred, target)
-        ld, gd = d.forward(pred, target)
-        lb, gb = b.forward(pred, target)
-        assert lc == pytest.approx(0.3 * ld + 0.7 * lb)
-        np.testing.assert_allclose(gc, 0.3 * gd + 0.7 * gb)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ComboLoss(SoftDiceLoss(), BinaryCrossEntropy(), alpha=1.5)
 
 
 class TestRegistry:

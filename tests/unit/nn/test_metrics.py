@@ -1,17 +1,9 @@
-"""Metric tests: Dice, IoU, precision/recall, confusion counts."""
+"""Metric tests: Dice and confusion counts."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    batch_dice,
-    dice_coefficient,
-    iou,
-    precision,
-    recall,
-    soft_dice_coefficient,
-    voxel_accuracy,
-)
+from repro.nn import batch_dice, dice_coefficient
 from repro.nn.metrics import confusion_counts
 
 
@@ -52,44 +44,6 @@ class TestDice:
     def test_symmetry(self):
         pred, target = _masks()
         assert dice_coefficient(pred, target) == dice_coefficient(target, pred)
-
-    def test_dice_vs_iou_relation(self):
-        """dice = 2*iou / (1 + iou) for any pair of hard masks."""
-        pred, target = _masks()
-        d = dice_coefficient(pred, target)
-        j = iou(pred, target)
-        assert d == pytest.approx(2 * j / (1 + j))
-
-
-class TestSoftDice:
-    def test_matches_hard_dice_on_binary(self):
-        pred, target = _masks()
-        assert soft_dice_coefficient(pred, target, eps=1e-12) == pytest.approx(
-            0.5, abs=1e-9
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            soft_dice_coefficient(np.zeros(3), np.zeros(4))
-
-
-class TestPrecisionRecall:
-    def test_values(self):
-        pred, target = _masks()
-        # TP=16, FP=16, FN=16
-        assert precision(pred, target) == pytest.approx(0.5)
-        assert recall(pred, target) == pytest.approx(0.5)
-
-    def test_empty_prediction_precision_is_one(self):
-        z = np.zeros((2, 2, 2))
-        t = np.ones((2, 2, 2))
-        assert precision(z, t) == 1.0
-        assert recall(z, t) == 0.0
-
-    def test_accuracy(self):
-        pred, target = _masks()
-        # TP=16 TN=16 of 64
-        assert voxel_accuracy(pred, target) == pytest.approx(0.5)
 
 
 class TestConfusion:

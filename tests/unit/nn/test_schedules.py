@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.nn import (
-    ConstantLR,
-    CosineAnnealing,
-    CyclicLR,
-    ExponentialDecay,
-    LinearWarmup,
-    StepDecay,
-    linear_scaling_rule,
-)
+from repro.nn import ConstantLR, CyclicLR, linear_scaling_rule
 
 
 class TestConstant:
@@ -21,22 +13,6 @@ class TestConstant:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ConstantLR(0.0)
-
-
-class TestStepDecay:
-    def test_decays_at_boundaries(self):
-        s = StepDecay(1.0, step_size=10, gamma=0.5)
-        assert s(0) == 1.0
-        assert s(9) == 1.0
-        assert s(10) == 0.5
-        assert s(20) == 0.25
-
-
-class TestExponential:
-    def test_smooth_decay(self):
-        s = ExponentialDecay(1.0, decay_steps=10, decay_rate=0.5)
-        assert s(10) == pytest.approx(0.5)
-        assert s(5) == pytest.approx(0.5**0.5)
 
 
 class TestCyclic:
@@ -65,32 +41,6 @@ class TestCyclic:
             CyclicLR(0.1, 1.0, 0)
         with pytest.raises(ValueError):
             CyclicLR(0.1, 1.0, 10, mode="sawtooth")
-
-
-class TestCosine:
-    def test_endpoints(self):
-        s = CosineAnnealing(1.0, total_steps=100, min_lr=0.1)
-        assert s(0) == pytest.approx(1.0)
-        assert s(100) == pytest.approx(0.1)
-        assert s(500) == pytest.approx(0.1)  # clamps past the horizon
-
-    def test_monotone_decrease(self):
-        s = CosineAnnealing(1.0, total_steps=50)
-        vals = [s(t) for t in range(51)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-class TestWarmup:
-    def test_ramps_into_inner(self):
-        s = LinearWarmup(ConstantLR(1.0), warmup_steps=10)
-        assert s(0) == pytest.approx(0.1)
-        assert s(4) == pytest.approx(0.5)
-        assert s(10) == pytest.approx(1.0)
-        assert s(50) == pytest.approx(1.0)
-
-    def test_zero_warmup_is_identity(self):
-        s = LinearWarmup(ConstantLR(0.3), warmup_steps=0)
-        assert s(0) == 0.3
 
 
 class TestLinearScalingRule:

@@ -1,9 +1,17 @@
 """3D U-Net architecture tests (experiment E6: the Fig 2 model)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.nn import PAPER_INPUT_SHAPE, PAPER_OUTPUT_SHAPE, UNet3D
+from repro.nn import (
+    PAPER_INPUT_SHAPE,
+    PAPER_OUTPUT_SHAPE,
+    Adam,
+    SoftDiceLoss,
+    UNet3D,
+)
 from repro.nn.kernels import use_backend
 
 rng = np.random.default_rng(3)
@@ -166,22 +174,6 @@ class TestVariants:
         y = net(rng.normal(size=(1, 2, 4, 4, 4)))
         assert y.shape == (1, 4, 4, 4, 4)
 
-    def test_bottleneck_dropout_variant(self):
-        net = UNet3D(2, 1, 2, 2, bottleneck_dropout=0.5,
-                     use_batchnorm=False, rng=np.random.default_rng(0),
-                     input_grad=True)
-        x = rng.normal(size=(2, 2, 8, 8, 8))
-        y1 = net(x)
-        y2 = net(x)
-        assert not np.array_equal(y1, y2)  # stochastic in train mode
-        np.testing.assert_array_equal(net.predict(x), net.predict(x))
-        dx = net.backward(np.ones_like(y2))
-        assert dx.shape == x.shape
-
-    def test_dropout_zero_is_absent(self):
-        net = tiny()
-        assert net.bottleneck_dropout is None
-
     def test_seeded_construction_is_reproducible(self):
         a = UNet3D(2, 1, 2, 2, rng=np.random.default_rng(5))
         b = UNet3D(2, 1, 2, 2, rng=np.random.default_rng(5))
@@ -192,8 +184,9 @@ class TestVariants:
 
 def _backward_under(backend, norm, input_grad):
     """One float64 train-mode forward/backward of a seeded tiny U-Net
-    under ``backend``; returns ``(backward's return value, net)``."""
-    net = UNet3D(2, 1, 2, 2, norm=norm, dtype="float64",
+    under ``backend`` (``norm``: "batch" or None for no BatchNorm);
+    returns ``(backward's return value, net)``."""
+    net = UNet3D(2, 1, 2, 2, use_batchnorm=norm == "batch", dtype="float64",
                  rng=np.random.default_rng(7), input_grad=input_grad)
     x = np.random.default_rng(8).normal(size=(2, 2, 8, 8, 8))
     with use_backend(backend):
@@ -244,3 +237,58 @@ class TestBatchInvariance:
         single = np.concatenate([net.forward(x[i:i + 1]) for i in range(4)])
         assert batched.dtype == np.dtype(dtype)
         assert np.array_equal(batched, single)
+
+
+def _model_digest(net) -> str:
+    h = hashlib.sha256()
+    for _, p in net.named_parameters():
+        h.update(p.value.tobytes())
+    return h.hexdigest()
+
+
+class TestShippedModelBytes:
+    """Pinned bytes of the shipped model, ``UNet3D(4, 1, 4, 3)`` from
+    seed 0: every parameter and BatchNorm buffer, after construction and
+    after two Adam + soft-Dice steps on a fixed 16^3 batch.  A change to
+    the wiring, the initialisation order or the training arithmetic of
+    the default model fails here.  The trained digests also depend on
+    the BLAS NumPy links; re-record them only for a new NumPy build."""
+
+    @pytest.mark.parametrize("dtype, built, trained", [
+        (np.float64,
+         "ebd5e8e03ac11dad679eb7cb6503dd1a6b91a6d153c4bac442a0b31fe78491f7",
+         "fb8977b10fe274e5ee117cf945a4fdf0ac6b008dba5806ef2e5e2e2b79e25f19"),
+        (np.float32,
+         "4e4fe872bfc8e34b00aee65212b0505143a12263e3ee16b2929f342714c4fb31",
+         "98fa237bc41ea02e2a276f4b9c15f1677916e90369721fac69411b054532876e"),
+    ], ids=["float64", "float32"])
+    def test_model_bytes_pinned(self, dtype, built, trained):
+        net = UNet3D(4, 1, 4, 3, rng=np.random.default_rng(0), dtype=dtype)
+        assert _model_digest(net) == built
+        data = np.random.default_rng(1)
+        x = data.standard_normal((2, 4, 16, 16, 16)).astype(dtype)
+        y = (data.random((2, 1, 16, 16, 16)) < 0.3).astype(dtype)
+        opt, loss = Adam(net, lr=1e-3), SoftDiceLoss()
+        for _ in range(2):
+            net.zero_grad()
+            _, grad = loss.forward(net(x), y)
+            net.backward(grad)
+            opt.step()
+        assert _model_digest(net) == trained
+
+    def test_parameter_names_and_shapes(self):
+        net = UNet3D(4, 1, 4, 3, rng=np.random.default_rng(0))
+        blocks = {"enc0": (4, 4), "enc1": (4, 8), "enc2": (8, 16),
+                  "dec1": (16, 8), "dec0": (8, 4)}
+        expected = {"head.w": (1, 4, 1, 1, 1), "head.b": (1,),
+                    "up1.w": (16, 8, 2, 2, 2), "up1.b": (8,),
+                    "up0.w": (8, 4, 2, 2, 2), "up0.b": (4,)}
+        for blk, (ci, co) in blocks.items():
+            for layer, cin in ((0, ci), (1, co)):
+                pre = f"{blk}.body.layer{layer}"
+                expected[f"{pre}.conv.w"] = (co, cin, 3, 3, 3)
+                for name in ("conv.b", "bn.gamma", "bn.beta",
+                             "bn.running_mean", "bn.running_var"):
+                    expected[f"{pre}.{name}"] = (co,)
+        got = sorted((n, p.shape) for n, p in net.named_parameters())
+        assert got == sorted(expected.items())

@@ -144,14 +144,6 @@ class TestInvariants:
         with pytest.raises(ValueError):
             t.train_step(np.zeros((2, 1, 4, 4, 4)), np.zeros((3, 1, 4, 4, 4)))
 
-    def test_evaluate_returns_loss_and_prediction(self):
-        x, y = batch(2)
-        t = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
-                                lambda m: SGD(m, lr=1e-2), 1)
-        out = t.evaluate(x, y)
-        assert 0 <= out["loss"] <= 1
-        assert out["prediction"].shape == y.shape
-
     def test_bad_replica_count(self):
         with pytest.raises(ValueError):
             DataParallelTrainer(unet_factory(), SoftDiceLoss(),
