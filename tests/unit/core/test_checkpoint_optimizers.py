@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import CheckpointManager, load_checkpoint, save_checkpoint
 from repro.core.checkpoint import _flatten_opt_state, _unflatten_opt_state
-from repro.nn import SGD, Adam, SoftDiceLoss, UNet3D
+from repro.nn import SGD, Adam, CyclicLR, SoftDiceLoss, UNet3D
 
 
 def tiny(seed=0):
@@ -31,8 +31,12 @@ def train_steps(net, opt, steps=3, seed=2):
     [
         lambda m: SGD(m, lr=1e-2),
         lambda m: Adam(m, lr=1e-3),
+        lambda m: SGD(m, lr=1e-2, weight_decay=1e-3),
+        lambda m: Adam(m, lr=1e-3, weight_decay=1e-3),
+        lambda m: Adam(m, lr=CyclicLR(1e-4, 1e-2, step_size=2)),
     ],
-    ids=["sgd", "adam"],
+    ids=["sgd", "adam", "sgd_weight_decay", "adam_weight_decay",
+         "adam_cyclic"],
 )
 def test_optimizer_checkpoint_roundtrip(tmp_path, factory):
     """Nested optimizer state (including integer slot keys) must

@@ -1,8 +1,10 @@
 """CLI tests (argparse wiring + command behaviour, in-process)."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.nn.losses import LOSS_NAMES, get_loss
 
 
 class TestParser:
@@ -46,6 +48,21 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
         assert ran == []
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_every_registered_loss_parses(self, name):
+        """Both loss flags accept exactly the registry's names."""
+        parser = build_parser()
+        assert parser.parse_args(["train", "--loss", name]).loss == name
+        args = parser.parse_args(["search", "--losses", "dice", name])
+        assert args.losses == ["dice", name]
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_configured_loss_is_built_from_registry(self, name):
+        """A parsed name resolves to a loss the trainer can call."""
+        args = build_parser().parse_args(["train", "--loss", name])
+        pred = np.full((1, 1, 2, 2, 2), 0.5)
+        assert np.isfinite(get_loss(args.loss)(pred, np.ones_like(pred)))
 
 
 class TestCommands:

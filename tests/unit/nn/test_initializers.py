@@ -83,3 +83,16 @@ class TestDtypePolicy:
         # instance passthrough keeps the instance's own dtype
         inst = TruncatedNormal(dtype="float32")
         assert get_initializer(inst, dtype="float64") is inst
+
+
+class TestTruncationAcrossSettings:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mean, stddev", [(0.0, 0.05), (0.5, 1.0),
+                                              (-2.0, 0.01)])
+    def test_within_two_sigma_in_requested_dtype(self, mean, stddev, dtype):
+        w = TruncatedNormal(mean, stddev, dtype=dtype)(
+            (64, 64), np.random.default_rng(5))
+        assert w.dtype == np.dtype(dtype)
+        tol = 1e-6 * max(1.0, abs(mean))
+        assert w.min() >= mean - 2 * stddev - tol
+        assert w.max() <= mean + 2 * stddev + tol

@@ -66,3 +66,27 @@ class TestBatchDice:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             batch_dice(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+class TestThresholds:
+    """Hard masks come from thresholding the sigmoid output; the
+    prediction threshold moves the counts, the target's does not."""
+
+    @pytest.mark.parametrize("threshold, counts", [
+        (0.1, (2, 2, 0, 0)), (0.25, (2, 1, 0, 1)), (0.35, (1, 1, 1, 1)),
+        (0.65, (1, 0, 1, 2)), (0.95, (0, 0, 2, 2)),
+    ])
+    def test_confusion_counts(self, threshold, counts):
+        pred = np.array([0.9, 0.6, 0.3, 0.2])
+        target = np.array([1.0, 0.0, 1.0, 0.0])
+        assert confusion_counts(pred, target, threshold) == counts
+
+    @pytest.mark.parametrize("threshold", [0.2, 0.5, 0.8])
+    def test_batch_dice_matches_per_sample_dice(self, threshold):
+        r = np.random.default_rng(4)
+        pred = r.uniform(size=(3, 1, 4, 4, 4))
+        target = (r.uniform(size=pred.shape) > 0.6).astype(float)
+        expected = [dice_coefficient(p, t, threshold)
+                    for p, t in zip(pred, target)]
+        np.testing.assert_array_equal(batch_dice(pred, target, threshold),
+                                      expected)

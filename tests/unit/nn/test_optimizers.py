@@ -125,3 +125,33 @@ class TestMechanics:
     def test_bad_betas_rejected(self):
         with pytest.raises(ValueError):
             Adam(Quadratic(), beta1=1.0)
+
+
+class TestInPlaceUpdates:
+    """Updates write into the parameter's own buffer: the array object
+    and its dtype survive every step, so float32 models stay float32."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("opt_cls", [SGD, Adam], ids=["sgd", "adam"])
+    def test_step_keeps_buffer_and_dtype(self, opt_cls, dtype):
+        model = Quadratic()
+        model.w.value = model.w.value.astype(dtype)
+        buf = model.w.value
+        opt = opt_cls(model, lr=0.1)
+        for _ in range(3):
+            model.zero_grad()
+            model.w.grad = (model.w.value - model.target).astype(dtype)
+            opt.step()
+        assert model.w.value is buf
+        assert buf.dtype == dtype
+        assert np.abs(buf).sum() > 0
+
+    @pytest.mark.parametrize("lr", [1e-4, 1e-2, 0.5])
+    def test_adam_first_step_moves_each_weight_by_lr(self, lr):
+        """With bias correction, step one is lr * sign(grad) (up to eps)."""
+        model = Quadratic()
+        opt = Adam(model, lr=lr)
+        model.loss_and_grad()
+        opt.step()
+        np.testing.assert_allclose(model.w.value,
+                                   lr * np.sign(model.target), rtol=1e-6)

@@ -292,3 +292,76 @@ class TestShippedModelBytes:
                     expected[f"{pre}.{name}"] = (co,)
         got = sorted((n, p.shape) for n, p in net.named_parameters())
         assert got == sorted(expected.items())
+
+
+def _closed_form_params(in_ch, out_ch, base, depth, halves, bn):
+    """Parameter count of the U-Net read off the architecture text:
+    3x3x3 conv stages (plus four BatchNorm vectors each), 2x2x2
+    up-convolutions, skip concatenation and a 1x1x1 head."""
+    f = [base * 2**s for s in range(depth)]
+
+    def conv(ci, co, k):
+        return k**3 * ci * co + co
+
+    def block(ci, co):
+        return conv(ci, co, 3) + conv(co, co, 3) + (8 * co if bn else 0)
+
+    total, ci = 0, in_ch
+    for s in range(depth):
+        total += block(ci, f[s])
+        ci = f[s]
+    cur = f[-1]
+    for s in range(depth - 2, -1, -1):
+        up_out = f[s] if halves else cur
+        total += conv(cur, up_out, 2) + block(up_out + f[s], f[s])
+        cur = f[s]
+    return total + conv(cur, out_ch, 1)
+
+
+class TestParameterCount:
+    """``num_params`` equals the closed-form count for every size of the
+    one model ``repro.nn`` builds, the paper's two readings included."""
+
+    @pytest.mark.parametrize("in_ch, out_ch, base, depth", [
+        (4, 1, 8, 4), (4, 1, 4, 3), (1, 1, 2, 2), (2, 1, 2, 3),
+        (4, 2, 4, 2), (3, 1, 1, 4),
+    ], ids=["paper", "shipped", "tiny", "d3", "two_out", "base1"])
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "nobn"])
+    @pytest.mark.parametrize("halves", [True, False],
+                             ids=["halves", "keeps"])
+    def test_matches_closed_form(self, in_ch, out_ch, base, depth, halves,
+                                 bn):
+        net = UNet3D(in_ch, out_ch, base, depth, transpose_halves=halves,
+                     use_batchnorm=bn, rng=np.random.default_rng(0))
+        assert net.num_params() == _closed_form_params(
+            in_ch, out_ch, base, depth, halves, bn)
+
+    def test_closed_form_gives_paper_readings(self):
+        assert _closed_form_params(4, 1, 8, 4, True, True) == 352_513
+        assert _closed_form_params(4, 1, 8, 4, False, True) == 410_361
+
+    def test_trainable_count_excludes_batchnorm_buffers(self):
+        """Two stages per block, each with running mean and variance."""
+        net = UNet3D(4, 1, 8, 4, rng=np.random.default_rng(0))
+        filters = [8, 16, 32, 64] + [8, 16, 32]  # encoder, then decoder
+        buffers = sum(2 * 2 * f for f in filters)
+        assert net.num_params() - net.num_params(trainable_only=True) \
+            == buffers
+
+
+class TestBatchNormSwitch:
+    """``use_batchnorm`` is the model's one normalisation switch."""
+
+    @pytest.mark.parametrize("bn", [True, False], ids=["bn", "nobn"])
+    def test_builds_and_trains(self, bn):
+        net = UNet3D(1, 1, 2, 2, use_batchnorm=bn,
+                     rng=np.random.default_rng(0), input_grad=True)
+        x = rng.normal(size=(2, 1, 4, 4, 4))
+        y = net(x)
+        dx = net.backward(np.ones_like(y))
+        assert dx.shape == x.shape
+
+    def test_default_is_batchnorm(self):
+        net = UNet3D(1, 1, 2, 2, rng=np.random.default_rng(0))
+        names = [n for n, _ in net.named_parameters()]
+        assert any("running_mean" in n for n in names)
