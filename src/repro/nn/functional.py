@@ -12,11 +12,13 @@ or the original einsum kernels as the ``reference`` test oracle; see
 ``perf_counter`` reads feeding the per-backend kernel-seconds ledger the
 profiler splits its ``compute`` bucket by.
 
-The ``ctx`` parameter is an optional mutable dict owned by the calling
-layer: a backend may park forward-pass scratch there (e.g. the im2col
-slice buffers) for the matching backward call.  Layers that forward
-without backpropagating must hand leftover ctx to
-:func:`release_conv_ctx`.
+Only the fused Conv3D+BN+ReLU pair takes a ``ctx``: an optional
+mutable dict owned by the calling layer, where the training forward
+keeps the conv output and batch statistics for the matching backward
+call.  Layers that forward without backpropagating must hand leftover
+ctx to :func:`release_conv_ctx`.  Plain and transposed convolutions
+keep nothing between forward and backward: the backward re-gathers
+what it needs from its inputs.
 
 Pooling stays here: it is memory-bound reshuffling with no GEMM to
 lower to, so there is nothing for a backend to specialise.
@@ -59,7 +61,6 @@ def conv3d_forward(
     b: np.ndarray | None = None,
     stride=1,
     pad=0,
-    ctx: dict | None = None,
 ) -> np.ndarray:
     """3D cross-correlation.
 
@@ -69,9 +70,6 @@ def conv3d_forward(
     w : (C_out, C_in, kD, kH, kW)
     b : (C_out,) or None
     stride, pad : int or 3-tuple
-    ctx : optional dict the backend may stash forward scratch in for the
-        matching :func:`conv3d_backward` call (training-mode layers pass
-        a fresh dict per step; see :func:`release_conv_ctx`).
 
     Returns
     -------
@@ -86,7 +84,7 @@ def conv3d_forward(
         )
     backend = get_backend()
     t0 = perf_counter()
-    y = backend.conv3d_forward(x, w, b, s, p, ctx)
+    y = backend.conv3d_forward(x, w, b, s, p)
     record_kernel_seconds(backend.name, "conv3d_forward", perf_counter() - t0)
     return y
 
@@ -98,19 +96,16 @@ def conv3d_backward(
     stride=1,
     pad=0,
     with_bias: bool = True,
-    ctx: dict | None = None,
 ):
     """Gradients of :func:`conv3d_forward`.
 
     Returns ``(dx, dw, db)`` where ``db`` is None when ``with_bias`` is
-    False.  Passing the same ``ctx`` dict the forward call populated
-    lets the backend reuse its forward scratch (the ``fused`` backend
-    skips one im2col gather per layer per step).
+    False.
     """
     s, p = _triple(stride), _triple(pad)
     backend = get_backend()
     t0 = perf_counter()
-    out = backend.conv3d_backward(dy, x, w, s, p, with_bias, ctx)
+    out = backend.conv3d_backward(dy, x, w, s, p, with_bias)
     record_kernel_seconds(backend.name, "conv3d_backward", perf_counter() - t0)
     return out
 
@@ -204,7 +199,6 @@ def conv_transpose3d_forward(
     w: np.ndarray,
     b: np.ndarray | None = None,
     stride=1,
-    ctx: dict | None = None,
 ) -> np.ndarray:
     """3D transposed convolution (a.k.a. up-convolution), no padding.
 
@@ -221,7 +215,7 @@ def conv_transpose3d_forward(
         )
     backend = get_backend()
     t0 = perf_counter()
-    y = backend.conv_transpose3d_forward(x, w, b, s, ctx)
+    y = backend.conv_transpose3d_forward(x, w, b, s)
     record_kernel_seconds(backend.name, "conv_transpose3d_forward",
                           perf_counter() - t0)
     return y
@@ -233,7 +227,6 @@ def conv_transpose3d_backward(
     w: np.ndarray,
     stride=1,
     with_bias: bool = True,
-    ctx: dict | None = None,
 ):
     """Gradients of :func:`conv_transpose3d_forward`.
 
@@ -242,16 +235,17 @@ def conv_transpose3d_backward(
     s = _triple(stride)
     backend = get_backend()
     t0 = perf_counter()
-    out = backend.conv_transpose3d_backward(dy, x, w, s, with_bias, ctx)
+    out = backend.conv_transpose3d_backward(dy, x, w, s, with_bias)
     record_kernel_seconds(backend.name, "conv_transpose3d_backward",
                           perf_counter() - t0)
     return out
 
 
 def release_conv_ctx(ctx: dict | None) -> None:
-    """Reclaim backend scratch parked in ``ctx`` by a forward pass whose
-    backward never ran (evaluation forwards in training mode, truncated
-    steps).  Safe on ``None``, empty, and already-consumed dicts."""
+    """Reclaim backend scratch parked in ``ctx`` by a fused
+    Conv3D+BN+ReLU training forward whose backward never ran
+    (evaluation forwards in training mode, truncated steps).  Safe on
+    ``None``, empty, and already-consumed dicts."""
     if ctx:
         get_backend().release_ctx(ctx)
 

@@ -23,13 +23,16 @@ convolution differently:
   shape/stride bookkeeping as in the copy at these call counts.
 * **output-depth tiling** -- the slice buffer is tiled along output
   depth to :data:`TILE_BYTES` (4 MiB) per tile so it stays
-  cache-resident at large volumes.  Training forwards *stash* the tile
-  buffers in ``ctx``; the backward weight gradient contracts the same
-  slice ranges against the matching ``dy`` rows (``cols2 @ dy^T`` per
-  depth offset, partials summed in tile order) with no re-gather.  The
-  input gradient at unit stride is the mirrored lowering over the
-  padded ``dy`` -- 2D patches of ``dy`` against depth slabs of the
-  flipped kernel; strided convolutions take the col2im form (GEMM
+  cache-resident at large volumes, and every tile's buffer goes back
+  to the arena as soon as its GEMMs are done.  The backward weight
+  gradient re-gathers each tile's slice buffer from the padded input
+  and contracts its slice ranges against the matching ``dy`` rows
+  (``cols2 @ dy^T`` per depth offset, partials summed in tile order):
+  nothing the forward gathered outlives the forward, so a training
+  step holds about one tile of slice buffers at a time.  The input
+  gradient at unit stride is the mirrored lowering over the padded
+  ``dy`` -- 2D patches of ``dy`` against depth slabs of the flipped
+  kernel; strided convolutions take the col2im form (GEMM
   ``w^T @ dy``, then a scatter-add per kernel offset).
 * **1x1x1 convolutions** (the segmentation head) are one batched GEMM
   on the input itself, which already is the patches matrix.
@@ -45,9 +48,10 @@ convolution differently:
   ``dyr = dy * (y > 0)`` the conv-output gradient is the channel-affine
   ``A*dyr + B*y_conv + C`` (coefficients from the standard BN gradient
   with ``x_hat`` substituted by ``(y_conv - mean) * inv_std``), applied
-  in place on the stashed conv output.  Per U-Net stage this skips the
-  ``x_hat`` volume, the BN output volume and the ReLU mask the unfused
-  layer chain materialises.
+  in place on the conv output ``y_conv``, the one volume the training
+  forward keeps in ``ctx`` for its backward.  Per U-Net stage this
+  skips the ``x_hat`` volume, the BN output volume and the ReLU mask
+  the unfused layer chain materialises.
 
 All scratch (slice buffers, padded volumes) is checked out of the
 :mod:`~repro.nn.kernels.workspace` arena and recycled across steps;
@@ -134,14 +138,6 @@ def _w_slices(w):
     co, c, kd, kh, kw = w.shape
     return np.ascontiguousarray(
         w.transpose(2, 0, 1, 3, 4)).reshape(kd, co, c * kh * kw)
-
-
-def _release_stash(ws, ctx):
-    """Return any stale stashed slice buffers in ``ctx`` to the arena."""
-    if not ctx:
-        return
-    for _, _, cols in ctx.pop("cols_tiles", ()):
-        ws.release(cols)
 
 
 def _pointwise_forward(x, w, b):
@@ -256,7 +252,7 @@ class FusedBackend(KernelBackend):
     supports_fusion = True
 
     # -- depth-sliced conv3d ------------------------------------------------
-    def conv3d_forward(self, x, w, b, stride, pad, ctx=None):
+    def conv3d_forward(self, x, w, b, stride, pad):
         kernel = w.shape[2:]
         if kernel == _UNIT and stride == _UNIT and pad == (0, 0, 0):
             return _pointwise_forward(x, w, b)
@@ -267,18 +263,14 @@ class FusedBackend(KernelBackend):
         tiles = (_plan_tiles(n, K9, Do, Ho, Wo, x.dtype.itemsize)
                  or [(0, Do)])
         ws = workspace()
-        _release_stash(ws, ctx)
         xp = _padded(ws, x, pad)
         y = np.empty((n, co, Do, Ho, Wo), dtype=x.dtype)
-        stash = [] if ctx is not None else None
-        self._run_tiles(ws, xp, w, b, y, stride, tiles, stash=stash)
+        self._run_tiles(ws, xp, w, b, y, stride, tiles)
         if xp is not x:
             ws.release(xp)
-        if stash:
-            ctx["cols_tiles"] = stash
         return y
 
-    def conv3d_backward(self, dy, x, w, stride, pad, with_bias, ctx=None,
+    def conv3d_backward(self, dy, x, w, stride, pad, with_bias,
                         need_dx=True):
         kernel = w.shape[2:]
         if kernel == _UNIT and stride == _UNIT and pad == (0, 0, 0):
@@ -293,28 +285,21 @@ class FusedBackend(KernelBackend):
         ws = workspace()
         tiles = (_plan_tiles(n, K9, Do, Ho, Wo, x.dtype.itemsize)
                  or [(0, Do)])
-
-        # The forward's stashed slice buffers (validated against this
-        # call's geometry -- a stale ctx from a different config is
-        # simply returned to the arena).
-        stash = ctx.pop("cols_tiles", None) if ctx else None
-        if stash is not None and not (
-                stash
-                and stash[0][0] == 0 and stash[-1][1] == Do
-                and all(cols.shape == (n, (d1 - d0 - 1) * sd + kd, K9, HoWo)
-                        and cols.dtype == x.dtype
-                        for d0, d1, cols in stash)):
-            for _, _, cols in stash:
-                ws.release(cols)
-            stash = None
         dyc = np.ascontiguousarray(dy)
 
-        # dw: for depth offset j, contract the slice range
-        # ``cols2[:, j::sd]`` against the matching dy rows -- per-slice
-        # GEMMs in the flipped orientation (K9 patch rows as M), with
-        # per-tile partials summed in tile order (determinism).
-        def dw_from(cols2, d0, d1):
+        # dw: re-gather each tile's slice buffer, then for depth offset
+        # j contract the slice range ``cols2[:, j::sd]`` against the
+        # matching dy rows -- per-slice GEMMs in the flipped orientation
+        # (K9 patch rows as M), with per-tile partials summed in tile
+        # order (determinism).
+        parts = []
+        xp = _padded(ws, x, pad)
+        for d0, d1 in tiles:
             td = d1 - d0
+            S = (td - 1) * sd + kd
+            cols2 = ws.acquire((n, S, K9, HoWo), x.dtype)
+            _gather_slab2d(xp[:, :, d0 * sd : d0 * sd + S], (kh, kw),
+                           stride[1:], cols2)
             dyb = (dyc[:, :, d0:d1].reshape(n, co, td, HoWo)
                    .transpose(0, 2, 3, 1))  # (n, td, HoWo, co) view
             part = np.empty((kd, K9, co), dtype=x.dtype)
@@ -322,26 +307,10 @@ class FusedBackend(KernelBackend):
                 slab = cols2[:, j : j + (td - 1) * sd + 1 : sd]
                 part[j] = (np.matmul(slab, dyb)
                            .reshape(n * td, K9, co).sum(axis=0))
-            return part
-
-        parts = []
-        if stash is not None:
-            for d0, d1, cols2 in stash:
-                parts.append(dw_from(cols2, d0, d1))
-                ws.release(cols2)
-        else:
-            # No stash (eval-mode forward, or none ran): re-gather each
-            # tile's slice buffer before contracting.
-            xp = _padded(ws, x, pad)
-            for d0, d1 in tiles:
-                S = (d1 - d0 - 1) * sd + kd
-                cols2 = ws.acquire((n, S, K9, HoWo), x.dtype)
-                _gather_slab2d(xp[:, :, d0 * sd : d0 * sd + S], (kh, kw),
-                               stride[1:], cols2)
-                parts.append(dw_from(cols2, d0, d1))
-                ws.release(cols2)
-            if xp is not x:
-                ws.release(xp)
+            parts.append(part)
+            ws.release(cols2)
+        if xp is not x:
+            ws.release(xp)
         total = parts[0]
         for part in parts[1:]:
             total += part
@@ -360,14 +329,11 @@ class FusedBackend(KernelBackend):
         return dx, dw, db
 
     def _run_tiles(self, ws, xp, w5, b, y, stride, tiles,
-                   relu=False, stats=False, stash=None):
+                   relu=False, stats=False):
         """Run every tile's depth-sliced GEMMs into its slice of ``y``;
         optionally apply bias/ReLU and/or return the per-tile BN channel
         sums in tile order (computed on the batch-major scratch while it is
-        cache-hot, before the transpose-copy into ``y``).  When
-        ``stash`` is a list the slice buffers are kept (appended in
-        tile order as ``(d0, d1, cols2)`` for the backward's dw GEMMs)
-        instead of recycled."""
+        cache-hot, before the transpose-copy into ``y``)."""
         n = xp.shape[0]
         co, _, kd, kh, kw = w5.shape
         Do, Ho, Wo = y.shape[2:]
@@ -395,10 +361,7 @@ class FusedBackend(KernelBackend):
                 np.add(ybat, tmp, out=ybat)
             if tmp is not None:
                 ws.release(tmp)
-            if stash is None:
-                ws.release(cols2)
-            else:
-                stash.append((d0, d1, cols2))
+            ws.release(cols2)
             if bias is not None:
                 ybat += bias
             if relu:
@@ -429,7 +392,6 @@ class FusedBackend(KernelBackend):
         if not training:
             # Running stats are constants: fold BN into the weights and
             # finish each tile with an in-place ReLU -- one pass total.
-            _release_stash(ws, ctx)
             inv_std = 1.0 / np.sqrt(running_var + eps)
             scale = gamma * inv_std
             shift = beta - running_mean * scale
@@ -441,13 +403,12 @@ class FusedBackend(KernelBackend):
                 ws.release(xp)
             return y, running_mean, running_var
 
-        # Training: conv into the stashed y_conv buffer, folding the BN
-        # channel sums into the tile epilogue, then one affine+ReLU pass.
-        _release_stash(ws, ctx)
+        # Training: conv into the y_conv buffer the backward keeps,
+        # folding the BN channel sums into the tile epilogue, then one
+        # affine+ReLU pass.
         y_conv = ws.acquire((n, co, Do, Ho, Wo), x.dtype)
-        stash = [] if ctx is not None else None
         sums = self._run_tiles(ws, xp, w, b, y_conv, stride, tiles,
-                               stats=True, stash=stash)
+                               stats=True)
         if xp is not x:
             ws.release(xp)
         total = sums[0][0]
@@ -470,8 +431,7 @@ class FusedBackend(KernelBackend):
 
         if ctx is not None:
             ctx.update(y_conv=y_conv, mean=mean, inv_std=inv_std,
-                       count=count, scale=scale, shift=shift,
-                       cols_tiles=stash)
+                       count=count, scale=scale, shift=shift)
         else:
             ws.release(y_conv)
         return y, mean, var
@@ -494,7 +454,7 @@ class FusedBackend(KernelBackend):
             return v.reshape(1, -1, 1, 1, 1)
 
         # ReLU gate: the pre-activation is > 0 exactly where the output
-        # is (ties at 0 get zero gradient either way), so the stashed
+        # is (ties at 0 get zero gradient either way), so the kept
         # conv output reconstructs the mask without a stored one.
         dyr = ws.acquire(dy.shape, dy.dtype)
         np.multiply(y_conv, rc(scale), out=dyr)
@@ -524,16 +484,13 @@ class FusedBackend(KernelBackend):
         y_conv += rc(C)
         ws.release(dyr)
 
-        # ctx still carries the forward's stashed slice buffers, which
-        # the conv backward consumes for its dw GEMMs.
         dx, dw, db = self.conv3d_backward(y_conv, x, w, stride, pad,
-                                          with_bias, ctx=ctx,
-                                          need_dx=need_dx)
+                                          with_bias, need_dx=need_dx)
         ws.release(y_conv)
         return dx, dw, db, dgamma, dbeta
 
     # -- conv_transpose3d --------------------------------------------------
-    def conv_transpose3d_forward(self, x, w, b, stride, ctx=None):
+    def conv_transpose3d_forward(self, x, w, b, stride):
         ws = workspace()
         n, ci, D, H, W = x.shape
         co = w.shape[1]
@@ -559,8 +516,7 @@ class FusedBackend(KernelBackend):
             y += b.reshape(1, -1, 1, 1, 1)
         return y
 
-    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias,
-                                  ctx=None):
+    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias):
         ws = workspace()
         n, ci, D, H, W = x.shape
         co = w.shape[1]
@@ -590,25 +546,20 @@ class FusedBackend(KernelBackend):
 
     # -- ctx management ----------------------------------------------------
     def release_ctx(self, ctx: dict | None) -> None:
-        """Reclaim scratch a forward pass parked for a backward that
-        never ran (e.g. a training-mode forward used for evaluation).
+        """Reclaim scratch a fused Conv+BN+ReLU training forward parked
+        for a backward that never ran (e.g. a training-mode forward used
+        for evaluation).
 
-        Releases *every* arena array in ``ctx`` (``y_conv`` and the
-        ``cols_tiles`` stash of ``(d0, d1, cols)`` entries alike), so a
-        ctx stashed under one backend is still reclaimed when another
-        is active at cleanup time (layers may outlive a ``use_backend``
-        block)."""
+        Releases *every* arena array in ``ctx`` (``y_conv``; the
+        statistics are foreign and ignored), so a ctx filled under one
+        backend is still reclaimed when another is active at cleanup
+        time (layers may outlive a ``use_backend`` block)."""
         if not ctx:
             return
         ws = workspace()
         for buf in ctx.values():
             if isinstance(buf, np.ndarray):
                 ws.release(buf)
-            elif isinstance(buf, (list, tuple)):
-                for item in buf:
-                    for part in (item if isinstance(item, tuple) else (item,)):
-                        if isinstance(part, np.ndarray):
-                            ws.release(part)
         ctx.clear()
 
 

@@ -32,7 +32,7 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
 
-    def conv3d_forward(self, x, w, b, stride, pad, ctx=None):
+    def conv3d_forward(self, x, w, b, stride, pad):
         s, p = stride, pad
         xp = pad_volume(x, p)
         kd, kh, kw = w.shape[2:]
@@ -44,7 +44,7 @@ class ReferenceBackend(KernelBackend):
             y += b.reshape(1, -1, 1, 1, 1)
         return y
 
-    def conv3d_backward(self, dy, x, w, stride, pad, with_bias, ctx=None):
+    def conv3d_backward(self, dy, x, w, stride, pad, with_bias):
         s, p = stride, pad
         kd, kh, kw = w.shape[2:]
         Do, Ho, Wo = dy.shape[2:]
@@ -78,7 +78,7 @@ class ReferenceBackend(KernelBackend):
         ]
         return dx, dw, db
 
-    def conv_transpose3d_forward(self, x, w, b, stride, ctx=None):
+    def conv_transpose3d_forward(self, x, w, b, stride):
         s = stride
         n, _, D, H, W = x.shape
         kd, kh, kw = w.shape[2:]
@@ -97,8 +97,7 @@ class ReferenceBackend(KernelBackend):
             y += b.reshape(1, -1, 1, 1, 1)
         return y
 
-    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias,
-                                  ctx=None):
+    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias):
         s = stride
         kd, kh, kw = w.shape[2:]
         n, _, D, H, W = x.shape

@@ -47,11 +47,13 @@ class KernelBackend:
 
     All methods receive *normalised* arguments: ``stride``/``pad`` are
     3-tuples and shapes have been validated by
-    :mod:`repro.nn.functional`.  ``ctx`` is an optional mutable dict
-    owned by the calling layer; a backend may stash forward-pass scratch
-    there (e.g. the im2col slice buffers) for the matching backward
-    call and must reclaim it in :meth:`release_ctx`.  Outputs must be
-    freshly allocated arrays -- never views into cached scratch.
+    :mod:`repro.nn.functional`.  Only the fused Conv3D+BN+ReLU pair
+    takes a ``ctx``: a mutable dict owned by the calling layer, where
+    the training forward keeps the conv output and batch statistics for
+    the matching backward call; :meth:`release_ctx` reclaims it when no
+    backward ran.  Plain and transposed convolutions keep nothing
+    between forward and backward.  Outputs must be freshly allocated
+    arrays -- never views into cached scratch.
     """
 
     name: str = "abstract"
@@ -62,17 +64,16 @@ class KernelBackend:
     #: routing through the fused path.
     supports_fusion: bool = False
 
-    def conv3d_forward(self, x, w, b, stride, pad, ctx=None):
+    def conv3d_forward(self, x, w, b, stride, pad):
         raise NotImplementedError
 
-    def conv3d_backward(self, dy, x, w, stride, pad, with_bias, ctx=None):
+    def conv3d_backward(self, dy, x, w, stride, pad, with_bias):
         raise NotImplementedError
 
-    def conv_transpose3d_forward(self, x, w, b, stride, ctx=None):
+    def conv_transpose3d_forward(self, x, w, b, stride):
         raise NotImplementedError
 
-    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias,
-                                  ctx=None):
+    def conv_transpose3d_backward(self, dy, x, w, stride, with_bias):
         raise NotImplementedError
 
     # -- optional fused Conv3D+BatchNorm+ReLU (supports_fusion) -------------
@@ -101,7 +102,7 @@ class KernelBackend:
             f"backend {self.name!r} does not support conv/BN/ReLU fusion")
 
     def release_ctx(self, ctx: dict | None) -> None:
-        """Return any scratch stashed in ``ctx`` to its pool (no-op by
+        """Return any scratch kept in ``ctx`` to its pool (no-op by
         default)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,7 +9,6 @@ from ..functional import (
     conv3d_backward,
     conv3d_forward,
     conv3d_output_shape,
-    release_conv_ctx,
 )
 from ..initializers import get_initializer
 from ..module import Module
@@ -80,30 +79,24 @@ class Conv3D(Module):
             self.add_parameter("b", b_init((out_channels,), rng))
 
         self._x: np.ndarray | None = None
-        self._ctx: dict | None = None
 
     def output_shape(self, spatial: tuple[int, int, int]) -> tuple[int, int, int]:
         return conv3d_output_shape(spatial, self.kernel, self.stride, self.padding)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        release_conv_ctx(self._ctx)  # forward without backward: reclaim
         x = np.asarray(x, dtype=self.dtype)
         self._x = x
-        # Only carry backend scratch forward when a backward will consume it.
-        self._ctx = {} if self.training else None
         return conv3d_forward(
             x,
             self.w.value,
             self.b.value if self.use_bias else None,
             stride=self.stride,
             pad=self.padding,
-            ctx=self._ctx,
         )
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        ctx, self._ctx = self._ctx, None
         dx, dw, db = conv3d_backward(
             dy,
             self._x,
@@ -111,9 +104,7 @@ class Conv3D(Module):
             stride=self.stride,
             pad=self.padding,
             with_bias=self.use_bias,
-            ctx=ctx,
         )
-        release_conv_ctx(ctx)
         self.w.grad += dw
         if self.use_bias:
             self.b.grad += db

@@ -25,7 +25,6 @@ from repro.nn.functional import (
     conv3d_forward,
     conv_transpose3d_backward,
     conv_transpose3d_forward,
-    release_conv_ctx,
 )
 from repro.nn.kernels import (
     available_backends,
@@ -144,26 +143,6 @@ class TestConv3DParity:
             np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-11,
                                        err_msg=label)
 
-    @pytest.mark.parametrize("backend", CANDIDATES)
-    @pytest.mark.parametrize("kernel,stride,pad", CONV_CONFIGS)
-    def test_backward_with_ctx_reuse_matches_reference(self, backend, kernel,
-                                                       stride, pad):
-        """The stashed im2col patches must give the same gradients."""
-        x, w, b = _conv_tensors(kernel)
-        pad = _resolve_pad(pad, kernel)
-        with use_backend("reference"):
-            y = conv3d_forward(x, w, b, stride, pad)
-            dy = rng.normal(size=y.shape)
-            ref = conv3d_backward(dy, x, w, stride, pad)
-        with use_backend(backend):
-            ctx: dict = {}
-            conv3d_forward(x, w, b, stride, pad, ctx=ctx)
-            out = conv3d_backward(dy, x, w, stride, pad, ctx=ctx)
-            release_conv_ctx(ctx)
-        for g, r, label in zip(out, ref, ("dx", "dw", "db")):
-            np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-11,
-                                       err_msg=label)
-
 
 class TestConvTransposeParity:
     @pytest.mark.parametrize("backend", CANDIDATES)
@@ -245,11 +224,9 @@ class TestFusedTiling:
         w = g.normal(size=(3, 2, 3, 3, 3))
         b = g.normal(size=3)
         with use_backend(backend):
-            ctx: dict = {}
-            y = conv3d_forward(x, w, b, 1, 1, ctx=ctx)
+            y = conv3d_forward(x, w, b, 1, 1)
             dy = np.random.default_rng(9).normal(size=y.shape)
-            dx, dw, db = conv3d_backward(dy, x, w, 1, 1, ctx=ctx)
-            release_conv_ctx(ctx)
+            dx, dw, db = conv3d_backward(dy, x, w, 1, 1)
         return y, dx, dw, db
 
     def test_tiled_path_matches_reference(self):

@@ -7,10 +7,12 @@ import threading
 import weakref
 
 import numpy as np
+import pytest
 
 from repro.nn import Adam, SoftDiceLoss, UNet3D, use_backend
 from repro.nn.functional import conv3d_backward, conv3d_forward
 from repro.nn.kernels import WorkspaceArena, set_workspace_limit, workspace
+from repro.nn.layers.fused_block import FusedConvBNReLU3D
 
 
 class TestArenaBasics:
@@ -189,6 +191,59 @@ class TestSizeKeyedReuse:
         assert arena.misses == misses
         assert arena.total_bytes == total
         assert total <= 1.1 * arena.stats()["peak_in_use_bytes"]
+
+
+class TestTrainingStepMemory:
+    """Counted, not timed: what a training step holds in the arena.
+
+    A fresh arena that retains nothing (``max_bytes=0``) gives every
+    checkout a block of exactly its own size, so ``in_use_bytes`` is an
+    exact count of the bytes a forward leaves for its backward."""
+
+    @pytest.fixture
+    def arena(self, monkeypatch):
+        arena = WorkspaceArena(max_bytes=0)
+        monkeypatch.setattr(
+            importlib.import_module("repro.nn.kernels.workspace"),
+            "_WORKSPACE", arena)
+        return arena
+
+    @staticmethod
+    def _model_and_input():
+        model = UNet3D(4, 1, base_filters=4, depth=3,
+                       rng=np.random.default_rng(1), dtype=np.float32)
+        x = (np.random.default_rng(0).normal(size=(1, 4, 16, 16, 16))
+             .astype(np.float32))
+        return model, x
+
+    @staticmethod
+    def _y_conv_bytes(model):
+        blocks = [m for _, m in model.named_modules()
+                  if isinstance(m, FusedConvBNReLU3D)]
+        assert blocks and all(b._route == "fused" for b in blocks)
+        return sum(b._ctx["y_conv"].nbytes for b in blocks)
+
+    def test_forward_keeps_only_the_fused_conv_outputs(self, arena):
+        """After a training forward the arena holds exactly the fused
+        blocks' ``y_conv`` volumes -- no slice buffer outlives its
+        forward -- and the backward hands every byte back."""
+        model, x = self._model_and_input()
+        before = arena.stats()["in_use_bytes"]
+        pred = model(x)
+        held = arena.stats()["in_use_bytes"] - before
+        assert held == self._y_conv_bytes(model)
+        model.backward(np.ones_like(pred))
+        assert arena.stats()["in_use_bytes"] == before
+
+    def test_forward_without_backward_reclaims_the_stale_ctx(self, arena):
+        """A second training forward with no backward in between
+        releases the first one's ``y_conv`` before keeping its own."""
+        model, x = self._model_and_input()
+        model(x)
+        after_first = arena.stats()["in_use_bytes"]
+        model(x)
+        assert arena.stats()["in_use_bytes"] == after_first
+        assert after_first == self._y_conv_bytes(model)
 
 
 class TestArenaThreads:
