@@ -143,6 +143,32 @@ class TestConv3DParity:
             np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-11,
                                        err_msg=label)
 
+    @pytest.mark.parametrize("backend", CANDIDATES)
+    @pytest.mark.parametrize("kernel,stride,pad", CONV_CONFIGS)
+    def test_backward_after_forward_matches_reference(self, backend, kernel,
+                                                      stride, pad):
+        """A training step's order: the backward re-gathers its slice
+        buffers into the arena blocks the forward just returned.  It must
+        give the reference gradients, leave the forward's output intact
+        and hand every scratch block back."""
+        x, w, b = _conv_tensors(kernel)
+        pad = _resolve_pad(pad, kernel)
+        with use_backend("reference"):
+            y_ref = conv3d_forward(x, w, b, stride, pad)
+            dy = rng.normal(size=y_ref.shape)
+            ref = conv3d_backward(dy, x, w, stride, pad)
+        before = workspace().stats()["in_use_bytes"]
+        with use_backend(backend):
+            y = conv3d_forward(x, w, b, stride, pad)
+            y_snap = y.copy()
+            out = conv3d_backward(dy, x, w, stride, pad)
+        assert workspace().stats()["in_use_bytes"] == before
+        assert np.array_equal(y, y_snap), "y aliases the workspace"
+        np.testing.assert_allclose(y, y_ref, rtol=1e-9, atol=1e-11)
+        for g, r, label in zip(out, ref, ("dx", "dw", "db")):
+            np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-11,
+                                       err_msg=label)
+
 
 class TestConvTransposeParity:
     @pytest.mark.parametrize("backend", CANDIDATES)
