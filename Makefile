@@ -31,14 +31,24 @@ smoke: profile-smoke monitor-smoke serve-smoke sim-smoke
 		benchmarks/test_process_parallel_speedup.py \
 		benchmarks/test_kernel_backends.py -q -s
 
-# profiled search end-to-end at smoke scale: live progress table,
-# merged trace + profile.json, bottleneck verdict, overhead benchmark
+# profiled search end-to-end at smoke scale, by both methods (one
+# driver, so the data-parallel run writes the same run directory):
+# live progress table, merged trace + profile.json, bottleneck verdict,
+# overhead benchmark
 profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli search \
 		--subjects 6 --volume 8 8 8 --epochs 1 \
 		--base-filters 2 --depth 2 --losses dice \
 		--profile /tmp/distmis_profile_smoke
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile /tmp/distmis_profile_smoke
+	PYTHONPATH=src $(PYTHON) -m repro.cli search \
+		--subjects 6 --volume 8 8 8 --epochs 1 \
+		--base-filters 2 --depth 2 --losses dice \
+		--method data_parallel --gpus 2 \
+		--profile /tmp/distmis_profile_smoke_dp
+	PYTHONPATH=src $(PYTHON) -m repro.cli profile /tmp/distmis_profile_smoke_dp
+	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py \
+		/tmp/distmis_profile_smoke_dp/trace.json
 	DISTMIS_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_profiler_overhead.py -q -s
 

@@ -187,8 +187,12 @@ def cmd_search(args) -> int:
     import os
 
     from .core import HyperparameterSpace
-    from .core.search import run_search
+    from .core.search import check_search, run_search
 
+    try:
+        check_search(args.method, args.gpus, args.executor)
+    except ValueError as exc:
+        args.error(str(exc))
     # Search workloads trade a little precision for throughput: default
     # to the float32 fast path unless the user (flag or env) said
     # otherwise.  Gradcheck/parity tooling keeps the float64 default.
@@ -206,27 +210,18 @@ def cmd_search(args) -> int:
         from .telemetry import ProgressReporter
 
         progress = ProgressReporter()
-    if args.method == "data_parallel":
-        result = run_search("data_parallel", space, settings, args.gpus,
-                            telemetry=hub)
-        for o in result.outcomes:
-            print(f"{o.config}  val DSC {o.val_dice:.4f}")
-        best = result.best()
-        print(f"best: {best.config} (val DSC {best.val_dice:.4f})")
-    else:
-        result = run_search(
-            "experiment_parallel", space, settings,
-            executor=args.executor, max_workers=args.workers,
-            progress=progress, telemetry=hub,
-        )
-        if args.executor == "process":
-            workers = args.workers or result.num_gpus
-            print(f"process executor: {len(result.outcomes)} trials over "
-                  f"{workers} workers in {result.elapsed_seconds:.1f} s")
-        for row in result.analysis.results_table("val_dice"):
-            print(f"{row['trial_id']} {row['config']} "
-                  f"val DSC {row['val_dice']:.4f} [{row['status']}]")
-        print(f"best: {result.analysis.best_config('val_dice')}")
+    result = run_search(
+        args.method, space, settings, args.gpus,
+        executor=args.executor, max_workers=args.workers,
+        progress=progress, telemetry=hub,
+    )
+    if args.executor == "process":
+        print(f"process executor: {len(result.outcomes)} trials over "
+              f"{result.num_gpus} workers in {result.elapsed_seconds:.1f} s")
+    for row in result.analysis.results_table("val_dice"):
+        print(f"{row['trial_id']} {row['config']} "
+              f"val DSC {row['val_dice']:.4f} [{row['status']}]")
+    print(f"best: {result.analysis.best_config('val_dice')}")
     if args.profile:
         from .telemetry import analyze_run_dir
 
@@ -722,7 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=LOSS_NAMES)
     p.add_argument("--method", default="experiment_parallel",
                    choices=["data_parallel", "experiment_parallel"])
-    p.add_argument("--gpus", type=int, default=1)
+    p.add_argument("--gpus", type=int, default=1,
+                   help="data_parallel: virtual replicas per trial; "
+                        "experiment_parallel: 1 (serial executor)")
     p.add_argument("--executor", default="serial",
                    choices=["serial", "process"],
                    help="experiment_parallel trial execution backend: "
@@ -745,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve /metrics (Prometheus) and /health (JSON) on "
                         "localhost while the run is in flight (0 = any "
                         "free port; requires --telemetry/--profile)")
-    p.set_defaults(fn=cmd_search)
+    p.set_defaults(fn=cmd_search, error=p.error)
 
     p = sub.add_parser("simulate", help="price one cell on the simulator")
     p.add_argument("method",

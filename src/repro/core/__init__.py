@@ -2,8 +2,7 @@
 
 Configuration spaces (:mod:`~repro.core.config`), the Fig 1 pipeline
 (:mod:`~repro.core.pipeline`), the two distribution methods executed at
-laptop scale (:mod:`~repro.core.data_parallel`,
-:mod:`~repro.core.experiment_parallel`, both behind
+laptop scale (one driver, :mod:`~repro.core.experiment_parallel`, behind
 :func:`~repro.core.search.run_search`), checkpoints, inference, run
 tracking and the pipeline profiler (:mod:`~repro.core.profiling`).
 
@@ -13,7 +12,7 @@ are imported by name: :mod:`~repro.core.simulated`,
 :mod:`~repro.core.runner` (the ``DistMISRunner`` facade).
 """
 
-from . import data_parallel, experiment_parallel
+from . import experiment_parallel
 from .checkpoint import CheckpointManager, load_checkpoint, save_checkpoint
 from .tracking import RunTracker, TrialRecord, resume_search
 from .inference import (
@@ -33,8 +32,7 @@ from .config import (
     build_model,
     build_optimizer,
 )
-from .data_parallel import DataParallelSearchResult
-from .experiment_parallel import ExperimentParallelSearchResult
+from .experiment_parallel import SearchResult
 from .pipeline import EpochRecord, MISPipeline, TrialOutcome, train_trial
 from .profiling import BottleneckReport, StageTiming, profile_online_vs_offline
 
@@ -49,9 +47,7 @@ __all__ = [
     "EpochRecord",
     "TrialOutcome",
     "train_trial",
-    "DataParallelSearchResult",
-    "ExperimentParallelSearchResult",
-    "data_parallel",
+    "SearchResult",
     "experiment_parallel",
     "BottleneckReport",
     "StageTiming",

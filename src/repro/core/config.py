@@ -2,7 +2,7 @@
 
 The paper defines its search space as "the cross-product of the
 different values for each option in the configuration" (Section
-III-B2).  :class:`HyperparameterSpace` captures that contract and
+III-B2).  :data:`HyperparameterSpace` captures that contract and
 produces the concrete per-trial dictionaries consumed by both
 distribution methods; :class:`ExperimentSettings` holds everything
 else a run needs (dataset scale, epochs, seeds, cluster shape).
@@ -10,7 +10,6 @@ else a run needs (dataset scale, epochs, seeds, cluster shape).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,35 +18,16 @@ from ..nn.losses import get_loss
 from ..nn.optimizers import Adam, SGD
 from ..nn.schedules import ConstantLR, CyclicLR, linear_scaling_rule
 from ..nn.unet3d import UNet3D
+from ..raysim.search import GridSearch
 
 __all__ = ["HyperparameterSpace", "ExperimentSettings", "build_model",
            "build_loss", "build_optimizer", "DEFAULT_SPACE"]
 
 
-class HyperparameterSpace:
-    """A ``{name: [values...]}`` grid; iterating yields config dicts."""
-
-    def __init__(self, axes: dict[str, list]):
-        if not axes:
-            raise ValueError("hyper-parameter space is empty")
-        for name, values in axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"axis {name!r} must be a non-empty list")
-        self.axes = {k: list(v) for k, v in axes.items()}
-
-    def __len__(self) -> int:
-        n = 1
-        for v in self.axes.values():
-            n *= len(v)
-        return n
-
-    def __iter__(self):
-        keys = list(self.axes)
-        for combo in itertools.product(*(self.axes[k] for k in keys)):
-            yield dict(zip(keys, combo))
-
-    def configurations(self) -> list[dict]:
-        return list(self)
+#: The grid: ``HyperparameterSpace(axes)`` is the one grid implementation,
+#: :class:`repro.raysim.search.GridSearch`, which the search driver hands
+#: to ``tune_run`` as its search algorithm unchanged.
+HyperparameterSpace = GridSearch
 
 
 # A small default space for the in-process experiments (the full-scale

@@ -1,15 +1,17 @@
-"""Experiment-parallel distribution of the search (method 2, Ray Tune).
+"""The search driver both of the paper's distribution methods run on.
 
-The paper's second architecture (Fig 1, bottom): ``Ray.Cluster`` is
-launched over the available resources, then ``Ray.Tune`` places each
-hyper-parameter configuration on its own GPU; runs are self-contained,
-so no gradient synchronisation or data shuffling crosses trials -- the
-property that buys the extra speed-up at scale (Section IV-C).
+Fig 1 distributes one grid search two ways: data parallelism trains
+each configuration on all ``n`` GPUs in turn; experiment parallelism
+(``Ray.Tune``) places each configuration on its own GPU, so no gradient
+synchronisation or data shuffling crosses trials -- the property that
+buys the extra speed-up at scale (Section IV-C).  Apart from placement
+they differ only in replicas per trial.
 
 :func:`run_search_inprocess` -- the Tune-analogue trial runner -- really
-trains every configuration (1 virtual GPU each) at laptop scale,
-serially or on a process pool.  The same search priced at paper scale,
-with or without GPU failures, is in :mod:`repro.core.simulated`.
+trains every configuration on ``num_replicas`` virtual GPUs at laptop
+scale, serially or (1-replica trials) on a process pool.  The same
+searches priced at paper scale, with or without GPU failures, are in
+:mod:`repro.core.simulated`.
 """
 
 from __future__ import annotations
@@ -19,17 +21,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..fault_tolerance import FaultInjector, RetryPolicy
-from ..raysim.search import GridSearch
 from ..raysim.tune import ExperimentAnalysis, TrialScheduler, tune_run
 from .checkpoint import CheckpointManager
 from .config import ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline, TrialOutcome, train_trial
 
-__all__ = ["ExperimentParallelSearchResult", "run_search_inprocess"]
+__all__ = ["SearchResult", "run_search_inprocess"]
 
 
 @dataclass
-class ExperimentParallelSearchResult:
+class SearchResult:
+    """One finished search, either method: outcomes plus the analysis.
+
+    ``num_gpus`` is the width the search ran at: the pool's worker
+    count on the process executor, the replicas per trial serially.
+    """
+
     num_gpus: int
     outcomes: list[TrialOutcome] = field(default_factory=list)
     analysis: ExperimentAnalysis | None = None
@@ -44,7 +51,7 @@ class ExperimentParallelSearchResult:
 def _search_trainable(settings: ExperimentSettings,
                       pipeline: MISPipeline | None = None, handle=None,
                       checkpoint_dir: str | Path | None = None,
-                      telemetry=None):
+                      telemetry=None, num_replicas: int = 1):
     """Build the trial trainable both executors run.
 
     Serially it trains from the caller's ``pipeline``.  As the process
@@ -69,7 +76,7 @@ def _search_trainable(settings: ExperimentSettings,
                 manager = CheckpointManager(Path(checkpoint_dir) / trial_id)
                 managers[trial_id] = manager
         outcome = train_trial(config, settings, pipeline,
-                              num_replicas=1, reporter=reporter,
+                              num_replicas=num_replicas, reporter=reporter,
                               checkpoint_manager=manager,
                               telemetry=telemetry)
         return {"val_dice": outcome.val_dice,
@@ -91,11 +98,13 @@ def run_search_inprocess(
     executor: str = "serial",
     max_workers: int | None = None,
     progress=None,
-) -> ExperimentParallelSearchResult:
-    """Run the search through the Tune-analogue runner: every trial is a
-    single-replica training (concurrent placement affects wall-clock,
-    not results, so executing them serially *or* on a process pool is
-    result-identical).
+    num_replicas: int = 1,
+) -> SearchResult:
+    """Run the search through the Tune-analogue runner: every trial
+    trains on ``num_replicas`` virtual GPUs (data parallelism when
+    ``> 1``).  Concurrent placement affects wall-clock, not results, so
+    executing single-replica trials serially *or* on a process pool is
+    result-identical.
 
     ``executor="process"`` distributes the trials over ``max_workers``
     persistent worker processes (true multi-core parallelism, claim C1
@@ -120,6 +129,12 @@ def run_search_inprocess(
     if executor not in ("serial", "process"):
         raise ValueError(
             f"executor must be 'serial' or 'process', got {executor!r}"
+        )
+    if executor == "process" and num_replicas != 1:
+        raise ValueError(
+            "the process executor runs single-replica trials; a "
+            "data-parallel trial forks its own replicas, so run "
+            "num_replicas > 1 with the serial executor"
         )
     if executor == "process" and fault_injector is not None:
         raise ValueError(
@@ -153,12 +168,13 @@ def run_search_inprocess(
         else:
             trainable = _search_trainable(settings, pipeline,
                                           checkpoint_dir=checkpoint_dir,
-                                          telemetry=telemetry)
+                                          telemetry=telemetry,
+                                          num_replicas=num_replicas)
             if fault_injector is not None:
                 trainable = fault_injector.wrap(trainable)
         analysis = tune_run(
             trainable,
-            search_alg=GridSearch(space.axes),
+            search_alg=space,
             scheduler=scheduler,
             metric="val_dice",
             raise_on_error=retry_policy is None and fault_injector is None,
@@ -172,8 +188,8 @@ def run_search_inprocess(
     outcomes: list[TrialOutcome] = [
         trial.final.pop("outcome") for trial in analysis.trials
         if trial.final and "outcome" in trial.final]
-    return ExperimentParallelSearchResult(
-        num_gpus=1 if pool is None else pool.max_workers,
+    return SearchResult(
+        num_gpus=num_replicas if pool is None else pool.max_workers,
         outcomes=outcomes, analysis=analysis,
         elapsed_seconds=time.perf_counter() - t0,
     )

@@ -1,19 +1,19 @@
 """``run_search`` -- the hyperparameter search, executed in-process.
 
 Really trains the search at laptop scale with exact distribution
-semantics (claims C2/C4), by either method.  It lives on the executed
-side, so ``distmis search`` -- and every trial worker or data-parallel
-replica it forks -- loads no simulator module;
+semantics (claims C2/C4), by either method, through one driver.  It
+lives on the executed side, so ``distmis search`` -- and every trial
+worker or data-parallel replica it forks -- loads no simulator module;
 :meth:`repro.core.runner.DistMISRunner.run_inprocess` delegates here.
 """
 
 from __future__ import annotations
 
-from . import data_parallel, experiment_parallel
+from . import experiment_parallel
 from .config import ExperimentSettings, HyperparameterSpace
 from .pipeline import MISPipeline
 
-__all__ = ["METHODS", "check_method", "run_search"]
+__all__ = ["METHODS", "check_method", "check_search", "run_search"]
 
 METHODS = ("data_parallel", "experiment_parallel")
 
@@ -26,6 +26,28 @@ def check_method(method: str) -> None:
         )
 
 
+def check_search(method: str, num_gpus: int = 1,
+                 executor: str = "serial") -> int:
+    """Validate a method's placement and return its replicas per trial:
+    ``num_gpus`` for data parallelism (serial executor only), ``1`` for
+    experiment parallelism (``num_gpus > 1`` needs the process
+    executor).  Raises ``ValueError`` on any other combination."""
+    check_method(method)
+    if method == "data_parallel":
+        if executor != "serial":
+            raise ValueError(
+                "the process executor parallelises independent trials; "
+                "data_parallel trains one trial at a time "
+                "(use method='experiment_parallel')")
+        return num_gpus
+    if num_gpus != 1 and executor == "serial":
+        raise ValueError(
+            "in-process experiment parallelism executes trials as 1-GPU "
+            "runs; use simulate() for multi-GPU timing or "
+            "executor='process' for real multi-core execution")
+    return 1
+
+
 def run_search(method: str, space: HyperparameterSpace,
                settings: ExperimentSettings, num_gpus: int = 1,
                executor: str = "serial", max_workers: int | None = None,
@@ -33,10 +55,12 @@ def run_search(method: str, space: HyperparameterSpace,
                telemetry=None):
     """Execute the search for real at the configured laptop scale.
 
-    For ``method="experiment_parallel"``, ``executor="process"`` runs
-    the independent trials on ``max_workers`` worker processes (true
-    multi-core experiment parallelism, result-identical to the serial
-    executor); trials remain 1-virtual-GPU runs either way.
+    Both methods run through one driver,
+    :func:`~repro.core.experiment_parallel.run_search_inprocess`; the
+    method only sets the replicas per trial and the executors allowed
+    (:func:`check_search`).  ``executor="process"`` runs experiment
+    parallelism's independent trials on ``max_workers`` worker
+    processes, result-identical to the serial executor.
 
     With a live telemetry hub (default: the process-wide one) the run
     emits per-step / per-epoch metrics and nested spans, and finishes
@@ -45,41 +69,18 @@ def run_search(method: str, space: HyperparameterSpace,
     ``progress`` (a :class:`~repro.telemetry.ProgressReporter`) renders
     a live Tune-style trial table while the search runs.
     """
-    check_method(method)
+    num_replicas = check_search(method, num_gpus, executor)
     if telemetry is None:
         from ..telemetry import get_hub
 
         telemetry = get_hub()
-    pipeline = pipeline or MISPipeline(settings, telemetry=telemetry)
     with telemetry.tracer.span(f"run_inprocess[{method}]", category="run",
                                num_gpus=num_gpus):
-        if method == "data_parallel":
-            if executor != "serial":
-                raise ValueError(
-                    "the process executor parallelises independent "
-                    "trials; data_parallel trains one trial at a "
-                    "time (use method='experiment_parallel')"
-                )
-            result = data_parallel.run_search_inprocess(
-                space, settings, num_gpus, pipeline=pipeline,
-                telemetry=telemetry,
-            )
-        else:
-            if num_gpus != 1 and executor == "serial":
-                # Trials are independent 1-GPU runs; concurrency changes
-                # wall-clock only, which the simulated backend prices
-                # (or the process executor executes).
-                raise ValueError(
-                    "in-process experiment parallelism executes "
-                    "trials as 1-GPU runs; use simulate() for "
-                    "multi-GPU timing or executor='process' for "
-                    "real multi-core execution"
-                )
-            result = experiment_parallel.run_search_inprocess(
-                space, settings, pipeline=pipeline, telemetry=telemetry,
-                executor=executor, max_workers=max_workers,
-                progress=progress,
-            )
+        result = experiment_parallel.run_search_inprocess(
+            space, settings, pipeline=pipeline, telemetry=telemetry,
+            executor=executor, max_workers=max_workers,
+            progress=progress, num_replicas=num_replicas,
+        )
     best = result.best()
     telemetry.finalize_run(
         kind=f"inprocess/{method}",

@@ -1,9 +1,8 @@
 """Paper-scale simulated searches: the three methods on the cluster model.
 
-Prices the searches that :mod:`~repro.core.data_parallel` and
-:mod:`~repro.core.experiment_parallel` execute at laptop scale at paper
-scale instead, on the calibrated MareNostrum model, with one timeline
-span per trial.  Simulator side: nothing executed imports this module.
+Prices the searches that :func:`repro.core.search.run_search` executes
+at laptop scale at paper scale instead, on the calibrated MareNostrum
+model, with one timeline span per trial.  Simulator side: nothing executed imports this module.
 
 The hybrid method gives each trial ``g`` GPUs, trading per-trial
 speed-up (sub-linear, it pays the data-parallel overheads) against

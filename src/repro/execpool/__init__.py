@@ -1,7 +1,8 @@
 """Real multi-core trial execution for the experiment-parallel method.
 
-The execution backend behind claim C1: a pool of persistent worker
-processes runs self-contained trials concurrently
+The search driver's second execution backend, behind claim C1: a pool
+of persistent worker processes runs self-contained single-replica
+trials concurrently
 (:class:`ProcessPoolTrialExecutor`), fed zero-copy from shared-memory
 split arrays (:class:`SharedArrayStore` / :class:`SharedArrayHandle`)
 so each extra worker costs an attach, not a dataset copy.  Selected via
@@ -12,7 +13,9 @@ so each extra worker costs an attach, not a dataset copy.  Selected via
 to it), and
 ``distmis search --executor process --workers N``;
 :func:`repro.raysim.tune.tune_run` takes a pre-built
-:class:`ProcessPoolTrialExecutor` as ``executor=``.
+:class:`ProcessPoolTrialExecutor` as ``executor=``.  Data-parallel
+trials (``num_replicas > 1``) fork their own replica processes, which a
+daemonic worker may not, so they run on the serial backend only.
 """
 
 from .executor import (

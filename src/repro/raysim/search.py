@@ -9,6 +9,7 @@ standard alternatives Ray Tune would offer.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 import numpy as np
@@ -27,26 +28,31 @@ class SearchAlgorithm:
 
 
 class GridSearch(SearchAlgorithm):
-    """Exhaustive cross-product of a ``{name: [values...]}`` space."""
+    """Exhaustive cross-product of a ``{name: [values...]}`` space.
 
-    def __init__(self, space: dict[str, list]):
-        if not space:
+    The paper's search space (Section III-B2), so ``repro.core`` exports
+    it as :class:`~repro.core.HyperparameterSpace`: iterating yields the
+    config dicts in ``itertools.product`` order.
+    """
+
+    def __init__(self, axes: dict[str, list]):
+        if not axes:
             raise ValueError("search space is empty")
-        for k, v in space.items():
+        for k, v in axes.items():
             if not isinstance(v, (list, tuple)) or len(v) == 0:
                 raise ValueError(f"grid axis {k!r} must be a non-empty list")
-        self.space = {k: list(v) for k, v in space.items()}
+        self.axes = {k: list(v) for k, v in axes.items()}
 
     def __len__(self) -> int:
-        n = 1
-        for v in self.space.values():
-            n *= len(v)
-        return n
+        return math.prod(len(v) for v in self.axes.values())
 
-    def configurations(self) -> Iterator[dict]:
-        keys = list(self.space)
-        for combo in itertools.product(*(self.space[k] for k in keys)):
+    def __iter__(self) -> Iterator[dict]:
+        keys = list(self.axes)
+        for combo in itertools.product(*(self.axes[k] for k in keys)):
             yield dict(zip(keys, combo))
+
+    def configurations(self) -> list[dict]:
+        return list(self)
 
 
 class RandomSearch(SearchAlgorithm):

@@ -18,7 +18,9 @@ Wiring pattern::
     # metrics.prom and trace.json
 
 or process-wide: ``set_hub(hub)`` makes it the default every
-un-parameterised constructor picks up.
+un-parameterised constructor picks up.  Both of the paper's methods
+search through ``tune_run``, so their run directories hold the same
+``trial_NNNN`` spans and ``tune_*`` counters.
 """
 
 from __future__ import annotations

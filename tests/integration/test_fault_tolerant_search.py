@@ -6,17 +6,19 @@ mid-search by a :class:`FaultInjector` and retried under
 metrics as an uninjected run -- bit-identical, because training
 re-seeds shuffling per epoch and the checkpoint restores model +
 optimizer exactly -- while ``resume="scratch"`` re-trains from epoch 0.
+Every contract holds at float64 and at float32, the dtype
+``distmis search`` ships.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (CheckpointManager, ExperimentSettings,
-                        HyperparameterSpace)
+from repro.core import ExperimentSettings, HyperparameterSpace
 from repro.core.experiment_parallel import run_search_inprocess
-from repro.core.pipeline import MISPipeline, train_trial
+from repro.core.pipeline import MISPipeline
 from repro.fault_tolerance import FaultInjector, RetryPolicy
-from repro.raysim import GridSearch, TrialStatus, tune_run
+from repro.nn.dtypes import use_compute_dtype
+from repro.raysim import TrialStatus
 
 SETTINGS = ExperimentSettings(
     num_subjects=6, volume_shape=(16, 16, 16), epochs=3,
@@ -30,8 +32,15 @@ def pipeline():
     return MISPipeline(SETTINGS)
 
 
+@pytest.fixture(scope="module", params=["float64", "float32"])
+def dtype(request):
+    """The compute dtype every test in this module trains at."""
+    with use_compute_dtype(request.param):
+        yield request.param
+
+
 @pytest.fixture(scope="module")
-def baseline(pipeline):
+def baseline(pipeline, dtype):
     return run_search_inprocess(SPACE, SETTINGS, pipeline=pipeline)
 
 
@@ -88,22 +97,16 @@ class TestCheckpointResumeEndToEnd:
 
 
 def _two_replica_search(pipeline, checkpoint_dir, injector=None):
-    """One 2-replica trial through ``tune_run``, checkpointing every
-    epoch; returns (trial, last checkpoint's model state)."""
-    manager = CheckpointManager(checkpoint_dir)
-
-    def trainable(config, reporter):
-        outcome = train_trial(config, SETTINGS, pipeline, num_replicas=2,
-                              reporter=reporter, checkpoint_manager=manager)
-        return {"val_dice": outcome.val_dice}
-
-    if injector is not None:
-        trainable = injector.wrap(trainable)
-    analysis = tune_run(
-        trainable, GridSearch(SPACE.axes), metric="val_dice",
-        retry_policy=RetryPolicy(max_retries=1, resume="checkpoint"))
-    (trial, ) = analysis.trials
-    with np.load(manager.latest_path()) as archive:
+    """One 2-replica trial through the search driver, checkpointing
+    every epoch; returns (trial, last checkpoint's model state)."""
+    result = run_search_inprocess(
+        SPACE, SETTINGS, pipeline=pipeline,
+        retry_policy=RetryPolicy(max_retries=1, resume="checkpoint"),
+        checkpoint_dir=checkpoint_dir, fault_injector=injector,
+        num_replicas=2)
+    (trial, ) = result.analysis.trials
+    latest = max((checkpoint_dir / trial.trial_id).glob("ckpt_epoch*.npz"))
+    with np.load(latest) as archive:
         model = {k: archive[k] for k in archive.files
                  if k.startswith("model/")}
     return trial, model
@@ -111,7 +114,7 @@ def _two_replica_search(pipeline, checkpoint_dir, injector=None):
 
 class TestDataParallelCheckpointResume:
     def test_two_replica_resume_matches_uninterrupted_run(self, tmp_path,
-                                                          pipeline):
+                                                          pipeline, dtype):
         """Resume must restore replica 1's process too: a stale replica
         would all-reduce a different gradient and the histories split."""
         base, base_model = _two_replica_search(pipeline, tmp_path / "base")

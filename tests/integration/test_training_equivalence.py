@@ -9,6 +9,9 @@ mode and the resulting models are compared.
 import pytest
 
 from repro.core import ExperimentSettings, MISPipeline, train_trial
+from repro.nn.dtypes import use_compute_dtype
+
+from ..float32_bounds import sharding_atol
 
 
 def make_settings(batch_per_replica: int, **kw) -> ExperimentSettings:
@@ -25,10 +28,14 @@ def make_settings(batch_per_replica: int, **kw) -> ExperimentSettings:
 
 
 CONFIG = {"learning_rate": 3e-3, "loss": "dice"}
+#: optimizer steps of a make_settings trial: 3 epochs x (8 volumes / 4)
+TRIAL_STEPS = 6
 
 
 class TestDistributionInvariance:
-    def test_full_trial_identical_at_fixed_global_batch(self, tmp_path):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_full_trial_identical_at_fixed_global_batch(self, tmp_path,
+                                                        dtype):
         """Global batch 4 as one device's batch-of-4 vs two devices'
         batch-of-2 shards: identical epoch histories and dice.  (The
         paper's *deployed* recipe instead grows the global batch with
@@ -37,23 +44,37 @@ class TestDistributionInvariance:
         s1 = make_settings(batch_per_replica=4)
         s2 = make_settings(batch_per_replica=2)
         pipe = MISPipeline(s1, record_dir=tmp_path)
-        out1 = train_trial(CONFIG, s1, pipe, num_replicas=1)
-        out2 = train_trial(CONFIG, s2, pipe, num_replicas=2)
-        for r1, r2 in zip(out1.history, out2.history):
-            assert r1.train_loss == pytest.approx(r2.train_loss, abs=1e-9)
-            assert r1.val_dice == pytest.approx(r2.val_dice, abs=1e-9)
-        assert out1.test_dice == pytest.approx(out2.test_dice, abs=1e-9)
+        with use_compute_dtype(dtype):
+            out1 = train_trial(CONFIG, s1, pipe, num_replicas=1)
+            out2 = train_trial(CONFIG, s2, pipe, num_replicas=2)
 
-    def test_four_way_sharding_identical(self, tmp_path):
+        def tol(value):
+            return sharding_atol(dtype, 1e-9, TRIAL_STEPS, value)
+
+        for r1, r2 in zip(out1.history, out2.history):
+            assert r1.train_loss == pytest.approx(r2.train_loss,
+                                                  abs=tol(r1.train_loss))
+            assert r1.val_dice == pytest.approx(r2.val_dice,
+                                                abs=tol(r1.val_dice))
+        assert out1.test_dice == pytest.approx(out2.test_dice,
+                                               abs=tol(out1.test_dice))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_four_way_sharding_identical(self, tmp_path, dtype):
         s1 = make_settings(batch_per_replica=4)
         s4 = make_settings(batch_per_replica=1)
         pipe = MISPipeline(s1, record_dir=tmp_path)
-        out1 = train_trial(CONFIG, s1, pipe, num_replicas=1)
-        out4 = train_trial(CONFIG, s4, pipe, num_replicas=4)
-        assert out1.history[-1].train_loss == pytest.approx(
-            out4.history[-1].train_loss, abs=1e-9
+        with use_compute_dtype(dtype):
+            out1 = train_trial(CONFIG, s1, pipe, num_replicas=1)
+            out4 = train_trial(CONFIG, s4, pipe, num_replicas=4)
+        loss1 = out1.history[-1].train_loss
+        assert loss1 == pytest.approx(
+            out4.history[-1].train_loss,
+            abs=sharding_atol(dtype, 1e-9, TRIAL_STEPS, loss1)
         )
-        assert out1.test_dice == pytest.approx(out4.test_dice, abs=1e-9)
+        assert out1.test_dice == pytest.approx(
+            out4.test_dice,
+            abs=sharding_atol(dtype, 1e-9, TRIAL_STEPS, out1.test_dice))
 
     def test_sync_batchnorm_trial_equivalence(self, tmp_path):
         """With BN + the sync reducer, distribution remains exact."""

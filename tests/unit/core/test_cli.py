@@ -137,7 +137,32 @@ class TestCommands:
             "--lr", "0.003", "--method", "data_parallel", "--gpus", "2",
         ])
         assert rc == 0
-        assert "best:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trial_0000 {'learning_rate': 0.003, 'loss': 'dice'}" in out
+        assert "[terminated]" in out and "best:" in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "data_parallel", "--gpus", "2",
+          "--executor", "process"], "data_parallel trains one trial"),
+        (["--gpus", "4"], "executes trials as 1-GPU runs"),
+    ], ids=["dp-process", "ep-serial-gpus"])
+    def test_search_rejects_placement_before_building_cohort(
+            self, flags, message, capsys, monkeypatch):
+        """Both combinations used to run silently: data_parallel on the
+        serial loop, experiment_parallel ignoring --gpus."""
+        import repro.core.pipeline
+
+        def no_cohort(*args, **kwargs):
+            raise AssertionError("a cohort was built")
+
+        monkeypatch.setattr(repro.core.pipeline.MISPipeline, "__init__",
+                            no_cohort)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--subjects", "6", "--volume", "8", "8", "8",
+                  "--epochs", "1", "--base-filters", "2", "--depth", "2",
+                  *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_search_defaults_to_float32_and_restores_policy(self, capsys,
                                                             monkeypatch):

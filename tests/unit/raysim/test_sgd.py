@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, SGD, SoftDiceLoss, UNet3D
+from repro.nn.dtypes import use_compute_dtype
 from repro.raysim import DataParallelTrainer, SyncGroup
+
+from ...float32_bounds import sharding_atol
 
 rng = np.random.default_rng(4)
 
@@ -22,43 +25,53 @@ def batch(n=4, seed=2):
 
 
 class TestExactEquivalence:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("replicas", [2, 4])
-    def test_gradient_sharding_equals_full_batch(self, replicas):
+    def test_gradient_sharding_equals_full_batch(self, replicas, dtype):
         """N-replica training == 1-replica large-batch training, to float
         round-off, when BN is absent (TF MirroredStrategy semantics)."""
         x, y = batch(4)
-        t1 = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
-                                 lambda m: Adam(m, lr=1e-3), 1)
-        tn = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
-                                 lambda m: Adam(m, lr=1e-3), replicas)
+        with use_compute_dtype(dtype):
+            t1 = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                     lambda m: Adam(m, lr=1e-3), 1)
+            tn = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                     lambda m: Adam(m, lr=1e-3), replicas)
         try:
             for _ in range(4):
                 o1 = t1.train_step(x, y)
                 on = tn.train_step(x, y)
-                assert o1["loss"] == pytest.approx(on["loss"], abs=1e-12)
+                assert o1["loss"] == pytest.approx(
+                    on["loss"], abs=sharding_atol(dtype, 1e-12, 4, o1["loss"]))
+            p1 = t1.model.get_flat_params()
             np.testing.assert_allclose(
-                t1.model.get_flat_params(), tn.model.get_flat_params(),
-                atol=1e-10,
+                p1, tn.model.get_flat_params(),
+                atol=sharding_atol(dtype, 1e-10, 4, p1),
             )
         finally:
             t1.shutdown()
             tn.shutdown()
 
-    def test_sync_batchnorm_restores_equivalence(self):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_sync_batchnorm_restores_equivalence(self, dtype):
         x, y = batch(4)
-        t1 = DataParallelTrainer(unet_factory(use_bn=True), SoftDiceLoss(),
-                                 lambda m: SGD(m, lr=1e-2), 1)
-        t2 = DataParallelTrainer(unet_factory(use_bn=True), SoftDiceLoss(),
-                                 lambda m: SGD(m, lr=1e-2), 2,
-                                 sync_batchnorm=True)
+        with use_compute_dtype(dtype):
+            t1 = DataParallelTrainer(unet_factory(use_bn=True),
+                                     SoftDiceLoss(),
+                                     lambda m: SGD(m, lr=1e-2), 1)
+            t2 = DataParallelTrainer(unet_factory(use_bn=True),
+                                     SoftDiceLoss(),
+                                     lambda m: SGD(m, lr=1e-2), 2,
+                                     sync_batchnorm=True)
         try:
             for _ in range(3):
                 o1 = t1.train_step(x, y)
                 o2 = t2.train_step(x, y)
-                assert o1["loss"] == pytest.approx(o2["loss"], abs=1e-10)
+                assert o1["loss"] == pytest.approx(
+                    o2["loss"], abs=sharding_atol(dtype, 1e-10, 3, o1["loss"]))
+            p1 = t1.model.get_flat_params()
             np.testing.assert_allclose(
-                t1.model.get_flat_params(), t2.model.get_flat_params(),
-                atol=1e-8,
+                p1, t2.model.get_flat_params(),
+                atol=sharding_atol(dtype, 1e-8, 3, p1),
             )
         finally:
             t1.shutdown()
@@ -110,19 +123,23 @@ class TestInvariants:
         finally:
             t.shutdown()
 
-    def test_uneven_shards_weighted_correctly(self):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_uneven_shards_weighted_correctly(self, dtype):
         """Batch 5 over 2 replicas (3+2) must still equal full batch."""
         x, y = batch(5)
-        t1 = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
-                                 lambda m: SGD(m, lr=1e-2), 1)
-        t2 = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
-                                 lambda m: SGD(m, lr=1e-2), 2)
+        with use_compute_dtype(dtype):
+            t1 = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                     lambda m: SGD(m, lr=1e-2), 1)
+            t2 = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                     lambda m: SGD(m, lr=1e-2), 2)
         try:
             o1, o2 = t1.train_step(x, y), t2.train_step(x, y)
-            assert o1["loss"] == pytest.approx(o2["loss"], abs=1e-12)
+            assert o1["loss"] == pytest.approx(
+                o2["loss"], abs=sharding_atol(dtype, 1e-12, 1, o1["loss"]))
+            p1 = t1.model.get_flat_params()
             np.testing.assert_allclose(
-                t1.model.get_flat_params(), t2.model.get_flat_params(),
-                atol=1e-12,
+                p1, t2.model.get_flat_params(),
+                atol=sharding_atol(dtype, 1e-12, 1, p1),
             )
         finally:
             t1.shutdown()
@@ -331,26 +348,29 @@ class TestReplicaProcesses:
         counter = hub.metrics.get("kernel_seconds_total")
         assert counter.labels(backend="fake", op="op").value == 2.0
 
-    def test_load_checkpoint_reaches_every_replica(self, tmp_path):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_load_checkpoint_reaches_every_replica(self, tmp_path, dtype):
         from repro.core import save_checkpoint
 
         x, y = batch(4)
-        src = DataParallelTrainer(unet_factory(seed=1), SoftDiceLoss(),
-                                  lambda m: Adam(m, lr=1e-2), 1)
-        src.train_step(x, y)
-        path = save_checkpoint(tmp_path / "ckpt", src.model, src.optimizer,
-                               epoch=3)
-        t = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
-                                lambda m: Adam(m, lr=1e-2), 2)
+        with use_compute_dtype(dtype):
+            src = DataParallelTrainer(unet_factory(seed=1), SoftDiceLoss(),
+                                      lambda m: Adam(m, lr=1e-2), 1)
+            t = DataParallelTrainer(unet_factory(), SoftDiceLoss(),
+                                    lambda m: Adam(m, lr=1e-2), 2)
         try:
+            src.train_step(x, y)
+            path = save_checkpoint(tmp_path / "ckpt", src.model,
+                                   src.optimizer, epoch=3)
             assert t.load_checkpoint(path)["epoch"] == 3
             assert t.weights_in_sync()
             for _ in range(2):
                 src.train_step(x, y)
                 t.train_step(x, y)
                 assert t.weights_in_sync(atol=1e-12)
-            np.testing.assert_allclose(t.model.get_flat_params(),
-                                       src.model.get_flat_params(),
-                                       atol=1e-10)
+            p_src = src.model.get_flat_params()
+            np.testing.assert_allclose(t.model.get_flat_params(), p_src,
+                                       atol=sharding_atol(dtype, 1e-10, 2,
+                                                          p_src))
         finally:
             t.shutdown()
