@@ -19,7 +19,8 @@ and flat gradients to rtol 1e-9, and the float32 path to rtol 1e-4) so
 no speedup is ever bought with accuracy.  Each combination is timed
 ``REPEATS`` times over ``STEPS`` steps and the best run is kept; a
 machine-readable summary -- including the pinned BLAS thread counts
-and CPU metadata that make the numbers comparable across hosts --
+and CPU metadata that make the numbers comparable across hosts, the
+fused tile budget and the host's per-core L2 size it is sized against --
 lands in ``BENCH_kernels.json`` next to this file.
 ``DISTMIS_BENCH_SMOKE=1`` shrinks the workload so the benchmark
 doubles as a smoke test over every backend; the speedup floor is only
@@ -40,7 +41,7 @@ from repro.nn import (
     use_compute_dtype,
     workspace,
 )
-from repro.nn.kernels import available_backends, consume_kernel_seconds
+from repro.nn.kernels import available_backends, consume_kernel_seconds, fused
 from repro.perf.regression import (
     bench_output_path,
     host_metadata,
@@ -63,6 +64,23 @@ else:
     VOLUME, BASE_FILTERS, DEPTH, STEPS = (32, 32, 32), 8, 4, 2
     LARGE_VOLUME, LARGE_STEPS, LARGE_REPEATS = (48, 48, 48), 1, 2
 BATCH = 1  # per-replica shard of the paper's global batch 2
+# per-core L2 the fused tile targets (read-only sysfs; absent off Linux)
+L2_SIZE_PATH = "/sys/devices/system/cpu/cpu0/cache/index2/size"
+
+
+def _l2_bytes(path=L2_SIZE_PATH) -> int | None:
+    """The host's per-core L2 size in bytes (sysfs writes e.g.
+    ``2048K``), or ``None`` when the file is absent or unreadable."""
+    try:
+        with open(path) as f:
+            text = f.read().strip()
+    except OSError:
+        return None
+    scale = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}.get(text[-1:].upper())
+    try:
+        return int(text[:-1]) * scale if scale else int(text)
+    except ValueError:
+        return None
 
 
 def _build(dtype=None, volume=None):
@@ -183,8 +201,9 @@ def test_fused_against_reference_parity_and_speedup():
             "dtype": "float32",
             "fused_step_seconds": round(fused_large, 4),
         },
+        "tile_bytes": fused.TILE_BYTES,
         "workspace_stats": workspace().stats(),
-        "host": host_metadata(),
+        "host": {**host_metadata(), "l2_bytes": _l2_bytes()},
     }
     OUT.write_text(json.dumps(summary, indent=2) + "\n")
     for dtype in DTYPES:

@@ -190,7 +190,7 @@ def cmd_search(args) -> int:
     from .core.search import check_search, run_search
 
     try:
-        check_search(args.method, args.gpus, args.executor)
+        check_search(args.method, args.gpus, args.executor, args.workers)
     except ValueError as exc:
         args.error(str(exc))
     # Search workloads trade a little precision for throughput: default
@@ -719,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["data_parallel", "experiment_parallel"])
     p.add_argument("--gpus", type=int, default=1,
                    help="data_parallel: virtual replicas per trial; "
-                        "experiment_parallel: 1 (serial executor)")
+                        "experiment_parallel: 1 (serial executor) or the "
+                        "process pool's worker count")
     p.add_argument("--executor", default="serial",
                    choices=["serial", "process"],
                    help="experiment_parallel trial execution backend: "
@@ -727,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "multi-core parallelism, result-identical)")
     p.add_argument("--workers", type=int, default=None,
                    help="process executor: worker processes "
-                        "(default: all cores)")
+                        "(default: --gpus when > 1, else all cores)")
     p.add_argument("--telemetry", metavar="DIR",
                    help="record manifest/metrics/trace into DIR")
     p.add_argument("--profile", metavar="DIR",

@@ -27,11 +27,13 @@ def check_method(method: str) -> None:
 
 
 def check_search(method: str, num_gpus: int = 1,
-                 executor: str = "serial") -> int:
+                 executor: str = "serial",
+                 max_workers: int | None = None) -> int:
     """Validate a method's placement and return its replicas per trial:
     ``num_gpus`` for data parallelism (serial executor only), ``1`` for
     experiment parallelism (``num_gpus > 1`` needs the process
-    executor).  Raises ``ValueError`` on any other combination."""
+    executor, whose pool it sizes: a different ``max_workers`` is a
+    conflict).  Raises ``ValueError`` on any other combination."""
     check_method(method)
     if method == "data_parallel":
         if executor != "serial":
@@ -45,6 +47,10 @@ def check_search(method: str, num_gpus: int = 1,
             "in-process experiment parallelism executes trials as 1-GPU "
             "runs; use simulate() for multi-GPU timing or "
             "executor='process' for real multi-core execution")
+    if num_gpus > 1 and max_workers not in (None, num_gpus):
+        raise ValueError(
+            f"{num_gpus} GPUs run {num_gpus} trial workers; "
+            f"max_workers={max_workers} conflicts (pass one of the two)")
     return 1
 
 
@@ -59,8 +65,9 @@ def run_search(method: str, space: HyperparameterSpace,
     :func:`~repro.core.experiment_parallel.run_search_inprocess`; the
     method only sets the replicas per trial and the executors allowed
     (:func:`check_search`).  ``executor="process"`` runs experiment
-    parallelism's independent trials on ``max_workers`` worker
-    processes, result-identical to the serial executor.
+    parallelism's independent trials on ``num_gpus`` worker processes
+    when ``num_gpus > 1``, else on ``max_workers`` (default: every
+    core), result-identical to the serial executor.
 
     With a live telemetry hub (default: the process-wide one) the run
     emits per-step / per-epoch metrics and nested spans, and finishes
@@ -69,7 +76,9 @@ def run_search(method: str, space: HyperparameterSpace,
     ``progress`` (a :class:`~repro.telemetry.ProgressReporter`) renders
     a live Tune-style trial table while the search runs.
     """
-    num_replicas = check_search(method, num_gpus, executor)
+    num_replicas = check_search(method, num_gpus, executor, max_workers)
+    if executor == "process" and num_gpus > 1:
+        max_workers = num_gpus
     if telemetry is None:
         from ..telemetry import get_hub
 
@@ -84,7 +93,7 @@ def run_search(method: str, space: HyperparameterSpace,
     best = result.best()
     telemetry.finalize_run(
         kind=f"inprocess/{method}",
-        config={"space": space.axes, "num_gpus": num_gpus,
+        config={"space": space.axes, "num_gpus": result.num_gpus,
                 "executor": executor, "max_workers": max_workers,
                 "epochs": settings.epochs},
         seed=settings.seed,

@@ -22,18 +22,25 @@ convolution differently:
   ``as_strided`` window copy: ``sliding_window_view`` spends as long in
   shape/stride bookkeeping as in the copy at these call counts.
 * **output-depth tiling** -- the slice buffer is tiled along output
-  depth to :data:`TILE_BYTES` (4 MiB) per tile so it stays
-  cache-resident at large volumes, and every tile's buffer goes back
-  to the arena as soon as its GEMMs are done.  The backward weight
-  gradient re-gathers each tile's slice buffer from the padded input
-  and contracts its slice ranges against the matching ``dy`` rows
-  (``cols2 @ dy^T`` per depth offset, partials summed in tile order):
-  nothing the forward gathered outlives the forward, so a training
-  step holds about one tile of slice buffers at a time.  The input
-  gradient at unit stride is the mirrored lowering over the padded
-  ``dy`` -- 2D patches of ``dy`` against depth slabs of the flipped
-  kernel; strided convolutions take the col2im form (GEMM
-  ``w^T @ dy``, then a scatter-add per kernel offset).
+  depth to :data:`TILE_BYTES` per tile so it stays resident in a
+  core's L2, and every tile's buffer goes back to the arena as soon as
+  its GEMMs are done.  The backward weight gradient re-gathers each
+  tile's slice buffer from the padded input and contracts its slice
+  ranges against the matching ``dy`` rows (``cols2 @ dy^T`` per depth
+  offset and output depth slice): nothing the forward gathered
+  outlives the forward, so a training step holds about one tile of
+  slice buffers at a time.  The input gradient at unit stride is the
+  mirrored lowering over the padded ``dy`` -- 2D patches of ``dy``
+  against depth slabs of the flipped kernel, tiled over input depth;
+  strided convolutions take the col2im form (GEMM ``w^T @ dy``, then a
+  scatter-add per kernel offset).
+* **tile-invariant reductions** -- no sum is ever taken per tile.  The
+  BN channel sums are kept per (sample, output depth slice) and the
+  weight gradient's per-slice GEMM products land in one
+  ``(kd, N, Do, K9, Cout)`` buffer; each is reduced once, after the
+  last tile.  Every result is therefore bit-identical whatever the
+  tile plan: :data:`TILE_BYTES` trades speed against memory, never
+  accuracy.
 * **1x1x1 convolutions** (the segmentation head) are one batched GEMM
   on the input itself, which already is the patches matrix.
 * **transposed conv** -- one GEMM producing the offset columns, then a
@@ -71,8 +78,10 @@ __all__ = ["FusedBackend"]
 
 _UNIT = (1, 1, 1)
 
-#: Target bytes for one tile's slice buffer.
-TILE_BYTES = 4 * 1024 * 1024
+#: Target bytes for one tile's slice buffer: half of a 2 MiB per-core
+#: L2, so a tile and its GEMM output fit together.  Buffers up to twice
+#: this run as one tile (:func:`_plan_tiles`).
+TILE_BYTES = 1024 * 1024
 
 
 def _padded(ws, x: np.ndarray, pad) -> np.ndarray:
@@ -290,9 +299,10 @@ class FusedBackend(KernelBackend):
         # dw: re-gather each tile's slice buffer, then for depth offset
         # j contract the slice range ``cols2[:, j::sd]`` against the
         # matching dy rows -- per-slice GEMMs in the flipped orientation
-        # (K9 patch rows as M), with per-tile partials summed in tile
-        # order (determinism).
-        parts = []
+        # (K9 patch rows as M) written into one per-slice product
+        # buffer, summed once after the last tile, so the tile plan
+        # never changes the bits.
+        prods = ws.acquire((kd, n, Do, K9, co), x.dtype)
         xp = _padded(ws, x, pad)
         for d0, d1 in tiles:
             td = d1 - d0
@@ -302,18 +312,14 @@ class FusedBackend(KernelBackend):
                            stride[1:], cols2)
             dyb = (dyc[:, :, d0:d1].reshape(n, co, td, HoWo)
                    .transpose(0, 2, 3, 1))  # (n, td, HoWo, co) view
-            part = np.empty((kd, K9, co), dtype=x.dtype)
             for j in range(kd):
                 slab = cols2[:, j : j + (td - 1) * sd + 1 : sd]
-                part[j] = (np.matmul(slab, dyb)
-                           .reshape(n * td, K9, co).sum(axis=0))
-            parts.append(part)
+                np.matmul(slab, dyb, out=prods[j][:, d0:d1])
             ws.release(cols2)
         if xp is not x:
             ws.release(xp)
-        total = parts[0]
-        for part in parts[1:]:
-            total += part
+        total = prods.reshape(kd, n * Do, K9, co).sum(axis=1)
+        ws.release(prods)
         dw = np.ascontiguousarray(
             total.reshape(kd, c, kh, kw, co).transpose(4, 1, 0, 2, 3))
         db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
@@ -329,11 +335,12 @@ class FusedBackend(KernelBackend):
         return dx, dw, db
 
     def _run_tiles(self, ws, xp, w5, b, y, stride, tiles,
-                   relu=False, stats=False):
+                   relu=False, stats=None):
         """Run every tile's depth-sliced GEMMs into its slice of ``y``;
-        optionally apply bias/ReLU and/or return the per-tile BN channel
-        sums in tile order (computed on the batch-major scratch while it is
-        cache-hot, before the transpose-copy into ``y``)."""
+        optionally apply bias/ReLU, and/or write the BN channel sums and
+        sums of squares per (sample, depth slice) into ``stats``
+        ``(2, n, Do, co)`` (computed on the batch-major scratch while it
+        is cache-hot, before the transpose-copy into ``y``)."""
         n = xp.shape[0]
         co, _, kd, kh, kw = w5.shape
         Do, Ho, Wo = y.shape[2:]
@@ -343,7 +350,6 @@ class FusedBackend(KernelBackend):
         K9 = wk.shape[2]
         bias = None if b is None else b.reshape(1, 1, co, 1)
 
-        tile_sums = []
         for d0, d1 in tiles:
             td = d1 - d0
             S = (td - 1) * sd + kd
@@ -366,14 +372,14 @@ class FusedBackend(KernelBackend):
                 ybat += bias
             if relu:
                 np.maximum(ybat, 0.0, out=ybat)
-            if stats:  # channel sums while the scratch is cache-hot
-                tile_sums.append((ybat.sum(axis=(0, 1, 3)),
-                                  np.einsum("ndcp,ndcp->c", ybat, ybat)))
+            if stats is not None:  # while the scratch is cache-hot
+                ybat.sum(axis=3, out=stats[0][:, d0:d1])
+                np.einsum("ndcp,ndcp->ndc", ybat, ybat,
+                          out=stats[1][:, d0:d1])
             np.copyto(
                 y[:, :, d0:d1],
                 ybat.reshape(n, td, co, Ho, Wo).transpose(0, 2, 1, 3, 4))
             ws.release(ybat)
-        return tile_sums
 
     # -- fused Conv3D + BatchNorm + ReLU ------------------------------------
     def conv3d_bn_relu_forward(self, x, w, b, gamma, beta, running_mean,
@@ -407,15 +413,12 @@ class FusedBackend(KernelBackend):
         # folding the BN channel sums into the tile epilogue, then one
         # affine+ReLU pass.
         y_conv = ws.acquire((n, co, Do, Ho, Wo), x.dtype)
-        sums = self._run_tiles(ws, xp, w, b, y_conv, stride, tiles,
-                               stats=True)
+        stats = ws.acquire((2, n, Do, co), x.dtype)
+        self._run_tiles(ws, xp, w, b, y_conv, stride, tiles, stats=stats)
         if xp is not x:
             ws.release(xp)
-        total = sums[0][0]
-        sq_total = sums[0][1]
-        for s, ss in sums[1:]:
-            total = total + s
-            sq_total = sq_total + ss
+        total, sq_total = stats.sum(axis=(1, 2))
+        ws.release(stats)
         count = float(n * Do * Ho * Wo)
         mean = total / count
         var = np.maximum(sq_total / count - mean**2, 0.0)  # numerical guard

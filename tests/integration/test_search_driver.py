@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import ExperimentSettings, HyperparameterSpace, MISPipeline
 from repro.core.experiment_parallel import run_search_inprocess
-from repro.core.search import run_search
+from repro.core.search import check_search, run_search
 from repro.nn.dtypes import use_compute_dtype
 from repro.telemetry import TelemetryHub
 
@@ -101,3 +101,29 @@ def test_process_pool_matches_serial(dtype, pipeline):
     assert len(serial.outcomes) == len(pooled.outcomes) == len(SPACE)
     assert _outcome_digest(serial.outcomes) == \
         _outcome_digest(pooled.outcomes)
+
+
+def test_gpus_size_the_process_pool(tmp_path):
+    """``num_gpus=N`` on the process executor runs N workers, and the
+    manifest records the width the search ran at."""
+    from repro.telemetry.manifest import RunManifest
+
+    space = HyperparameterSpace({"learning_rate": [3e-3, 1e-3, 3e-4],
+                                 "loss": ["dice"]})
+    settings = ExperimentSettings(num_subjects=6, volume_shape=(8, 8, 8),
+                                  epochs=1, base_filters=2, depth=2)
+    result = run_search("experiment_parallel", space, settings, num_gpus=3,
+                        executor="process",
+                        telemetry=TelemetryHub(run_dir=tmp_path))
+    assert result.num_gpus == 3
+    assert len(result.outcomes) == 3
+    assert RunManifest.load(tmp_path).config["num_gpus"] == 3
+
+
+def test_conflicting_workers_rejected():
+    with pytest.raises(ValueError, match="conflicts"):
+        check_search("experiment_parallel", 3, "process", max_workers=2)
+    assert check_search("experiment_parallel", 3, "process",
+                        max_workers=3) == 1
+    assert check_search("experiment_parallel", 1, "process",
+                        max_workers=2) == 1

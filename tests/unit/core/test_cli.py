@@ -145,7 +145,9 @@ class TestCommands:
         (["--method", "data_parallel", "--gpus", "2",
           "--executor", "process"], "data_parallel trains one trial"),
         (["--gpus", "4"], "executes trials as 1-GPU runs"),
-    ], ids=["dp-process", "ep-serial-gpus"])
+        (["--gpus", "3", "--executor", "process", "--workers", "2"],
+         "max_workers=2 conflicts"),
+    ], ids=["dp-process", "ep-serial-gpus", "ep-gpus-workers-conflict"])
     def test_search_rejects_placement_before_building_cohort(
             self, flags, message, capsys, monkeypatch):
         """Both combinations used to run silently: data_parallel on the

@@ -22,6 +22,8 @@ from repro.nn import (
 )
 from repro.nn.functional import (
     conv3d_backward,
+    conv3d_bn_relu_backward,
+    conv3d_bn_relu_forward,
     conv3d_forward,
     conv_transpose3d_backward,
     conv_transpose3d_forward,
@@ -261,6 +263,45 @@ class TestFusedTiling:
         for o, r, label in zip(out, ref, ("y", "dx", "dw", "db")):
             np.testing.assert_allclose(o, r, rtol=1e-9, atol=1e-11,
                                        err_msg=label)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_results_independent_of_tile_plan(self, monkeypatch, dtype):
+        """Every kernel output is bit-identical under three tiles and one
+        tile: the BN sums and the weight gradient reduce per depth slice
+        and sum once, so shrinking the tile never changes training."""
+        g = np.random.default_rng(77)
+        x = g.normal(size=(2, 2, 8, 14, 6)).astype(dtype)
+        w = g.normal(size=(3, 2, 3, 3, 3)).astype(dtype)
+        b, beta, rmean = (g.normal(size=3).astype(dtype) for _ in range(3))
+        gamma, rvar = (g.uniform(0.5, 1.5, 3).astype(dtype)
+                       for _ in range(2))
+        dy = g.normal(size=(2, 3, 8, 14, 6)).astype(dtype)
+        item = np.dtype(dtype).itemsize
+        assert len(fused._plan_tiles(2, 18, 8, 14, 6, item)) >= 3
+
+        def run():
+            with use_backend("fused"):
+                ctx = {}
+                y, mean, var = conv3d_bn_relu_forward(
+                    x, w, b, gamma, beta, rmean, rvar, 1e-5, 1, 1,
+                    training=True, ctx=ctx)
+                grads = conv3d_bn_relu_backward(dy, x, w, gamma, 1, 1,
+                                                ctx=ctx)
+                y_eval = conv3d_bn_relu_forward(
+                    x, w, b, gamma, beta, rmean, rvar, 1e-5, 1, 1,
+                    training=False)[0]
+                y_conv = conv3d_forward(x, w, b, 1, 1)
+                conv_grads = conv3d_backward(dy, x, w, 1, 1)
+            return (y, mean, var, *grads, y_eval, y_conv, *conv_grads)
+
+        tiled = run()
+        monkeypatch.setattr(fused, "TILE_BYTES", 1 << 40)
+        assert fused._plan_tiles(2, 27, 8, 14, 6, item) is None
+        whole = run()
+        labels = ("y", "mean", "var", "dx", "dw", "db", "dgamma", "dbeta",
+                  "y_eval", "conv y", "conv dx", "conv dw", "conv db")
+        for t, o, label in zip(tiled, whole, labels):
+            assert np.array_equal(t, o), label
 
     def test_workspace_balanced_after_tiled_run(self):
         # delta, not absolute: earlier tests' layers may still hold a
