@@ -1,4 +1,4 @@
-"""E9/E10 -- ablations over the simulated design space.
+"""E9 -- ablations over the simulated design space.
 
 Not tables from the paper; these sweep the design choices DESIGN.md
 calls out, answering "why does the Table I gap look like this?":
@@ -8,8 +8,8 @@ calls out, answering "why does the Table I gap look like this?":
 * interconnect bandwidth -- InfiniBand vs 10GbE;
 * straggler jitter sigma -- the dominant fitted overhead;
 * scheduler policy -- Ray Tune FIFO vs LPT for experiment parallelism;
-* ASHA early stopping -- what adaptive scheduling would add on top;
-* (E10) pipeline/model parallelism -- the paper's future-work sketch.
+* data deployment -- staging the cohort to node-local storage vs
+  reading the shared filesystem every epoch (the Fig 1 stage).
 """
 
 import math
@@ -19,22 +19,18 @@ from conftest import once
 from repro.cluster import (
     ETHERNET_10G,
     INFINIBAND_EDR,
-    NVLINK2,
     V100_16GB,
     ClusterSpec,
     NodeSpec,
     POWER9_NODE,
 )
-from repro.cluster.modelparallel import plan_pipeline_parallel
 from repro.perf import (
     MARENOSTRUM_CTE_PROFILE,
-    PAPER_SPATIAL,
     StepCostModel,
     calibrated_model,
     data_parallel_search_time,
     experiment_parallel_search_time,
     paper_search_grid,
-    unet3d_forward_flops,
 )
 
 
@@ -176,40 +172,3 @@ class TestDataDeployment:
         for nodes, (stage, shared, staged) in result.items():
             assert staged < shared            # staging wins over a full run
             assert stage < 0.1 * 44 * 3600    # and is <10% of the search
-
-
-class TestModelParallelFutureWork:
-    def test_pipeline_parallel_sketch(self, benchmark):
-        """E10 -- Section V-C: pipeline-split training unlocks batch > 2
-        at the cost of bubbles + boundary traffic."""
-        flops = 3 * unet3d_forward_flops() * 2  # fwd+bwd, batch 2
-
-        def sweep():
-            out = {}
-            for stages in (1, 2, 4):
-                out[stages] = plan_pipeline_parallel(
-                    total_step_flops=flops,
-                    spatial=PAPER_SPATIAL,
-                    gpu=V100_16GB,
-                    link=NVLINK2,
-                    num_stages=stages,
-                    batch_per_step=2,
-                )
-            return out
-
-        plans = once(benchmark, sweep)
-        print("\n=== E10: pipeline-parallel future-work sketch ===")
-        print(f"{'stages':>6} {'step (s)':>9} {'bubble':>7} "
-              f"{'mem/stage (GiB)':>16} {'max batch':>10}")
-        for s, p in plans.items():
-            print(f"{s:>6} {p.step_time_s:>9.3f} {p.bubble_fraction:>7.2f} "
-                  f"{p.per_stage_memory_bytes/2**30:>16.2f} "
-                  f"{p.max_feasible_batch:>10}")
-
-        assert plans[1].bubble_fraction == 0.0
-        # splitting raises the feasible batch (the motivation)...
-        assert plans[4].max_feasible_batch > plans[1].max_feasible_batch
-        # ...and lowers per-stage memory
-        assert plans[4].per_stage_memory_bytes < plans[1].per_stage_memory_bytes
-        # but costs bubble overhead per step
-        assert plans[4].bubble_fraction > plans[2].bubble_fraction > 0

@@ -1,4 +1,4 @@
-"""E16 -- search-algorithm comparison on a synthetic quality landscape.
+"""E24 -- search-algorithm comparison on a synthetic quality landscape.
 
 The paper uses exhaustive grid search (the cross-product of the
 options).  This bench compares the provided alternatives -- random
@@ -59,7 +59,7 @@ def _run_all():
 def test_search_algorithm_comparison(benchmark):
     results = once(benchmark, _run_all)
 
-    print("\n=== E16: search algorithms on the synthetic landscape ===")
+    print("\n=== E24: search algorithms on the synthetic landscape ===")
     print(f"{'algorithm':<14} {'trials':>7} {'best dice':>10} {'best lr':>9}")
     for name, r in results.items():
         print(f"{name:<14} {r['trials']:>7} {r['best']:>10.4f} "

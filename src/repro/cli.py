@@ -681,9 +681,23 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .nn.losses import LOSS_NAMES
+class _LossNames:
+    """``choices`` for ``--loss``/``--losses``: the loss registry's
+    names, imported when argparse first checks a value or lists them
+    (``in`` falls back to iteration), so parsing a command that trains
+    nothing (``telemetry``, ``top``, ``trace``) loads neither
+    :mod:`repro.nn` nor NumPy.  The flags carry an explicit metavar
+    because argparse formats a choices-derived one when the argument
+    is added."""
 
+    def __iter__(self):
+        from .nn.losses import LOSS_NAMES
+
+        return iter(LOSS_NAMES)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    loss_names = _LossNames()
     parser = argparse.ArgumentParser(
         prog="distmis",
         description="DistMIS reproduction: distributed hyper-parameter "
@@ -703,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one configuration in-process")
     _add_scale_args(p)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--loss", default="dice", choices=LOSS_NAMES)
+    p.add_argument("--loss", default="dice", choices=loss_names,
+                   metavar="NAME", help="one of: %(choices)s")
     p.add_argument("--gpus", type=int, default=1,
                    help="virtual data-parallel replicas")
     p.add_argument("--telemetry", metavar="DIR",
@@ -714,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(p)
     p.add_argument("--lr", type=float, nargs="+", default=[3e-3, 1e-3])
     p.add_argument("--losses", nargs="+", default=["dice"],
-                   choices=LOSS_NAMES)
+                   choices=loss_names, metavar="NAME",
+                   help="one or more of: %(choices)s")
     p.add_argument("--method", default="experiment_parallel",
                    choices=["data_parallel", "experiment_parallel"])
     p.add_argument("--gpus", type=int, default=1,

@@ -17,13 +17,11 @@ from .failures import (
     expected_slowdown,
     run_with_failures,
 )
-from .modelparallel import PipelineParallelPlan, plan_pipeline_parallel
 from .collectives import (
     allreduce_time,
     hierarchical_allreduce_time,
     ring_allreduce,
     ring_allreduce_time,
-    tree_allreduce_time,
 )
 from .network import (
     ETHERNET_10G,
@@ -63,7 +61,6 @@ __all__ = [
     "PCIE3_X16",
     "ETHERNET_10G",
     "ring_allreduce_time",
-    "tree_allreduce_time",
     "hierarchical_allreduce_time",
     "allreduce_time",
     "ring_allreduce",
@@ -74,6 +71,4 @@ __all__ = [
     "RetryRecord",
     "expected_slowdown",
     "run_with_failures",
-    "PipelineParallelPlan",
-    "plan_pipeline_parallel",
 ]

@@ -1,6 +1,6 @@
 """Collective-communication cost models.
 
-Analytic time estimates for ring / tree / hierarchical all-reduce under
+Analytic time estimates for ring and hierarchical all-reduce under
 the alpha-beta link model.  These drive the simulated Table I
 reproduction: the paper's data-parallel method pays a NVLink ring
 inside each 4-GPU node plus an InfiniBand ring across node leaders once
@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 
 from ..raysim.sgd import ring_allreduce
-from .network import LinkSpec, transfer_time
+from .network import LinkSpec
 
 __all__ = [
     "ring_allreduce_time",
-    "tree_allreduce_time",
     "hierarchical_allreduce_time",
     "allreduce_time",
     "ring_allreduce",
@@ -39,19 +38,6 @@ def ring_allreduce_time(nbytes: int, n: int, link: LinkSpec) -> float:
         return 0.0
     chunk = nbytes / n
     return 2 * (n - 1) * (link.latency_s + chunk / link.bandwidth_bytes_per_s)
-
-
-def tree_allreduce_time(nbytes: int, n: int, link: LinkSpec) -> float:
-    """Binary-tree reduce + broadcast: 2 ceil(log2 n) full-message hops.
-
-    Latency-optimal for small messages; bandwidth-suboptimal for large.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0.0
-    hops = 2 * math.ceil(math.log2(n))
-    return hops * transfer_time(nbytes, link)
 
 
 def hierarchical_allreduce_time(

@@ -30,10 +30,7 @@ from .deployment import (
     PAPER_DATASET_BYTES,
     DatasetFootprint,
     DeploymentPlan,
-    ServingCapacityPlan,
-    ServingWorkload,
     plan_deployment,
-    plan_serving_capacity,
     staging_time,
 )
 from .costs import (
@@ -113,9 +110,6 @@ __all__ = [
     "staging_time",
     "plan_deployment",
     "PAPER_DATASET_BYTES",
-    "ServingWorkload",
-    "ServingCapacityPlan",
-    "plan_serving_capacity",
     "TrialBreakdown",
     "epoch_breakdown",
     "bench_output_path",

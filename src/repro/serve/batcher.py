@@ -199,9 +199,8 @@ class MicroBatcher:
         a deadline.  Full and deadline-due batches leave ahead of early
         ones and use up ``idle`` first, so a partial batch is never
         pushed behind work that was due anyway.  The deadline therefore
-        binds only while every replica is busy (``idle=0``: the
-        saturated-load bound the capacity model in
-        :mod:`repro.perf.deployment` assumes).  *Order* among eligible
+        binds only while every replica is busy (``idle=0``, saturated
+        load).  *Order* among eligible
         groups is by the weighted-fair scheduler, not FIFO: the next
         batch comes from the group holding the request with the
         smallest virtual pass, so a fresh small request's group

@@ -31,9 +31,7 @@ contract, so a served prediction
 is bit-identical to a solo offline call on the same volume by
 construction, whatever task the request happened to ride in --
 micro-batching amortises the *dispatch* cost (queue hand-off,
-volume pickling, Python call overhead), not the GEMM, which is exactly
-how the serving capacity model prices it
-(:class:`repro.perf.deployment.ServingWorkload`).
+volume pickling, Python call overhead), not the GEMM.
 """
 
 from __future__ import annotations

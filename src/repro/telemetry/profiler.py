@@ -7,7 +7,7 @@ your data".  Three pieces:
   the four buckets instrumented across the stack (``data_wait`` in
   :func:`repro.core.pipeline.train_trial`, ``compute`` in
   :class:`repro.raysim.sgd.DataParallelTrainer`, ``sync`` in
-  :func:`repro.cluster.collectives.ring_allreduce`, ``checkpoint``
+  :func:`repro.raysim.sgd.ring_allreduce`, ``checkpoint``
   around :class:`repro.fault_tolerance.CheckpointManager` saves).
   ``from_cost_model`` derives the same split analytically from
   :class:`repro.perf.costs.StepCostModel`, which is how measured

@@ -12,7 +12,6 @@ from repro.cluster import (
     ring_allreduce,
     ring_allreduce_time,
     transfer_time,
-    tree_allreduce_time,
 )
 
 rng = np.random.default_rng(17)
@@ -39,7 +38,6 @@ class TestLinkModel:
 class TestCostModels:
     def test_single_gpu_is_free(self):
         assert ring_allreduce_time(MB, 1, NVLINK2) == 0.0
-        assert tree_allreduce_time(MB, 1, NVLINK2) == 0.0
         assert allreduce_time(MB, 1, 4, NVLINK2, INFINIBAND_EDR) == 0.0
 
     def test_ring_bandwidth_term_saturates(self):
@@ -51,16 +49,6 @@ class TestCostModels:
         t128 = ring_allreduce_time(100 * MB, 128, quiet)
         limit = 2 * 100 * MB / quiet.bandwidth_bytes_per_s
         assert t64 < t128 < limit * 1.01
-
-    def test_tree_beats_ring_for_tiny_messages(self):
-        t_ring = ring_allreduce_time(64, 32, INFINIBAND_EDR)
-        t_tree = tree_allreduce_time(64, 32, INFINIBAND_EDR)
-        assert t_tree < t_ring
-
-    def test_ring_beats_tree_for_big_messages(self):
-        t_ring = ring_allreduce_time(500 * MB, 16, INFINIBAND_EDR)
-        t_tree = tree_allreduce_time(500 * MB, 16, INFINIBAND_EDR)
-        assert t_ring < t_tree
 
     def test_hierarchical_structure(self):
         """Hierarchical = intra ring + inter ring + intra rebroadcast."""

@@ -1,15 +1,9 @@
-"""Failure injection and pipeline-parallel plan tests."""
+"""Failure injection tests."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    NVLINK2,
-    V100_16GB,
-    FailureModel,
-    plan_pipeline_parallel,
-    run_with_failures,
-)
+from repro.cluster import FailureModel, run_with_failures
 from repro.cluster.failures import expected_slowdown
 from repro.fault_tolerance import RetryPolicy
 from repro.perf import fifo_schedule
@@ -278,49 +272,3 @@ class TestPaperGridPinned:
                [(r.trial, r.attempt, r.failed_at_s, r.resumed_epoch)
                 for r in res.retries])
         assert got == self.EXPECTED[key]
-
-
-class TestPipelineParallelPlan:
-    FLOPS = 1.5e12  # fwd+bwd for a batch of 2 full volumes
-
-    def _plan(self, stages, **kw):
-        return plan_pipeline_parallel(
-            total_step_flops=self.FLOPS,
-            spatial=(240, 240, 152),
-            gpu=V100_16GB,
-            link=NVLINK2,
-            num_stages=stages,
-            batch_per_step=2,
-            **kw,
-        )
-
-    def test_single_stage_no_bubble_no_comm(self):
-        p = self._plan(1)
-        assert p.bubble_fraction == 0.0
-
-    def test_memory_drops_with_stages(self):
-        mems = [self._plan(s).per_stage_memory_bytes for s in (1, 2, 4)]
-        assert mems[0] > mems[1] > mems[2]
-
-    def test_max_batch_grows_with_stages(self):
-        batches = [self._plan(s).max_feasible_batch for s in (1, 2, 4)]
-        assert batches[0] < batches[2]
-
-    def test_bubble_shrinks_with_microbatches(self):
-        few = self._plan(4, num_microbatches=2)
-        many = self._plan(4, num_microbatches=16)
-        assert many.bubble_fraction < few.bubble_fraction
-        assert many.step_time_s < few.step_time_s
-
-    def test_throughput_helper(self):
-        p = self._plan(2)
-        assert p.throughput_samples_per_s() == pytest.approx(
-            2 / p.step_time_s
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self._plan(0)
-        with pytest.raises(ValueError):
-            plan_pipeline_parallel(self.FLOPS, (8, 8, 8), V100_16GB,
-                                   NVLINK2, 2, 0)

@@ -9,9 +9,11 @@ synthesis smooths in NumPy.  The paper-scale simulator
 (``repro.cluster``, ``repro.perf``, ``repro.core.{simulated,runner,
 report,results}``) may import the executed system, never the other
 way: importing, training (one or two replicas), a process-pool search,
-``distmis search`` and serving load none of it.  Each snippet runs
-once in a fresh interpreter, so what the test run itself has
-imported cannot mask a regression.
+``distmis search`` and serving load none of it.  Parsing the
+run-directory commands (``distmis telemetry|top|trace``) loads neither
+NumPy nor ``repro.nn``.  Each snippet runs once in a fresh
+interpreter, so what the test run itself has imported cannot mask a
+regression.
 """
 
 import functools
@@ -42,6 +44,8 @@ def loaded(names):
 
 simulator = {SIMULATOR_PACKAGES + SIMULATOR_MODULES!r}
 print(json.dumps({{"scipy": loaded(("scipy",)),
+                  "numpy": loaded(("numpy",)),
+                  "nn": loaded(("repro.nn",)),
                   "simulator": loaded(simulator)}}))
 """
 
@@ -103,6 +107,12 @@ result = run_search_inprocess(space, settings, executor="process",
 assert len(result.outcomes) == 2, result.outcomes
 """
 
+PARSE_INSPECTION = """
+from repro.cli import build_parser
+
+build_parser().parse_args({argv!r})
+"""
+
 CLI_SEARCH = """
 from repro.cli import main
 
@@ -113,11 +123,12 @@ assert main(["search", "--subjects", "3", "--volume", "8", "8", "8",
 
 
 @functools.lru_cache(maxsize=None)
-def modules_after(snippet: str) -> dict[str, list[str]]:
-    """SciPy and simulator modules loaded once ``snippet`` has run."""
+def modules_after(snippet: str, imports: str = IMPORTS) -> dict[str, list[str]]:
+    """SciPy, NumPy, ``repro.nn`` and simulator modules loaded once
+    ``imports`` and then ``snippet`` have run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORTS + "\n" + snippet + REPORT],
+        [sys.executable, "-c", imports + "\n" + snippet + REPORT],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -152,3 +163,15 @@ def test_training_and_search_load_no_scipy(snippet):
 ])
 def test_executed_side_loads_no_simulator_module(snippet):
     assert modules_after(snippet)["simulator"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["telemetry", "summary", "run"], id="telemetry"),
+    pytest.param(["top", "run"], id="top"),
+    pytest.param(["trace", "run"], id="trace"),
+])
+def test_parsing_an_inspection_command_loads_no_numpy(argv):
+    """``distmis telemetry|top|trace`` read run directories; building
+    the parser must not import the loss registry to list its names."""
+    loaded = modules_after(PARSE_INSPECTION.format(argv=argv), imports="")
+    assert loaded["numpy"] == [] and loaded["nn"] == [], loaded

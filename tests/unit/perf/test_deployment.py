@@ -8,9 +8,7 @@ from repro.perf import (
     GIB,
     PAPER_DATASET_BYTES,
     DatasetFootprint,
-    ServingWorkload,
     plan_deployment,
-    plan_serving_capacity,
     staging_time,
 )
 
@@ -109,46 +107,3 @@ class TestPlan:
         shared = plan_deployment(fp, 4, INFINIBAND_EDR,
                                  shared_read_gibs=0.5, strategy="shared_fs")
         assert shared.per_epoch_read_seconds == pytest.approx(fp.gib / 0.5)
-
-
-class TestServingCapacity:
-    W = ServingWorkload(service_s=0.1, dispatch_overhead_s=0.05,
-                        max_batch=8, max_delay_s=0.02)
-
-    def test_batch_amortises_dispatch(self):
-        # throughput strictly improves with batch when overhead > 0
-        rps = [self.W.replica_throughput_rps(b) for b in (1, 2, 8)]
-        assert rps[0] < rps[1] < rps[2]
-        assert self.W.batch_seconds(2) == pytest.approx(0.25)
-
-    def test_plan_meets_demand_with_headroom(self):
-        plan = plan_serving_capacity(self.W, target_rps=20.0,
-                                     utilization=0.8)
-        assert plan.capacity_rps * 0.8 >= plan.target_rps
-        assert plan.headroom >= 1.0 / 0.8 - 1e-9
-        assert 1 <= plan.batch <= self.W.max_batch
-        assert plan.latency_bound_s == pytest.approx(
-            self.W.max_delay_s + self.W.batch_seconds(plan.batch))
-
-    def test_more_traffic_needs_more_replicas(self):
-        lo = plan_serving_capacity(self.W, target_rps=5.0)
-        hi = plan_serving_capacity(self.W, target_rps=200.0)
-        assert hi.replicas > lo.replicas
-
-    def test_no_overhead_prefers_small_batches(self):
-        """With zero dispatch overhead batching buys nothing, so the
-        plan picks the lowest-latency batch size: 1."""
-        w = ServingWorkload(service_s=0.1, dispatch_overhead_s=0.0)
-        assert plan_serving_capacity(w, target_rps=5.0).batch == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ServingWorkload(service_s=0.0)
-        with pytest.raises(ValueError):
-            ServingWorkload(service_s=0.1, max_batch=0)
-        with pytest.raises(ValueError):
-            self.W.batch_seconds(9)
-        with pytest.raises(ValueError):
-            plan_serving_capacity(self.W, target_rps=0)
-        with pytest.raises(ValueError):
-            plan_serving_capacity(self.W, target_rps=1, utilization=1.5)
