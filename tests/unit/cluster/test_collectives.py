@@ -57,6 +57,38 @@ class TestCostModels:
         inter = ring_allreduce_time(MB, 8, INFINIBAND_EDR)
         assert got == pytest.approx(intra * 1.5 + inter)
 
+    def test_hierarchical_degenerates_to_one_ring(self):
+        """One node is the intra-node ring alone; one GPU per node is
+        the fabric ring alone."""
+        assert hierarchical_allreduce_time(
+            MB, 4, 1, NVLINK2, INFINIBAND_EDR
+        ) == ring_allreduce_time(MB, 4, NVLINK2)
+        assert hierarchical_allreduce_time(
+            MB, 1, 8, NVLINK2, INFINIBAND_EDR
+        ) == ring_allreduce_time(MB, 8, INFINIBAND_EDR)
+
+    def test_hierarchical_beats_flat_fabric_ring(self):
+        """8 GPUs in 2 nodes of 4: reducing over NVLink first leaves the
+        fabric a 2-rank ring, cheaper than one 8-rank ring over it."""
+        flat = ring_allreduce_time(100 * MB, 8, INFINIBAND_EDR)
+        hier = hierarchical_allreduce_time(100 * MB, 4, 2, NVLINK2,
+                                           INFINIBAND_EDR)
+        assert hier < flat
+
+    def test_ring_latency_term_dominates_tiny_messages(self):
+        """A 64-byte buffer costs 2(n-1) link latencies: linear in the
+        ring size."""
+        for n in (2, 8, 32):
+            t = ring_allreduce_time(64, n, INFINIBAND_EDR)
+            assert t == pytest.approx(2 * (n - 1) * INFINIBAND_EDR.latency_s,
+                                      rel=1e-2)
+
+    def test_partial_last_node_is_a_full_ring_member(self):
+        """6 GPUs at 4 per node occupy 2 nodes: priced as 2 full nodes."""
+        assert allreduce_time(MB, 6, 4, NVLINK2, INFINIBAND_EDR) == \
+            pytest.approx(hierarchical_allreduce_time(MB, 4, 2, NVLINK2,
+                                                      INFINIBAND_EDR))
+
     def test_dispatch_three_cases(self):
         """Section III-B2: 1 GPU free; <=M intra-node only; >M pays IB."""
         t1 = allreduce_time(MB, 1, 4, NVLINK2, INFINIBAND_EDR)
@@ -81,6 +113,12 @@ class TestCostModels:
             ring_allreduce_time(MB, 0, NVLINK2)
         with pytest.raises(ValueError):
             allreduce_time(MB, 0, 4, NVLINK2, INFINIBAND_EDR)
+
+    @pytest.mark.parametrize("gpus_per_node,num_nodes", [(0, 2), (4, 0)])
+    def test_hierarchical_validation(self, gpus_per_node, num_nodes):
+        with pytest.raises(ValueError):
+            hierarchical_allreduce_time(MB, gpus_per_node, num_nodes,
+                                        NVLINK2, INFINIBAND_EDR)
 
 
 class TestExactRingAllReduce:

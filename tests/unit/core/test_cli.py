@@ -57,6 +57,18 @@ class TestParser:
         args = parser.parse_args(["search", "--losses", "dice", name])
         assert args.losses == ["dice", name]
 
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_help_lists_every_registered_loss(self, command, capsys):
+        """The loss flags resolve their choices lazily; ``--help`` still
+        names every loss the registry holds."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "NAME" in out
+        for name in LOSS_NAMES:
+            assert name in out, (name, out)
+
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_configured_loss_is_built_from_registry(self, name):
         """A parsed name resolves to a loss the trainer can call."""

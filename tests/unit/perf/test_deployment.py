@@ -41,6 +41,11 @@ class TestStaging:
         t2 = staging_time(self.FP, 2, INFINIBAND_EDR, tree=False)
         assert t8 == pytest.approx(7 * t2)
 
+    def test_tree_rounds_a_partial_level_up(self):
+        """5 nodes need as many broadcast rounds as 8: ceil(log2 5) = 3."""
+        t2 = staging_time(self.FP, 2, INFINIBAND_EDR)
+        assert staging_time(self.FP, 5, INFINIBAND_EDR) == pytest.approx(3 * t2)
+
     def test_tree_beats_sequential(self):
         assert staging_time(self.FP, 8, INFINIBAND_EDR) < \
             staging_time(self.FP, 8, INFINIBAND_EDR, tree=False)
@@ -76,6 +81,22 @@ class TestPlan:
                                  strategy="stage_to_nodes")
         assert staged.total_seconds(0) > shared.total_seconds(0)
         assert staged.total_seconds(250) < shared.total_seconds(250)
+
+    def test_staged_upfront_is_tree_staging(self):
+        plan = plan_deployment(self.FP, 8, ETHERNET_10G,
+                               strategy="stage_to_nodes")
+        assert plan.upfront_seconds == staging_time(self.FP, 8, ETHERNET_10G)
+
+    def test_single_node_staging_always_wins(self):
+        """One node copies nothing up front, then reads locally, faster
+        than the shared filesystem: staged is cheaper at every length."""
+        shared = plan_deployment(self.FP, 1, INFINIBAND_EDR,
+                                 strategy="shared_fs")
+        staged = plan_deployment(self.FP, 1, INFINIBAND_EDR,
+                                 strategy="stage_to_nodes")
+        assert staged.upfront_seconds == 0.0
+        for epochs in (1, 10, 250):
+            assert staged.total_seconds(epochs) < shared.total_seconds(epochs)
 
     def test_breakeven_is_finite(self):
         shared = plan_deployment(self.FP, 8, INFINIBAND_EDR,
