@@ -13,14 +13,14 @@ Every registered backend x dtype combination is timed on identical
 model state and recorded as its own row under
 ``backends.<name>.<dtype>`` -- the per-backend rows ``make lint``
 requires of a ``kernel_backends`` record -- plus a larger-volume
-float32 fused step probing the cache regime the tiling targets.
+float32 fused step probing the cache regime the chunking targets.
 Besides speed, the run asserts numerical parity (float64 predictions
 and flat gradients to rtol 1e-9, and the float32 path to rtol 1e-4) so
 no speedup is ever bought with accuracy.  Each combination is timed
 ``REPEATS`` times over ``STEPS`` steps and the best run is kept; a
 machine-readable summary -- including the pinned BLAS thread counts
 and CPU metadata that make the numbers comparable across hosts, the
-fused tile budget and the host's per-core L2 size it is sized against --
+fused chunk budget and the host's per-core L2 size it is sized against --
 lands in ``BENCH_kernels.json`` next to this file.
 ``DISTMIS_BENCH_SMOKE=1`` shrinks the workload so the benchmark
 doubles as a smoke test over every backend; the speedup floor is only
@@ -64,7 +64,7 @@ else:
     VOLUME, BASE_FILTERS, DEPTH, STEPS = (32, 32, 32), 8, 4, 2
     LARGE_VOLUME, LARGE_STEPS, LARGE_REPEATS = (48, 48, 48), 1, 2
 BATCH = 1  # per-replica shard of the paper's global batch 2
-# per-core L2 the fused tile targets (read-only sysfs; absent off Linux)
+# per-core L2 the fused chunks target (read-only sysfs; absent off Linux)
 L2_SIZE_PATH = "/sys/devices/system/cpu/cpu0/cache/index2/size"
 
 
@@ -178,7 +178,7 @@ def test_fused_against_reference_parity_and_speedup():
     speedups = {dtype: rows["reference"][dtype]["step_seconds"]
                 / rows["fused"][dtype]["step_seconds"] for dtype in DTYPES}
 
-    # -- larger-volume float32 point (the cache regime tiling targets) -
+    # -- larger-volume float32 point (the cache regime chunking targets)
     fused_large, _ = _time_backend("fused", "float32", LARGE_VOLUME,
                                    LARGE_STEPS, LARGE_REPEATS)
 
@@ -201,7 +201,7 @@ def test_fused_against_reference_parity_and_speedup():
             "dtype": "float32",
             "fused_step_seconds": round(fused_large, 4),
         },
-        "tile_bytes": fused.TILE_BYTES,
+        "chunk_bytes": fused.CHUNK_BYTES,
         "workspace_stats": workspace().stats(),
         "host": {**host_metadata(), "l2_bytes": _l2_bytes()},
     }

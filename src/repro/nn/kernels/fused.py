@@ -21,48 +21,51 @@ convolution differently:
   on the 32^3 U-Net layer shapes.  The gather itself is a raw
   ``as_strided`` window copy: ``sliding_window_view`` spends as long in
   shape/stride bookkeeping as in the copy at these call counts.
-* **output-depth tiling** -- the slice buffer is tiled along output
-  depth to :data:`TILE_BYTES` per tile so it stays resident in a
-  core's L2, and every tile's buffer goes back to the arena as soon as
-  its GEMMs are done.  The backward weight gradient re-gathers each
-  tile's slice buffer from the padded input and contracts its slice
-  ranges against the matching ``dy`` rows (``cols2 @ dy^T`` per depth
-  offset and output depth slice): nothing the forward gathered
-  outlives the forward, so a training step holds about one tile of
-  slice buffers at a time.  The input gradient at unit stride is the
-  mirrored lowering over the padded ``dy`` -- 2D patches of ``dy``
-  against depth slabs of the flipped kernel, tiled over input depth;
-  strided convolutions take the col2im form (GEMM ``w^T @ dy``, then a
-  scatter-add per kernel offset).
-* **tile-invariant reductions** -- no sum is ever taken per tile.  The
-  BN channel sums are kept per (sample, output depth slice) and the
-  weight gradient's per-slice GEMM products land in one
-  ``(kd, N, Do, K9, Cout)`` buffer; each is reduced once, after the
-  last tile.  Every result is therefore bit-identical whatever the
-  tile plan: :data:`TILE_BYTES` trades speed against memory, never
-  accuracy.
+* **depth streaming** -- every pass walks the padded input depth once,
+  in chunks of slices whose gathered buffer fits :data:`CHUNK_BYTES`
+  (about half a core's L2).  Each chunk is padded into an arena slab and
+  gathered exactly once -- no halo shared with the next chunk, and no
+  full-volume padded copy -- then each depth tap ``j`` runs one batched
+  GEMM over the chunk's slices and adds into output slice
+  ``(s - j) / sd`` of a small window of partial output slices.  A slice
+  is flushed (bias, ReLU or BN partials, then the transpose-copy into
+  the output layout) as soon as its last tap is in.  The same walk
+  serves the forward, the backward weight gradient (each slice's
+  ``cols2 @ dy^T`` product per tap and output slice) and, at unit
+  stride, the input gradient: the mirrored lowering over the padded
+  ``dy`` with the flipped kernel.  Strided input gradients take the
+  col2im form (GEMM ``w^T @ dy``, then a scatter-add per kernel
+  offset).  Nothing the forward gathered outlives the forward.
+* **chunk-invariant results** -- every output slice adds its taps in
+  ``j`` order whatever the chunking, the BN channel sums are kept per
+  (sample, output depth slice) and the weight gradient's per-slice GEMM
+  products land in one ``(kd, N, Do, K9, Cout)`` buffer, each reduced
+  once at the end.  :data:`CHUNK_BYTES` trades speed against memory,
+  never a bit of any result.
 * **1x1x1 convolutions** (the segmentation head) are one batched GEMM
   on the input itself, which already is the patches matrix.
 * **transposed conv** -- one GEMM producing the offset columns, then a
   ``kd*kh*kw``-step scatter (forward) / gather (backward).
 * **fused Conv3D+BatchNorm+ReLU** (``supports_fusion``) -- training
-  forward accumulates the BN channel sums in the GEMM epilogue while
-  each output tile is cache-hot, then applies ``relu(scale*y + shift)``
+  forward accumulates the BN channel sums in the flush epilogue while
+  each output slice is cache-hot, then applies ``relu(scale*y + shift)``
   in one elementwise pass; eval forward folds the running statistics
   into the weights (``w' = w*scale``, ``b' = b*scale + shift``) and
-  applies ReLU per tile, one pass total.  The backward reconstructs the
-  BN input gradient without ever materialising ``x_hat``: with
-  ``dyr = dy * (y > 0)`` the conv-output gradient is the channel-affine
-  ``A*dyr + B*y_conv + C`` (coefficients from the standard BN gradient
-  with ``x_hat`` substituted by ``(y_conv - mean) * inv_std``), applied
-  in place on the conv output ``y_conv``, the one volume the training
-  forward keeps in ``ctx`` for its backward.  Per U-Net stage this
+  applies ReLU per flushed slice, one pass total.  The backward
+  reconstructs the BN input gradient without ever materialising
+  ``x_hat``: with ``dyr = dy * (y > 0)`` the conv-output gradient is the
+  channel-affine ``A*dyr + B*y_conv + C`` (coefficients from the
+  standard BN gradient with ``x_hat`` substituted by
+  ``(y_conv - mean) * inv_std``), applied in place on the conv output
+  ``y_conv``, the one volume the training forward keeps in ``ctx`` for
+  its backward.  Per U-Net stage this
   skips the ``x_hat`` volume, the BN output volume and the ReLU mask
   the unfused layer chain materialises.
 
-All scratch (slice buffers, padded volumes) is checked out of the
-:mod:`~repro.nn.kernels.workspace` arena and recycled across steps;
-outputs are always freshly allocated, never views into the arena.
+All scratch (padded slabs, slice buffers, output windows) is checked
+out of the :mod:`~repro.nn.kernels.workspace` arena and recycled across
+steps; outputs are always freshly allocated, never views into the
+arena.
 """
 
 from __future__ import annotations
@@ -78,48 +81,41 @@ __all__ = ["FusedBackend"]
 
 _UNIT = (1, 1, 1)
 
-#: Target bytes for one tile's slice buffer: half of a 2 MiB per-core
-#: L2, so a tile and its GEMM output fit together.  Buffers up to twice
-#: this run as one tile (:func:`_plan_tiles`).
-TILE_BYTES = 1024 * 1024
+#: Byte budget of one chunk's slice buffer: half of a 2 MiB per-core
+#: L2, so a chunk and its GEMM output fit together.  A pass whose whole
+#: slice buffer is within twice this gathers it as one chunk
+#: (:func:`_chunk_depth`).
+CHUNK_BYTES = 1024 * 1024
 
 
-def _padded(ws, x: np.ndarray, pad) -> np.ndarray:
-    """Zero-padded copy of ``x`` in an arena buffer (``x`` itself when
-    padding is zero -- callers must not write through it)."""
+def _chunk_depth(x, kernel, stride, out_shape):
+    """Padded input slices per chunk for a conv of ``x`` into
+    ``out_shape``: every slice the output reads when their slice buffer
+    is within twice :data:`CHUNK_BYTES`, else as many as one budget
+    holds (at least one)."""
+    n, c = x.shape[:2]
+    kd, kh, kw = kernel
+    Do, Ho, Wo = out_shape
+    per_slice = n * c * kh * kw * Ho * Wo * x.dtype.itemsize
+    S = (Do - 1) * stride[0] + kd
+    if per_slice * S <= 2 * CHUNK_BYTES:
+        return S
+    return max(1, CHUNK_BYTES // per_slice)
+
+
+def _pad_chunk(x, s0, pad, slab):
+    """Fill ``slab`` ``(N, C, g, Hp, Wp)`` with the padded depth slices
+    ``s0 .. s0+g-1`` of ``x``.  Only the interior is written: the H/W
+    margins must already be zero."""
     pd, ph, pw = pad
-    if pd == ph == pw == 0:
-        return x
-    n, c, D, H, W = x.shape
-    xp = ws.acquire((n, c, D + 2 * pd, H + 2 * ph, W + 2 * pw), x.dtype)
-    # Zero only the pad margins -- the interior is fully overwritten by
-    # the copy below, and skipping its redundant fill saves one complete
-    # write pass over the (recycled, hence dirty) arena buffer.
-    if pd:
-        xp[:, :, :pd].fill(0.0)
-        xp[:, :, pd + D:].fill(0.0)
-    if ph:
-        xp[:, :, pd : pd + D, :ph].fill(0.0)
-        xp[:, :, pd : pd + D, ph + H:].fill(0.0)
-    if pw:
-        xp[:, :, pd : pd + D, ph : ph + H, :pw].fill(0.0)
-        xp[:, :, pd : pd + D, ph : ph + H, pw + W:].fill(0.0)
-    xp[:, :, pd : pd + D, ph : ph + H, pw : pw + W] = x
-    return xp
-
-
-def _plan_tiles(n, K9, Do, Ho, Wo, itemsize):
-    """Output-depth tile spans ``[(d0, d1), ...]``, or ``None`` when the
-    whole slice buffer (``K9 = C*kh*kw`` rows per depth slice) already
-    fits the tile target and tiling would only add gather-halo
-    overhead."""
-    per_d = n * K9 * Ho * Wo * itemsize
-    if per_d * Do <= 2 * TILE_BYTES:
-        return None
-    td = max(1, TILE_BYTES // per_d)
-    if td >= Do:
-        return None
-    return [(d0, min(d0 + int(td), Do)) for d0 in range(0, Do, int(td))]
+    D, H, W = x.shape[2:]
+    g = slab.shape[2]
+    lo = min(max(pd - s0, 0), g)
+    hi = min(max(pd + D - s0, 0), g)
+    inner = slab[:, :, :, ph : ph + H, pw : pw + W]
+    inner[:, :, :lo].fill(0.0)
+    inner[:, :, hi:].fill(0.0)
+    inner[:, :, lo:hi] = x[:, :, s0 + lo - pd : s0 + hi - pd]
 
 
 def _gather_slab2d(xslab, kernel_hw, stride_hw, out):
@@ -139,6 +135,106 @@ def _gather_slab2d(xslab, kernel_hw, stride_hw, out):
         (tn, t2, tc, t3, t4, t3 * sh, t4 * sw),
     )
     np.copyto(out.reshape(n, S, c, kh, kw, Ho, Wo), win)
+
+
+def _taps(ws, x, kernel, stride, pad, out_shape):
+    """Walk the padded depth of ``x`` once, in chunks of
+    :func:`_chunk_depth` slices: pad each chunk into an arena slab,
+    gather it into the slice buffer, then yield ``(j, d0, d1, cols)``
+    for each depth tap ``j`` in order -- output slices ``d0 .. d1-1``
+    read tap ``j`` from the gathered slices ``cols``
+    ``(N, d1-d0, C*kh*kw, Ho*Wo)``.  Every padded slice the output
+    reads is padded and gathered exactly once: no halo, and no
+    full-volume padded copy."""
+    n, c, D, H, W = x.shape
+    kd, kh, kw = kernel
+    sd = stride[0]
+    Do, Ho, Wo = out_shape
+    S = (Do - 1) * sd + kd
+    G = _chunk_depth(x, kernel, stride, out_shape)
+    cols2 = ws.acquire((n, G, c * kh * kw, Ho * Wo), x.dtype)
+    slab = None
+    if any(pad):
+        ph, pw = pad[1:]
+        slab = ws.acquire((n, c, G, H + 2 * ph, W + 2 * pw), x.dtype)
+        # the margins stay zero: _pad_chunk writes only the interior
+        slab[..., :ph, :].fill(0.0)
+        slab[..., ph + H :, :].fill(0.0)
+        slab[..., :pw].fill(0.0)
+        slab[..., pw + W :].fill(0.0)
+    try:
+        for s0 in range(0, S, G):
+            g = min(G, S - s0)
+            if slab is None:
+                chunk = x[:, :, s0 : s0 + g]
+            else:
+                chunk = slab[:, :, :g]
+                _pad_chunk(x, s0, pad, chunk)
+            cols = cols2[:, :g]
+            _gather_slab2d(chunk, (kh, kw), stride[1:], cols)
+            for j in range(kd):
+                d0 = max(0, -((j - s0) // sd))  # first d*sd + j >= s0
+                d1 = min(Do, (s0 + g - 1 - j) // sd + 1)
+                if d0 < d1:
+                    a = d0 * sd + j - s0
+                    yield (j, d0, d1,
+                           cols[:, a : a + (d1 - d0 - 1) * sd + 1 : sd])
+    finally:
+        ws.release(slab)
+        ws.release(cols2)
+
+
+def _conv_stream(ws, x, w5, b, y, stride, pad, relu=False, stats=None):
+    """Stream :func:`_taps` through the per-tap GEMMs into ``y``.
+
+    Tap ``j`` of output slice ``d`` lands in a window of partial output
+    slices -- tap 0 assigns, later taps add in ``j`` order -- so every
+    slice sums its taps exactly as a whole-volume pass would.  A slice
+    is flushed once its last tap is in: bias and/or ReLU, its BN channel
+    sums and sums of squares per (sample, depth slice) into ``stats``
+    ``(2, n, Do, co)`` (on the batch-major window while it is
+    cache-hot), then the transpose-copy into ``y``; the partial tail
+    moves to the window's front."""
+    n = x.shape[0]
+    co, _, kd = w5.shape[:3]
+    Do, Ho, Wo = y.shape[2:]
+    sd = stride[0]
+    wk = _w_slices(w5)
+    bias = None if b is None else b.reshape(1, 1, co, 1)
+    G = _chunk_depth(x, w5.shape[2:], stride, y.shape[2:])
+    win = ws.acquire((n, min(Do, -(-(G + kd - 1) // sd)), co, Ho * Wo),
+                     y.dtype)
+    tmp = (ws.acquire((n, min(Do, -(-G // sd)), co, Ho * Wo), y.dtype)
+           if kd > 1 else None)
+    base = top = 0  # win[:, 0] holds output slice base; tap 0 reached top
+    for j, d0, d1, cols in _taps(ws, x, w5.shape[2:], stride, pad,
+                                 y.shape[2:]):
+        dst = win[:, d0 - base : d1 - base]
+        if j == 0:
+            np.matmul(wk[0], cols, out=dst)
+            top = d1
+        else:
+            part = tmp[:, : d1 - d0]
+            np.matmul(wk[j], cols, out=part)
+            np.add(dst, part, out=dst)
+        if j < kd - 1:
+            continue
+        done = win[:, : d1 - base]  # output slices base .. d1-1
+        if bias is not None:
+            done += bias
+        if relu:
+            np.maximum(done, 0.0, out=done)
+        if stats is not None:
+            done.sum(axis=3, out=stats[0][:, base:d1])
+            np.einsum("ndcp,ndcp->ndc", done, done,
+                      out=stats[1][:, base:d1])
+        np.copyto(y[:, :, base:d1],
+                  done.reshape(n, d1 - base, co, Ho, Wo)
+                  .transpose(0, 2, 1, 3, 4))
+        np.copyto(win[:, : top - d1], win[:, d1 - base : top - base])
+        base = d1
+    ws.release(tmp)
+    ws.release(win)
 
 
 def _w_slices(w):
@@ -213,47 +309,6 @@ def _dx_scatter(ws, dy2, w, stride, pad, x_shape):
     return dx
 
 
-def _dx_correlation_tiled(ws, dy, w, pad, x_shape):
-    """Unit-stride input gradient: the mirrored depth-sliced
-    lowering -- 2D patches of the padded ``dy`` against per-offset
-    slabs of the flipped kernel, tiled over the *input* depth."""
-    n, c, D, H, W = x_shape
-    co = w.shape[0]
-    kd, kh, kw = w.shape[2:]
-    bpad = tuple(kk - 1 - pp for kk, pp in zip((kd, kh, kw), pad))
-    K9b = co * kh * kw
-    HW = H * W
-    tiles = (_plan_tiles(n, K9b, D, H, W, dy.dtype.itemsize)
-             or [(0, D)])
-    dyp = _padded(ws, dy, bpad)
-    wkb = np.ascontiguousarray(
-        w[:, :, ::-1, ::-1, ::-1].transpose(2, 1, 0, 3, 4)
-    ).reshape(kd, c, K9b)
-    dx = np.empty(x_shape, dtype=dy.dtype)
-
-    for d0, d1 in tiles:
-        td = d1 - d0
-        S = td - 1 + kd
-        cols2 = ws.acquire((n, S, K9b, HW), dy.dtype)
-        _gather_slab2d(dyp[:, :, d0 : d0 + S], (kh, kw), (1, 1), cols2)
-        xbat = ws.acquire((n, td, c, HW), dy.dtype)
-        tmp = ws.acquire((n, td, c, HW), dy.dtype) if kd > 1 else None
-        np.matmul(wkb[0], cols2[:, 0:td], out=xbat)
-        for j in range(1, kd):
-            np.matmul(wkb[j], cols2[:, j : j + td], out=tmp)
-            np.add(xbat, tmp, out=xbat)
-        if tmp is not None:
-            ws.release(tmp)
-        ws.release(cols2)
-        np.copyto(
-            dx[:, :, d0:d1],
-            xbat.reshape(n, td, c, H, W).transpose(0, 2, 1, 3, 4))
-        ws.release(xbat)
-    if dyp is not dy:
-        ws.release(dyp)
-    return dx
-
-
 class FusedBackend(KernelBackend):
     """Depth-sliced batched GEMMs with a fused Conv3D+BatchNorm+ReLU pair."""
 
@@ -265,18 +320,9 @@ class FusedBackend(KernelBackend):
         kernel = w.shape[2:]
         if kernel == _UNIT and stride == _UNIT and pad == (0, 0, 0):
             return _pointwise_forward(x, w, b)
-        n, c = x.shape[:2]
-        co = w.shape[0]
         Do, Ho, Wo = conv3d_output_shape(x.shape[2:], kernel, stride, pad)
-        K9 = c * kernel[1] * kernel[2]
-        tiles = (_plan_tiles(n, K9, Do, Ho, Wo, x.dtype.itemsize)
-                 or [(0, Do)])
-        ws = workspace()
-        xp = _padded(ws, x, pad)
-        y = np.empty((n, co, Do, Ho, Wo), dtype=x.dtype)
-        self._run_tiles(ws, xp, w, b, y, stride, tiles)
-        if xp is not x:
-            ws.release(xp)
+        y = np.empty((x.shape[0], w.shape[0], Do, Ho, Wo), dtype=x.dtype)
+        _conv_stream(workspace(), x, w, b, y, stride, pad)
         return y
 
     def conv3d_backward(self, dy, x, w, stride, pad, with_bias,
@@ -287,136 +333,72 @@ class FusedBackend(KernelBackend):
         n, c = x.shape[:2]
         co = w.shape[0]
         kd, kh, kw = kernel
-        sd = stride[0]
         Do, Ho, Wo = dy.shape[2:]
-        HoWo = Ho * Wo
         K9 = c * kh * kw
         ws = workspace()
-        tiles = (_plan_tiles(n, K9, Do, Ho, Wo, x.dtype.itemsize)
-                 or [(0, Do)])
         dyc = np.ascontiguousarray(dy)
 
-        # dw: re-gather each tile's slice buffer, then for depth offset
-        # j contract the slice range ``cols2[:, j::sd]`` against the
-        # matching dy rows -- per-slice GEMMs in the flipped orientation
-        # (K9 patch rows as M) written into one per-slice product
-        # buffer, summed once after the last tile, so the tile plan
-        # never changes the bits.
+        # dw: stream the padded input once more and, per depth tap j,
+        # contract the gathered slices against the matching dy rows --
+        # per-slice GEMMs in the flipped orientation (K9 patch rows as
+        # M) written into one per-slice product buffer, summed once at
+        # the end, so the chunking never changes the bits.
+        dyb = (dyc.reshape(n, co, Do, Ho * Wo)
+               .transpose(0, 2, 3, 1))  # (n, Do, HoWo, co) view
         prods = ws.acquire((kd, n, Do, K9, co), x.dtype)
-        xp = _padded(ws, x, pad)
-        for d0, d1 in tiles:
-            td = d1 - d0
-            S = (td - 1) * sd + kd
-            cols2 = ws.acquire((n, S, K9, HoWo), x.dtype)
-            _gather_slab2d(xp[:, :, d0 * sd : d0 * sd + S], (kh, kw),
-                           stride[1:], cols2)
-            dyb = (dyc[:, :, d0:d1].reshape(n, co, td, HoWo)
-                   .transpose(0, 2, 3, 1))  # (n, td, HoWo, co) view
-            for j in range(kd):
-                slab = cols2[:, j : j + (td - 1) * sd + 1 : sd]
-                np.matmul(slab, dyb, out=prods[j][:, d0:d1])
-            ws.release(cols2)
-        if xp is not x:
-            ws.release(xp)
+        for j, d0, d1, cols in _taps(ws, x, kernel, stride, pad,
+                                     dy.shape[2:]):
+            np.matmul(cols, dyb[:, d0:d1], out=prods[j][:, d0:d1])
         total = prods.reshape(kd, n * Do, K9, co).sum(axis=1)
         ws.release(prods)
         dw = np.ascontiguousarray(
             total.reshape(kd, c, kh, kw, co).transpose(4, 1, 0, 2, 3))
         db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
 
+        bpad = tuple(kk - 1 - pp for kk, pp in zip(kernel, pad))
         if not need_dx:
             dx = None  # first-layer input carries no gradient
-        elif stride == _UNIT and all(kk - 1 - pp >= 0 for kk, pp in
-                                     zip(kernel, pad)):
-            dx = _dx_correlation_tiled(ws, dyc, w, pad, x.shape)
+        elif stride == _UNIT and min(bpad) >= 0:
+            # the mirrored lowering: a unit-stride conv of the padded dy
+            # with the flipped kernel, channels swapped
+            dx = np.empty(x.shape, dtype=x.dtype)
+            _conv_stream(ws, dyc,
+                         w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
+                         None, dx, _UNIT, bpad)
         else:
-            dx = _dx_scatter(ws, dyc.reshape(n, co, Do * HoWo), w, stride,
-                             pad, x.shape)
+            dx = _dx_scatter(ws, dyc.reshape(n, co, Do * Ho * Wo), w,
+                             stride, pad, x.shape)
         return dx, dw, db
-
-    def _run_tiles(self, ws, xp, w5, b, y, stride, tiles,
-                   relu=False, stats=None):
-        """Run every tile's depth-sliced GEMMs into its slice of ``y``;
-        optionally apply bias/ReLU, and/or write the BN channel sums and
-        sums of squares per (sample, depth slice) into ``stats``
-        ``(2, n, Do, co)`` (computed on the batch-major scratch while it
-        is cache-hot, before the transpose-copy into ``y``)."""
-        n = xp.shape[0]
-        co, _, kd, kh, kw = w5.shape
-        Do, Ho, Wo = y.shape[2:]
-        HoWo = Ho * Wo
-        sd = stride[0]
-        wk = _w_slices(w5)
-        K9 = wk.shape[2]
-        bias = None if b is None else b.reshape(1, 1, co, 1)
-
-        for d0, d1 in tiles:
-            td = d1 - d0
-            S = (td - 1) * sd + kd
-            cols2 = ws.acquire((n, S, K9, HoWo), y.dtype)
-            _gather_slab2d(xp[:, :, d0 * sd : d0 * sd + S], (kh, kw),
-                           stride[1:], cols2)
-            ybat = ws.acquire((n, td, co, HoWo), y.dtype)
-            tmp = (ws.acquire((n, td, co, HoWo), y.dtype)
-                   if kd > 1 else None)
-            np.matmul(wk[0], cols2[:, 0 : (td - 1) * sd + 1 : sd],
-                      out=ybat)
-            for j in range(1, kd):
-                np.matmul(wk[j], cols2[:, j : j + (td - 1) * sd + 1 : sd],
-                          out=tmp)
-                np.add(ybat, tmp, out=ybat)
-            if tmp is not None:
-                ws.release(tmp)
-            ws.release(cols2)
-            if bias is not None:
-                ybat += bias
-            if relu:
-                np.maximum(ybat, 0.0, out=ybat)
-            if stats is not None:  # while the scratch is cache-hot
-                ybat.sum(axis=3, out=stats[0][:, d0:d1])
-                np.einsum("ndcp,ndcp->ndc", ybat, ybat,
-                          out=stats[1][:, d0:d1])
-            np.copyto(
-                y[:, :, d0:d1],
-                ybat.reshape(n, td, co, Ho, Wo).transpose(0, 2, 1, 3, 4))
-            ws.release(ybat)
 
     # -- fused Conv3D + BatchNorm + ReLU ------------------------------------
     def conv3d_bn_relu_forward(self, x, w, b, gamma, beta, running_mean,
                                running_var, eps, stride, pad, training,
                                ctx=None):
         ws = workspace()
-        n, c = x.shape[:2]
+        n = x.shape[0]
         co = w.shape[0]
-        kernel = w.shape[2:]
-        Do, Ho, Wo = conv3d_output_shape(x.shape[2:], kernel, stride, pad)
-        K9 = c * kernel[1] * kernel[2]
-        tiles = (_plan_tiles(n, K9, Do, Ho, Wo, x.dtype.itemsize)
-                 or [(0, Do)])
-        xp = _padded(ws, x, pad)
+        Do, Ho, Wo = conv3d_output_shape(x.shape[2:], w.shape[2:], stride,
+                                         pad)
 
         if not training:
             # Running stats are constants: fold BN into the weights and
-            # finish each tile with an in-place ReLU -- one pass total.
+            # finish each flushed slice with an in-place ReLU -- one
+            # pass total.
             inv_std = 1.0 / np.sqrt(running_var + eps)
             scale = gamma * inv_std
             shift = beta - running_mean * scale
             wf = w * scale.reshape(-1, 1, 1, 1, 1)
             bf = shift if b is None else b * scale + shift
             y = np.empty((n, co, Do, Ho, Wo), dtype=x.dtype)
-            self._run_tiles(ws, xp, wf, bf, y, stride, tiles, relu=True)
-            if xp is not x:
-                ws.release(xp)
+            _conv_stream(ws, x, wf, bf, y, stride, pad, relu=True)
             return y, running_mean, running_var
 
         # Training: conv into the y_conv buffer the backward keeps,
-        # folding the BN channel sums into the tile epilogue, then one
+        # folding the BN channel sums into the flush epilogue, then one
         # affine+ReLU pass.
         y_conv = ws.acquire((n, co, Do, Ho, Wo), x.dtype)
         stats = ws.acquire((2, n, Do, co), x.dtype)
-        self._run_tiles(ws, xp, w, b, y_conv, stride, tiles, stats=stats)
-        if xp is not x:
-            ws.release(xp)
+        _conv_stream(ws, x, w, b, y_conv, stride, pad, stats=stats)
         total, sq_total = stats.sum(axis=(1, 2))
         ws.release(stats)
         count = float(n * Do * Ho * Wo)

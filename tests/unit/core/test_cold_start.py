@@ -17,6 +17,7 @@ regression.
 """
 
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,8 +32,7 @@ IMPORTS = "import repro.cli, repro.core, repro.nn, repro.serve"
 
 SIMULATOR_PACKAGES = ("repro.cluster", "repro.perf")
 SIMULATOR_MODULES = ("repro.core.simulated", "repro.core.runner",
-                     "repro.core.report", "repro.core.results",
-                     "repro.raysim.scheduler")
+                     "repro.core.report", "repro.core.results")
 
 REPORT = f"""
 import json, sys
@@ -163,6 +163,13 @@ def test_training_and_search_load_no_scipy(snippet):
 ])
 def test_executed_side_loads_no_simulator_module(snippet):
     assert modules_after(snippet)["simulator"] == []
+
+
+@pytest.mark.parametrize("name", SIMULATOR_PACKAGES + SIMULATOR_MODULES)
+def test_every_guarded_simulator_module_exists(name):
+    """An entry naming a module that no longer exists could never be
+    reported as loaded, so the guard above would silently shrink."""
+    assert importlib.util.find_spec(name) is not None, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,15 @@
 """Cross-validation of the production ``fused`` conv backend against the
 reference.
 
-The ``reference`` einsum kernels are the ground truth; the tiled
-``fused`` backend must agree with them (and with finite differences) at
-every stride/padding/kernel combination the U-Net uses -- plus the
-registry plumbing that selects between them.  The fused backend is
-additionally pinned with tiling *forced on* (a tiny
-``fused.TILE_BYTES``).
+The ``reference`` einsum kernels are the ground truth; the
+depth-streaming ``fused`` backend must agree with them (and with finite
+differences) at every stride/padding/kernel combination the U-Net uses
+-- plus the registry plumbing that selects between them.  The fused
+backend is additionally run with many small chunks *forced* (a tiny
+``fused.CHUNK_BYTES``) and its outputs are pinned by sha256.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -220,31 +222,116 @@ class TestGradcheck:
             errs = check_module_gradients(layer, x)
         assert max(errs.values()) < 1e-6, errs
 
-    def test_conv3d_gradients_with_tiling_forced(self, monkeypatch):
-        """Tiny tile budget: the fused lowering must split every conv
-        into many output-depth tiles and still pass finite differences."""
-        monkeypatch.setattr(fused, "TILE_BYTES", 8 * 1024)
-        assert len(fused._plan_tiles(2, 18, 5, 5, 4, 8)) == 5
+    def test_conv3d_gradients_with_chunking_forced(self, monkeypatch):
+        """Tiny chunk budget: the fused lowering must walk every pass one
+        padded slice at a time and still pass finite differences."""
+        monkeypatch.setattr(fused, "CHUNK_BYTES", 8 * 1024)
+        x = np.random.default_rng(1).normal(size=(2, 2, 5, 5, 4))
+        assert fused._chunk_depth(x, (3, 3, 3), (1, 1, 1), (5, 5, 4)) == 1
         layer = Conv3D(2, 3, 3, padding="same",
                        rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=(2, 2, 5, 5, 4))
         with use_backend("fused"):
             errs = check_module_gradients(layer, x)
         assert max(errs.values()) < 1e-6, errs
 
 
-class TestFusedTiling:
-    """The fused backend's tiled path (forced on via a tiny tile budget)
-    against the reference."""
+OUTPUT_LABELS = ("y", "mean", "var", "dx", "dw", "db", "dgamma", "dbeta",
+                 "y_eval", "conv y", "conv dx", "conv dw", "conv db")
 
-    @pytest.fixture(autouse=True)
-    def _tiny_tiles(self, monkeypatch):
-        # three uneven output-depth tiles for the forward, four input-depth
-        # tiles for the unit-stride input gradient
-        monkeypatch.setattr(fused, "TILE_BYTES", 36 * 1024)
-        assert fused._plan_tiles(2, 18, 8, 7, 6, 8) == [(0, 3), (3, 6),
-                                                         (6, 8)]
-        assert len(fused._plan_tiles(2, 27, 8, 7, 6, 8)) == 4
+
+def _fused_outputs(n, cin, cout, shape, stride, dtype):
+    """The 13 outputs of the fused 3^3 (pad 1) paths on seeded tensors:
+    the Conv+BN+ReLU training forward and backward, the eval fold, and
+    the plain conv forward and backward."""
+    g = np.random.default_rng(77)
+    x = g.normal(size=(n, cin, *shape)).astype(dtype)
+    w = g.normal(size=(cout, cin, 3, 3, 3)).astype(dtype)
+    b, beta, rmean = (g.normal(size=cout).astype(dtype) for _ in range(3))
+    gamma, rvar = (g.uniform(0.5, 1.5, cout).astype(dtype)
+                   for _ in range(2))
+    out_shape = tuple((side - 1) // stride + 1 for side in shape)
+    dy = g.normal(size=(n, cout, *out_shape)).astype(dtype)
+    with use_backend("fused"):
+        ctx = {}
+        y, mean, var = conv3d_bn_relu_forward(
+            x, w, b, gamma, beta, rmean, rvar, 1e-5, stride, 1,
+            training=True, ctx=ctx)
+        grads = conv3d_bn_relu_backward(dy, x, w, gamma, stride, 1, ctx=ctx)
+        y_eval = conv3d_bn_relu_forward(
+            x, w, b, gamma, beta, rmean, rvar, 1e-5, stride, 1,
+            training=False)[0]
+        y_conv = conv3d_forward(x, w, b, stride, 1)
+        conv_grads = conv3d_backward(dy, x, w, stride, 1)
+    return (y, mean, var, *grads, y_eval, y_conv, *conv_grads)
+
+
+def _digests(outputs):
+    return [hashlib.sha256(o.tobytes()).hexdigest()[:16] for o in outputs]
+
+
+# (n, cin, cout, shape, stride) of the pinned cases: the small chunked
+# case below, the 32^3 level-0 decoder conv whose slice buffer is
+# gathered one slice per chunk at the default budget, and a stride-2 one
+DIGEST_CASES = {
+    "small": (2, 2, 3, (8, 14, 6), 1),
+    "one-slice": (1, 16, 8, (32, 32, 32), 1),
+    "stride2": (2, 3, 4, (9, 8, 7), 2),
+}
+
+#: sha256 (first 16 hex digits) of each of the 13 outputs, in
+#: OUTPUT_LABELS order, recorded on the output-depth tiled kernel the
+#: streaming one replaced.  Like TestShippedModelBytes they depend on
+#: the BLAS NumPy links; re-record them only for a new NumPy build.
+PINNED_DIGESTS = {
+    ("one-slice", "float64"): (
+        "f80be6eb3ad377de", "0993a38f6387faaa", "81aa5d184c242a78",
+        "c5cadfbbeaf0d91b", "58ac99f3cd287ed7", "1a4015d60c504b8d",
+        "a5cc498018e77d34", "61f9c636df8e4f32", "fa025d294ba4235a",
+        "95a61bcdcff7b822", "1f95078c48bf473d", "79479237225a572b",
+        "c8e64968cb6bfb05",
+    ),
+    ("one-slice", "float32"): (
+        "9d850cfd386b330e", "785b614ef6442b2c", "7d61db42f666eb9d",
+        "7bac03a2c655b925", "a0f0f5b2edc84ffc", "cf261a02424f3be8",
+        "ff9547482525ef98", "b527333283cc232d", "175a389436f37ffa",
+        "bc18c74a7715564d", "82f0642f1fbda0f5", "45c82c8b7c4e3f29",
+        "6cfceb5719bb1c9c",
+    ),
+    ("small", "float64"): (
+        "de03cc175eedb4bf", "225853281a10d28c", "79e59443afdfc905",
+        "3d2b511c2a17dad4", "728ff8b0f1caba08", "7a949cb98317a65a",
+        "2952a62d3955dcbd", "5867e1f9dda051a6", "88b5adcabafb7c42",
+        "0ed5d8220139add8", "564284b99467919e", "dbece55478d0fdbd",
+        "685e6bb759c826c6",
+    ),
+    ("small", "float32"): (
+        "110cd92d0e4dd805", "cce6dbea83b35bf9", "d8fd549d2e3c05c2",
+        "c026c8767c6a2922", "c046c447c4290fc9", "7ab424026bd570ba",
+        "71419ccf65b4830f", "dcc447f82e7f965e", "346821c9c07995ec",
+        "93dc515ca55f2ea0", "6e9d2e922ce77edd", "f07525587b1ce132",
+        "2307e94a5289e295",
+    ),
+    ("stride2", "float64"): (
+        "4a0b2c4c7cf6690b", "b70839f4b2d4f68a", "24acb11d6980b232",
+        "298d3feafb20b9ab", "4415af9471cc6d86", "7dac5f241ae81916",
+        "4ae79fa8ae99a08e", "df89631add53633f", "20ee61752e9a2f97",
+        "b489f7a4593a82fa", "37af8354d0f798a3", "48743a3ad66686d1",
+        "3b6b243a4307282b",
+    ),
+    ("stride2", "float32"): (
+        "a8acce47e4876a6b", "477ea324d24ec097", "8f69bd5f0e8a639c",
+        "1a5c59f3b83a4875", "4d348458abf43c94", "a6d1a0075f496764",
+        "024737177dd70ce4", "96370f842a038a0a", "dc524bf5e4d46758",
+        "0572844e0debdb6f", "e55b3d12e42f7bb3", "ea5ebdc48fc5d285",
+        "814c7112cee12812",
+    ),
+}
+
+
+class TestFusedChunking:
+    """The fused backend's streaming path with small chunks forced (a
+    tiny chunk budget) against the reference, the pinned bytes and its
+    own counted work."""
 
     def _run(self, backend):
         g = np.random.default_rng(1234)  # identical tensors every call
@@ -257,7 +344,17 @@ class TestFusedTiling:
             dx, dw, db = conv3d_backward(dy, x, w, 1, 1)
         return y, dx, dw, db
 
-    def test_tiled_path_matches_reference(self):
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # three chunks of the 10 padded input slices for the forward and
+        # the weight gradient, five for the unit-stride input gradient
+        monkeypatch.setattr(fused, "CHUNK_BYTES", 36 * 1024)
+        x, dy = np.empty((2, 2, 8, 7, 6)), np.empty((2, 3, 8, 7, 6))
+        assert fused._chunk_depth(x, (3, 3, 3), (1, 1, 1), (8, 7, 6)) == 3
+        assert fused._chunk_depth(dy, (3, 3, 3), (1, 1, 1), (8, 7, 6)) == 2
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_chunked_path_matches_reference(self):
         ref = self._run("reference")
         out = self._run("fused")
         for o, r, label in zip(out, ref, ("y", "dx", "dw", "db")):
@@ -265,51 +362,117 @@ class TestFusedTiling:
                                        err_msg=label)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_results_independent_of_tile_plan(self, monkeypatch, dtype):
-        """Every kernel output is bit-identical under three tiles and one
-        tile: the BN sums and the weight gradient reduce per depth slice
-        and sum once, so shrinking the tile never changes training."""
-        g = np.random.default_rng(77)
-        x = g.normal(size=(2, 2, 8, 14, 6)).astype(dtype)
-        w = g.normal(size=(3, 2, 3, 3, 3)).astype(dtype)
-        b, beta, rmean = (g.normal(size=3).astype(dtype) for _ in range(3))
-        gamma, rvar = (g.uniform(0.5, 1.5, 3).astype(dtype)
-                       for _ in range(2))
-        dy = g.normal(size=(2, 3, 8, 14, 6)).astype(dtype)
-        item = np.dtype(dtype).itemsize
-        assert len(fused._plan_tiles(2, 18, 8, 14, 6, item)) >= 3
+    def test_results_independent_of_chunk_budget(self, monkeypatch, dtype):
+        """Every kernel output is bit-identical one slice per chunk, a
+        few slices per chunk and the whole depth as one chunk: each
+        output slice adds its taps in the same order, and the BN sums
+        and the weight gradient reduce per depth slice and sum once."""
+        runs = []
+        for budget in (8 * 1024, 36 * 1024, 1 << 40):
+            monkeypatch.setattr(fused, "CHUNK_BYTES", budget)
+            runs.append(_fused_outputs(2, 2, 3, (8, 14, 6), 1, dtype))
+        for label, *outs in zip(OUTPUT_LABELS, *runs):
+            assert all(np.array_equal(outs[0], o) for o in outs[1:]), label
 
-        def run():
-            with use_backend("fused"):
-                ctx = {}
-                y, mean, var = conv3d_bn_relu_forward(
-                    x, w, b, gamma, beta, rmean, rvar, 1e-5, 1, 1,
-                    training=True, ctx=ctx)
-                grads = conv3d_bn_relu_backward(dy, x, w, gamma, 1, 1,
-                                                ctx=ctx)
-                y_eval = conv3d_bn_relu_forward(
-                    x, w, b, gamma, beta, rmean, rvar, 1e-5, 1, 1,
-                    training=False)[0]
-                y_conv = conv3d_forward(x, w, b, 1, 1)
-                conv_grads = conv3d_backward(dy, x, w, 1, 1)
-            return (y, mean, var, *grads, y_eval, y_conv, *conv_grads)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("case", sorted(DIGEST_CASES))
+    def test_outputs_pinned(self, case, dtype):
+        outputs = _fused_outputs(*DIGEST_CASES[case], dtype)
+        assert all(o.dtype == np.dtype(dtype) for o in outputs)
+        pinned = PINNED_DIGESTS[case, np.dtype(dtype).name]
+        for label, got, want in zip(OUTPUT_LABELS, _digests(outputs),
+                                    pinned):
+            assert got == want, label
 
-        tiled = run()
-        monkeypatch.setattr(fused, "TILE_BYTES", 1 << 40)
-        assert fused._plan_tiles(2, 27, 8, 14, 6, item) is None
-        whole = run()
-        labels = ("y", "mean", "var", "dx", "dw", "db", "dgamma", "dbeta",
-                  "y_eval", "conv y", "conv dx", "conv dw", "conv db")
-        for t, o, label in zip(tiled, whole, labels):
-            assert np.array_equal(t, o), label
+    def test_each_padded_slice_padded_and_gathered_once(self, monkeypatch):
+        """Per pass, the chunks partition the padded input depth: every
+        slice an output reads is padded once and gathered once -- no
+        halo re-gathered at a chunk edge."""
+        padded, gathered = [], []
+        pad_chunk, gather = fused._pad_chunk, fused._gather_slab2d
 
-    def test_workspace_balanced_after_tiled_run(self):
+        def count_pad(x, s0, pad, slab):
+            padded.append((x.shape[1], s0, slab.shape[2]))
+            pad_chunk(x, s0, pad, slab)
+
+        def count_gather(xslab, kernel_hw, stride_hw, out):
+            gathered.append((xslab.shape[1], xslab.shape[2]))
+            gather(xslab, kernel_hw, stride_hw, out)
+
+        monkeypatch.setattr(fused, "_pad_chunk", count_pad)
+        monkeypatch.setattr(fused, "_gather_slab2d", count_gather)
+        g = np.random.default_rng(3)
+        x = g.normal(size=(2, 2, 8, 7, 6))
+        w = g.normal(size=(3, 2, 3, 3, 3))
+        b, gamma, beta = g.normal(size=3), np.ones(3), np.zeros(3)
+        dy = g.normal(size=(2, 3, 8, 7, 6))
+        dy2 = g.normal(size=(2, 3, 4, 4, 3))
+        stats = (np.zeros(3), np.ones(3), 1e-5)
+        ctx = {}
+        # (chunk budget, call, {channels of the streamed input: padded
+        # slices}); 36 KiB gives chunks of 3 slices of x and 2 of dy at
+        # stride 1, 8 KiB chunks of 2 slices of x at stride 2
+        passes = [
+            (36, lambda: conv3d_forward(x, w, b, 1, 1), {2: 10}),
+            (36, lambda: conv3d_backward(dy, x, w, 1, 1), {2: 10, 3: 10}),
+            (36, lambda: conv3d_bn_relu_forward(
+                x, w, b, gamma, beta, *stats, 1, 1, training=True,
+                ctx=ctx), {2: 10}),
+            (36, lambda: conv3d_bn_relu_backward(dy, x, w, gamma, 1, 1,
+                                                 ctx=ctx), {2: 10, 3: 10}),
+            (36, lambda: conv3d_bn_relu_forward(
+                x, w, b, gamma, beta, *stats, 1, 1, training=False),
+             {2: 10}),
+            (8, lambda: conv3d_forward(x, w, b, 2, 1), {2: 9}),
+            (8, lambda: conv3d_backward(dy2, x, w, 2, 1), {2: 9}),
+        ]
+        with use_backend("fused"):
+            for i, (kib, call, slices) in enumerate(passes):
+                monkeypatch.setattr(fused, "CHUNK_BYTES", kib * 1024)
+                padded.clear()
+                gathered.clear()
+                call()
+                assert {c for c, _ in gathered} == set(slices), i
+                for c, S in slices.items():
+                    spans = sorted((s0, s0 + gd) for cc, s0, gd in padded
+                                   if cc == c)
+                    assert len(spans) > 1, (i, c)  # really chunked
+                    assert spans[0][0] == 0 and spans[-1][1] == S, (i, c)
+                    assert all(a[1] == b[0] for a, b in
+                               zip(spans, spans[1:])), (i, c, spans)
+                    assert sum(gd for cc, gd in gathered if cc == c) == S
+
+    def test_no_full_padded_volume_checked_out(self, monkeypatch):
+        """With the padded volume above the chunk budget, no pass checks
+        a padded copy of its whole input out of the arena."""
+        monkeypatch.setattr(fused, "CHUNK_BYTES", 8 * 1024)
+        ws = workspace()
+        shapes = []
+        acquire = ws.acquire
+
+        def record(shape, dtype=np.float64):
+            shapes.append(tuple(shape))
+            return acquire(shape, dtype)
+
+        monkeypatch.setattr(ws, "acquire", record)
+        x_padded, dy_padded = (2, 2, 10, 9, 8), (2, 3, 10, 9, 8)
+        assert np.prod(x_padded) * 8 > fused.CHUNK_BYTES
+        outputs = _fused_outputs(2, 2, 3, (8, 7, 6), 1, np.float64)
+        assert len(outputs) == len(OUTPUT_LABELS)
+        assert x_padded not in shapes and dy_padded not in shapes
+        slabs = [s for s in shapes if len(s) == 5 and s[3:] == (9, 8)]
+        assert slabs and all(s[2] < 10 for s in slabs)
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_workspace_balanced_after_chunked_run(self):
         # delta, not absolute: earlier tests' layers may still hold a
         # live forward ctx (released lazily on their next forward)
         before = workspace().stats()["in_use_bytes"]
         self._run("fused")
         assert workspace().stats()["in_use_bytes"] == before
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_outputs_do_not_alias_workspace(self):
         """Forward/backward results must be freshly allocated -- a later
         kernel call reusing arena scratch must not mutate them."""
