@@ -29,7 +29,6 @@ from .network import (
     NVLINK2,
     PCIE3_X16,
     LinkSpec,
-    transfer_time,
 )
 from .resources import (
     POWER9_NODE,
@@ -55,7 +54,6 @@ __all__ = [
     "unet3d_activation_bytes",
     "fits_in_gpu_memory",
     "LinkSpec",
-    "transfer_time",
     "NVLINK2",
     "INFINIBAND_EDR",
     "PCIE3_X16",

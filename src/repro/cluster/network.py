@@ -1,7 +1,8 @@
 """Interconnect link models.
 
-A link is (latency, effective bandwidth); transfer time is the classic
-alpha-beta model ``t = alpha + bytes / beta``.  Presets approximate the
+A link is (latency, effective bandwidth), the two terms of the classic
+alpha-beta cost model ``t = alpha + bytes / beta`` that
+:mod:`repro.cluster.collectives` builds on.  Presets approximate the
 paper's hardware: NVLink 2.0 between the V100s of one Power9 node,
 EDR InfiniBand between nodes, PCIe 3.0 to the host.  Effective
 bandwidths are the ~70-80% of peak that collective libraries sustain.
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "LinkSpec",
-    "transfer_time",
     "NVLINK2",
     "INFINIBAND_EDR",
     "PCIE3_X16",
@@ -38,13 +38,6 @@ class LinkSpec:
     @property
     def bandwidth_bytes_per_s(self) -> float:
         return self.bandwidth_gbs * 1e9
-
-
-def transfer_time(nbytes: int, link: LinkSpec) -> float:
-    """Alpha-beta cost of moving ``nbytes`` across ``link``."""
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    return link.latency_s + nbytes / link.bandwidth_bytes_per_s
 
 
 # NVLink 2.0: 3 bricks/GPU on Power9 = 75 GB/s peak per direction;

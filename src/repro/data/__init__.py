@@ -14,8 +14,6 @@ from .augment import (
     Augmenter,
     random_flip,
     random_gaussian_noise,
-    random_intensity_scale,
-    random_intensity_shift,
 )
 from .dataset import Dataset, PipelineStats, shuffle_order
 from .nifti import NiftiImage, read_nifti, write_nifti
@@ -95,7 +93,5 @@ __all__ = [
     "sample_random_patches",
     "Augmenter",
     "random_flip",
-    "random_intensity_shift",
-    "random_intensity_scale",
     "random_gaussian_noise",
 ]

@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "random_flip",
-    "random_intensity_shift",
-    "random_intensity_scale",
     "random_gaussian_noise",
     "Augmenter",
 ]
@@ -53,35 +51,6 @@ def random_flip(axes: Sequence[int] = (1, 2, 3), p: float = 0.5) -> Transform:
                 image = np.flip(image, axis=axis)
                 mask = np.flip(mask, axis=axis)
         return np.ascontiguousarray(image), np.ascontiguousarray(mask)
-
-    return apply
-
-
-def random_intensity_shift(max_shift: float = 0.1) -> Transform:
-    """Add a per-channel constant drawn from U(-max_shift, max_shift);
-    the mask is untouched (intensity changes never move labels)."""
-    if max_shift < 0:
-        raise ValueError("max_shift must be >= 0")
-
-    def apply(image, mask, rng):
-        _check(image, mask)
-        shift = rng.uniform(-max_shift, max_shift, size=(image.shape[0], 1, 1, 1))
-        return image + shift.astype(image.dtype), mask
-
-    return apply
-
-
-def random_intensity_scale(max_factor: float = 0.1) -> Transform:
-    """Multiply each channel by U(1-max_factor, 1+max_factor)."""
-    if not 0 <= max_factor < 1:
-        raise ValueError("max_factor must be in [0, 1)")
-
-    def apply(image, mask, rng):
-        _check(image, mask)
-        scale = rng.uniform(
-            1 - max_factor, 1 + max_factor, size=(image.shape[0], 1, 1, 1)
-        )
-        return image * scale.astype(image.dtype), mask
 
     return apply
 

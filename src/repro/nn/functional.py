@@ -15,10 +15,9 @@ profiler splits its ``compute`` bucket by.
 Only the fused Conv3D+BN+ReLU pair takes a ``ctx``: an optional
 mutable dict owned by the calling layer, where the training forward
 keeps the conv output and batch statistics for the matching backward
-call.  Layers that forward without backpropagating must hand leftover
-ctx to :func:`release_conv_ctx`.  Plain and transposed convolutions
-keep nothing between forward and backward: the backward re-gathers
-what it needs from its inputs.
+call.  The dict owns those arrays, so dropping it frees them.  Plain
+and transposed convolutions keep nothing between forward and backward:
+the backward re-gathers what it needs from its inputs.
 
 Pooling stays here: it is memory-bound reshuffling with no GEMM to
 lower to, so there is nothing for a backend to specialise.
@@ -47,7 +46,6 @@ __all__ = [
     "fused_conv_bn_relu_supported",
     "conv_transpose3d_forward",
     "conv_transpose3d_backward",
-    "release_conv_ctx",
     "maxpool3d_forward",
     "maxpool3d_backward",
     "conv3d_output_shape",
@@ -239,15 +237,6 @@ def conv_transpose3d_backward(
     record_kernel_seconds(backend.name, "conv_transpose3d_backward",
                           perf_counter() - t0)
     return out
-
-
-def release_conv_ctx(ctx: dict | None) -> None:
-    """Reclaim backend scratch parked in ``ctx`` by a fused
-    Conv3D+BN+ReLU training forward whose backward never ran
-    (evaluation forwards in training mode, truncated steps).  Safe on
-    ``None``, empty, and already-consumed dicts."""
-    if ctx:
-        get_backend().release_ctx(ctx)
 
 
 def _pool_windows(x: np.ndarray, k: tuple[int, int, int]):

@@ -26,7 +26,6 @@ from .registry import (
 )
 from .workspace import (
     WorkspaceArena,
-    set_workspace_limit,
     workspace,
     workspace_bytes,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "kernel_seconds_snapshot",
     "WorkspaceArena",
     "workspace",
-    "set_workspace_limit",
     "workspace_bytes",
     "triple",
     "pad_volume",

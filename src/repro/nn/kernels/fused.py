@@ -58,14 +58,16 @@ convolution differently:
   standard BN gradient with ``x_hat`` substituted by
   ``(y_conv - mean) * inv_std``), applied in place on the conv output
   ``y_conv``, the one volume the training forward keeps in ``ctx`` for
-  its backward.  Per U-Net stage this
-  skips the ``x_hat`` volume, the BN output volume and the ReLU mask
-  the unfused layer chain materialises.
+  its backward.  ``y_conv`` is an ordinary array the layer's ``ctx``
+  owns, not arena scratch.  Per U-Net stage this skips the ``x_hat``
+  volume, the BN output volume and the ReLU mask the unfused layer
+  chain materialises.
 
-All scratch (padded slabs, slice buffers, output windows) is checked
-out of the :mod:`~repro.nn.kernels.workspace` arena and recycled across
-steps; outputs are always freshly allocated, never views into the
-arena.
+All scratch (padded slabs, slice buffers, output windows, BN partials)
+is checked out of the :mod:`~repro.nn.kernels.workspace` arena and
+released before the kernel call returns, so nothing stays checked
+out between calls and the blocks are recycled across them; outputs
+are always freshly allocated, never views into the arena.
 """
 
 from __future__ import annotations
@@ -396,7 +398,7 @@ class FusedBackend(KernelBackend):
         # Training: conv into the y_conv buffer the backward keeps,
         # folding the BN channel sums into the flush epilogue, then one
         # affine+ReLU pass.
-        y_conv = ws.acquire((n, co, Do, Ho, Wo), x.dtype)
+        y_conv = np.empty((n, co, Do, Ho, Wo), dtype=x.dtype)
         stats = ws.acquire((2, n, Do, co), x.dtype)
         _conv_stream(ws, x, w, b, y_conv, stride, pad, stats=stats)
         total, sq_total = stats.sum(axis=(1, 2))
@@ -417,8 +419,6 @@ class FusedBackend(KernelBackend):
         if ctx is not None:
             ctx.update(y_conv=y_conv, mean=mean, inv_std=inv_std,
                        count=count, scale=scale, shift=shift)
-        else:
-            ws.release(y_conv)
         return y, mean, var
 
     def conv3d_bn_relu_backward(self, dy, x, w, gamma, stride, pad,
@@ -471,7 +471,6 @@ class FusedBackend(KernelBackend):
 
         dx, dw, db = self.conv3d_backward(y_conv, x, w, stride, pad,
                                           with_bias, need_dx=need_dx)
-        ws.release(y_conv)
         return dx, dw, db, dgamma, dbeta
 
     # -- conv_transpose3d --------------------------------------------------
@@ -528,24 +527,6 @@ class FusedBackend(KernelBackend):
         ws.release(dycols)
         db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
         return dx, dw, db
-
-    # -- ctx management ----------------------------------------------------
-    def release_ctx(self, ctx: dict | None) -> None:
-        """Reclaim scratch a fused Conv+BN+ReLU training forward parked
-        for a backward that never ran (e.g. a training-mode forward used
-        for evaluation).
-
-        Releases *every* arena array in ``ctx`` (``y_conv``; the
-        statistics are foreign and ignored), so a ctx filled under one
-        backend is still reclaimed when another is active at cleanup
-        time (layers may outlive a ``use_backend`` block)."""
-        if not ctx:
-            return
-        ws = workspace()
-        for buf in ctx.values():
-            if isinstance(buf, np.ndarray):
-                ws.release(buf)
-        ctx.clear()
 
 
 register_backend(FusedBackend())

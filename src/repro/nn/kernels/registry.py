@@ -4,7 +4,7 @@ Every 3D convolution in the model dispatches through one active
 :class:`KernelBackend`:
 
 * ``fused`` (the production backend) -- depth-sliced batched GEMMs,
-  tiled over output depth so the slice buffer stays cache-resident,
+  streamed over the input depth in cache-sized chunks,
   plus a fused Conv3D+BatchNorm+ReLU forward/backward
   (``supports_fusion``).
 * ``reference`` -- the original ``sliding_window_view`` + ``einsum``
@@ -50,10 +50,11 @@ class KernelBackend:
     :mod:`repro.nn.functional`.  Only the fused Conv3D+BN+ReLU pair
     takes a ``ctx``: a mutable dict owned by the calling layer, where
     the training forward keeps the conv output and batch statistics for
-    the matching backward call; :meth:`release_ctx` reclaims it when no
-    backward ran.  Plain and transposed convolutions keep nothing
-    between forward and backward.  Outputs must be freshly allocated
-    arrays -- never views into cached scratch.
+    the matching backward call.  Everything in ``ctx`` is an ordinary
+    array the dict owns, so dropping the dict frees it.  Plain and
+    transposed convolutions keep nothing between forward and backward.
+    Outputs must be freshly allocated arrays -- never views into cached
+    scratch -- and no scratch checkout may outlive the call.
     """
 
     name: str = "abstract"
@@ -100,10 +101,6 @@ class KernelBackend:
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not support conv/BN/ReLU fusion")
-
-    def release_ctx(self, ctx: dict | None) -> None:
-        """Return any scratch kept in ``ctx`` to its pool (no-op by
-        default)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"

@@ -1,11 +1,13 @@
-"""Workspace arena: bounded, size-keyed reuse of large scratch buffers.
+"""Workspace arena: size-keyed reuse of large scratch buffers.
 
 The ``fused`` backend lowers every convolution to ``patches x weights``
 GEMMs, and the patches (slice) buffers are *large* -- ``kh*kw`` times the
 activation they were gathered from.  Allocating (and faulting in) such a
 temporary per convolution per step would hand a large share of the step
 time to the allocator, so scratch buffers are checked out of a
-process-wide arena instead and recycled across steps.
+process-wide arena instead and recycled across steps.  Every checkout
+is released before the kernel call that made it returns: nothing a
+layer keeps between its forward and backward lives in the arena.
 
 The arena retains scratch as raw byte *blocks*, not as typed arrays:
 one retained block serves every request that fits in it, whatever its
@@ -29,18 +31,17 @@ Semantics:
   one pass for the U-Net steps measured in the tests).
 * :meth:`WorkspaceArena.release` checks a view back in; its block is
   found through the view's ``.base`` (NumPy points every view at the
-  array that owns the memory).  Released bytes are retained up to
-  ``max_bytes`` (512 MiB for the process-wide arena, rebound with
-  :meth:`WorkspaceArena.set_limit` / :func:`set_workspace_limit`;
-  oldest-first eviction beyond that); checked-out blocks are never
-  counted against the budget because they cannot be evicted.
+  array that owns the memory) and retained.  There is no byte budget:
+  replace-largest-on-miss already bounds what the arena retains to
+  about the largest set of blocks ever checked out at once, and
+  :meth:`WorkspaceArena.clear` drops them all.
 * A block is handed to exactly one caller at a time, so workspace reuse
   can never alias a *live* tensor: two overlapping checkouts get two
   distinct blocks, and kernel outputs are always freshly allocated
   arrays, never views into the arena (property-tested in
   ``tests/unit/nn/test_workspace.py``).  The arena keeps only a weak
-  reference to a checked-out view, so a checkout that leaks (its ctx
-  dropped without a release) is collected, not pinned; the next miss,
+  reference to a checked-out view, so a checkout that leaks (a kernel
+  raised before its release) is collected, not pinned; the next miss,
   :meth:`WorkspaceArena.stats` or :attr:`WorkspaceArena.total_bytes`
   stops counting it as checked out.
 
@@ -61,25 +62,19 @@ import numpy as np
 __all__ = [
     "WorkspaceArena",
     "workspace",
-    "set_workspace_limit",
     "workspace_bytes",
 ]
-
-# Retained (free-pool) budget of the process-wide arena.
-DEFAULT_LIMIT_BYTES = 512 * 1024 * 1024
 
 
 class WorkspaceArena:
     """Pool of reusable scratch byte blocks, handed out as typed views."""
 
-    def __init__(self, max_bytes: int = DEFAULT_LIMIT_BYTES):
-        self.max_bytes = int(max_bytes)
+    def __init__(self):
         self._lock = threading.Lock()
         # Retained blocks, each held through the last view it served,
         # sorted by block size so best fit is one bisect.
         self._sizes: list[int] = []
         self._views: list[np.ndarray] = []
-        self._fifo: dict[int, int] = {}  # id(block) -> nbytes, release order
         # id(block) -> (weakref to the handed-out view, nbytes)
         self._out: dict[int, tuple] = {}
         self.free_bytes = 0
@@ -134,8 +129,8 @@ class WorkspaceArena:
             ref, nbytes = entry
             view = ref()
             if view is None:
-                # The checkout leaked (its ctx was dropped without a
-                # release): this array is foreign -- it landed on the
+                # The checkout leaked (dropped without a release):
+                # this array is foreign -- it landed on the
                 # collected block's address (``id`` reuse) -- or another
                 # view of the abandoned block.  Retaining it would hand
                 # memory the arena does not own to a later acquire --
@@ -146,15 +141,10 @@ class WorkspaceArena:
                 return  # another view of a live checkout: not ours to free
             del self._out[id(block)]
             self.in_use_bytes -= nbytes
-            if nbytes > self.max_bytes:
-                self.evictions += 1  # too big to ever retain
-                return
             i = bisect_left(self._sizes, nbytes)
             self._sizes.insert(i, nbytes)
             self._views.insert(i, view)
-            self._fifo[id(block)] = nbytes
             self.free_bytes += nbytes
-            self._evict_over_budget()
 
     def _sweep_leaks(self) -> None:
         """Forget checkouts whose view was collected without a release
@@ -168,35 +158,13 @@ class WorkspaceArena:
         """Remove the ``i``-th retained block from the pool and return
         its view (caller holds the lock)."""
         self.free_bytes -= self._sizes.pop(i)
-        view = self._views.pop(i)
-        del self._fifo[id(view.base)]
-        return view
-
-    def _evict_over_budget(self) -> None:
-        """Drop the oldest retained blocks until the budget holds
-        (caller holds the lock)."""
-        while self.free_bytes > self.max_bytes and self._fifo:
-            block_id, nbytes = next(iter(self._fifo.items()))
-            i = bisect_left(self._sizes, nbytes)
-            while id(self._views[i].base) != block_id:
-                i += 1
-            self._take(i)
-            self.evictions += 1
-
-    def set_limit(self, max_bytes: int) -> int:
-        """Rebound the retained-bytes budget (evicting oldest-first down
-        to it); returns the previous limit."""
-        with self._lock:
-            previous, self.max_bytes = self.max_bytes, int(max_bytes)
-            self._evict_over_budget()
-        return previous
+        return self._views.pop(i)
 
     def clear(self) -> None:
         """Drop every retained block (checked-out ones stay live)."""
         with self._lock:
             self._sizes.clear()
             self._views.clear()
-            self._fifo.clear()
             self.free_bytes = 0
 
     def retained(self) -> tuple[np.ndarray, ...]:
@@ -224,7 +192,6 @@ class WorkspaceArena:
                 "free_bytes": self.free_bytes,
                 "in_use_bytes": self.in_use_bytes,
                 "peak_in_use_bytes": self.peak_in_use_bytes,
-                "max_bytes": self.max_bytes,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -237,12 +204,6 @@ _WORKSPACE = WorkspaceArena()
 def workspace() -> WorkspaceArena:
     """The process-wide arena shared by every kernel invocation."""
     return _WORKSPACE
-
-
-def set_workspace_limit(max_bytes: int) -> int:
-    """Rebound the process-wide arena's retained-bytes budget; returns
-    the previous limit."""
-    return workspace().set_limit(max_bytes)
 
 
 def workspace_bytes() -> int:

@@ -25,6 +25,11 @@ used whenever fusion cannot preserve semantics:
 
 Both routes produce the same arithmetic to float64 round-off, which the
 parity matrix pins at rtol 1e-9 (``tests/unit/nn/test_fused_block.py``).
+
+A fused training forward keeps the conv output and batch statistics in
+the layer's own ``ctx`` dict, which the backward consumes; the next
+forward drops a dict no backward consumed (evaluation in training mode,
+a truncated step), and with it those arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from ..functional import (
     conv3d_bn_relu_backward,
     conv3d_bn_relu_forward,
     fused_conv_bn_relu_supported,
-    release_conv_ctx,
 )
 from ..module import Module
 from .activations import ReLU
@@ -104,8 +108,7 @@ class FusedConvBNReLU3D(Module):
 
     # -- computation --------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        release_conv_ctx(self._ctx)  # forward without backward: reclaim
-        self._ctx = None
+        self._ctx = None  # a forward without backward just drops it
         if not self.fusion_active():
             self._route = "sequential"
             return self.act(self.bn(self.conv(x)))
@@ -151,7 +154,6 @@ class FusedConvBNReLU3D(Module):
             stride=self.conv.stride, pad=self.conv.padding,
             with_bias=self.conv.use_bias, ctx=ctx,
             need_dx=self.input_grad)
-        release_conv_ctx(ctx)
         self.conv.w.grad += dw
         if self.conv.use_bias:
             self.conv.b.grad += db

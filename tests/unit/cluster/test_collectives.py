@@ -11,7 +11,6 @@ from repro.cluster import (
     hierarchical_allreduce_time,
     ring_allreduce,
     ring_allreduce_time,
-    transfer_time,
 )
 
 rng = np.random.default_rng(17)
@@ -19,15 +18,6 @@ MB = 1_000_000
 
 
 class TestLinkModel:
-    def test_alpha_beta(self):
-        link = LinkSpec("test", latency_s=1e-6, bandwidth_gbs=10.0)
-        assert transfer_time(0, link) == pytest.approx(1e-6)
-        assert transfer_time(10 * MB, link) == pytest.approx(1e-6 + 1e-3)
-
-    def test_negative_bytes(self):
-        with pytest.raises(ValueError):
-            transfer_time(-1, NVLINK2)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             LinkSpec("bad", latency_s=-1, bandwidth_gbs=1)

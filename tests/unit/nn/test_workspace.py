@@ -1,4 +1,4 @@
-"""WorkspaceArena semantics: reuse, bounding, and no-aliasing."""
+"""WorkspaceArena semantics: reuse, checkout lifetime, and no-aliasing."""
 
 import gc
 import importlib
@@ -10,14 +10,25 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, SoftDiceLoss, UNet3D, use_backend
+from repro.nn import functional as F
 from repro.nn.functional import conv3d_backward, conv3d_forward
-from repro.nn.kernels import WorkspaceArena, set_workspace_limit, workspace
+from repro.nn.kernels import WorkspaceArena, workspace
 from repro.nn.layers.fused_block import FusedConvBNReLU3D
+
+
+@pytest.fixture
+def arena(monkeypatch):
+    """A fresh arena installed as the process-wide one."""
+    arena = WorkspaceArena()
+    monkeypatch.setattr(
+        importlib.import_module("repro.nn.kernels.workspace"),
+        "_WORKSPACE", arena)
+    return arena
 
 
 class TestArenaBasics:
     def test_acquire_release_recycles_buffer(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a = ws.acquire((16, 16))
         ws.release(a)
         b = ws.acquire((16, 16))
@@ -25,14 +36,14 @@ class TestArenaBasics:
         assert ws.stats()["hits"] == 1 and ws.stats()["misses"] == 1
 
     def test_distinct_keys_get_distinct_buffers(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a = ws.acquire((8, 8), np.float64)
         ws.release(a)
         b = ws.acquire((8, 8), np.float32)
         assert b is not a and b.dtype == np.float32
 
     def test_concurrent_checkouts_never_alias(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a = ws.acquire((32,))
         b = ws.acquire((32,))
         assert a is not b
@@ -41,7 +52,7 @@ class TestArenaBasics:
         ws.release(b)
 
     def test_in_use_and_free_accounting(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a = ws.acquire((128,))
         assert ws.in_use_bytes == a.nbytes and ws.free_bytes == 0
         ws.release(a)
@@ -49,7 +60,7 @@ class TestArenaBasics:
         assert ws.total_bytes == a.nbytes
 
     def test_release_of_foreign_array_and_none_ignored(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         ws.release(np.zeros(4))
         ws.release(None)
         assert ws.free_bytes == 0 and ws.in_use_bytes == 0
@@ -58,7 +69,7 @@ class TestArenaBasics:
         """A checkout leaked without release leaves a stale ``id`` entry;
         a foreign array recycled onto the same address must not be
         retained (acquire would then hand out foreign memory)."""
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         leaked = ws.acquire((16, 4))
         stale = ws._out.pop(id(leaked.base))
         del leaked  # collected without a release
@@ -71,7 +82,7 @@ class TestArenaBasics:
         assert ws.acquire((16, 4)).shape == (16, 4)
 
     def test_leaked_checkout_is_not_pinned(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         ref = weakref.ref(ws.acquire((32, 32)).base)
         gc.collect()
         assert ref() is None
@@ -80,7 +91,7 @@ class TestArenaBasics:
         """A checkout dropped without a release is freed, so neither
         ``stats()``/``total_bytes`` nor a later miss may still count it
         (the ``kernel_workspace_bytes`` gauge would overstate forever)."""
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         leaked = ws.acquire((32, 32))
         del leaked
         gc.collect()
@@ -94,7 +105,7 @@ class TestArenaBasics:
         assert ws.in_use_bytes == live.nbytes
 
     def test_release_of_another_view_of_a_live_checkout_ignored(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a = ws.acquire((8, 8))
         ws.release(a.reshape(-1))
         assert ws.free_bytes == 0 and ws.in_use_bytes == a.nbytes
@@ -102,14 +113,14 @@ class TestArenaBasics:
         assert ws.free_bytes == a.nbytes and ws.in_use_bytes == 0
 
     def test_double_release_is_harmless(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a = ws.acquire((8,))
         ws.release(a)
         ws.release(a)  # second release: no longer checked out -> ignored
         assert ws.free_bytes == a.nbytes
 
     def test_clear_drops_retained_buffers(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         ws.release(ws.acquire((64,)))
         ws.clear()
         assert ws.free_bytes == 0
@@ -119,7 +130,7 @@ class TestArenaBasics:
 
 class TestSizeKeyedReuse:
     def test_smaller_request_of_another_dtype_reuses_a_larger_block(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         big = ws.acquire((64, 64), np.float64)
         ws.release(big)
         small = ws.acquire((10, 30), np.float32)
@@ -130,14 +141,14 @@ class TestSizeKeyedReuse:
         assert not np.shares_memory(small, other)
 
     def test_best_fit_picks_the_smallest_block_that_fits(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         blocks = [ws.acquire((n,)) for n in (400, 100, 200)]
         for b in blocks:
             ws.release(b)
         assert np.shares_memory(ws.acquire((150,)), blocks[2])
 
     def test_miss_replaces_the_largest_too_small_block(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a, b = ws.acquire((100,)), ws.acquire((200,))
         ws.release(a)
         ws.release(b)
@@ -148,7 +159,7 @@ class TestSizeKeyedReuse:
         assert ws.total_bytes == a.nbytes + c.nbytes
 
     def test_peak_in_use_bytes_is_the_checkout_high_water_mark(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         a, b = ws.acquire((100,)), ws.acquire((50,))
         ws.release(a)
         ws.release(b)
@@ -156,17 +167,12 @@ class TestSizeKeyedReuse:
         assert ws.stats()["peak_in_use_bytes"] == 150 * 8
         assert ws.stats()["in_use_bytes"] == 0
 
-    def test_search_pool_cycle_holds_about_its_peak_live_set(
-            self, monkeypatch):
+    def test_search_pool_cycle_holds_about_its_peak_live_set(self, arena):
         """A ``search_pool``-shaped cycle (UNet3D ``base_filters=4``,
         ``depth=3``, float32: one train step, then ``predict`` at batch
         1 and 2) on a fresh process-wide arena: once warm, further
         cycles neither miss nor grow it, and it holds little beyond the
         most it ever had checked out at once."""
-        arena = WorkspaceArena()
-        monkeypatch.setattr(
-            importlib.import_module("repro.nn.kernels.workspace"),
-            "_WORKSPACE", arena)
         rng = np.random.default_rng(0)
         model = UNet3D(in_channels=4, out_channels=1, base_filters=4,
                        depth=3, rng=np.random.default_rng(1),
@@ -194,56 +200,29 @@ class TestSizeKeyedReuse:
 
 
 class TestTrainingStepMemory:
-    """Counted, not timed: what a training step holds in the arena.
+    """Counted, not timed: what a training step leaves in the arena."""
 
-    A fresh arena that retains nothing (``max_bytes=0``) gives every
-    checkout a block of exactly its own size, so ``in_use_bytes`` is an
-    exact count of the bytes a forward leaves for its backward."""
-
-    @pytest.fixture
-    def arena(self, monkeypatch):
-        arena = WorkspaceArena(max_bytes=0)
-        monkeypatch.setattr(
-            importlib.import_module("repro.nn.kernels.workspace"),
-            "_WORKSPACE", arena)
-        return arena
-
-    @staticmethod
-    def _model_and_input():
+    def test_forward_keeps_only_the_fused_conv_outputs(self, arena):
+        """A training forward leaves nothing checked out: the fused
+        blocks' ``y_conv`` volumes are the layers' own arrays, none of
+        them arena memory, and the backward leaves the count as it
+        found it."""
         model = UNet3D(4, 1, base_filters=4, depth=3,
                        rng=np.random.default_rng(1), dtype=np.float32)
         x = (np.random.default_rng(0).normal(size=(1, 4, 16, 16, 16))
              .astype(np.float32))
-        return model, x
-
-    @staticmethod
-    def _y_conv_bytes(model):
+        before = arena.in_use_bytes
+        pred = model(x)
+        assert arena.in_use_bytes == before
         blocks = [m for _, m in model.named_modules()
                   if isinstance(m, FusedConvBNReLU3D)]
         assert blocks and all(b._route == "fused" for b in blocks)
-        return sum(b._ctx["y_conv"].nbytes for b in blocks)
-
-    def test_forward_keeps_only_the_fused_conv_outputs(self, arena):
-        """After a training forward the arena holds exactly the fused
-        blocks' ``y_conv`` volumes -- no slice buffer outlives its
-        forward -- and the backward hands every byte back."""
-        model, x = self._model_and_input()
-        before = arena.stats()["in_use_bytes"]
-        pred = model(x)
-        held = arena.stats()["in_use_bytes"] - before
-        assert held == self._y_conv_bytes(model)
+        pooled = workspace().retained()
+        assert pooled  # the forward did use scratch: the check is real
+        assert not any(np.shares_memory(b._ctx["y_conv"], buf)
+                       for b in blocks for buf in pooled)
         model.backward(np.ones_like(pred))
-        assert arena.stats()["in_use_bytes"] == before
-
-    def test_forward_without_backward_reclaims_the_stale_ctx(self, arena):
-        """A second training forward with no backward in between
-        releases the first one's ``y_conv`` before keeping its own."""
-        model, x = self._model_and_input()
-        model(x)
-        after_first = arena.stats()["in_use_bytes"]
-        model(x)
-        assert arena.stats()["in_use_bytes"] == after_first
-        assert after_first == self._y_conv_bytes(model)
+        assert arena.in_use_bytes == before
 
 
 class TestArenaThreads:
@@ -251,7 +230,7 @@ class TestArenaThreads:
         """More threads than cores, a short switch interval: every live
         checkout keeps the values its owner wrote, and the byte
         accounting balances once all are released."""
-        ws = WorkspaceArena(max_bytes=1 << 20)
+        ws = WorkspaceArena()
         n_threads, rounds = 6, 200
         corrupted = []
 
@@ -285,47 +264,6 @@ class TestArenaThreads:
         assert ws.free_bytes == sum(b.nbytes for b in ws.retained())
 
 
-class TestArenaBounds:
-    def test_eviction_beyond_budget_is_fifo(self):
-        ws = WorkspaceArena(max_bytes=3 * 800)  # room for 3 x 100-float64
-        bufs = [ws.acquire((100,)) for _ in range(4)]
-        for b in bufs:
-            ws.release(b)
-        # oldest released buffer was evicted to stay under budget
-        assert ws.free_bytes == 3 * 800
-        assert ws.evictions == 1
-        assert ws.acquire((100,)) is not bufs[0]
-
-    def test_oversized_buffer_never_retained(self):
-        ws = WorkspaceArena(max_bytes=100)
-        a = ws.acquire((1000,))
-        ws.release(a)
-        assert ws.free_bytes == 0 and ws.evictions == 1
-
-    def test_set_limit_evicts_oldest_first(self):
-        ws = WorkspaceArena(max_bytes=1 << 20)
-        bufs = [ws.acquire((100,)) for _ in range(3)]
-        for b in bufs:
-            ws.release(b)
-        assert ws.set_limit(1600) == 1 << 20
-        assert ws.max_bytes == 1600 and ws.evictions == 1
-        assert not any(np.shares_memory(bufs[0], r) for r in ws.retained())
-
-    def test_set_workspace_limit_shrinks_pool(self):
-        ws = workspace()
-        ws.clear()
-        previous = set_workspace_limit(1 << 30)
-        try:
-            for _ in range(4):
-                ws.release(ws.acquire((100,)))
-                # sequential checkout: same buffer recycled, pool holds 1
-            assert ws.free_bytes == 800
-            set_workspace_limit(0)
-            assert ws.free_bytes == 0
-        finally:
-            set_workspace_limit(previous)
-
-
 class TestNoAliasingThroughKernels:
     def test_conv_outputs_are_not_arena_views(self):
         """Back-to-back convolutions recycle scratch, yet earlier outputs
@@ -355,3 +293,63 @@ class TestNoAliasingThroughKernels:
             y = conv3d_forward(x, w, None, 2, 1)
             conv3d_backward(np.ones_like(y), x, w, 2, 1)
             assert ws.in_use_bytes == before
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("entry", [
+        "conv_forward", "conv_backward", "fused_train_forward",
+        "fused_train_backward", "fused_eval_forward",
+        "transposed_forward", "transposed_backward"])
+    def test_no_checkout_outlives_a_kernel_call(self, arena, entry, dtype):
+        """Every ``functional`` conv entry point hands back all the
+        scratch it checked out before it returns, and nothing it returns
+        or keeps in ``ctx`` is arena memory."""
+        call, ctx = _kernel_call(entry, dtype)
+        before = arena.in_use_bytes
+        out = call()
+        assert arena.in_use_bytes == before
+        pooled = arena.retained()
+        assert pooled  # the call did use scratch: the check is real
+        outs = out if isinstance(out, tuple) else (out,)
+        kept = [a for a in (*outs, *ctx.values())
+                if isinstance(a, np.ndarray)]
+        assert kept
+        assert not any(np.shares_memory(a, buf)
+                       for a in kept for buf in pooled)
+
+
+def _kernel_call(entry, dtype):
+    """``(call, ctx)`` for one conv entry point on small random inputs;
+    the fused backward's training forward runs here, before the call."""
+    rng = np.random.default_rng(3)
+
+    def draw(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    x, w, b = draw(2, 3, 6, 6, 5), draw(4, 3, 3, 3, 3), draw(4)
+    dy = draw(2, 4, 6, 6, 5)
+    wt, dyt = draw(3, 4, 2, 2, 2), draw(2, 4, 12, 12, 10)
+    gamma, beta = 1.0 + draw(4) ** 2, draw(4)
+    mean, var = np.zeros(4, dtype), np.ones(4, dtype)
+    ctx = {}
+
+    def fused_forward(training):
+        return F.conv3d_bn_relu_forward(
+            x, w, b, gamma, beta, mean, var, stride=1, pad=1,
+            training=training, ctx=ctx if training else None)
+
+    if entry == "fused_train_backward":
+        fused_forward(True)
+    calls = {
+        "conv_forward": lambda: F.conv3d_forward(x, w, b, 1, 1),
+        "conv_backward": lambda: F.conv3d_backward(dy, x, w, 1, 1),
+        "fused_train_forward": lambda: fused_forward(True),
+        "fused_train_backward": lambda: F.conv3d_bn_relu_backward(
+            dy, x, w, gamma, stride=1, pad=1, ctx=ctx),
+        "fused_eval_forward": lambda: fused_forward(False),
+        "transposed_forward": lambda: F.conv_transpose3d_forward(
+            x, wt, None, 2),
+        "transposed_backward": lambda: F.conv_transpose3d_backward(
+            dyt, x, wt, 2),
+    }
+    return calls[entry], ctx
