@@ -55,7 +55,8 @@ profile-smoke:
 # paper-scale simulated runs of the three methods, plus two under GPU
 # failures (checkpoint resume; one scratch retry, then abandonment):
 # every run directory's merged trace (driver spans + the simulated
-# timeline, one lane per GPU) must satisfy the viewer contract
+# timeline, one lane per GPU) must satisfy the viewer contract; then
+# the Table I re-fit of the cost model
 SIM_SMOKE := /tmp/distmis_sim_smoke
 sim-smoke:
 	for method in experiment_parallel data_parallel hybrid; do \
@@ -74,6 +75,7 @@ sim-smoke:
 		$(SIM_SMOKE)/hybrid/trace.json \
 		$(SIM_SMOKE)/failures/trace.json \
 		$(SIM_SMOKE)/failures_scratch/trace.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli calibrate
 
 # tiny live-monitored search with --watch on a non-TTY: asserts the
 # streaming export really streams (events.jsonl + final health snapshot)

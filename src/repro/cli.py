@@ -670,7 +670,7 @@ def cmd_report(args) -> int:
 def cmd_calibrate(args) -> int:
     from .perf import fit_to_table1
 
-    result = fit_to_table1(max_nfev=args.max_nfev)
+    result = fit_to_table1()
     print("fitted parameters:")
     for name in ("gpu_efficiency", "straggler_sigma", "mirrored_overhead_s",
                  "internode_overhead_s", "epoch_fixed_s", "startup_base_s",
@@ -940,7 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("calibrate", help="re-fit the cost model to Table I")
-    p.add_argument("--max-nfev", type=int, default=300)
     p.set_defaults(fn=cmd_calibrate)
 
     return parser

@@ -23,6 +23,7 @@ time is a placement makespan.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -56,6 +57,7 @@ def conv3d_flops(voxels: int, c_in: int, c_out: int, kernel: int = 3) -> float:
     return 2.0 * voxels * c_in * c_out * kernel**3
 
 
+@functools.lru_cache(maxsize=None)
 def unet3d_forward_flops(
     spatial: tuple[int, int, int] = PAPER_SPATIAL,
     base_filters: int = 8,

@@ -22,6 +22,21 @@ import numpy as np
 __all__ = ["expected_max_factor", "sample_max_factor"]
 
 
+def _ndtr(z: float) -> float:
+    """Standard normal cdf on Cephes' ``ndtr`` branches; the one-line
+    ``0.5 * erfc(-z / sqrt(2))`` can put the factor below 1."""
+    x = z * math.sqrt(0.5)
+    if abs(x) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+_Z = np.linspace(-9.0, 9.0, 4001)
+_PDF = np.exp(-_Z**2 / 2.0) / math.sqrt(2 * math.pi)
+_CDF = np.array([_ndtr(z) for z in _Z])
+
+
 @functools.lru_cache(maxsize=4096)
 def expected_max_factor(n: int, sigma: float) -> float:
     """E[max of n lognormal(0, sigma)] / E[lognormal(0, sigma)].
@@ -35,11 +50,8 @@ def expected_max_factor(n: int, sigma: float) -> float:
         raise ValueError("sigma must be >= 0")
     if n == 1 or sigma == 0.0:
         return 1.0
-    from scipy.stats import norm
-
-    z = np.linspace(-9.0, 9.0, 4001)
-    pdf_max = n * norm.pdf(z) * norm.cdf(z) ** (n - 1)
-    e_max = np.trapezoid(np.exp(sigma * z) * pdf_max, z)
+    pdf_max = n * _PDF * _CDF ** (n - 1)
+    e_max = np.trapezoid(np.exp(sigma * _Z) * pdf_max, _Z)
     e_single = math.exp(0.5 * sigma**2)  # lognormal mean
     return float(e_max / e_single)
 

@@ -233,6 +233,23 @@ class TestCommands:
         assert seen["dtype"] == np.float64
         capsys.readouterr()
 
+    def test_calibrate_prints_the_frozen_profile(self, capsys):
+        """The Table I re-fit lands on the frozen profile: three fitted
+        constants, the other five printed as held at 0."""
+        assert main(["calibrate"]) == 0
+        assert capsys.readouterr().out == (
+            "fitted parameters:\n"
+            "  gpu_efficiency = 0.937787\n"
+            "  straggler_sigma = 0.252028\n"
+            "  mirrored_overhead_s = 0\n"
+            "  internode_overhead_s = 0\n"
+            "  epoch_fixed_s = 0\n"
+            "  startup_base_s = 0\n"
+            "  startup_per_node_s = 18.1123\n"
+            "  tune_trial_overhead_s = 0\n"
+            "max |error| 8.4%, mean 3.3%\n"
+        )
+
     def test_summary_command(self, capsys):
         rc = main(["summary", "--volume", "16", "16", "16"])
         assert rc == 0

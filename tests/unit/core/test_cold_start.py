@@ -2,11 +2,11 @@
 
 Execpool trial workers, serve replicas and data-parallel replicas are
 forked from the parent process, so every module it imports before
-the fork is paid once per process.  SciPy is needed only by the
-simulator's data-parallel pricing (``perf.straggler``) and the Table I
-fit (``perf.calibration``), which import it at the call; cohort
-synthesis smooths in NumPy.  The paper-scale simulator
-(``repro.cluster``, ``repro.perf``, ``repro.core.{simulated,runner,
+the fork is paid once per process.  Nothing under ``src/`` needs
+SciPy: cohort synthesis smooths in NumPy, and the simulator's
+straggler quadrature and Table I fit are NumPy too, so neither
+``distmis table1`` nor ``distmis calibrate`` loads it.  The paper-scale
+simulator (``repro.cluster``, ``repro.perf``, ``repro.core.{simulated,runner,
 report,results}``) may import the executed system, never the other
 way: importing, training (one or two replicas), a process-pool search,
 ``distmis search`` and serving load none of it.  Parsing the
@@ -121,6 +121,12 @@ assert main(["search", "--subjects", "3", "--volume", "8", "8", "8",
              "--lr", "1e-3", "3e-3"]) == 0
 """
 
+CLI_SIMULATOR = """
+from repro.cli import main
+
+assert main({argv!r}) == 0
+"""
+
 
 @functools.lru_cache(maxsize=None)
 def modules_after(snippet: str, imports: str = IMPORTS) -> dict[str, list[str]]:
@@ -154,6 +160,16 @@ TRAINING_AND_SEARCH = [
 @pytest.mark.parametrize("snippet", TRAINING_AND_SEARCH)
 def test_training_and_search_load_no_scipy(snippet):
     assert modules_after(snippet)["scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["table1"], id="table1"),
+    pytest.param(["calibrate"], id="calibrate"),
+])
+def test_simulator_commands_load_no_scipy(argv):
+    """``distmis table1|calibrate`` price and fit Table I in NumPy."""
+    loaded = modules_after(CLI_SIMULATOR.format(argv=argv), imports="")
+    assert loaded["scipy"] == [], loaded
 
 
 @pytest.mark.parametrize("snippet", [

@@ -14,6 +14,7 @@ from repro.perf import (
     calibrated_model,
     data_parallel_search_time,
     experiment_parallel_search_time,
+    fit_to_table1,
     format_hms,
     makespan_lower_bound,
     paper_search_grid,
@@ -57,6 +58,26 @@ class TestCalibration:
         result = summarize(MARENOSTRUM_CTE_PROFILE)
         assert result.max_abs_pct_error < 10.0
         assert result.mean_abs_pct_error < 5.0
+
+    def test_fit_reproduces_frozen_profile(self):
+        """The fit frees only the three constants Table I identifies,
+        lands on the frozen values and holds the other five at 0."""
+        result = fit_to_table1()
+        fitted = ("gpu_efficiency", "straggler_sigma", "startup_per_node_s")
+        for name in fitted:
+            assert getattr(result.params, name) == pytest.approx(
+                getattr(MARENOSTRUM_CTE_PROFILE, name), rel=1e-5), name
+        for name in ("mirrored_overhead_s", "internode_overhead_s",
+                     "epoch_fixed_s", "startup_base_s",
+                     "tune_trial_overhead_s"):
+            assert getattr(result.params, name) == 0.0, name
+        assert result.params == MARENOSTRUM_CTE_PROFILE.with_overrides(
+            **{name: getattr(result.params, name) for name in fitted})
+        frozen = summarize(MARENOSTRUM_CTE_PROFILE)
+        assert result.max_abs_pct_error == pytest.approx(
+            frozen.max_abs_pct_error, abs=0.01)
+        assert result.mean_abs_pct_error == pytest.approx(
+            frozen.mean_abs_pct_error, abs=0.01)
 
     def test_single_gpu_anchors_44_hours(self, model, grid):
         t = data_parallel_search_time(model, grid, 1)

@@ -33,6 +33,23 @@ class TestExpectedMax:
         approx = 1 + sigma / np.sqrt(np.pi)
         assert expected_max_factor(2, sigma) == pytest.approx(approx, abs=1e-4)
 
+    def test_matches_scipy_normal_quadrature(self):
+        """The NumPy pdf/cdf give the factor SciPy's ``norm`` gives, on
+        the same grid, to rounding."""
+        pytest.importorskip("scipy")
+        from scipy.stats import norm
+
+        z = np.linspace(-9.0, 9.0, 4001)
+        pdf, cdf = norm.pdf(z), norm.cdf(z)
+        sigmas = np.linspace(0.05, 0.5, 10)
+        growth = np.exp(np.outer(sigmas, z))
+        for n in range(2, 129):
+            pdf_max = n * pdf * cdf ** (n - 1)
+            want = (np.trapezoid(growth * pdf_max, z, axis=1)
+                    / np.exp(0.5 * sigmas**2))
+            got = [expected_max_factor(n, float(s)) for s in sigmas]
+            assert got == pytest.approx(want, rel=1e-14), n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             expected_max_factor(0, 0.1)
