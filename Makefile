@@ -34,7 +34,7 @@ smoke: profile-smoke monitor-smoke serve-smoke sim-smoke
 # profiled search end-to-end at smoke scale, by both methods (one
 # driver, so the data-parallel run writes the same run directory):
 # live progress table, merged trace + profile.json, bottleneck verdict,
-# overhead benchmark
+# the E5 online-vs-offline pipeline profile, overhead benchmark
 profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli search \
 		--subjects 6 --volume 8 8 8 --epochs 1 \
@@ -49,6 +49,8 @@ profile-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile /tmp/distmis_profile_smoke_dp
 	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py \
 		/tmp/distmis_profile_smoke_dp/trace.json
+	PYTHONPATH=src $(PYTHON) -m repro.cli profile \
+		--subjects 4 --volume 32 32 16 --epochs 2
 	DISTMIS_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/test_profiler_overhead.py -q -s
 

@@ -35,7 +35,7 @@ def test_online_vs_offline_pipeline(benchmark, tmp_path):
     print(report.render())
 
     assert report.offline_epoch_s < report.online_epoch_s
-    assert report.bottleneck().stage in ("nifti_decode", "transform")
+    assert report.bottleneck() in ("nifti_decode", "transform")
     assert report.epochs_to_amortize < 250  # pays off within one run
 
 

@@ -21,9 +21,10 @@ def main() -> None:
         epochs=3,
     )
     print(report.render())
+    stage, seconds, elements = report.stages[0]
     print(
-        f"\nbottleneck stage: {report.bottleneck().stage} "
-        f"({report.bottleneck().per_element_ms:.1f} ms/subject)"
+        f"\nbottleneck stage: {stage} "
+        f"({1e3 * seconds / elements:.1f} ms/subject)"
     )
     print(
         "conclusion: the input data is identical every epoch, so the "

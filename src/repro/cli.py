@@ -408,8 +408,14 @@ def cmd_profile(args) -> int:
             return 1
         print(report.render())
         return 0
-    from .core import profile_online_vs_offline
+    from .core import ExperimentSettings, profile_online_vs_offline
 
+    try:
+        ExperimentSettings(num_subjects=args.subjects,
+                           volume_shape=tuple(args.volume),
+                           epochs=args.epochs)
+    except ValueError as exc:
+        args.error(str(exc))
     report = profile_online_vs_offline(
         num_subjects=args.subjects,
         volume_shape=tuple(args.volume),
@@ -814,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int, default=6)
     p.add_argument("--volume", type=int, nargs=3, default=(48, 48, 32))
     p.add_argument("--epochs", type=int, default=3)
-    p.set_defaults(fn=cmd_profile)
+    p.set_defaults(fn=cmd_profile, error=p.error)
 
     p = sub.add_parser("top",
                        help="live text view over a run's events.jsonl")

@@ -34,7 +34,7 @@ from .config import (
 )
 from .experiment_parallel import SearchResult
 from .pipeline import EpochRecord, MISPipeline, TrialOutcome, train_trial
-from .profiling import BottleneckReport, StageTiming, profile_online_vs_offline
+from .profiling import PipelineProfile, profile_online_vs_offline
 
 __all__ = [
     "HyperparameterSpace",
@@ -49,8 +49,7 @@ __all__ = [
     "train_trial",
     "SearchResult",
     "experiment_parallel",
-    "BottleneckReport",
-    "StageTiming",
+    "PipelineProfile",
     "profile_online_vs_offline",
     "CheckpointManager",
     "save_checkpoint",

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..data.dataset import Dataset, PipelineStats, shuffle_order
+from ..data.dataset import Dataset, shuffle_order
 from ..data.nifti import read_nifti, write_nifti
 from ..data.preprocess import preprocess_subject
 from ..data.records import (
@@ -94,7 +94,6 @@ class MISPipeline:
 
     def __init__(self, settings: ExperimentSettings,
                  record_dir: str | Path | None = None,
-                 stats: PipelineStats | None = None,
                  telemetry=None,
                  input_mode: str = "records"):
         if input_mode not in ("records", "nifti"):
@@ -108,7 +107,6 @@ class MISPipeline:
         self.telemetry = telemetry
         self.settings = settings
         self.input_mode = input_mode
-        self.stats = stats or PipelineStats(telemetry=telemetry)
         self.generator = SyntheticBraTS(
             num_subjects=settings.num_subjects,
             volume_shape=settings.volume_shape,
@@ -164,7 +162,7 @@ class MISPipeline:
     def _timed(self, stage: str, fn, *args):
         t0 = time.perf_counter()
         out = fn(*args)
-        self.stats.add(stage, time.perf_counter() - t0)
+        self.telemetry.on_stage(stage, time.perf_counter() - t0)
         return out
 
     # -- stage 1: offline binarisation --------------------------------------
@@ -187,8 +185,8 @@ class MISPipeline:
                     yield {"image": ex.image, "mask": ex.mask}
 
             write_example_file(path, examples())
-            self.stats.add("binarize." + name, time.perf_counter() - t0,
-                           len(indices))
+            self.telemetry.on_stage("binarize." + name,
+                                    time.perf_counter() - t0, len(indices))
             self._record_files[name] = path
         return self._record_files
 
@@ -212,8 +210,8 @@ class MISPipeline:
                             description=subject.subject_id)
                 write_nifti(lbl, subject.label)
                 pairs.append((img, lbl))
-            self.stats.add("nifti_write." + name,
-                           time.perf_counter() - t0, len(indices))
+            self.telemetry.on_stage("nifti_write." + name,
+                                    time.perf_counter() - t0, len(indices))
             self._nifti_files[name] = pairs
         return self._nifti_files
 

@@ -3,14 +3,20 @@
 The paper's TensorBoard-profiler analysis showed data loading and
 binarisation to be the pre-processing bottleneck, motivating *offline*
 binarisation: transform once before training instead of at every epoch.
-This module reproduces that analysis end to end:
+:func:`profile_online_vs_offline` reproduces that analysis on the input
+pipeline that trains, :class:`~repro.core.pipeline.MISPipeline`, in its
+two input modes:
 
-* :func:`profile_online_vs_offline` measures, with real I/O on real
-  (synthetic) volumes, the per-epoch input cost of (a) re-running
-  decode + crop + standardise + binarise every epoch vs (b) reading the
-  pre-binarised record file;
-* :class:`BottleneckReport` ranks pipeline stages by time, the
-  profiler-screenshot equivalent.
+* *online* (``input_mode="nifti"``): every epoch decodes each subject's
+  NIfTI files and re-runs the transform (crop -> standardise ->
+  binarise);
+* *offline* (``"records"``): the transform runs once into record files,
+  which are read once into stacked arrays; an epoch is a gather.
+
+The stage rows are the ``pipeline_stage_*`` counters the pipeline
+records on a private telemetry hub, read by
+:meth:`repro.telemetry.ProfileData.from_samples` -- the reader
+``distmis profile RUN_DIR`` uses.
 """
 
 from __future__ import annotations
@@ -19,40 +25,34 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..data.dataset import Dataset, PipelineStats
-from ..data.nifti import read_nifti, write_nifti
-from ..data.preprocess import preprocess_subject
-from ..data.records import read_example_file, write_example_file
-from ..data.synthetic_brats import Subject, SyntheticBraTS
+from .config import ExperimentSettings
+from .pipeline import MISPipeline
 
-__all__ = ["StageTiming", "BottleneckReport", "profile_online_vs_offline"]
+__all__ = ["PipelineProfile", "profile_online_vs_offline"]
 
-
-@dataclass(frozen=True)
-class StageTiming:
-    stage: str
-    seconds: float
-    elements: int
-
-    @property
-    def per_element_ms(self) -> float:
-        return 1e3 * self.seconds / max(1, self.elements)
+_SPLITS = ("train", "val", "test")
+# Stages paid once per pipeline, not per epoch: not rows of the table.
+_ONE_OFF_STAGES = ("nifti_write.", "binarize.")
 
 
 @dataclass
-class BottleneckReport:
-    """Ranked stage timings plus the headline numbers of E5."""
+class PipelineProfile:
+    """E5's four headline numbers plus its per-epoch stage rows.
 
-    stages: list[StageTiming] = field(default_factory=list)
-    online_epoch_s: float = 0.0
-    offline_epoch_s: float = 0.0
-    binarize_once_s: float = 0.0
-    epochs_to_amortize: float = 0.0
+    Each row is ``(stage, seconds, elements)``, slowest first.
+    """
 
-    def bottleneck(self) -> StageTiming:
+    online_epoch_s: float
+    offline_epoch_s: float
+    binarize_once_s: float
+    epochs_to_amortize: float
+    stages: list[tuple[str, float, int]] = field(default_factory=list)
+
+    def bottleneck(self) -> str:
+        """The stage the online epochs spend most time in."""
         if not self.stages:
             raise ValueError("no stages profiled")
-        return max(self.stages, key=lambda s: s.seconds)
+        return self.stages[0][0]
 
     def speedup_per_epoch(self) -> float:
         if self.offline_epoch_s <= 0:
@@ -61,10 +61,11 @@ class BottleneckReport:
 
     def render(self) -> str:
         lines = ["pipeline stage profile (per-epoch):"]
-        for s in sorted(self.stages, key=lambda s: -s.seconds):
+        for stage, seconds, elements in self.stages:
             lines.append(
-                f"  {s.stage:<24} {s.seconds*1e3:9.1f} ms total  "
-                f"({s.per_element_ms:7.2f} ms/elem, n={s.elements})"
+                f"  {stage:<24} {seconds*1e3:9.1f} ms total  "
+                f"({seconds*1e3/max(1, elements):7.2f} ms/elem, "
+                f"n={elements})"
             )
         lines.append(
             f"online epoch input cost : {self.online_epoch_s*1e3:9.1f} ms"
@@ -80,16 +81,14 @@ class BottleneckReport:
         return "\n".join(lines)
 
 
-def _write_nifti_cohort(subjects: list[Subject], directory: Path) -> list[Path]:
-    """Materialise the cohort as on-disk NIfTI files, like the MSD layout."""
-    paths = []
-    for s in subjects:
-        p = directory / f"{s.subject_id}.nii"
-        write_nifti(p, s.image, spacing=s.spacing, description=s.subject_id)
-        lp = directory / f"{s.subject_id}_label.nii"
-        write_nifti(lp, s.label, spacing=s.spacing)
-        paths.append(p)
-    return paths
+def _epoch_seconds(pipeline: MISPipeline, epochs: int) -> float:
+    """Mean wall-clock of one pass over every split, element by element."""
+    t0 = time.perf_counter()
+    for _ in range(epochs):
+        for split in _SPLITS:
+            for _ in pipeline.dataset(split, 1):
+                pass
+    return (time.perf_counter() - t0) / epochs
 
 
 def profile_online_vs_offline(
@@ -98,84 +97,46 @@ def profile_online_vs_offline(
     epochs: int = 3,
     workdir: str | Path | None = None,
     seed: int = 0,
-) -> BottleneckReport:
-    """Measure the two pipeline variants on real files.
+) -> PipelineProfile:
+    """Measure the two input modes of :class:`MISPipeline` on real files.
 
-    *Online*: every epoch reads the NIfTI files and re-runs the full
-    transform (decode -> crop -> standardise -> binarise), tf.data-style.
-    *Offline*: the transform runs once into a record file; epochs only
-    read records.  Stage timings are collected through
-    :class:`~repro.data.dataset.PipelineStats`.
+    *Online*: the cohort is written as NIfTI once (untimed); every epoch
+    then decodes and transforms each subject again.  *Offline*: the
+    one-off cost is :meth:`MISPipeline.split_arrays` -- generating and
+    binarising the synthetic cohort, then one record read -- and every
+    epoch gathers from the stacked arrays.  Files go to ``workdir``
+    (default: temporary directories removed with the pipelines).
     """
-    import tempfile
+    from ..telemetry import ProfileData, TelemetryHub
 
-    workdir = Path(workdir) if workdir else Path(
-        tempfile.mkdtemp(prefix="distmis_profile_")
-    )
-    gen = SyntheticBraTS(num_subjects=num_subjects, volume_shape=volume_shape,
-                         seed=seed)
-    subjects = list(gen)
-    nifti_paths = _write_nifti_cohort(subjects, workdir)
-    label_paths = [workdir / f"{s.subject_id}_label.nii" for s in subjects]
+    settings = ExperimentSettings(num_subjects=num_subjects,
+                                  volume_shape=tuple(volume_shape),
+                                  epochs=epochs, data_seed=seed)
+    hub = TelemetryHub()
 
-    report = BottleneckReport()
-    stats = PipelineStats()
+    online = MISPipeline(settings, record_dir=workdir, telemetry=hub,
+                         input_mode="nifti")
+    online.materialize_nifti()
+    online_epoch_s = _epoch_seconds(online, epochs)
 
-    # --- online: full transform every epoch ---------------------------------
-    def decode(paths):
-        img_p, lab_p = paths
-        img = read_nifti(img_p)
-        lab = read_nifti(lab_p)
-        return Subject(subject_id=img.description, image=img.data,
-                       label=lab.data)
-
+    offline = MISPipeline(settings, record_dir=workdir, telemetry=hub)
     t0 = time.perf_counter()
-    for _ in range(epochs):
-        ds = (
-            Dataset.from_list(list(zip(nifti_paths, label_paths)))
-            .with_stats(stats)
-            .map(decode, stage="nifti_decode")
-            .map(lambda s: preprocess_subject(s, divisor=4),
-                 stage="transform")
-            .map(lambda ex: (ex.image, ex.mask), stage="to_tensors")
-        )
-        for _ in ds:
-            pass
-    online_total = time.perf_counter() - t0
-    report.online_epoch_s = online_total / epochs
+    offline.split_arrays()
+    binarize_once_s = time.perf_counter() - t0
+    offline_epoch_s = _epoch_seconds(offline, epochs)
 
-    # --- offline: binarise once, epochs read records ---------------------------
-    rec_path = workdir / "train.rec"
-    t0 = time.perf_counter()
-    write_example_file(
-        rec_path,
-        (
-            {"image": ex.image, "mask": ex.mask}
-            for ex in (preprocess_subject(s, divisor=4) for s in subjects)
-        ),
+    saved_per_epoch = online_epoch_s - offline_epoch_s
+    data = ProfileData.from_samples(hub.metrics.samples())
+    stages = sorted(
+        ((stage, seconds, data.stage_elements.get(stage, 0))
+         for stage, seconds in data.stage_seconds.items()
+         if not stage.startswith(_ONE_OFF_STAGES)),
+        key=lambda row: -row[1])
+    return PipelineProfile(
+        online_epoch_s=online_epoch_s,
+        offline_epoch_s=offline_epoch_s,
+        binarize_once_s=binarize_once_s,
+        epochs_to_amortize=(binarize_once_s / saved_per_epoch
+                            if saved_per_epoch > 0 else float("inf")),
+        stages=stages,
     )
-    report.binarize_once_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for _ in range(epochs):
-        ds = (
-            Dataset.from_generator(lambda: read_example_file(rec_path))
-            .with_stats(stats)
-            .map(lambda ex: (ex["image"], ex["mask"]), stage="record_read")
-        )
-        for _ in ds:
-            pass
-    offline_total = time.perf_counter() - t0
-    report.offline_epoch_s = offline_total / epochs
-
-    saved_per_epoch = report.online_epoch_s - report.offline_epoch_s
-    report.epochs_to_amortize = (
-        report.binarize_once_s / saved_per_epoch
-        if saved_per_epoch > 0
-        else float("inf")
-    )
-    report.stages = [
-        StageTiming(stage=k, seconds=stats.seconds[k], elements=stats.elements[k])
-        for k in stats.seconds
-    ]
-    return report

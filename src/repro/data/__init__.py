@@ -15,7 +15,7 @@ from .augment import (
     random_flip,
     random_gaussian_noise,
 )
-from .dataset import Dataset, PipelineStats, shuffle_order
+from .dataset import Dataset, shuffle_order
 from .nifti import NiftiImage, read_nifti, write_nifti
 from .patches import (
     PatchSpec,
@@ -56,7 +56,6 @@ from .synthetic_brats import (
 
 __all__ = [
     "Dataset",
-    "PipelineStats",
     "shuffle_order",
     "NiftiImage",
     "read_nifti",

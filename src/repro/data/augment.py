@@ -91,10 +91,3 @@ class Augmenter:
         for t in self.transforms:
             image, mask = t(image, mask, self.rng)
         return image, mask
-
-    def map_fn(self):
-        """Adapter for ``Dataset.map``: element = (image, mask) tuple."""
-        def fn(example):
-            image, mask = example
-            return self(image, mask)
-        return fn

@@ -4,92 +4,43 @@ The paper's input speed-up is *offline binarisation* (Section III-B1):
 pre-process once, then every epoch only reads tensors.  What is left of
 the tf.data idioms here is what that needs:
 
-* :class:`Dataset` -- a lazy, restartable element stream with a serial
-  ``map`` that times each stage into a :class:`PipelineStats` (the hook
-  the Section III-B1 bottleneck profiler reads);
+* :class:`Dataset` -- a lazy, restartable element stream, the epoch
+  :meth:`repro.core.pipeline.MISPipeline.dataset` returns;
 * :func:`shuffle_order` -- tf.data's reservoir ``shuffle`` as a pure
   index order, which :class:`repro.core.pipeline.MISPipeline` gathers
   batches by.
 
->>> ds = (Dataset.from_list(paths).with_stats(stats)
-...         .map(decode, stage="nifti_decode")
-...         .map(transform, stage="transform"))
->>> for example in ds: ...
+Stage timing is not done here: the pipeline records its stages on its
+telemetry hub (``TelemetryHub.on_stage``), which is what the Section
+III-B1 profiler reads.
+
+>>> ds = Dataset.from_generator(lambda: (i * i for i in range(3)))
+>>> list(ds), list(ds)
+([0, 1, 4], [0, 1, 4])
 """
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Dataset", "PipelineStats", "shuffle_order"]
-
-
-class PipelineStats:
-    """Accumulated per-stage wall-clock seconds and element counts.
-
-    When built with a telemetry hub every ``add`` is mirrored into the
-    hub as a `pipeline_stage_*` metric sample plus a completed span, so
-    the §III-B1 stage profile shows up in the Prometheus export and the
-    merged Chrome trace.  The default hub is the process-wide one
-    (usually the branch-free null sink), so un-instrumented callers pay
-    one no-op call per element.
-    """
-
-    def __init__(self, telemetry=None):
-        self.seconds: dict[str, float] = defaultdict(float)
-        self.elements: dict[str, int] = defaultdict(int)
-        if telemetry is None:
-            from ..telemetry import get_hub
-
-            telemetry = get_hub()
-        self.telemetry = telemetry
-
-    def add(self, stage: str, seconds: float, elements: int = 1) -> None:
-        self.seconds[stage] += seconds
-        self.elements[stage] += elements
-        self.telemetry.on_stage(stage, seconds, elements)
+__all__ = ["Dataset", "shuffle_order"]
 
 
 class Dataset:
     """Lazy, restartable element stream; each ``iter()`` restarts it."""
 
-    def __init__(self, source: Callable[[], Iterator], stats: PipelineStats | None = None):
+    def __init__(self, source: Callable[[], Iterator]):
         self._source = source
-        self.stats = stats
 
     @classmethod
-    def from_list(cls, items: list, stats: PipelineStats | None = None) -> "Dataset":
-        items = list(items)
-        return cls(lambda: iter(items), stats)
-
-    @classmethod
-    def from_generator(
-        cls, factory: Callable[[], Iterable], stats: PipelineStats | None = None
-    ) -> "Dataset":
+    def from_generator(cls, factory: Callable[[], Iterable]) -> "Dataset":
         """``factory`` is called at every iteration to restart the stream."""
-        return cls(lambda: iter(factory()), stats)
-
-    def with_stats(self, stats: PipelineStats) -> "Dataset":
-        self.stats = stats
-        return self
+        return cls(lambda: iter(factory()))
 
     def __iter__(self) -> Iterator:
         return self._source()
-
-    def map(self, fn: Callable, stage: str = "map") -> "Dataset":
-        """Apply ``fn`` to every element, timing it as ``stage``."""
-        def gen():
-            for item in self._source():
-                t0 = time.perf_counter()
-                out = fn(item)
-                if self.stats is not None:
-                    self.stats.add(stage, time.perf_counter() - t0)
-                yield out
-        return Dataset(gen, self.stats)
 
 
 def shuffle_order(n: int, buffer_size: int, seed: int) -> np.ndarray:

@@ -94,7 +94,7 @@ class TelemetryHub:
         return self.tracer.span(name, category=category, **attrs)
 
     def on_stage(self, stage: str, seconds: float, elements: int = 1) -> None:
-        """Input-pipeline stage hook (see ``repro.data.dataset``)."""
+        """Input-pipeline stage hook (see ``repro.core.pipeline``)."""
         self._stage_seconds.labels(stage=stage).inc(seconds)
         self._stage_elements.labels(stage=stage).inc(elements)
         if elements > 0:

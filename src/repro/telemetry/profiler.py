@@ -188,50 +188,59 @@ class ProfileData:
             source=d.get("source", "measured"),
         )
 
+    @classmethod
+    def from_samples(cls, rows, pids=None) -> "ProfileData":
+        """Step buckets, input-pipeline stages, worker accounting and
+        kernel time out of metric sample rows
+        (:meth:`MetricsRegistry.samples` format, or the lines of a run's
+        ``metrics.jsonl``).  ``pids`` maps worker ids to process ids;
+        trials come from spans, so they are left to the caller."""
+        pids = pids or {}
+        stage_seconds: dict = {}
+        stage_elements: dict = {}
+        busy: dict = {}
+        tasks: dict = {}
+        kernels: dict = {}
+        for row in rows:
+            name, labels = row.get("name"), row.get("labels", {})
+            if name == "pipeline_stage_seconds_total":
+                stage_seconds[labels["stage"]] = float(row["value"])
+            elif name == "pipeline_stage_elements_total":
+                stage_elements[labels["stage"]] = int(row["value"])
+            elif name == "execpool_worker_busy_seconds":
+                busy[labels["worker"]] = float(row["value"])
+            elif name == "execpool_tasks_total":
+                tasks[labels["worker"]] = int(row["value"])
+            elif name == "kernel_seconds_total":
+                key = f"{labels.get('backend', '?')}/{labels.get('op', '?')}"
+                kernels[key] = kernels.get(key, 0.0) + float(row["value"])
+        workers = [
+            {
+                "worker_id": int(w),
+                "pid": pids.get(w, 0),
+                "busy_seconds": busy.get(w, 0.0),
+                "tasks": tasks.get(w, 0),
+            }
+            for w in sorted(set(busy) | set(tasks), key=int)
+        ]
+        return cls(attribution=StepAttribution.from_samples(rows),
+                   stage_seconds=stage_seconds,
+                   stage_elements=stage_elements, workers=workers,
+                   kernels=kernels)
+
 
 def build_profile_data(hub) -> ProfileData:
     """Assemble the run profile from a live hub: merged metric samples
     (driver + worker frames), per-trial spans and worker accounting."""
-    rows = hub.merged_samples()
-    attribution = StepAttribution.from_samples(rows)
-    measured = attribution.total > 0
-    for extra in getattr(hub, "_attributions", ()):
-        attribution = attribution + extra
-
-    stage_seconds: dict = {}
-    stage_elements: dict = {}
-    busy: dict = {}
-    tasks: dict = {}
-    kernels: dict = {}
-    for row in rows:
-        name, labels = row.get("name"), row.get("labels", {})
-        if name == "pipeline_stage_seconds_total":
-            stage_seconds[labels["stage"]] = float(row["value"])
-        elif name == "pipeline_stage_elements_total":
-            stage_elements[labels["stage"]] = int(row["value"])
-        elif name == "execpool_worker_busy_seconds":
-            busy[labels["worker"]] = float(row["value"])
-        elif name == "execpool_tasks_total":
-            tasks[labels["worker"]] = int(row["value"])
-        elif name == "kernel_seconds_total":
-            key = f"{labels.get('backend', '?')}/{labels.get('op', '?')}"
-            kernels[key] = kernels.get(key, 0.0) + float(row["value"])
-
     pids = {}
     if getattr(hub, "aggregator", None) is not None:
         pids = {str(w["worker_id"]): w["pid"]
                 for w in hub.aggregator.workers()}
-    workers = [
-        {
-            "worker_id": int(w),
-            "pid": pids.get(w, 0),
-            "busy_seconds": busy.get(w, 0.0),
-            "tasks": tasks.get(w, 0),
-        }
-        for w in sorted(set(busy) | set(tasks), key=int)
-    ]
-
-    trials = [
+    data = ProfileData.from_samples(hub.merged_samples(), pids)
+    measured = data.attribution.total > 0
+    for extra in getattr(hub, "_attributions", ()):
+        data.attribution = data.attribution + extra
+    data.trials = [
         {
             "trial_id": s.name,
             "seconds": s.duration,
@@ -240,11 +249,9 @@ def build_profile_data(hub) -> ProfileData:
         }
         for s in hub.tracer.closed_spans() if s.category == "trial"
     ]
-    source = "measured" if measured else (
-        "cost_model" if getattr(hub, "_attributions", ()) else "measured")
-    return ProfileData(attribution=attribution, stage_seconds=stage_seconds,
-                       stage_elements=stage_elements, workers=workers,
-                       trials=trials, kernels=kernels, source=source)
+    if not measured and getattr(hub, "_attributions", ()):
+        data.source = "cost_model"
+    return data
 
 
 @dataclass
@@ -383,19 +390,9 @@ def analyze_run_dir(run_dir) -> BottleneckReport:
         raise FileNotFoundError(
             f"{run_dir} holds neither profile.json nor metrics.jsonl -- "
             "record the run with --profile DIR (or --telemetry DIR)")
-    rows = [json.loads(line)
-            for line in metrics_path.read_text().splitlines() if line]
-    data = ProfileData(attribution=StepAttribution.from_samples(rows))
-    for row in rows:
-        name, labels = row.get("name"), row.get("labels", {})
-        if name == "pipeline_stage_seconds_total":
-            data.stage_seconds[labels["stage"]] = float(row["value"])
-        elif name == "pipeline_stage_elements_total":
-            data.stage_elements[labels["stage"]] = int(row["value"])
-        elif name == "kernel_seconds_total":
-            key = f"{labels.get('backend', '?')}/{labels.get('op', '?')}"
-            data.kernels[key] = data.kernels.get(key, 0.0) + float(
-                row["value"])
+    data = ProfileData.from_samples(
+        [json.loads(line)
+         for line in metrics_path.read_text().splitlines() if line])
     trace_path = run_dir / "trace.json"
     if trace_path.exists():
         for ev in json.loads(trace_path.read_text()):

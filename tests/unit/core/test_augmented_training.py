@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ExperimentSettings, MISPipeline, train_trial
 from repro.data import Augmenter, random_flip, random_gaussian_noise
+from repro.telemetry import ProfileData, TelemetryHub
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +47,13 @@ class TestAugmentedDataset:
         for _, y in pipeline.dataset("train", 2, augmenter=aug):
             assert set(np.unique(y)) <= {0.0, 1.0}
 
-    def test_stage_timing_recorded(self, pipeline):
+    def test_stage_timing_recorded(self, settings, tmp_path):
+        hub = TelemetryHub()
+        pipeline = MISPipeline(settings, record_dir=tmp_path, telemetry=hub)
         aug = Augmenter([random_gaussian_noise(0.1)], seed=0)
         list(pipeline.dataset("train", 2, augmenter=aug))
-        assert pipeline.stats.elements["augment"] > 0
+        stages = ProfileData.from_samples(hub.metrics.samples())
+        assert stages.stage_elements["augment"] > 0
 
 
 class TestAugmentedTrial:

@@ -272,6 +272,28 @@ class TestCommands:
         assert rc == 0
         assert "pipeline stage profile" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--epochs", "0"], "epochs must be >= 1", id="epochs"),
+        pytest.param(["--volume", "30", "32", "16"], "not divisible by 4",
+                     id="volume"),
+        pytest.param(["--subjects", "2"], "need >= 3 subjects",
+                     id="subjects"),
+    ])
+    def test_profile_rejects_bad_input(self, argv, message, capsys,
+                                       monkeypatch):
+        """Input the pipeline cannot profile exits 2 through the parser
+        before any cohort is built."""
+        import repro.core
+
+        ran = []
+        monkeypatch.setattr(repro.core, "profile_online_vs_offline",
+                            lambda **kw: ran.append(kw))
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+
     def test_telemetry_roundtrip(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
         rc = main([

@@ -46,6 +46,7 @@ simulator = {SIMULATOR_PACKAGES + SIMULATOR_MODULES!r}
 print(json.dumps({{"scipy": loaded(("scipy",)),
                   "numpy": loaded(("numpy",)),
                   "nn": loaded(("repro.nn",)),
+                  "telemetry": loaded(("repro.telemetry",)),
                   "simulator": loaded(simulator)}}))
 """
 
@@ -179,6 +180,13 @@ def test_simulator_commands_load_no_scipy(argv):
 ])
 def test_executed_side_loads_no_simulator_module(snippet):
     assert modules_after(snippet)["simulator"] == []
+
+
+def test_importing_core_loads_no_telemetry():
+    """``repro.core`` reaches the telemetry hub lazily (the pipeline's
+    default hub, the E5 profiler's private one), so importing it pays
+    for none of ``repro.telemetry``."""
+    assert modules_after("", imports="import repro.core")["telemetry"] == []
 
 
 @pytest.mark.parametrize("name", SIMULATOR_PACKAGES + SIMULATOR_MODULES)

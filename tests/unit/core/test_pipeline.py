@@ -8,6 +8,7 @@ import pytest
 from repro.core import ExperimentSettings, MISPipeline, train_trial
 from repro.data import Augmenter, random_flip, random_gaussian_noise
 from repro.execpool import SharedArrayStore
+from repro.telemetry import ProfileData, TelemetryHub
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,11 @@ class TestBinarization:
         assert sum(sizes) == 8
         assert sizes[0] >= sizes[1] and sizes[0] >= sizes[2]
 
-    def test_stats_recorded(self, pipeline):
-        pipeline.binarize()
-        assert any(k.startswith("binarize.") for k in pipeline.stats.seconds)
+    def test_stats_recorded(self, settings, tmp_path):
+        hub = TelemetryHub()
+        MISPipeline(settings, record_dir=tmp_path, telemetry=hub).binarize()
+        stages = ProfileData.from_samples(hub.metrics.samples())
+        assert any(k.startswith("binarize.") for k in stages.stage_seconds)
 
 
 class TestDataset:

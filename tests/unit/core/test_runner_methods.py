@@ -156,7 +156,7 @@ class TestProfiling:
         )
         assert rep.offline_epoch_s < rep.online_epoch_s
         assert rep.speedup_per_epoch() > 1.0
-        assert rep.bottleneck().stage in ("nifti_decode", "transform")
+        assert rep.bottleneck() in ("nifti_decode", "transform")
         # The one-off binarisation must pay for itself within the
         # paper's 250-epoch budget (at full 240x240x155 volumes it
         # amortises in a handful of epochs; tiny test volumes make the
@@ -164,3 +164,33 @@ class TestProfiling:
         assert rep.epochs_to_amortize < 250
         text = rep.render()
         assert "speed-up" in text
+
+    def test_stage_rows_are_what_an_online_epoch_pays(self, tmp_path):
+        """Only the per-epoch stages become rows: every subject of every
+        split is decoded and transformed once per online epoch; the
+        one-off NIfTI write and binarisation, and the offline gather,
+        are not rows."""
+        rep = profile_online_vs_offline(
+            num_subjects=4, volume_shape=(16, 16, 16), epochs=2,
+            workdir=tmp_path,
+        )
+        assert {stage for stage, _, _ in rep.stages} == {"nifti_decode",
+                                                         "transform"}
+        assert all(n == 4 * 2 for _, _, n in rep.stages)
+
+    def test_default_hub_is_left_alone(self, tmp_path):
+        """E5 times its stages on a private hub, so a live process-wide
+        hub gains no ``pipeline_stage_*`` rows from it."""
+        from repro.telemetry import TelemetryHub, set_hub
+
+        hub = TelemetryHub()
+        set_hub(hub)
+        try:
+            profile_online_vs_offline(
+                num_subjects=3, volume_shape=(16, 16, 16), epochs=1,
+                workdir=tmp_path,
+            )
+        finally:
+            set_hub(None)
+        assert not [r for r in hub.metrics.samples()
+                    if r["name"].startswith("pipeline_stage_")]

@@ -81,13 +81,3 @@ class TestAugmenter:
         a = aug(img, mask)
         b = aug(img, mask)
         assert not np.array_equal(a[0], b[0])
-
-    def test_map_fn_adapter_in_pipeline(self):
-        from repro.data import Dataset
-
-        img, mask = pair()
-        aug = Augmenter([random_gaussian_noise(0.2)], seed=0)
-        ds = Dataset.from_list([(img, mask)] * 3).map(aug.map_fn())
-        out = list(ds)
-        assert len(out) == 3
-        assert out[0][0].shape == img.shape

@@ -204,6 +204,24 @@ class TestAnalyzeRunDir:
         assert "compute-bound" in report.verdict
         assert report.gpu_seconds_total == pytest.approx(2.0)
 
+    def test_fallback_keeps_worker_rows(self, tmp_path):
+        """A process-pool search recorded with plain ``--telemetry``
+        still reports its workers: both paths parse metric rows alike."""
+        hub = TelemetryHub(run_dir=tmp_path)
+        busy = hub.metrics.gauge("execpool_worker_busy_seconds", "",
+                                 ("worker",))
+        tasks = hub.metrics.counter("execpool_tasks_total", "", ("worker",))
+        for worker, seconds in (("0", 2.0), ("1", 6.0)):
+            busy.labels(worker=worker).set(seconds)
+            tasks.labels(worker=worker).inc()
+        hub.flush()
+        assert not (tmp_path / "profile.json").exists()
+        report = analyze_run_dir(tmp_path)
+        assert [(w["worker_id"], w["busy_seconds"], w["tasks"])
+                for w in report.workers] == [(0, 2.0, 1), (1, 6.0, 1)]
+        assert report.workers == build_profile_data(hub).workers
+        assert "workers:" in report.render()
+
     def test_missing_run_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             analyze_run_dir(tmp_path / "nope")
