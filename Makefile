@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint smoke profile-smoke monitor-smoke serve-smoke sim-smoke bench bench-parallel bench-kernels examples report api-docs results clean
+.PHONY: install test lint verify-cores smoke profile-smoke monitor-smoke serve-smoke sim-smoke bench bench-parallel bench-kernels examples report api-docs results clean
 
 install:
 	PIP_NO_BUILD_ISOLATION=false pip install -e .
@@ -23,6 +23,14 @@ lint:
 	fi
 	$(PYTHON) tools/check_bench_schema.py
 	PYTHONPATH=src $(PYTHON) tools/check_trace_schema.py
+
+# the absolute bit pins (trained model bytes, fused kernel outputs,
+# search outcomes) once per OpenBLAS core family: the host default,
+# then Haswell, SandyBridge and Prescott forced by the per-process
+# OPENBLAS_CORETYPE; one pass/fail row each, non-zero exit only when
+# they fail on the family they were recorded on
+verify-cores:
+	$(PYTHON) tools/verify_cores.py
 
 smoke: profile-smoke monitor-smoke serve-smoke sim-smoke
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py

@@ -37,9 +37,11 @@ _ONE_OFF_STAGES = ("nifti_write.", "binarize.")
 
 @dataclass
 class PipelineProfile:
-    """E5's four headline numbers plus its per-epoch stage rows.
+    """E5's four headline numbers plus its stage rows.
 
-    Each row is ``(stage, seconds, elements)``, slowest first.
+    Each row is ``(stage, seconds, elements)``, slowest first: the
+    stages every online epoch pays, summed over the ``epochs`` profiled
+    epochs.
     """
 
     online_epoch_s: float
@@ -47,6 +49,7 @@ class PipelineProfile:
     binarize_once_s: float
     epochs_to_amortize: float
     stages: list[tuple[str, float, int]] = field(default_factory=list)
+    epochs: int = 1
 
     def bottleneck(self) -> str:
         """The stage the online epochs spend most time in."""
@@ -60,7 +63,8 @@ class PipelineProfile:
         return self.online_epoch_s / self.offline_epoch_s
 
     def render(self) -> str:
-        lines = ["pipeline stage profile (per-epoch):"]
+        lines = ["pipeline stage profile "
+                 f"(totals over {self.epochs} epochs):"]
         for stage, seconds, elements in self.stages:
             lines.append(
                 f"  {stage:<24} {seconds*1e3:9.1f} ms total  "
@@ -139,4 +143,5 @@ def profile_online_vs_offline(
         epochs_to_amortize=(binarize_once_s / saved_per_epoch
                             if saved_per_epoch > 0 else float("inf")),
         stages=stages,
+        epochs=epochs,
     )

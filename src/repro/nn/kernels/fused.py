@@ -30,18 +30,25 @@ convolution differently:
   ``(s - j) / sd`` of a small window of partial output slices.  A slice
   is flushed (bias, ReLU or BN partials, then the transpose-copy into
   the output layout) as soon as its last tap is in.  The same walk
-  serves the forward, the backward weight gradient (each slice's
-  ``cols2 @ dy^T`` product per tap and output slice) and, at unit
-  stride, the input gradient: the mirrored lowering over the padded
-  ``dy`` with the flipped kernel.  Strided input gradients take the
-  col2im form (GEMM ``w^T @ dy``, then a scatter-add per kernel
-  offset).  Nothing the forward gathered outlives the forward.
+  serves the forward and both backward gradients.  Nothing the forward
+  gathered outlives the forward.
+* **one walk per backward** -- a unit-stride backward that needs the
+  input gradient walks only the padded ``dy``: the mirrored lowering
+  (flipped kernel, channels swapped) gives ``dx``, and each gathered
+  slice range of tap ``j`` also meets the matching slices of ``x`` in
+  one more per-slice GEMM, ``x[:, d] @ cols^T``, whose product is the
+  weight gradient of kernel depth offset ``kd-1-j``, flipped in h/w.
+  Only strided convs and a first layer (``need_dx=False``: no ``dx``
+  GEMMs to share a walk with) walk the padded ``x`` for ``dw``
+  (each slice's ``cols2 @ dy^T`` per tap); a strided input gradient
+  takes the col2im form (GEMM ``w^T @ dy``, then a scatter-add per
+  kernel offset).
 * **chunk-invariant results** -- every output slice adds its taps in
   ``j`` order whatever the chunking, the BN channel sums are kept per
   (sample, output depth slice) and the weight gradient's per-slice GEMM
-  products land in one ``(kd, N, Do, K9, Cout)`` buffer, each reduced
-  once at the end.  :data:`CHUNK_BYTES` trades speed against memory,
-  never a bit of any result.
+  products land in one ``(kd, N, D, ...)`` buffer, reduced once at the
+  end.  :data:`CHUNK_BYTES` trades speed against memory, never a bit
+  of any result.
 * **1x1x1 convolutions** (the segmentation head) are one batched GEMM
   on the input itself, which already is the patches matrix.
 * **transposed conv** -- one GEMM producing the offset columns, then a
@@ -64,10 +71,13 @@ convolution differently:
   chain materialises.
 
 All scratch (padded slabs, slice buffers, output windows, BN partials)
-is checked out of the :mod:`~repro.nn.kernels.workspace` arena and
-released before the kernel call returns, so nothing stays checked
-out between calls and the blocks are recycled across them; outputs
-are always freshly allocated, never views into the arena.
+but one is checked out of the :mod:`~repro.nn.kernels.workspace` arena
+and released before the kernel call returns, so nothing stays checked
+out between calls and the blocks are recycled across them.  The
+exception is the one-walk backward's weight-gradient products, a plain
+array freed with the call: checked out beside that walk's own scratch,
+they made best fit hand out larger blocks and raised the arena's peak.
+Outputs are always freshly allocated, never views into the arena.
 """
 
 from __future__ import annotations
@@ -186,7 +196,8 @@ def _taps(ws, x, kernel, stride, pad, out_shape):
         ws.release(cols2)
 
 
-def _conv_stream(ws, x, w5, b, y, stride, pad, relu=False, stats=None):
+def _conv_stream(ws, x, w5, b, y, stride, pad, relu=False, stats=None,
+                 wgrad=None):
     """Stream :func:`_taps` through the per-tap GEMMs into ``y``.
 
     Tap ``j`` of output slice ``d`` lands in a window of partial output
@@ -196,7 +207,14 @@ def _conv_stream(ws, x, w5, b, y, stride, pad, relu=False, stats=None):
     sums and sums of squares per (sample, depth slice) into ``stats``
     ``(2, n, Do, co)`` (on the batch-major window while it is
     cache-hot), then the transpose-copy into ``y``; the partial tail
-    moves to the window's front."""
+    moves to the window's front.
+
+    ``wgrad`` ``(xs, prods)`` (unit stride only) also contracts each
+    tap's gathered slices against the matching slices of ``xs``
+    ``(n, Do, C', Ho*Wo)``: per output slice ``d`` the product
+    ``xs[:, d] @ cols[:, d]^T`` lands in ``prods[kd-1-j][:, d]``
+    (:meth:`FusedBackend.conv3d_backward` reads the weight gradient
+    off them)."""
     n = x.shape[0]
     co, _, kd = w5.shape[:3]
     Do, Ho, Wo = y.shape[2:]
@@ -211,6 +229,10 @@ def _conv_stream(ws, x, w5, b, y, stride, pad, relu=False, stats=None):
     base = top = 0  # win[:, 0] holds output slice base; tap 0 reached top
     for j, d0, d1, cols in _taps(ws, x, w5.shape[2:], stride, pad,
                                  y.shape[2:]):
+        if wgrad is not None:
+            xs, prods = wgrad
+            np.matmul(xs[:, d0:d1], cols.transpose(0, 1, 3, 2),
+                      out=prods[kd - 1 - j][:, d0:d1])
         dst = win[:, d0 - base : d1 - base]
         if j == 0:
             np.matmul(wk[0], cols, out=dst)
@@ -332,19 +354,46 @@ class FusedBackend(KernelBackend):
         kernel = w.shape[2:]
         if kernel == _UNIT and stride == _UNIT and pad == (0, 0, 0):
             return _pointwise_backward(dy, x, w, with_bias)
-        n, c = x.shape[:2]
+        n, c, D, H, W = x.shape
         co = w.shape[0]
         kd, kh, kw = kernel
         Do, Ho, Wo = dy.shape[2:]
-        K9 = c * kh * kw
         ws = workspace()
         dyc = np.ascontiguousarray(dy)
+        db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
 
-        # dw: stream the padded input once more and, per depth tap j,
-        # contract the gathered slices against the matching dy rows --
-        # per-slice GEMMs in the flipped orientation (K9 patch rows as
-        # M) written into one per-slice product buffer, summed once at
-        # the end, so the chunking never changes the bits.
+        bpad = tuple(kk - 1 - pp for kk, pp in zip(kernel, pad))
+        if need_dx and stride == _UNIT and min(bpad) >= 0:
+            # One walk over the padded dy: the mirrored lowering (a
+            # unit-stride conv with the flipped kernel, channels
+            # swapped) gives dx, and the same gathered slices give dw.
+            # Gathered row (o, a, b) of tap j at input position q is
+            # dy[o, q - t + pad] with t = (kd-1-j, kh-1-a, kw-1-b), so
+            # x[:, q] against it is the dw product of kernel offset t:
+            # one per-slice GEMM into slot kd-1-j, summed once at the
+            # end (chunk-invariant) and flipped back in h/w.  prods is
+            # a plain array, not arena scratch: checked out, it would
+            # grow the arena's blocks past this walk's own peak.
+            dx = np.empty(x.shape, dtype=x.dtype)
+            prods = np.empty((kd, n, D, c, co * kh * kw), dtype=x.dtype)
+            xs = (np.ascontiguousarray(x).reshape(n, c, D, H * W)
+                  .transpose(0, 2, 1, 3))  # (n, D, c, HW) view
+            _conv_stream(ws, dyc,
+                         w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
+                         None, dx, _UNIT, bpad, wgrad=(xs, prods))
+            total = prods.reshape(kd, n * D, c, co * kh * kw).sum(axis=1)
+            dw = np.ascontiguousarray(
+                total.reshape(kd, c, co, kh, kw)[:, :, :, ::-1, ::-1]
+                .transpose(2, 1, 0, 3, 4))
+            return dx, dw, db
+
+        # Strided, or no dx (the first layer): stream the padded input
+        # and, per depth tap j, contract the gathered slices against
+        # the matching dy rows -- per-slice GEMMs in the flipped
+        # orientation (K9 patch rows as M) written into one per-slice
+        # product buffer, summed once at the end, so the chunking never
+        # changes the bits.
+        K9 = c * kh * kw
         dyb = (dyc.reshape(n, co, Do, Ho * Wo)
                .transpose(0, 2, 3, 1))  # (n, Do, HoWo, co) view
         prods = ws.acquire((kd, n, Do, K9, co), x.dtype)
@@ -355,18 +404,8 @@ class FusedBackend(KernelBackend):
         ws.release(prods)
         dw = np.ascontiguousarray(
             total.reshape(kd, c, kh, kw, co).transpose(4, 1, 0, 2, 3))
-        db = dy.sum(axis=(0, 2, 3, 4)) if with_bias else None
-
-        bpad = tuple(kk - 1 - pp for kk, pp in zip(kernel, pad))
         if not need_dx:
             dx = None  # first-layer input carries no gradient
-        elif stride == _UNIT and min(bpad) >= 0:
-            # the mirrored lowering: a unit-stride conv of the padded dy
-            # with the flipped kernel, channels swapped
-            dx = np.empty(x.shape, dtype=x.dtype)
-            _conv_stream(ws, dyc,
-                         w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4),
-                         None, dx, _UNIT, bpad)
         else:
             dx = _dx_scatter(ws, dyc.reshape(n, co, Do * Ho * Wo), w,
                              stride, pad, x.shape)

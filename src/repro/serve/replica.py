@@ -96,11 +96,16 @@ def replica_factory(checkpoint: str, model_builder, model_kwargs=None,
             request_ids=sorted(contexts),
             trace_ids=sorted({str(c.get("trace_id", ""))
                               for c in contexts.values()}))
+        # The compute window on CLOCK_MONOTONIC, which every process on
+        # the host shares: the driver reads started/compute off it, not
+        # off when it happened to poll the replica's messages.
+        t0 = time.monotonic()
         if strategy == "sw_chunks":
             final = _serve_chunk(model, config, contexts, hub, span_attrs)
         else:
             final = _serve_volumes(model, config, strategy, hub,
                                    span_attrs)
+        final["compute_mono"] = (t0, time.monotonic())
         # Drain the per-{backend,op} kernel-seconds ledger every batch:
         # long-lived replicas must not accumulate it unboundedly (the
         # trainer drains it per step; nothing else in this process

@@ -763,6 +763,9 @@ class ModelServer:
                                 replica_pid)
             return
         prediction = np.asarray(final["prediction"])
+        # the replica's own compute window: the "started" message may
+        # have been read in this same poll, long after the work ran
+        started, end = final["compute_mono"]
         for i, rid in enumerate(batch.request_ids):
             pending = self._pending.pop(rid, None)
             if pending is None:
@@ -772,10 +775,10 @@ class ModelServer:
                 pending.ctx, rid,
                 arrival=pending.arrival_mono,
                 released=pending.released_mono,
-                started=batch.started_mono,
+                started=started,
                 done=done, completed=completed,
                 # the request waits on the whole batch's compute window
-                compute_s=float(final["seconds"]),
+                compute_s=end - started,
                 attempt=batch.attempt, strategy=final["strategy"],
                 batch_id=batch_id, batch_size=len(batch.request_ids),
                 replica=worker, replica_pid=replica_pid,
@@ -808,23 +811,19 @@ class ModelServer:
         pending = self._pending.get(rid)
         if pending is None or ci in pending.chunk_results:
             return
-        seconds = float(final["seconds"])
-        # the chunk's span on the driver clock: it ran inside the
-        # replica's compute window ending ~done
-        start = (batch.started_mono if batch.started_mono is not None
-                 else done - seconds)
+        # the chunk's span: the replica's compute window, stamped on
+        # the monotonic clock the driver shares
+        start, end = final["compute_mono"]
         pending.chunk_results[ci] = np.asarray(final["prediction"])
-        pending.chunk_seconds[ci] = seconds
+        pending.chunk_seconds[ci] = end - start
         self._admit_chunk(rid, pending, done)
         pending.chunk_spans.append(
-            {"chunk": ci, "start": start, "end": start + seconds,
+            {"chunk": ci, "start": start, "end": end,
              "replica": worker, "pid": replica_pid,
              "attempt": batch.attempt})
         pending.attempt_max = max(pending.attempt_max, batch.attempt)
-        if (pending.started_mono is None
-                or (batch.started_mono is not None
-                    and batch.started_mono < pending.started_mono)):
-            pending.started_mono = batch.started_mono
+        if pending.started_mono is None or start < pending.started_mono:
+            pending.started_mono = start
         pending.done_mono = done
         if len(pending.chunk_results) < len(pending.bounds):
             return

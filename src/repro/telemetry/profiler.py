@@ -193,8 +193,9 @@ class ProfileData:
         """Step buckets, input-pipeline stages, worker accounting and
         kernel time out of metric sample rows
         (:meth:`MetricsRegistry.samples` format, or the lines of a run's
-        ``metrics.jsonl``).  ``pids`` maps worker ids to process ids;
-        trials come from spans, so they are left to the caller."""
+        ``metrics.jsonl``).  ``pids`` maps worker ids to process ids
+        (a worker it does not name gets pid ``None``, unknown); trials
+        come from spans, so they are left to the caller."""
         pids = pids or {}
         stage_seconds: dict = {}
         stage_elements: dict = {}
@@ -217,7 +218,7 @@ class ProfileData:
         workers = [
             {
                 "worker_id": int(w),
-                "pid": pids.get(w, 0),
+                "pid": pids.get(w),
                 "busy_seconds": busy.get(w, 0.0),
                 "tasks": tasks.get(w, 0),
             }
@@ -304,8 +305,9 @@ class BottleneckReport:
                        if w["tasks"] else math.nan)
                 flag = "  <- straggler" \
                     if w["worker_id"] in self.stragglers else ""
+                pid = "unknown" if w["pid"] is None else w["pid"]
                 lines.append(
-                    f"  worker {w['worker_id']} (pid {w['pid']}): "
+                    f"  worker {w['worker_id']} (pid {pid}): "
                     f"{w['tasks']} tasks, {w['busy_seconds']:.2f} s busy, "
                     f"{per:.2f} s/task{flag}")
         if self.trials:
@@ -390,6 +392,7 @@ def analyze_run_dir(run_dir) -> BottleneckReport:
         raise FileNotFoundError(
             f"{run_dir} holds neither profile.json nor metrics.jsonl -- "
             "record the run with --profile DIR (or --telemetry DIR)")
+    # metrics.jsonl carries no pids: the workers render as pid unknown
     data = ProfileData.from_samples(
         [json.loads(line)
          for line in metrics_path.read_text().splitlines() if line])

@@ -311,11 +311,13 @@ class RequestTracer:
                  chunk_spans: list | None = None) -> RequestTrace:
         """Assemble, sample and (if kept) record one finished request.
 
-        The stamps are ``time.monotonic()`` readings taken by the
-        server: ``arrival`` (submit), ``released`` (the micro-batcher
-        let the batch go), ``started`` (a replica picked it off the
-        task queue), ``done`` (the result message reached the driver)
-        and ``completed`` (the future resolved).  A missing stamp
+        The stamps are ``time.monotonic()`` readings, a clock every
+        process on the host shares: ``arrival`` (submit), ``released``
+        (the micro-batcher let the batch go), ``started`` (the replica
+        began its model call, stamped by the replica; a failed request
+        falls back to when the driver read the replica's "started"
+        message), ``done`` (the result message reached the driver) and
+        ``completed`` (the future resolved).  A missing stamp
         (failed request) collapses the phases it bounds to zero; the
         five durations always sum exactly to ``completed - arrival``.
 
@@ -330,8 +332,8 @@ class RequestTracer:
         started = released if started is None else max(released, started)
         done = started if done is None else max(started, done)
         completed = max(done, completed)
-        # compute is replica-measured but capped to the driver-observed
-        # started->done window so dispatch >= 0 and the sum telescopes.
+        # compute is replica-measured but capped to the started->done
+        # window so dispatch >= 0 and the sum telescopes.
         compute = min(max(0.0, float(compute_s)), done - started)
         durations = {
             "queue_wait": released - arrival,

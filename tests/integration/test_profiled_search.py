@@ -153,6 +153,28 @@ class TestProfileCLI:
         assert "step-time attribution" in out
         assert "verdict:" in out
 
+    def test_telemetry_fallback_prints_no_pid_0(self, tmp_path, capsys):
+        """A plain ``--telemetry`` run has no profile.json, and its
+        metrics.jsonl names no worker pids: the fallback prints them as
+        unknown, not as ``pid 0``."""
+        from repro.cli import main
+
+        run_dir = tmp_path / "tel"
+        rc = main([
+            "search", "--subjects", "6", "--volume", "8", "8", "8",
+            "--epochs", "1", "--base-filters", "2", "--depth", "2",
+            "--lr", "3e-3", "1e-3", "--losses", "dice",
+            "--executor", "process", "--gpus", "2",
+            "--telemetry", str(run_dir),
+        ])
+        assert rc == 0
+        assert not (run_dir / "profile.json").exists()
+        capsys.readouterr()
+        assert main(["profile", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "pid 0" not in out
+        assert out.count("(pid unknown)") == 2
+
     def test_profile_command_rejects_empty_dir(self, tmp_path, capsys):
         from repro.cli import main
 

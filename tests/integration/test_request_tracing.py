@@ -12,6 +12,7 @@ fail-over, and the ``distmis trace`` view over the run artefacts.
 import importlib.util
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,28 @@ class TestMergedRequestTimeline:
 
     def test_trace_cli_without_artefacts_exits_nonzero(self, tmp_path):
         assert cli_main(["trace", str(tmp_path)]) == 1
+
+    def test_compute_is_the_replica_window_when_polled_late(
+            self, checkpoint):
+        """The driver reads the "started" and "done" messages of a
+        request it polls only after the replica finished in one step;
+        compute still spans the replica's own model call, not that
+        step's microseconds (nor is it charged to batch_wait)."""
+        with ModelServer(traced_config(checkpoint, replicas=1),
+                         telemetry=TelemetryHub()) as server:
+            server.submit(volumes(1)[0])
+            server.drain(timeout_s=60)  # the replica is up and warm
+            fut = server.submit(volumes(1, seed=1)[0])
+            deadline = time.monotonic() + 30.0
+            while not server._inflight:
+                assert time.monotonic() < deadline
+                server.step()
+            time.sleep(0.5)  # the replica finishes long before the poll
+            server.drain(timeout_s=60)
+            r = fut.result()
+        assert r.model_seconds > 0
+        assert r.compute_s >= 0.9 * r.model_seconds
+        assert r.batch_wait_s < 0.4  # the poll came >= 0.5 s after it ran
 
 
 class TestFailOverTracing:

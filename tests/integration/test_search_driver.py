@@ -19,6 +19,8 @@ from repro.core.search import check_search, run_search
 from repro.nn.dtypes import use_compute_dtype
 from repro.telemetry import TelemetryHub
 
+from ..blas_core import pin_message
+
 SETTINGS = ExperimentSettings(num_subjects=6, volume_shape=(8, 8, 8),
                               epochs=2, base_filters=2, depth=2)
 SPACE = HyperparameterSpace({"learning_rate": [3e-3, 1e-3],
@@ -58,7 +60,8 @@ class TestDataParallelSearch:
                                 pipeline=pipeline, telemetry=TelemetryHub())
         assert result.num_gpus == 2
         assert [o.num_replicas for o in result.outcomes] == [2, 2]
-        assert _outcome_digest(result.outcomes) == digest
+        assert _outcome_digest(result.outcomes) == digest, \
+            pin_message("outcomes")
 
     def test_trials_go_through_the_lifecycle(self, pipeline):
         hub = TelemetryHub()

@@ -1,5 +1,7 @@
 """CLI tests (argparse wiring + command behaviour, in-process)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,23 @@ class TestCommands:
                    "--epochs", "1"])
         assert rc == 0
         assert "pipeline stage profile" in capsys.readouterr().out
+
+    def test_profile_stage_rows_are_totals_over_the_epochs(self, capsys):
+        rc = main(["profile", "--subjects", "4", "--volume", "32", "32",
+                   "16", "--epochs", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "pipeline stage profile (totals over 2 epochs):" in out
+        rows = re.findall(r"^ +(\S+) +([\d.]+) ms total .*n=(\d+)\)$",
+                          out, re.M)
+        assert {stage for stage, _, _ in rows} == {"nifti_decode",
+                                                   "transform"}
+        # every subject is decoded and transformed once per epoch
+        assert all(int(n) == 4 * 2 for _, _, n in rows)
+        online_ms = float(re.search(
+            r"online epoch input cost : +([\d.]+) ms", out).group(1))
+        # two epochs of decode + transform outlast one online epoch
+        assert sum(float(ms) for _, ms, _ in rows) > online_ms
 
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["--epochs", "0"], "epochs must be >= 1", id="epochs"),

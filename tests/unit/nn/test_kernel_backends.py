@@ -17,6 +17,7 @@ import pytest
 from repro.nn import (
     Conv3D,
     ConvTranspose3D,
+    SoftDiceLoss,
     UNet3D,
     check_module_gradients,
     use_compute_dtype,
@@ -39,6 +40,8 @@ from repro.nn.kernels import (
     set_backend,
     use_backend,
 )
+
+from ...blas_core import pin_message
 
 rng = np.random.default_rng(42)
 
@@ -280,35 +283,38 @@ DIGEST_CASES = {
 
 #: sha256 (first 16 hex digits) of each of the 13 outputs, in
 #: OUTPUT_LABELS order, recorded on the output-depth tiled kernel the
-#: streaming one replaced.  Like TestShippedModelBytes they depend on
-#: the BLAS NumPy links; re-record them only for a new NumPy build.
+#: streaming one replaced; the unit-stride ``dw`` and ``conv dw`` were
+#: re-recorded when the weight gradient moved into the input
+#: gradient's walk over the padded dy.  Like TestShippedModelBytes
+#: they depend on the GEMM kernels OpenBLAS picks for the CPU, and were
+#: recorded on the core family ``blas_core.RECORDED_CORE`` names.
 PINNED_DIGESTS = {
     ("one-slice", "float64"): (
         "f80be6eb3ad377de", "0993a38f6387faaa", "81aa5d184c242a78",
-        "c5cadfbbeaf0d91b", "58ac99f3cd287ed7", "1a4015d60c504b8d",
+        "c5cadfbbeaf0d91b", "0ae78452249f6a13", "1a4015d60c504b8d",
         "a5cc498018e77d34", "61f9c636df8e4f32", "fa025d294ba4235a",
-        "95a61bcdcff7b822", "1f95078c48bf473d", "79479237225a572b",
+        "95a61bcdcff7b822", "1f95078c48bf473d", "3234553c856c84b4",
         "c8e64968cb6bfb05",
     ),
     ("one-slice", "float32"): (
         "9d850cfd386b330e", "785b614ef6442b2c", "7d61db42f666eb9d",
-        "7bac03a2c655b925", "a0f0f5b2edc84ffc", "cf261a02424f3be8",
+        "7bac03a2c655b925", "b37a9fe7d5db6c43", "cf261a02424f3be8",
         "ff9547482525ef98", "b527333283cc232d", "175a389436f37ffa",
-        "bc18c74a7715564d", "82f0642f1fbda0f5", "45c82c8b7c4e3f29",
+        "bc18c74a7715564d", "82f0642f1fbda0f5", "1129326f566cb3a4",
         "6cfceb5719bb1c9c",
     ),
     ("small", "float64"): (
         "de03cc175eedb4bf", "225853281a10d28c", "79e59443afdfc905",
-        "3d2b511c2a17dad4", "728ff8b0f1caba08", "7a949cb98317a65a",
+        "3d2b511c2a17dad4", "87bce77d2e3f0396", "7a949cb98317a65a",
         "2952a62d3955dcbd", "5867e1f9dda051a6", "88b5adcabafb7c42",
-        "0ed5d8220139add8", "564284b99467919e", "dbece55478d0fdbd",
+        "0ed5d8220139add8", "564284b99467919e", "29d10bcf93351e9c",
         "685e6bb759c826c6",
     ),
     ("small", "float32"): (
         "110cd92d0e4dd805", "cce6dbea83b35bf9", "d8fd549d2e3c05c2",
-        "c026c8767c6a2922", "c046c447c4290fc9", "7ab424026bd570ba",
+        "c026c8767c6a2922", "dc8e38ee97d04215", "7ab424026bd570ba",
         "71419ccf65b4830f", "dcc447f82e7f965e", "346821c9c07995ec",
-        "93dc515ca55f2ea0", "6e9d2e922ce77edd", "f07525587b1ce132",
+        "93dc515ca55f2ea0", "6e9d2e922ce77edd", "2289784e6eeb026a",
         "2307e94a5289e295",
     ),
     ("stride2", "float64"): (
@@ -383,7 +389,7 @@ class TestFusedChunking:
         pinned = PINNED_DIGESTS[case, np.dtype(dtype).name]
         for label, got, want in zip(OUTPUT_LABELS, _digests(outputs),
                                     pinned):
-            assert got == want, label
+            assert got == want, pin_message(label)
 
     def test_each_padded_slice_padded_and_gathered_once(self, monkeypatch):
         """Per pass, the chunks partition the padded input depth: every
@@ -412,15 +418,22 @@ class TestFusedChunking:
         ctx = {}
         # (chunk budget, call, {channels of the streamed input: padded
         # slices}); 36 KiB gives chunks of 3 slices of x and 2 of dy at
-        # stride 1, 8 KiB chunks of 2 slices of x at stride 2
+        # stride 1, 8 KiB chunks of 2 slices of x at stride 2.  A
+        # unit-stride backward streams only dy: its one walk gives dx
+        # and dw.  Without dx (a first layer) it streams only x.
+        def train_forward():
+            conv3d_bn_relu_forward(x, w, b, gamma, beta, *stats, 1, 1,
+                                   training=True, ctx=ctx)
+
         passes = [
             (36, lambda: conv3d_forward(x, w, b, 1, 1), {2: 10}),
-            (36, lambda: conv3d_backward(dy, x, w, 1, 1), {2: 10, 3: 10}),
-            (36, lambda: conv3d_bn_relu_forward(
-                x, w, b, gamma, beta, *stats, 1, 1, training=True,
-                ctx=ctx), {2: 10}),
+            (36, lambda: conv3d_backward(dy, x, w, 1, 1), {3: 10}),
+            (36, train_forward, {2: 10}),
             (36, lambda: conv3d_bn_relu_backward(dy, x, w, gamma, 1, 1,
-                                                 ctx=ctx), {2: 10, 3: 10}),
+                                                 ctx=ctx), {3: 10}),
+            (36, train_forward, {2: 10}),
+            (36, lambda: conv3d_bn_relu_backward(
+                dy, x, w, gamma, 1, 1, ctx=ctx, need_dx=False), {2: 10}),
             (36, lambda: conv3d_bn_relu_forward(
                 x, w, b, gamma, beta, *stats, 1, 1, training=False),
              {2: 10}),
@@ -442,6 +455,71 @@ class TestFusedChunking:
                     assert all(a[1] == b[0] for a, b in
                                zip(spans, spans[1:])), (i, c, spans)
                     assert sum(gd for cc, gd in gathered if cc == c) == S
+
+    @staticmethod
+    def _count_gathers(monkeypatch):
+        """Record ``(channels, nbytes)`` of every slice buffer
+        :func:`fused._gather_slab2d` fills."""
+        gathered = []
+        gather = fused._gather_slab2d
+
+        def count(xslab, kernel_hw, stride_hw, out):
+            gathered.append((xslab.shape[1], out.nbytes))
+            gather(xslab, kernel_hw, stride_hw, out)
+
+        monkeypatch.setattr(fused, "_gather_slab2d", count)
+        return gathered
+
+    @staticmethod
+    def _train_step(net, side):
+        data = np.random.default_rng(1)
+        x = data.standard_normal((2, net.in_channels, side, side, side))
+        y = (data.random((2, 1, side, side, side)) < 0.3).astype(x.dtype)
+        net.zero_grad()
+        _, grad = SoftDiceLoss().forward(net(x), y)
+        net.backward(grad)
+
+    def test_training_step_gathers_counted(self, monkeypatch):
+        """One 8^3 training step of the shipped model, ``UNet3D(4, 1,
+        4, 3)``, gathers once per 3^3 layer in the forward and once in
+        the backward, which walks only dy (x, for the first layer): 20
+        slice buffers of 4,386,816 bytes.  A backward that also walked
+        x for dw gathered 29, of 6,414,336 bytes."""
+        net = UNet3D(4, 1, 4, 3, rng=np.random.default_rng(0))
+        gathered = self._count_gathers(monkeypatch)
+        with use_backend("fused"):
+            self._train_step(net, 8)
+        assert len(gathered) == 20
+        assert sum(nbytes for _, nbytes in gathered) == 4_386_816
+
+    def test_first_layer_backward_gathers_only_x(self, monkeypatch):
+        """The network's first layer needs no dx: its backward walks
+        the padded input x once for dw and never gathers dy."""
+        net = UNet3D(2, 1, 3, 2, rng=np.random.default_rng(0))
+        gathered = self._count_gathers(monkeypatch)
+        calls = []
+        backward = fused.FusedBackend.conv3d_backward
+
+        def record(self, dy, x, w, stride, pad, with_bias, need_dx=True):
+            start = len(gathered)
+            out = backward(self, dy, x, w, stride, pad, with_bias,
+                           need_dx=need_dx)
+            if w.shape[2:] == (3, 3, 3):
+                calls.append((need_dx, x.shape[1], dy.shape[1],
+                              gathered[start:]))
+            return out
+
+        monkeypatch.setattr(fused.FusedBackend, "conv3d_backward", record)
+        with use_backend("fused"):
+            self._train_step(net, 8)
+        first = [c for c in calls if not c[0]]
+        assert len(first) == 1 and len(calls) == 6
+        _, cin, cout, walks = first[0]
+        assert (cin, cout) == (2, 3)
+        assert [c for c, _ in walks] == [cin]  # x once, no dy
+        for need_dx, _, cout, walks in calls:
+            if need_dx:
+                assert [c for c, _ in walks] == [cout]  # dy once, no x
 
     def test_no_full_padded_volume_checked_out(self, monkeypatch):
         """With the padded volume above the chunk budget, no pass checks
